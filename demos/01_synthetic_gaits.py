@@ -7,8 +7,6 @@ generates one sequence per class and prints a few raw keypoints plus the
 straightness features that separate the classes.
 """
 
-import numpy as np
-
 from gaitlab import (
     GaitLabel,
     KeypointId,
@@ -22,17 +20,15 @@ def main():
     for label in GaitLabel:
         params = default_params(label, seed=0)
         seq = generate(params, source_id=f"demo_{label.value.lower()}")
-        frame = seq.frames[0]
-        ankle = frame.keypoints[KeypointId.LEFT_ANKLE]
-        ear = frame.keypoints[KeypointId.LEFT_EAR]
+        ankle = seq.xy[0, KeypointId.LEFT_ANKLE - 1]  # (x, y) in the first frame
+        ear = seq.xy[0, KeypointId.LEFT_EAR - 1]
 
-        feats, n_failed = extract_sequence(seq)
-        vectors = np.stack([ff.vector() for ff in feats])
-        mean_ls = vectors[:, 0:4].mean()  # limb straightness block
-        mean_us = vectors[:, 6].mean()    # upper-body straightness
+        feats, n_failed = extract_sequence(seq)  # (frames, 113)
+        mean_ls = feats[:, 0:4].mean()  # limb straightness block
+        mean_us = feats[:, 6].mean()    # upper-body straightness
 
-        print(f"{label.value:11s} frames={len(seq.frames)} failed={n_failed}  "
-              f"ear=({ear.x:7.1f},{ear.y:7.1f}) ankle=({ankle.x:7.1f},{ankle.y:7.1f})  "
+        print(f"{label.value:11s} frames={len(seq)} failed={n_failed}  "
+              f"ear=({ear[0]:7.1f},{ear[1]:7.1f}) ankle=({ankle[0]:7.1f},{ankle[1]:7.1f})  "
               f"mean limb straightness={mean_ls:6.2f}px  "
               f"upper-body straightness={mean_us:6.2f}px")
 

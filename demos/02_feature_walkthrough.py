@@ -36,8 +36,7 @@ def main():
     print()
 
     seq = generate(default_params(GaitLabel.PARKINSON, seed=0), "walkthrough")
-    ff = extract_frame_features(seq.frames[0])
-    vec = ff.vector()
+    vec = extract_frame_features(seq.xy[0])  # the first frame's (14, 2) coordinates
     print(f"one frame -> {vec.shape[0]} features")
     for name, value in zip(FEATURE_NAMES[:8], vec[:8]):
         print(f"  {name:4s} = {value:8.4f}")
@@ -54,8 +53,7 @@ def main():
     print()
     print("Translating or rotating the pose leaves every feature unchanged;")
     print("scaling leaves angles and normalized distances unchanged.")
-    xy = np.array([[kp.x, kp.y] for kp in
-                   (seq.frames[0].keypoints[k] for k in sorted(seq.frames[0].keypoints))])
+    xy = seq.xy[0]
     print(f"(pose spans {np.ptp(xy[:, 0]):.0f} x {np.ptp(xy[:, 1]):.0f} pixels)")
 
 

@@ -1,13 +1,6 @@
 """gaitlab: pose-keypoint gait features and gait-abnormality classifiers."""
 
-from .pose import (
-    GaitLabel,
-    Keypoint,
-    KeypointId,
-    PoseFrame,
-    PoseSequence,
-    frame_is_valid,
-)
+from .pose import GaitLabel, KeypointId, PoseSequence
 from .ingest import (
     IngestReport,
     filter_valid,
@@ -18,7 +11,6 @@ from .ingest import (
 )
 from .frame_features import (
     FEATURE_NAMES,
-    FrameFeatures,
     extract_frame_features,
     extract_sequence,
     point_line_distance,
@@ -35,7 +27,6 @@ from .synth import GaitParams, default_params, generate, generate_corpus, write_
 from .classify import (
     ALGORITHMS,
     TrainedModel,
-    knn_brute_force_oracle,
     load_model,
     predict,
     save_model,

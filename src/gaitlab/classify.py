@@ -338,45 +338,3 @@ def predict(model: TrainedModel, features: VideoFeatures):
 
 def predict_many(model: TrainedModel, features_list) -> list[GaitLabel]:
     return [predict(model, vf)[0] for vf in features_list]
-
-
-# --- independent kNN oracle ---------------------------------------------------
-
-
-def knn_brute_force_oracle(items, query: VideoFeatures, k: int) -> GaitLabel:
-    """Exhaustive O(N*d) kNN scan in plain Python, used to validate predict().
-
-    Applies the same z-scoring as the production path (recomputed here with
-    elementary loops), then sorts by (distance, training index) and breaks
-    vote ties by class order.
-    """
-    if k > len(items):
-        raise ValueError("k exceeds training set size")
-    vectors = [list(map(float, vf.vector())) for vf, _ in items]
-    labels = [label for _, label in items]
-    classes = [label for label in GaitLabel if label in set(labels)]
-    d = len(vectors[0])
-    n = len(vectors)
-
-    means, stds = [], []
-    for j in range(d):
-        col = [v[j] for v in vectors]
-        mu = sum(col) / n
-        var = sum((v - mu) ** 2 for v in col) / n
-        means.append(mu)
-        stds.append(max(math.sqrt(var), _STD_FLOOR))
-
-    def z(vec):
-        return [(vec[j] - means[j]) / stds[j] for j in range(d)]
-
-    q = z(list(map(float, query.vector())))
-    scored = []
-    for i, vec in enumerate(vectors):
-        zi = z(vec)
-        dist = math.sqrt(sum((zi[j] - q[j]) ** 2 for j in range(d)))
-        scored.append((dist, i))
-    scored.sort()  # distance ties broken by lower training index
-    votes = {c: 0 for c in classes}
-    for _, i in scored[:k]:
-        votes[labels[i]] += 1
-    return max(classes, key=lambda c: (votes[c], -classes.index(c)))

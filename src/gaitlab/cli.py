@@ -82,6 +82,11 @@ def _labeled_rows(args):
     labeled = [(vf, label) for vf, label in rows if label is not None]
     if not labeled:
         raise ParseError(f"no labeled rows in {args.features}")
+    seen = set()
+    for vf, _ in labeled:
+        if vf.source_id in seen:
+            raise ParseError(f"duplicate source_id {vf.source_id!r} in {args.features}")
+        seen.add(vf.source_id)
     return labeled
 
 

@@ -25,16 +25,16 @@ DEFAULT_FOLDS = 5
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Labeled video features with a train/test partition by source_id."""
+    """Labeled video features with a train/test partition by position."""
 
     items: tuple  # of (VideoFeatures, GaitLabel)
-    split: dict  # source_id -> "train" | "test"
+    split: tuple  # "train" | "test" for each item, in item order
 
     def train_items(self):
-        return [(vf, label) for vf, label in self.items if self.split[vf.source_id] == "train"]
+        return [item for item, part in zip(self.items, self.split) if part == "train"]
 
     def test_items(self):
-        return [(vf, label) for vf, label in self.items if self.split[vf.source_id] == "test"]
+        return [item for item, part in zip(self.items, self.split) if part == "test"]
 
 
 @dataclass(frozen=True)
@@ -63,24 +63,24 @@ class EvalReport:
 
 def stratified_split(items, seed: int = 0) -> LabeledDataset:
     """Per-class seeded shuffle, then floor(3n/4) items to train, rest to test."""
+    items = tuple(items)
     by_class: dict[GaitLabel, list] = {}
-    for vf, label in items:
-        by_class.setdefault(label, []).append((vf, label))
+    for position, (_, label) in enumerate(items):
+        by_class.setdefault(label, []).append(position)
     for label in GaitLabel:
         if label in by_class and len(by_class[label]) < 4:
             raise ClassTooSmall(label.value, len(by_class[label]))
     rng = np.random.default_rng(seed)
-    split = {}
+    split = [""] * len(items)
     for label in GaitLabel:
         group = by_class.get(label, [])
         if not group:
             continue
         perm = rng.permutation(len(group))
         n_train = (3 * len(group)) // 4
-        for pos, idx in enumerate(perm):
-            vf, _ = group[idx]
-            split[vf.source_id] = "train" if pos < n_train else "test"
-    return LabeledDataset(items=tuple(items), split=split)
+        for rank, idx in enumerate(perm):
+            split[group[idx]] = "train" if rank < n_train else "test"
+    return LabeledDataset(items=items, split=tuple(split))
 
 
 def _stratified_folds(labels, folds: int, seed: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Frame-level gait features from a complete 14-keypoint pose.
+"""Frame-level gait features from complete 14-keypoint poses.
 
 Six feature families, 113 values per frame, in a frozen order:
 
@@ -10,17 +10,18 @@ Straightness values are perpendicular point-to-line distances in pixels.
 Coordination values are angles between undirected limb lines, folded to
 [0, pi/2]. Central/mutual distances are normalized by the maximum distance
 in their block (per frame by default, per video optionally).
+
+Every function takes coordinates of shape (..., 14, 2) -- one pose or a
+(T, 14, 2) stack -- in keypoint order, and computes over the leading axes
+at once.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateLine, DegeneratePose
-from .pose import KEYPOINT_ORDER, KeypointId, PoseFrame, PoseSequence
+from .pose import KeypointId, PoseSequence
 
 EPS = 1e-9  # pixels; below this two defining points are considered coincident
 
@@ -40,7 +41,21 @@ _PAIRS = (
     ("right-hand", K.RIGHT_SHOULDER, K.RIGHT_WRIST, "left-leg", K.LEFT_HIP, K.LEFT_ANKLE),
 )
 
+
+def _joints(table, column):
+    """0-based joint indices of one column of a joint table."""
+    return np.array([row[column] - 1 for row in table])
+
+
+_LIMB_MIDDLE, _LIMB_END_A, _LIMB_END_B = (_joints(_LIMBS, c) for c in (1, 2, 3))
+_SHOULDER, _WRIST, _HIP, _ANKLE = (_joints(_PAIRS, c) for c in (1, 2, 4, 5))
+_LIMB_NAMES = tuple(row[0] for row in _LIMBS)
+_PAIR_NAMES = tuple(name for row in _PAIRS for name in (row[0], row[3]))  # hand, then leg
+
 _PAIR_I, _PAIR_J = np.triu_indices(14, k=1)  # lexicographic (i, j), i < j
+
+# every defining line, in the order the first degeneracy of a frame is reported
+_LINE_NAMES = _LIMB_NAMES + _PAIR_NAMES + ("upper-body axis", "body axis")
 
 FEATURE_NAMES: tuple[str, ...] = (
     tuple(f"ls{i}" for i in range(1, 5))
@@ -49,257 +64,190 @@ FEATURE_NAMES: tuple[str, ...] = (
     + tuple(f"md{i}" for i in range(1, 92))
 )
 
-N_FRAME_FEATURES = 113
+NORM_SCOPES = ("frame", "video")
 
 
-@dataclass(frozen=True)
-class FrameFeatures:
-    """The 113-dim feature vector of one frame, sectioned by family."""
-
-    limb_straightness: np.ndarray  # (4,)
-    hand_leg_coordination: np.ndarray  # (2,)
-    upper_body_straightness: float
-    body_straightness: float
-    central_distances: np.ndarray  # (14,)
-    mutual_distances: np.ndarray  # (91,)
-    frame_index: int = 0
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.limb_straightness,
-                self.hand_leg_coordination,
-                [self.upper_body_straightness, self.body_straightness],
-                self.central_distances,
-                self.mutual_distances,
-            ]
-        )
+def _check_lines(lengths, names):
+    """Raise DegenerateLine for the first line shorter than EPS, in frame
+    order and then in ``names`` order (the last axis of ``lengths``)."""
+    short = np.flatnonzero(np.reshape(lengths, (-1, len(names))) < EPS)
+    if short.size:
+        raise DegenerateLine(names[short[0] % len(names)])
 
 
-def point_line_distance(p, a, b) -> float:
+def _point_line(p, a, b):
+    """(distance from p to the line through a and b, |b - a|) over (..., 2) points."""
+    d = b - a
+    length = np.hypot(d[..., 0], d[..., 1])
+    cross = d[..., 0] * (p[..., 1] - a[..., 1]) - d[..., 1] * (p[..., 0] - a[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate lines are reported by length
+        return np.abs(cross) / length, length
+
+
+def point_line_distance(p, a, b):
     """Euclidean distance from point p to the infinite line through a and b.
 
     Cross-product form |(b-a) x (p-a)| / ||b-a||: agrees with the
     slope-intercept distance formula wherever the slope is defined and also
-    handles vertical lines.
+    handles vertical lines. Points are (..., 2) arrays and broadcast.
     """
-    ax, ay = float(a[0]), float(a[1])
-    bx, by = float(b[0]), float(b[1])
-    px, py = float(p[0]), float(p[1])
-    dx, dy = bx - ax, by - ay
-    norm = math.hypot(dx, dy)
-    if norm < EPS:
-        raise DegenerateLine("line endpoints")
-    return abs(dx * (py - ay) - dy * (px - ax)) / norm
+    distance, length = _point_line(*(np.asarray(v, dtype=float) for v in (p, a, b)))
+    _check_lines(length, ("line endpoints",))
+    return distance
 
 
-def _coords(frame: PoseFrame) -> np.ndarray:
-    """(14, 2) array of keypoint coordinates in index order; frame must be complete."""
-    try:
-        return np.array(
-            [(frame.keypoints[k].x, frame.keypoints[k].y) for k in KEYPOINT_ORDER],
-            dtype=float,
-        )
-    except KeyError as exc:
-        raise ValueError(f"frame {frame.frame_index} is missing keypoint {exc}") from None
+def _limb_straightness(xy):
+    return _point_line(xy[..., _LIMB_MIDDLE, :], xy[..., _LIMB_END_A, :], xy[..., _LIMB_END_B, :])
 
 
-def limb_straightness(frame: PoseFrame) -> np.ndarray:
+def limb_straightness(xy) -> np.ndarray:
     """Displacement of each limb's middle joint from its end-to-end line.
 
-    Order: left hand, right hand, left leg, right leg.
+    Order: left hand, right hand, left leg, right leg. Shape (..., 4).
     """
-    xy = _coords(frame)
-    out = np.empty(4)
-    for i, (name, mid, end_a, end_b) in enumerate(_LIMBS):
-        try:
-            out[i] = point_line_distance(xy[mid - 1], xy[end_a - 1], xy[end_b - 1])
-        except DegenerateLine:
-            raise DegenerateLine(name) from None
-    return out
+    distance, length = _limb_straightness(np.asarray(xy, dtype=float))
+    _check_lines(length, _LIMB_NAMES)
+    return distance
 
 
-def _line_angle(u, v, name_u, name_v) -> float:
-    """Angle in [0, pi/2] between undirected lines with direction vectors u, v."""
-    nu = math.hypot(u[0], u[1])
-    nv = math.hypot(v[0], v[1])
-    if nu < EPS:
-        raise DegenerateLine(name_u)
-    if nv < EPS:
-        raise DegenerateLine(name_v)
-    cross = u[0] * v[1] - u[1] * v[0]
-    dot = u[0] * v[0] + u[1] * v[1]
-    angle = math.atan2(abs(cross), dot)  # in [0, pi]
-    return min(angle, math.pi - angle)  # fold: lines have no direction
+def _hand_leg_coordination(xy):
+    u = xy[..., _WRIST, :] - xy[..., _SHOULDER, :]  # hand lines
+    v = xy[..., _ANKLE, :] - xy[..., _HIP, :]  # opposite leg lines
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+    angle = np.arctan2(np.abs(cross), dot)  # in [0, pi]
+    lengths = np.stack([np.hypot(u[..., 0], u[..., 1]), np.hypot(v[..., 0], v[..., 1])], axis=-1)
+    # fold the angle, since lines have no direction; lengths run hand, leg, hand, leg
+    return np.minimum(angle, np.pi - angle), lengths.reshape(*lengths.shape[:-2], 4)
 
 
-def hand_leg_coordination(frame: PoseFrame) -> np.ndarray:
-    """Angle between each hand line and the opposite leg line.
+def hand_leg_coordination(xy) -> np.ndarray:
+    """Angle in [0, pi/2] between each hand line and the opposite leg line.
 
-    Order: (left hand, right leg), (right hand, left leg).
+    Order: (left hand, right leg), (right hand, left leg). Shape (..., 2).
     """
-    xy = _coords(frame)
-    out = np.empty(2)
-    for i, (hand, s, w, leg, h, a) in enumerate(_PAIRS):
-        u = xy[w - 1] - xy[s - 1]
-        v = xy[a - 1] - xy[h - 1]
-        out[i] = _line_angle(u, v, hand, leg)
-    return out
+    angle, lengths = _hand_leg_coordination(np.asarray(xy, dtype=float))
+    _check_lines(lengths, _PAIR_NAMES)
+    return angle
 
 
-def _midpoint(xy: np.ndarray, left: KeypointId, right: KeypointId) -> np.ndarray:
-    return (xy[left - 1] + xy[right - 1]) / 2.0
+def _midpoint(xy, left: KeypointId, right: KeypointId):
+    return (xy[..., left - 1, :] + xy[..., right - 1, :]) / 2.0
 
 
-def upper_body_straightness(frame: PoseFrame) -> float:
-    """Displacement of the effective shoulder from the effective ear-hip line."""
-    xy = _coords(frame)
+def _upper_body_straightness(xy):
     ear = _midpoint(xy, K.LEFT_EAR, K.RIGHT_EAR)
     shoulder = _midpoint(xy, K.LEFT_SHOULDER, K.RIGHT_SHOULDER)
     hip = _midpoint(xy, K.LEFT_HIP, K.RIGHT_HIP)
-    try:
-        return point_line_distance(shoulder, ear, hip)
-    except DegenerateLine:
-        raise DegenerateLine("upper-body axis") from None
+    return _point_line(shoulder, ear, hip)
 
 
-def body_straightness(frame: PoseFrame) -> float:
-    """Displacement of the effective hip from the effective shoulder-ankle line."""
-    xy = _coords(frame)
+def upper_body_straightness(xy) -> np.ndarray:
+    """Displacement of the effective shoulder from the effective ear-hip line."""
+    distance, length = _upper_body_straightness(np.asarray(xy, dtype=float))
+    _check_lines(length, ("upper-body axis",))
+    return distance
+
+
+def _body_straightness(xy):
     shoulder = _midpoint(xy, K.LEFT_SHOULDER, K.RIGHT_SHOULDER)
     hip = _midpoint(xy, K.LEFT_HIP, K.RIGHT_HIP)
     ankle = _midpoint(xy, K.LEFT_ANKLE, K.RIGHT_ANKLE)
-    try:
-        return point_line_distance(hip, shoulder, ankle)
-    except DegenerateLine:
-        raise DegenerateLine("body axis") from None
+    return _point_line(hip, shoulder, ankle)
 
 
-def raw_central_distances(frame: PoseFrame) -> np.ndarray:
+def body_straightness(xy) -> np.ndarray:
+    """Displacement of the effective hip from the effective shoulder-ankle line."""
+    distance, length = _body_straightness(np.asarray(xy, dtype=float))
+    _check_lines(length, ("body axis",))
+    return distance
+
+
+def _central_distances(xy):
     """Unnormalized distances from each keypoint to the 14-point centroid."""
-    xy = _coords(frame)
-    centroid = xy.mean(axis=0)
-    return np.linalg.norm(xy - centroid, axis=1)
+    return np.linalg.norm(xy - xy.mean(axis=-2, keepdims=True), axis=-1)
 
 
-def central_distances(frame: PoseFrame) -> np.ndarray:
-    """Centroid distances normalized by the frame maximum; in [0, 1], max = 1."""
-    d = raw_central_distances(frame)
-    m = d.max()
-    if m < EPS:
-        raise DegeneratePose(frame.frame_index)
-    return d / m
-
-
-def raw_mutual_distances(frame: PoseFrame) -> np.ndarray:
+def _mutual_distances(xy):
     """Unnormalized pairwise keypoint distances, lexicographic (i, j) with i < j."""
-    xy = _coords(frame)
-    return np.linalg.norm(xy[_PAIR_I] - xy[_PAIR_J], axis=1)
+    return np.linalg.norm(xy[..., _PAIR_I, :] - xy[..., _PAIR_J, :], axis=-1)
 
 
-def mutual_distances(frame: PoseFrame) -> np.ndarray:
+def _per_frame_normalized(distances):
+    top = distances.max(axis=-1, keepdims=True)
+    if (top < EPS).any():
+        raise DegeneratePose()
+    return distances / top
+
+
+def central_distances(xy) -> np.ndarray:
+    """Centroid distances normalized by the frame maximum; in [0, 1], max = 1."""
+    return _per_frame_normalized(_central_distances(np.asarray(xy, dtype=float)))
+
+
+def mutual_distances(xy) -> np.ndarray:
     """Pairwise distances normalized by the frame maximum; 91 values in [0, 1]."""
-    d = raw_mutual_distances(frame)
-    m = d.max()
-    if m < EPS:
-        raise DegeneratePose(frame.frame_index)
-    return d / m
-
-
-def extract_frame_features(frame: PoseFrame) -> FrameFeatures:
-    """Assemble all six families into the 113-dim per-frame vector."""
-    try:
-        return FrameFeatures(
-            limb_straightness=limb_straightness(frame),
-            hand_leg_coordination=hand_leg_coordination(frame),
-            upper_body_straightness=upper_body_straightness(frame),
-            body_straightness=body_straightness(frame),
-            central_distances=central_distances(frame),
-            mutual_distances=mutual_distances(frame),
-            frame_index=frame.frame_index,
-        )
-    except DegenerateLine as exc:
-        raise DegenerateLine(exc.what, frame_index=frame.frame_index) from None
-    except DegeneratePose:
-        raise DegeneratePose(frame_index=frame.frame_index) from None
+    return _per_frame_normalized(_mutual_distances(np.asarray(xy, dtype=float)))
 
 
 def extract_sequence(
     seq: PoseSequence,
     norm_scope: str = "frame",
     skip_degenerate: bool = True,
-) -> tuple[list[FrameFeatures], int]:
-    """Per-frame features for a whole sequence.
+) -> tuple[np.ndarray, int]:
+    """Per-frame features of a whole sequence: ((n, 113) array, n_degenerate).
 
-    norm_scope "frame" divides each frame's central/mutual distances by that
-    frame's maximum; "video" divides by the maximum over all frames of the
-    sequence (one max per block). Returns (features, n_failed) where failed
-    frames hit a geometric degeneracy; with skip_degenerate=False the first
-    degeneracy raises instead.
+    Every frame must have all 14 keypoints (run ingest.filter_valid first).
+    A frame is degenerate when one of its defining lines is shorter than EPS
+    or all its keypoints coincide. Degenerate frames are dropped (n rows
+    remain) and counted; with skip_degenerate=False the first one raises
+    instead, naming its first short line. norm_scope "frame" divides each
+    frame's central/mutual distances by that frame's maximum; "video"
+    divides by the maximum over all kept frames (one max per block).
     """
-    if norm_scope not in ("frame", "video"):
+    if norm_scope not in NORM_SCOPES:
         raise ValueError(f"norm_scope must be 'frame' or 'video', got {norm_scope!r}")
+    xy = seq.xy
+    incomplete = np.flatnonzero(np.isnan(xy).any(axis=(1, 2)))
+    if incomplete.size:
+        raise ValueError(f"frame {seq.frame_index[incomplete[0]]} is missing keypoints")
+    families = (_limb_straightness(xy), _hand_leg_coordination(xy),
+                _upper_body_straightness(xy), _body_straightness(xy))
+    lines = np.column_stack([family[0] for family in families])  # (T, 8)
+    short = np.column_stack([family[1] for family in families]) < EPS  # (T, 10)
+    cd, md = _central_distances(xy), _mutual_distances(xy)
+    cd_top, md_top = cd.max(axis=1, keepdims=True), md.max(axis=1, keepdims=True)
+    degenerate = short.any(axis=1) | (cd_top[:, 0] < EPS) | (md_top[:, 0] < EPS)
 
-    n_failed = 0
-    if norm_scope == "frame":
-        feats = []
-        for frame in seq.frames:
-            try:
-                feats.append(extract_frame_features(frame))
-            except (DegenerateLine, DegeneratePose):
-                if not skip_degenerate:
-                    raise
-                n_failed += 1
-        return feats, n_failed
+    if degenerate.any() and not skip_degenerate:
+        t = int(np.argmax(degenerate))
+        frame_index = int(seq.frame_index[t])
+        if short[t].any():
+            raise DegenerateLine(_LINE_NAMES[int(np.argmax(short[t]))], frame_index=frame_index)
+        raise DegeneratePose(frame_index=frame_index)
 
-    # video scope: collect raw distance blocks first, then normalize jointly
-    rows = []
-    for frame in seq.frames:
-        try:
-            rows.append(
-                (
-                    frame.frame_index,
-                    limb_straightness(frame),
-                    hand_leg_coordination(frame),
-                    upper_body_straightness(frame),
-                    body_straightness(frame),
-                    raw_central_distances(frame),
-                    raw_mutual_distances(frame),
-                )
-            )
-        except (DegenerateLine, DegeneratePose) as exc:
-            if not skip_degenerate:
-                if isinstance(exc, DegenerateLine):
-                    raise DegenerateLine(exc.what, frame_index=frame.frame_index) from None
-                raise DegeneratePose(frame_index=frame.frame_index) from None
-            n_failed += 1
-    if not rows:
-        return [], n_failed
-    cd_max = max(r[5].max() for r in rows)
-    md_max = max(r[6].max() for r in rows)
-    if cd_max < EPS or md_max < EPS:
-        raise DegeneratePose(rows[0][0])
-    feats = [
-        FrameFeatures(
-            limb_straightness=ls,
-            hand_leg_coordination=hl,
-            upper_body_straightness=us,
-            body_straightness=bs,
-            central_distances=cd / cd_max,
-            mutual_distances=md / md_max,
-            frame_index=idx,
-        )
-        for idx, ls, hl, us, bs, cd, md in rows
-    ]
-    return feats, n_failed
+    keep = ~degenerate
+    cd_top, md_top = cd_top[keep], md_top[keep]
+    if norm_scope == "video" and keep.any():
+        cd_top, md_top = cd_top.max(), md_top.max()
+    features = np.hstack([lines[keep], cd[keep] / cd_top, md[keep] / md_top])
+    return features, int(degenerate.sum())
 
 
-def write_frame_features_csv(features: list[FrameFeatures], path) -> None:
-    """Per-frame dump: header ``frame,ls1..ls4,hl1,hl2,us,bs,cd1..cd14,md1..md91``."""
+def extract_frame_features(xy) -> np.ndarray:
+    """The 113 features of one complete (14, 2) pose; raises its first degeneracy."""
+    features, _ = extract_sequence(PoseSequence(np.asarray(xy, dtype=float)[None]),
+                                   skip_degenerate=False)
+    return features[0]
+
+
+def write_frame_features_csv(frame_index, features, path) -> None:
+    """Per-frame dump of (n, 113) features with their frame indices: header
+    ``frame,ls1..ls4,hl1,hl2,us,bs,cd1..cd14,md1..md91``."""
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("frame",) + FEATURE_NAMES)
-        for ff in features:
-            writer.writerow([ff.frame_index] + [repr(float(v)) for v in ff.vector()])
+        for idx, row in zip(frame_index, np.asarray(features).tolist()):
+            writer.writerow([int(idx)] + [repr(v) for v in row])

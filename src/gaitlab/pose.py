@@ -1,4 +1,4 @@
-"""Core domain types: keypoints, frames, sequences, and class labels.
+"""Core domain types: keypoint identifiers, pose sequences and class labels.
 
 Coordinates follow the usual pose-estimator image convention: x grows
 rightward, y grows downward, units are pixels. Every feature downstream is
@@ -9,9 +9,10 @@ is fixed here only to keep mixed-convention datasets out.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 
 class KeypointId(enum.IntEnum):
@@ -67,60 +68,58 @@ class GaitLabel(enum.Enum):
 LABEL_ORDER = tuple(GaitLabel)
 
 
-@dataclass(frozen=True)
-class Keypoint:
-    """A single 2-D joint location with detector confidence."""
-
-    x: float
-    y: float
-    confidence: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite keypoint coordinates ({self.x}, {self.y})")
-        if not (math.isfinite(self.confidence) and 0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class PoseFrame:
-    """Keypoints detected in one video frame; missing joints are simply absent."""
-
-    keypoints: dict[KeypointId, Keypoint]
-    frame_index: int
-    timestamp_ms: Optional[int] = None
-
-    def __post_init__(self):
-        if self.frame_index < 0:
-            raise ValueError("frame_index must be >= 0")
-
-    def is_complete(self) -> bool:
-        return all(k in self.keypoints for k in KEYPOINT_ORDER)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoseSequence:
-    """Ordered frames of one single-person video."""
+    """Keypoints of one single-person video, one row per frame.
 
-    frames: tuple[PoseFrame, ...]
+    ``xy`` (T, 14, 2) holds pixel coordinates and ``conf`` (T, 14) detector
+    confidences, both NaN where the estimator reported no joint, in
+    ``KEYPOINT_ORDER``. ``frame_index`` (T,) is strictly increasing and
+    ``t_ms`` holds each frame's timestamp or None. Omitted, ``conf`` is all
+    ones, ``frame_index`` counts from 0 and ``t_ms`` is all None.
+    """
+
+    xy: np.ndarray
+    conf: Optional[np.ndarray] = None
+    frame_index: Optional[np.ndarray] = None
+    t_ms: Optional[tuple] = None
     source_id: str = ""
 
     def __post_init__(self):
-        if not self.frames:
-            raise ValueError("PoseSequence must contain at least one frame")
-        indices = [f.frame_index for f in self.frames]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
+        xy = np.asarray(self.xy, dtype=float)
+        if xy.ndim != 3 or xy.shape[1:] != (14, 2) or len(xy) == 0:
+            raise ValueError(f"xy must be a non-empty (T, 14, 2) array, got shape {xy.shape}")
+        n = len(xy)
+        conf = np.ones((n, 14)) if self.conf is None else np.asarray(self.conf, dtype=float)
+        index = np.arange(n) if self.frame_index is None else np.asarray(self.frame_index)
+        t_ms = (None,) * n if self.t_ms is None else tuple(self.t_ms)
+        if conf.shape != (n, 14) or index.shape != (n,) or len(t_ms) != n:
+            raise ValueError("conf, frame_index and t_ms must have one entry per frame")
+        if index.dtype.kind not in "iu" or (index < 0).any():
+            raise ValueError("frame_index must hold integers >= 0")
+        if (np.diff(index) <= 0).any():
             raise ValueError("frames must be strictly ordered by frame_index")
+        for name, value in (("xy", xy), ("conf", conf), ("frame_index", index), ("t_ms", t_ms)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.xy)
 
+    def __getitem__(self, frames) -> "PoseSequence":
+        """The frames a boolean mask selects, as a new sequence."""
+        rows = np.arange(len(self))[frames]
+        return PoseSequence(self.xy[rows], self.conf[rows], self.frame_index[rows],
+                            tuple(self.t_ms[i] for i in rows), self.source_id)
 
-def frame_is_valid(frame: PoseFrame, min_confidence: float) -> bool:
-    """True iff all 14 keypoints are present with confidence >= min_confidence."""
-    if not 0.0 <= min_confidence <= 1.0:
-        raise ValueError("min_confidence must be in [0, 1]")
-    return all(
-        (kp := frame.keypoints.get(k)) is not None and kp.confidence >= min_confidence
-        for k in KEYPOINT_ORDER
-    )
+    def __eq__(self, other):
+        if not isinstance(other, PoseSequence):
+            return NotImplemented
+        return (
+            self.source_id == other.source_id
+            and self.t_ms == other.t_ms
+            and np.array_equal(self.frame_index, other.frame_index)
+            and np.array_equal(self.xy, other.xy, equal_nan=True)
+            and np.array_equal(self.conf, other.conf, equal_nan=True)
+        )
+
+    __hash__ = None

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import save_keypoint_file
-from .pose import GaitLabel, Keypoint, KeypointId, PoseFrame, PoseSequence
+from .pose import GaitLabel, KeypointId, PoseSequence
 
 TORSO_PX = 100.0
 TORSO_WIDTH = 0.35  # torso-widths unit, in torso-lengths
@@ -150,17 +150,12 @@ def generate(params: GaitParams, source_id: str = "") -> PoseSequence:
         if jitter_px > 0:
             coords = coords + rng.normal(0.0, jitter_px, size=coords.shape)
 
-        frames.append(
-            PoseFrame(
-                keypoints={
-                    k: Keypoint(float(coords[i, 0]), float(coords[i, 1]), 1.0)
-                    for i, k in enumerate(KeypointId)
-                },
-                frame_index=t,
-                timestamp_ms=round(t * 1000 / 30),
-            )
-        )
-    return PoseSequence(frames=tuple(frames), source_id=source_id)
+        frames.append(coords)
+    return PoseSequence(
+        xy=np.stack(frames),
+        t_ms=tuple(round(t * 1000 / 30) for t in range(params.n_frames)),
+        source_id=source_id,
+    )
 
 
 def _perturbed_params(label: GaitLabel, rng: np.random.Generator, n_frames: int) -> GaitParams:

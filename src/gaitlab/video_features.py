@@ -15,14 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import TooFewFrames
-from .frame_features import FEATURE_NAMES, FrameFeatures, extract_sequence
+from .errors import ParseError, TooFewFrames
+from .frame_features import FEATURE_NAMES, NORM_SCOPES, extract_sequence
 from .pose import GaitLabel, PoseSequence
 
 N_VIDEO_FEATURES = 226
 
 STD_MODES = ("population", "sample")
-NORM_SCOPES = ("frame", "video")
 
 
 def schema_fingerprint(norm_scope: str = "frame", std_mode: str = "population") -> str:
@@ -53,15 +52,15 @@ class VideoFeatures:
 
 
 def aggregate(
-    features: list[FrameFeatures],
+    features,
     source_id: str = "",
     norm_scope: str = "frame",
     std_mode: str = "population",
 ) -> VideoFeatures:
-    """Mean and std across frames; order is [all means, then all stds]."""
+    """Mean and std over the (n, 113) frame features; order is [all means, then all stds]."""
     if len(features) < 2:
         raise TooFewFrames(len(features))
-    matrix = np.stack([ff.vector() for ff in features])
+    matrix = np.asarray(features, dtype=float)
     ddof = 0 if std_mode == "population" else 1
     return VideoFeatures(
         mean=matrix.mean(axis=0),
@@ -108,7 +107,9 @@ def read_features_csv(
     norm_scope: str = "frame",
     std_mode: str = "population",
 ) -> list[tuple[VideoFeatures, Optional[GaitLabel]]]:
-    """Read a feature CSV; the fingerprint is derived from the stated config."""
+    """Read a feature CSV; the fingerprint is derived from the stated config.
+
+    Every feature value must be a finite number (ParseError otherwise)."""
     fingerprint = schema_fingerprint(norm_scope, std_mode)
     rows = []
     with open(path, newline="") as fh:
@@ -121,6 +122,8 @@ def read_features_csv(
                 raise ValueError(f"bad feature CSV row length in {path}")
             label = GaitLabel.from_name(row[1]) if row[1] else None
             values = np.array([float(v) for v in row[2:]])
+            if not np.isfinite(values).all():
+                raise ParseError(f"non-finite feature value for {row[0]!r} in {path}")
             rows.append(
                 (
                     VideoFeatures(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from gaitlab.pose import GaitLabel, Keypoint, KeypointId, PoseFrame
+from gaitlab.pose import GaitLabel, PoseSequence
 from gaitlab.video_features import VideoFeatures, schema_fingerprint
 
 # vector layout of the 113-dim frame features
@@ -16,19 +16,15 @@ CD = slice(8, 22)
 MD = slice(22, 113)
 
 
-def frame_from_coords(coords, frame_index=0, confidence=1.0):
-    coords = np.asarray(coords, dtype=float)
-    return PoseFrame(
-        keypoints={
-            k: Keypoint(float(coords[i, 0]), float(coords[i, 1]), confidence)
-            for i, k in enumerate(KeypointId)
-        },
-        frame_index=frame_index,
-    )
+def sequence_from_coords(coords, frame_index=None, confidence=1.0, source_id=""):
+    """A PoseSequence of (T, 14, 2) coordinates with one confidence for every joint."""
+    xy = np.asarray(coords, dtype=float)
+    return PoseSequence(xy, np.full(xy.shape[:2], confidence), frame_index, source_id=source_id)
 
 
-def random_frame(rng, lo=0.0, hi=320.0, frame_index=0):
-    return frame_from_coords(rng.uniform(lo, hi, size=(14, 2)), frame_index=frame_index)
+def random_frame(rng, lo=0.0, hi=320.0):
+    """(14, 2) coordinates of a random pose."""
+    return rng.uniform(lo, hi, size=(14, 2))
 
 
 def vf_from_vector(vec, source_id="v", fingerprint=None):
@@ -83,3 +79,42 @@ def make_separable_items(rng, n_per_class=10, labels=(GaitLabel.NORMAL, GaitLabe
             vec = center + rng.normal(0.0, 0.1, size=226)
             items.append((vf_from_vector(vec, f"{label.value}_{i}"), label))
     return items
+
+
+def knn_brute_force_oracle(items, query: VideoFeatures, k: int) -> GaitLabel:
+    """Exhaustive O(N*d) kNN scan in plain Python, used to validate predict().
+
+    Applies the same z-scoring as the production path (recomputed here with
+    elementary loops, std floored at 1e-9), then sorts by (distance, training
+    index) and breaks vote ties by class order.
+    """
+    if k > len(items):
+        raise ValueError("k exceeds training set size")
+    vectors = [list(map(float, vf.vector())) for vf, _ in items]
+    labels = [label for _, label in items]
+    classes = [label for label in GaitLabel if label in set(labels)]
+    d = len(vectors[0])
+    n = len(vectors)
+
+    means, stds = [], []
+    for j in range(d):
+        col = [v[j] for v in vectors]
+        mu = sum(col) / n
+        var = sum((v - mu) ** 2 for v in col) / n
+        means.append(mu)
+        stds.append(max(math.sqrt(var), 1e-9))
+
+    def z(vec):
+        return [(vec[j] - means[j]) / stds[j] for j in range(d)]
+
+    q = z(list(map(float, query.vector())))
+    scored = []
+    for i, vec in enumerate(vectors):
+        zi = z(vec)
+        dist = math.sqrt(sum((zi[j] - q[j]) ** 2 for j in range(d)))
+        scored.append((dist, i))
+    scored.sort()  # distance ties broken by lower training index
+    votes = {c: 0 for c in classes}
+    for _, i in scored[:k]:
+        votes[labels[i]] += 1
+    return max(classes, key=lambda c: (votes[c], -classes.index(c)))

@@ -27,7 +27,7 @@ from helpers import (
     MD,
     US,
     bs_direct_oracle,
-    frame_from_coords,
+    knn_brute_force_oracle,
     slope_distance_oracle,
     us_direct_oracle,
     vf_from_vector,
@@ -57,7 +57,7 @@ def test_criterion_1_dimension_fidelity():
     elapsed = time.perf_counter() - start
     ok = (
         failed == 0
-        and all(ff.vector().shape == (113,) for ff in feats)
+        and feats.shape == (len(seq), 113)
         and video.vector().shape == (226,)
         and elapsed < 1.0
     )
@@ -80,12 +80,11 @@ def test_criterion_2_geometry_oracles():
             continue
         if abs(xy[2, 0] + xy[3, 0] - xy[12, 0] - xy[13, 0]) < 0.05:
             continue
-        frame = frame_from_coords(xy)
         el = xy[KeypointId.LEFT_ELBOW - 1]
         pairs = (
             (ffmod.point_line_distance(el, sl, wl), slope_distance_oracle(el, sl, wl)),
-            (ffmod.upper_body_straightness(frame), us_direct_oracle(xy)),
-            (ffmod.body_straightness(frame), bs_direct_oracle(xy)),
+            (ffmod.upper_body_straightness(xy), us_direct_oracle(xy)),
+            (ffmod.body_straightness(xy), bs_direct_oracle(xy)),
         )
         for got, expected in pairs:
             worst = max(worst, abs(got - expected) / max(abs(expected), 1e-9))
@@ -104,20 +103,20 @@ def test_criterion_3_invariance_suite():
     ok = True
     for _ in range(200):
         xy = rng.uniform(0, 320, (14, 2))
-        base = ffmod.extract_frame_features(frame_from_coords(xy)).vector()
+        base = ffmod.extract_frame_features(xy)
 
         shift = rng.uniform(-400, 400, 2)
-        shifted = ffmod.extract_frame_features(frame_from_coords(xy + shift)).vector()
+        shifted = ffmod.extract_frame_features(xy + shift)
         ok &= bool(np.allclose(shifted, base, atol=1e-9, rtol=0))
 
         theta = rng.uniform(0, 2 * math.pi)
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
-        rotated = ffmod.extract_frame_features(frame_from_coords(xy @ rot.T)).vector()
+        rotated = ffmod.extract_frame_features(xy @ rot.T)
         ok &= bool(np.allclose(rotated, base, rtol=1e-6, atol=1e-9))
 
         s = float(rng.uniform(0.2, 5.0))
-        scaled = ffmod.extract_frame_features(frame_from_coords(xy * s)).vector()
+        scaled = ffmod.extract_frame_features(xy * s)
         ok &= bool(np.allclose(scaled[CD], base[CD], rtol=1e-6))
         ok &= bool(np.allclose(scaled[MD], base[MD], rtol=1e-6))
         ok &= bool(np.allclose(scaled[HL], base[HL], rtol=1e-6))
@@ -148,8 +147,8 @@ def test_criterion_4_split_fidelity():
     dataset = evaluate.stratified_split(items, seed=SPLIT_SEED)
     train = {label: 0 for label in GaitLabel}
     test = {label: 0 for label in GaitLabel}
-    for vf, label in items:
-        (train if dataset.split[vf.source_id] == "train" else test)[label] += 1
+    for (_, label), part in zip(items, dataset.split):
+        (train if part == "train" else test)[label] += 1
     expected_train = {
         GaitLabel.CHOREIFORM: 38,
         GaitLabel.DIPLEGIA: 41,
@@ -182,7 +181,7 @@ def test_criterion_5_classifier_oracles():
     ]
     model = classify.train("knn", items, hyper={"k": 5})
     for vf, _ in items:
-        if classify.predict(model, vf)[0] is not classify.knn_brute_force_oracle(items, vf, 5):
+        if classify.predict(model, vf)[0] is not knn_brute_force_oracle(items, vf, 5):
             ok = False
             break
 

@@ -4,7 +4,6 @@ import pytest
 from gaitlab.classify import (
     ALGORITHMS,
     TrainedModel,
-    knn_brute_force_oracle,
     load_model,
     logreg_loss_and_grad,
     predict,
@@ -17,7 +16,7 @@ from gaitlab.errors import InsufficientData, SchemaMismatch
 from gaitlab.pose import GaitLabel
 from gaitlab.video_features import schema_fingerprint
 
-from helpers import make_separable_items, vf_from_vector
+from helpers import knn_brute_force_oracle, make_separable_items, vf_from_vector
 
 
 def random_items(rng, n=30, n_classes=3, spread=1.0):

@@ -126,3 +126,38 @@ def test_eval_deterministic_report_bytes(pipeline_dir, tmp_path):
     assert main(args + ["--report", str(r1)]) == 0
     assert main(args + ["--report", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def _edited_features(pipeline_dir, tmp_path, edit):
+    rows = (pipeline_dir / "features.csv").read_text().splitlines()
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(edit(rows)) + "\n")
+    return str(path)
+
+
+def test_exit_code_non_finite_features(pipeline_dir, tmp_path):
+    def put_nan(rows):
+        cells = rows[1].split(",")
+        cells[5] = "nan"
+        return [rows[0], ",".join(cells)] + rows[2:]
+
+    features = _edited_features(pipeline_dir, tmp_path, put_nan)
+    model_path = tmp_path / "model.gaitmodel.json"
+    assert main(["train", "--features", features, "--algo", "gnb",
+                 "--out", str(model_path)]) == 2
+    assert main(["train", "--features", str(pipeline_dir / "features.csv"), "--algo", "gnb",
+                 "--out", str(model_path)]) == 0
+    assert main(["predict", "--model", str(model_path), "--features", features,
+                 "--out", str(tmp_path / "p.csv")]) == 2
+
+
+def test_exit_code_duplicate_source_ids(pipeline_dir, tmp_path):
+    def repeat_first_id(rows):
+        first_id = rows[1].split(",")[0]
+        return rows[:2] + [first_id + row[row.index(","):] for row in rows[2:]]
+
+    features = _edited_features(pipeline_dir, tmp_path, repeat_first_id)
+    assert main(["train", "--features", features, "--algo", "gnb",
+                 "--out", str(tmp_path / "m.json")]) == 2
+    assert main(["eval", "--features", features, "--algos", "gnb", "--folds", "2",
+                 "--report", str(tmp_path / "r.json")]) == 2

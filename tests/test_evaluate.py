@@ -84,8 +84,20 @@ def test_split_deterministic_and_seed_sensitive():
 def test_split_covers_every_item_once():
     items = dummy_items({GaitLabel.NORMAL: 9, GaitLabel.DIPLEGIA: 13})
     dataset = stratified_split(items, seed=1)
-    assert set(dataset.split) == {vf.source_id for vf, _ in items}
+    assert len(dataset.split) == len(items) and set(dataset.split) == {"train", "test"}
     assert len(dataset.train_items()) + len(dataset.test_items()) == len(items)
+
+
+def test_split_is_by_position_not_source_id():
+    # 40 Normal items sharing one id must still split 30/10 like unique ids
+    unique = dummy_items({GaitLabel.NORMAL: 40, GaitLabel.PARKINSON: 40})
+    shared = [(vf_from_vector(vf.vector(), "same" if label is GaitLabel.NORMAL else vf.source_id),
+               label) for vf, label in unique]
+    assert split_counts(stratified_split(shared, seed=3)) == split_counts(
+        stratified_split(unique, seed=3))
+    assert stratified_split(shared, seed=3).split == stratified_split(unique, seed=3).split
+    train, test = split_counts(stratified_split(shared, seed=3))
+    assert train[GaitLabel.NORMAL] == 30 and test[GaitLabel.NORMAL] == 10
 
 
 def test_cross_validate_separable_is_perfect():

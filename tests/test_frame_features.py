@@ -17,7 +17,7 @@ from gaitlab.frame_features import (
     upper_body_straightness,
     write_frame_features_csv,
 )
-from gaitlab.pose import KeypointId, PoseSequence
+from gaitlab.pose import KeypointId
 from gaitlab.synth import default_params, generate
 from gaitlab.pose import GaitLabel
 
@@ -29,8 +29,8 @@ from helpers import (
     MD,
     US,
     bs_direct_oracle,
-    frame_from_coords,
     random_frame,
+    sequence_from_coords,
     slope_distance_oracle,
     us_direct_oracle,
 )
@@ -83,20 +83,20 @@ def coords_with(overrides):
 
 def test_limb_straightness_straight_arm():
     xy = coords_with({K.LEFT_SHOULDER: (0, 0), K.LEFT_ELBOW: (1, 0), K.LEFT_WRIST: (2, 0)})
-    assert limb_straightness(frame_from_coords(xy))[0] == pytest.approx(0.0, abs=1e-12)
+    assert limb_straightness(xy)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_limb_straightness_bent_arm():
     xy = coords_with({K.LEFT_SHOULDER: (0, 0), K.LEFT_ELBOW: (1, 1), K.LEFT_WRIST: (2, 0)})
     expected = slope_distance_oracle((1, 1), (0, 0), (2, 0))
-    assert limb_straightness(frame_from_coords(xy))[0] == pytest.approx(expected)
+    assert limb_straightness(xy)[0] == pytest.approx(expected)
     assert expected == pytest.approx(1.0)
 
 
 def test_limb_straightness_degenerate_names_limb():
     xy = coords_with({K.LEFT_SHOULDER: (3, 3), K.LEFT_WRIST: (3, 3)})
     with pytest.raises(DegenerateLine) as exc:
-        limb_straightness(frame_from_coords(xy))
+        limb_straightness(xy)
     assert exc.value.what == "left-hand"
 
 
@@ -108,7 +108,7 @@ def test_limb_straightness_order():
         K.LEFT_HIP: (0, 50), K.LEFT_KNEE: (0, 60), K.LEFT_ANKLE: (0, 70),
         K.RIGHT_HIP: (30, 50), K.RIGHT_KNEE: (35, 60), K.RIGHT_ANKLE: (30, 70),
     })
-    values = limb_straightness(frame_from_coords(xy))
+    values = limb_straightness(xy)
     assert values[:3] == pytest.approx([0, 0, 0], abs=1e-12)
     assert values[3] == pytest.approx(5.0)
 
@@ -124,7 +124,7 @@ def pair_frame(hand_dir, leg_dir):
         K.RIGHT_HIP: (100, 100),
         K.RIGHT_ANKLE: (100 + leg_dir[0], 100 + leg_dir[1]),
     })
-    return frame_from_coords(xy)
+    return xy
 
 
 def test_hand_leg_parallel():
@@ -145,21 +145,20 @@ def test_hand_leg_forty_five():
 def test_hand_leg_degenerate():
     xy = coords_with({K.RIGHT_HIP: (9, 9), K.RIGHT_ANKLE: (9, 9)})
     with pytest.raises(DegenerateLine) as exc:
-        hand_leg_coordination(frame_from_coords(xy))
+        hand_leg_coordination(xy)
     assert exc.value.what == "right-leg"
 
 
 def test_hand_leg_endpoint_swap_symmetry():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        frame = random_frame(rng)
-        base = hand_leg_coordination(frame)
-        xy = np.array([[frame.keypoints[k].x, frame.keypoints[k].y] for k in K])
+        xy = random_frame(rng)
+        base = hand_leg_coordination(xy)
         # swap shoulder/wrist of the left hand: direction negates
         swapped = xy.copy()
         swapped[K.LEFT_SHOULDER - 1], swapped[K.LEFT_WRIST - 1] = (
             xy[K.LEFT_WRIST - 1].copy(), xy[K.LEFT_SHOULDER - 1].copy())
-        assert hand_leg_coordination(frame_from_coords(swapped)) == pytest.approx(base)
+        assert hand_leg_coordination(swapped) == pytest.approx(base)
         assert 0.0 <= base[0] <= math.pi / 2 + 1e-12
 
 
@@ -172,7 +171,7 @@ def test_upper_body_collinear():
         K.LEFT_SHOULDER: (0, 5), K.RIGHT_SHOULDER: (0, 5),
         K.LEFT_HIP: (0, 10), K.RIGHT_HIP: (0, 10),
     })
-    assert upper_body_straightness(frame_from_coords(xy)) == pytest.approx(0.0, abs=1e-12)
+    assert upper_body_straightness(xy) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_upper_body_displaced():
@@ -182,7 +181,7 @@ def test_upper_body_displaced():
         K.LEFT_HIP: (-1, 10), K.RIGHT_HIP: (1, 10),
     })
     # midpoints (0,0), (2,5), (0,10): shoulder is 2 off the vertical axis
-    assert upper_body_straightness(frame_from_coords(xy)) == pytest.approx(2.0)
+    assert upper_body_straightness(xy) == pytest.approx(2.0)
 
 
 def test_upper_body_degenerate():
@@ -192,7 +191,7 @@ def test_upper_body_degenerate():
         K.LEFT_HIP: (5, 5), K.RIGHT_HIP: (5, 5),
     })
     with pytest.raises(DegenerateLine) as exc:
-        upper_body_straightness(frame_from_coords(xy))
+        upper_body_straightness(xy)
     assert exc.value.what == "upper-body axis"
 
 
@@ -202,34 +201,33 @@ def test_body_straightness_cases():
         K.LEFT_HIP: (0, 6), K.RIGHT_HIP: (0, 6),
         K.LEFT_ANKLE: (0, 12), K.RIGHT_ANKLE: (0, 12),
     })
-    assert body_straightness(frame_from_coords(collinear)) == pytest.approx(0.0, abs=1e-12)
+    assert body_straightness(collinear) == pytest.approx(0.0, abs=1e-12)
     displaced = coords_with({
         K.LEFT_SHOULDER: (0, 0), K.RIGHT_SHOULDER: (0, 0),
         K.LEFT_HIP: (3, 6), K.RIGHT_HIP: (3, 6),
         K.LEFT_ANKLE: (0, 12), K.RIGHT_ANKLE: (0, 12),
     })
-    assert body_straightness(frame_from_coords(displaced)) == pytest.approx(3.0)
+    assert body_straightness(displaced) == pytest.approx(3.0)
     degenerate = coords_with({
         K.LEFT_SHOULDER: (1, 1), K.RIGHT_SHOULDER: (1, 1),
         K.LEFT_ANKLE: (1, 1), K.RIGHT_ANKLE: (1, 1),
     })
     with pytest.raises(DegenerateLine):
-        body_straightness(frame_from_coords(degenerate))
+        body_straightness(degenerate)
 
 
 def test_us_bs_match_direct_formula():
     rng = np.random.default_rng(5)
     checked = 0
     while checked < 100:
-        frame = random_frame(rng)
-        xy = np.array([[frame.keypoints[k].x, frame.keypoints[k].y] for k in K])
+        xy = random_frame(rng)
         if abs(xy[0, 0] + xy[1, 0] - xy[8, 0] - xy[9, 0]) < 0.05:
             continue
         if abs(xy[2, 0] + xy[3, 0] - xy[12, 0] - xy[13, 0]) < 0.05:
             continue
-        assert upper_body_straightness(frame) == pytest.approx(
+        assert upper_body_straightness(xy) == pytest.approx(
             us_direct_oracle(xy), rel=1e-6, abs=1e-9)
-        assert body_straightness(frame) == pytest.approx(
+        assert body_straightness(xy) == pytest.approx(
             bs_direct_oracle(xy), rel=1e-6, abs=1e-9)
         checked += 1
 
@@ -240,7 +238,7 @@ def test_us_bs_match_direct_formula():
 def test_central_distances_circle():
     angles = np.linspace(0, 2 * math.pi, 14, endpoint=False)
     xy = 50 + 7.5 * np.column_stack([np.cos(angles), np.sin(angles)])
-    cd = central_distances(frame_from_coords(xy))
+    cd = central_distances(xy)
     assert cd == pytest.approx(np.ones(14))
 
 
@@ -256,7 +254,7 @@ def test_central_distances_constructed():
     pts.append(np.array([-2.0, 0.0]))
     xy = np.stack(pts)
     assert np.allclose(xy.mean(axis=0), 0.0)
-    cd = central_distances(frame_from_coords(xy))
+    cd = central_distances(xy)
     expected = np.full(14, 0.5)
     expected[13] = 1.0  # the distance-2 point, normalized by the max
     assert cd == pytest.approx(expected)
@@ -264,16 +262,15 @@ def test_central_distances_constructed():
 
 def test_central_distances_degenerate():
     with pytest.raises(DegeneratePose):
-        central_distances(frame_from_coords(np.full((14, 2), 3.0)))
+        central_distances(np.full((14, 2), 3.0))
 
 
 def test_mutual_distances_count_and_order():
     rng = np.random.default_rng(6)
-    frame = random_frame(rng)
-    md = mutual_distances(frame)
+    xy = random_frame(rng)
+    md = mutual_distances(xy)
     assert md.shape == (91,)
     # brute-force all-pairs oracle in lexicographic order
-    xy = [(frame.keypoints[k].x, frame.keypoints[k].y) for k in K]
     raw = [math.dist(xy[i], xy[j]) for i in range(14) for j in range(i + 1, 14)]
     expected = np.array(raw) / max(raw)
     assert md == pytest.approx(expected)
@@ -281,7 +278,7 @@ def test_mutual_distances_count_and_order():
 
 def test_mutual_distances_two_clusters():
     xy = np.array([(0.0, 0.0)] * 7 + [(3.0, 4.0)] * 7)
-    md = mutual_distances(frame_from_coords(xy))
+    md = mutual_distances(xy)
     assert set(np.round(md, 12)) == {0.0, 1.0}
     # 7*7 cross-cluster pairs at the max distance
     assert int((md == 1.0).sum()) == 49
@@ -289,13 +286,12 @@ def test_mutual_distances_two_clusters():
 
 def test_mutual_distances_degenerate():
     with pytest.raises(DegeneratePose):
-        mutual_distances(frame_from_coords(np.zeros((14, 2))))
+        mutual_distances(np.zeros((14, 2)))
 
 
 def test_mutual_distances_synthetic_pose_vs_oracle():
-    frame = generate(default_params(GaitLabel.NORMAL, seed=9), "t").frames[0]
-    md = mutual_distances(frame)
-    xy = [(frame.keypoints[k].x, frame.keypoints[k].y) for k in K]
+    xy = generate(default_params(GaitLabel.NORMAL, seed=9), "t").xy[0]
+    md = mutual_distances(xy)
     raw = [math.dist(xy[i], xy[j]) for i in range(14) for j in range(i + 1, 14)]
     assert md == pytest.approx(np.array(raw) / max(raw))
 
@@ -306,60 +302,56 @@ def test_mutual_distances_synthetic_pose_vs_oracle():
 def test_feature_vector_dimension():
     rng = np.random.default_rng(7)
     ff = extract_frame_features(random_frame(rng))
-    assert ff.vector().shape == (113,)
+    assert ff.shape == (113,)
     assert len(FEATURE_NAMES) == 113
 
 
 def test_upright_pose_is_straight():
-    frame = generate(default_params(GaitLabel.NORMAL, seed=0), "u").frames[0]
-    ff = extract_frame_features(frame)
-    assert ff.limb_straightness == pytest.approx(np.zeros(4), abs=1e-9)
-    assert ff.upper_body_straightness == pytest.approx(0.0, abs=1e-9)
-    assert ff.body_straightness == pytest.approx(0.0, abs=1e-9)
+    xy = generate(default_params(GaitLabel.NORMAL, seed=0), "u").xy[0]
+    ff = extract_frame_features(xy)
+    assert ff[LS] == pytest.approx(np.zeros(4), abs=1e-9)
+    assert ff[US] == pytest.approx(0.0, abs=1e-9)
+    assert ff[BS] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_degenerate_error_carries_frame_index():
-    frame = frame_from_coords(np.zeros((14, 2)), frame_index=17)
+    seq = sequence_from_coords(np.zeros((1, 14, 2)), frame_index=[17])
     with pytest.raises((DegenerateLine, DegeneratePose)) as exc:
-        extract_frame_features(frame)
+        extract_sequence(seq, skip_degenerate=False)
     assert exc.value.frame_index == 17
-
-
-def _frame_coords(frame):
-    return np.array([[frame.keypoints[k].x, frame.keypoints[k].y] for k in K])
 
 
 def test_translation_invariance():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        frame = random_frame(rng)
+        xy = random_frame(rng)
         shift = rng.uniform(-500, 500, 2)
-        moved = frame_from_coords(_frame_coords(frame) + shift)
-        base = extract_frame_features(frame).vector()
-        assert extract_frame_features(moved).vector() == pytest.approx(base, abs=1e-9)
+        moved = xy + shift
+        base = extract_frame_features(xy)
+        assert extract_frame_features(moved) == pytest.approx(base, abs=1e-9)
 
 
 def test_rotation_invariance():
     rng = np.random.default_rng(9)
     for _ in range(50):
-        frame = random_frame(rng)
+        xy = random_frame(rng)
         theta = rng.uniform(0, 2 * math.pi)
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
-        rotated = frame_from_coords(_frame_coords(frame) @ rot.T)
-        base = extract_frame_features(frame).vector()
-        got = extract_frame_features(rotated).vector()
+        rotated = xy @ rot.T
+        base = extract_frame_features(xy)
+        got = extract_frame_features(rotated)
         assert got == pytest.approx(base, rel=1e-6, abs=1e-9)
 
 
 def test_scale_behavior():
     rng = np.random.default_rng(10)
     for _ in range(50):
-        frame = random_frame(rng)
+        xy = random_frame(rng)
         s = float(rng.uniform(0.1, 10))
-        scaled = frame_from_coords(_frame_coords(frame) * s)
-        base = extract_frame_features(frame).vector()
-        got = extract_frame_features(scaled).vector()
+        scaled = xy * s
+        base = extract_frame_features(xy)
+        got = extract_frame_features(scaled)
         # normalized distances and angles are scale-invariant
         assert got[HL] == pytest.approx(base[HL], rel=1e-6)
         assert got[CD] == pytest.approx(base[CD], rel=1e-6)
@@ -373,7 +365,7 @@ def test_scale_behavior():
 def test_normalized_blocks_in_range_with_unit_max():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        vec = extract_frame_features(random_frame(rng)).vector()
+        vec = extract_frame_features(random_frame(rng))
         for block in (vec[CD], vec[MD]):
             assert block.min() >= 0.0
             assert block.max() == pytest.approx(1.0, abs=1e-12)
@@ -383,8 +375,8 @@ def test_extract_sequence_video_scope():
     seq = generate(default_params(GaitLabel.NORMAL, seed=2), "v")
     per_video, failed = extract_sequence(seq, norm_scope="video")
     assert failed == 0
-    cd_all = np.stack([ff.central_distances for ff in per_video])
-    md_all = np.stack([ff.mutual_distances for ff in per_video])
+    cd_all = per_video[:, CD]
+    md_all = per_video[:, MD]
     # one shared max per block across the whole video
     assert cd_all.max() == pytest.approx(1.0, abs=1e-12)
     assert md_all.max() == pytest.approx(1.0, abs=1e-12)
@@ -392,13 +384,12 @@ def test_extract_sequence_video_scope():
     # frame scope normalizes every frame to its own max
     per_frame, _ = extract_sequence(seq, norm_scope="frame")
     for ff in per_frame:
-        assert ff.central_distances.max() == pytest.approx(1.0, abs=1e-12)
+        assert ff[CD].max() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extract_sequence_skips_degenerate_frames():
-    good = generate(default_params(GaitLabel.NORMAL, seed=3), "g").frames[0]
-    bad = frame_from_coords(np.zeros((14, 2)), frame_index=1)
-    seq = PoseSequence(frames=(good, bad), source_id="mix")
+    good = generate(default_params(GaitLabel.NORMAL, seed=3), "g").xy[0]
+    seq = sequence_from_coords([good, np.zeros((14, 2))], source_id="mix")
     feats, failed = extract_sequence(seq)
     assert len(feats) == 1 and failed == 1
     with pytest.raises((DegenerateLine, DegeneratePose)):
@@ -407,10 +398,61 @@ def test_extract_sequence_skips_degenerate_frames():
 
 def test_frame_features_csv_header(tmp_path):
     rng = np.random.default_rng(12)
-    feats = [extract_frame_features(random_frame(rng, frame_index=i)) for i in range(3)]
+    feats = np.stack([extract_frame_features(random_frame(rng)) for i in range(3)])
     path = tmp_path / "frames.csv"
-    write_frame_features_csv(feats, path)
+    write_frame_features_csv(range(3), feats, path)
     header = path.read_text().splitlines()[0]
     assert header.startswith("frame,ls1,ls2,ls3,ls4,hl1,hl2,us,bs,cd1")
     assert header.endswith("md90,md91")
     assert len(header.split(",")) == 114
+
+
+def test_kernel_rows_match_single_pose_features():
+    rng = np.random.default_rng(13)
+    xy = rng.uniform(0, 320, (6, 14, 2))
+    feats, failed = extract_sequence(sequence_from_coords(xy))
+    assert failed == 0
+    for t in range(6):
+        assert feats[t] == pytest.approx(extract_frame_features(xy[t]), rel=1e-12, abs=1e-12)
+    assert limb_straightness(xy) == pytest.approx(feats[:, LS], rel=1e-12)
+    assert hand_leg_coordination(xy) == pytest.approx(feats[:, HL], rel=1e-12)
+
+
+def test_kernel_reports_first_degeneracy_in_precedence_order():
+    base = coords_with({})
+    cases = [
+        # both the right leg and the body axis collapse: the limb comes first
+        ({K.RIGHT_HIP: (9, 9), K.RIGHT_ANKLE: (9, 9), K.LEFT_ANKLE: (9, 9),
+          K.LEFT_SHOULDER: (1, 1), K.RIGHT_SHOULDER: (17, 17)}, "right-leg"),
+        ({K.LEFT_EAR: (5, 5), K.RIGHT_EAR: (5, 5), K.LEFT_HIP: (6, 4),
+          K.RIGHT_HIP: (4, 6)}, "upper-body axis"),
+        ({K.LEFT_SHOULDER: (1, 1), K.RIGHT_SHOULDER: (3, 3),
+          K.LEFT_ANKLE: (2, 3), K.RIGHT_ANKLE: (2, 1)}, "body axis"),
+    ]
+    for overrides, what in cases:
+        xy = np.stack([base, coords_with(overrides)])
+        seq = sequence_from_coords(xy, frame_index=[4, 9])
+        with pytest.raises(DegenerateLine) as exc:
+            extract_sequence(seq, skip_degenerate=False)
+        assert (exc.value.what, exc.value.frame_index) == (what, 9)
+        feats, failed = extract_sequence(seq)
+        assert failed == 1 and feats == pytest.approx(extract_frame_features(base)[None])
+
+
+def test_video_scope_max_ignores_degenerate_frames():
+    good = generate(default_params(GaitLabel.NORMAL, seed=4), "g").xy[:3]
+    huge = good[0] * 1000.0
+    huge[K.LEFT_WRIST - 1] = huge[K.LEFT_SHOULDER - 1]  # degenerate, and far larger
+    seq = sequence_from_coords(np.concatenate([good, huge[None]]))
+    feats, failed = extract_sequence(seq, norm_scope="video")
+    assert failed == 1
+    assert feats[:, MD].max() == pytest.approx(1.0, abs=1e-12)
+    alone, _ = extract_sequence(sequence_from_coords(good), norm_scope="video")
+    assert feats == pytest.approx(alone, rel=1e-12)
+
+
+def test_extract_sequence_refuses_missing_keypoints():
+    xy = generate(default_params(GaitLabel.NORMAL, seed=5), "m").xy[:3].copy()
+    xy[1, K.RIGHT_KNEE - 1] = np.nan  # how the parser stores an absent joint
+    with pytest.raises(ValueError, match="frame 1"):
+        extract_sequence(sequence_from_coords(xy))

@@ -7,6 +7,7 @@ from gaitlab.errors import (
     DuplicateFrame,
     EmptyInput,
     MalformedLine,
+    ParseError,
     TooFewValidFrames,
 )
 from gaitlab.ingest import (
@@ -14,9 +15,7 @@ from gaitlab.ingest import (
     parse_keypoint_file,
     serialize_sequence,
 )
-from gaitlab.pose import Keypoint, KeypointId, PoseFrame, PoseSequence
-
-from helpers import frame_from_coords
+from gaitlab.pose import KeypointId, PoseSequence
 
 ALL_NAMES = [k.json_name for k in KeypointId]
 
@@ -32,25 +31,25 @@ def line_for(frame_idx, names=ALL_NAMES, conf=0.9, t_ms=None):
 def test_parse_single_complete_frame():
     seq = parse_keypoint_file(line_for(0), source_id="clip")
     assert len(seq) == 1
-    frame = seq.frames[0]
-    assert frame.frame_index == 0
-    assert frame.is_complete()
-    assert frame.keypoints[KeypointId.LEFT_EAR] == Keypoint(0.0, 0.0, 0.9)
+    assert seq.frame_index.tolist() == [0]
+    assert not np.isnan(seq.conf).any()
+    assert seq.xy[0, KeypointId.LEFT_EAR - 1].tolist() == [0.0, 0.0]
+    assert seq.conf[0, KeypointId.LEFT_EAR - 1] == 0.9
     assert seq.source_id == "clip"
 
 
 def test_missing_name_stays_absent():
     names = [n for n in ALL_NAMES if n != "LeftAnkle"]
     seq = parse_keypoint_file(line_for(0, names=names))
-    frame = seq.frames[0]
-    assert KeypointId.LEFT_ANKLE not in frame.keypoints
-    assert len(frame.keypoints) == 13
+    assert np.isnan(seq.conf[0, KeypointId.LEFT_ANKLE - 1])
+    assert np.isnan(seq.xy[0, KeypointId.LEFT_ANKLE - 1]).all()
+    assert int((~np.isnan(seq.conf[0])).sum()) == 13
 
 
 def test_unknown_names_ignored():
     obj = {"frame": 0, "kp": {"Nose": [1, 2, 0.5], "LeftEar": [3, 4, 0.5]}}
     seq = parse_keypoint_file(json.dumps(obj))
-    assert set(seq.frames[0].keypoints) == {KeypointId.LEFT_EAR}
+    assert np.flatnonzero(~np.isnan(seq.conf[0])).tolist() == [KeypointId.LEFT_EAR - 1]
 
 
 def test_duplicate_frame_rejected():
@@ -83,18 +82,12 @@ def test_empty_input():
 def test_frames_sorted_by_index():
     data = "\n".join([line_for(3), line_for(1), line_for(2)])
     seq = parse_keypoint_file(data)
-    assert [f.frame_index for f in seq.frames] == [1, 2, 3]
+    assert seq.frame_index.tolist() == [1, 2, 3]
 
 
 def random_sequence(rng, n_frames=5, source_id="rt"):
-    frames = []
-    for i in range(n_frames):
-        frame = frame_from_coords(
-            rng.uniform(0, 500, (14, 2)), frame_index=i,
-            confidence=float(rng.integers(0, 101)) / 100,
-        )
-        frames.append(frame)
-    return PoseSequence(frames=tuple(frames), source_id=source_id)
+    conf = np.repeat(rng.integers(0, 101, (n_frames, 1)) / 100, 14, axis=1)
+    return PoseSequence(rng.uniform(0, 500, (n_frames, 14, 2)), conf, source_id=source_id)
 
 
 def test_serialize_parse_roundtrip():
@@ -109,16 +102,7 @@ def test_filter_valid_passthrough():
     rng = np.random.default_rng(2)
     seq = random_sequence(rng, n_frames=10)
     # force all confidences high
-    seq = PoseSequence(
-        frames=tuple(
-            PoseFrame(
-                keypoints={k: Keypoint(kp.x, kp.y, 0.9) for k, kp in f.keypoints.items()},
-                frame_index=f.frame_index,
-            )
-            for f in seq.frames
-        ),
-        source_id=seq.source_id,
-    )
+    seq = PoseSequence(seq.xy, np.full_like(seq.conf, 0.9), source_id=seq.source_id)
     kept, report = filter_valid(seq, 0.5, 5)
     assert len(kept) == 10
     assert report.dropped_frames == 0
@@ -126,11 +110,10 @@ def test_filter_valid_passthrough():
 
 
 def _mixed_validity_sequence(n_valid, n_invalid):
-    frames = []
-    for i in range(n_valid + n_invalid):
-        conf = 0.9 if i < n_valid else 0.1
-        frames.append(frame_from_coords(np.full((14, 2), float(i)), i, confidence=conf))
-    return PoseSequence(frames=tuple(frames), source_id="mix")
+    n = n_valid + n_invalid
+    conf = np.repeat(np.where(np.arange(n) < n_valid, 0.9, 0.1)[:, None], 14, axis=1)
+    xy = np.repeat(np.arange(n, dtype=float), 28).reshape(n, 14, 2)
+    return PoseSequence(xy, conf, source_id="mix")
 
 
 def test_filter_valid_too_few():
@@ -145,8 +128,40 @@ def test_filter_valid_preserves_order_and_is_idempotent():
     kept, report = filter_valid(seq, 0.5, 5)
     assert len(kept) == 6
     assert report.dropped_frames == 4
-    indices = [f.frame_index for f in kept.frames]
+    indices = kept.frame_index.tolist()
     assert indices == sorted(indices)
     again, report2 = filter_valid(kept, 0.5, 5)
     assert again == kept
     assert report2.dropped_frames == 0
+
+
+@pytest.mark.parametrize("obj", [
+    {"frame": True},
+    {"frame": False},
+    {"frame": 1, "t_ms": False},
+    {"frame": 1, "t_ms": True},
+    {"frame": 1, "kp": {"LeftEar": [True, False, 1]}},
+    {"frame": 1, "kp": {"LeftEar": [1.0, 2.0, True]}},
+    {"frame": 1, "kp": {"LeftEar": ["1.0", 2.0, 0.5]}},
+    {"frame": 1, "kp": {"LeftEar": [1.0, 2.0, None]}},
+    {"frame": 1, "kp": {"LeftEar": None}},
+    {"frame": 2**63},
+])
+def test_non_numbers_are_malformed(obj):
+    with pytest.raises(MalformedLine) as exc:
+        parse_keypoint_file(line_for(0) + "\n" + json.dumps(obj))
+    assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("text", ["1e999", "-1e999", "NaN", "Infinity",
+                                  pytest.param("1" * 400, id="400-digit-int")])
+def test_out_of_range_values_are_malformed(text):
+    line = '{"frame": 1, "kp": {"RightAnkle": [%s, 0, 0.5]}}' % text
+    with pytest.raises(MalformedLine) as exc:
+        parse_keypoint_file(line_for(0) + "\n" + line)
+    assert exc.value.line_no == 2
+
+
+def test_non_utf8_bytes_are_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_keypoint_file(line_for(0).encode() + b"\n\xff\xfe{}\n")

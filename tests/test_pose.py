@@ -1,17 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
-from gaitlab.pose import (
-    KEYPOINT_ORDER,
-    GaitLabel,
-    Keypoint,
-    KeypointId,
-    PoseFrame,
-    PoseSequence,
-    frame_is_valid,
-)
+from gaitlab.errors import MalformedLine, TooFewValidFrames
+from gaitlab.ingest import filter_valid, parse_keypoint_file
+from gaitlab.pose import KEYPOINT_ORDER, GaitLabel, KeypointId, PoseSequence
 
-from helpers import frame_from_coords
+from helpers import sequence_from_coords
+
+
+def frame_is_valid(seq, threshold):
+    """Whether filter_valid keeps the single frame of seq at this threshold."""
+    try:
+        filter_valid(seq, threshold, min_valid_frames=1)
+    except TooFewValidFrames:
+        return False
+    return True
 
 
 def test_keypoint_index_roundtrip():
@@ -44,54 +49,50 @@ def test_gait_labels():
 
 
 def test_keypoint_validation():
-    with pytest.raises(ValueError):
-        Keypoint(float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        Keypoint(0.0, float("inf"))
-    with pytest.raises(ValueError):
-        Keypoint(0.0, 0.0, confidence=1.5)
+    for triple in ([float("nan"), 0.0, 1.0], [0.0, float("inf"), 1.0], [0.0, 0.0, 1.5]):
+        line = json.dumps({"frame": 0, "kp": {"LeftEar": triple}})
+        with pytest.raises(MalformedLine):
+            parse_keypoint_file(line)
 
 
 def test_sequence_ordering_enforced():
-    f0 = frame_from_coords(np.zeros((14, 2)), frame_index=0)
-    f1 = frame_from_coords(np.zeros((14, 2)), frame_index=1)
-    PoseSequence(frames=(f0, f1))
+    xy = np.zeros((2, 14, 2))
+    PoseSequence(xy, frame_index=[0, 1])
     with pytest.raises(ValueError):
-        PoseSequence(frames=(f1, f0))
+        PoseSequence(xy, frame_index=[1, 0])
     with pytest.raises(ValueError):
-        PoseSequence(frames=())
+        PoseSequence(np.zeros((0, 14, 2)))
 
 
 def test_frame_is_valid_all_present():
-    frame = frame_from_coords(np.arange(28).reshape(14, 2), confidence=0.9)
-    assert frame_is_valid(frame, 0.5) is True
+    seq = sequence_from_coords(np.arange(28).reshape(1, 14, 2), confidence=0.9)
+    assert frame_is_valid(seq, 0.5) is True
 
 
 def test_frame_is_valid_missing_keypoint():
-    frame = frame_from_coords(np.arange(28).reshape(14, 2), confidence=0.9)
-    keypoints = dict(frame.keypoints)
-    del keypoints[KeypointId.LEFT_ANKLE]
-    incomplete = PoseFrame(keypoints=keypoints, frame_index=0)
+    seq = sequence_from_coords(np.arange(28).reshape(1, 14, 2), confidence=0.9)
+    conf = seq.conf.copy()
+    conf[0, KeypointId.LEFT_ANKLE - 1] = np.nan  # how the parser marks an absent joint
+    incomplete = PoseSequence(seq.xy, conf)
     for threshold in (0.0, 0.5, 1.0):
         assert frame_is_valid(incomplete, threshold) is False
 
 
 def test_frame_is_valid_confidence_threshold():
-    frame = frame_from_coords(np.arange(28).reshape(14, 2), confidence=0.9)
-    keypoints = dict(frame.keypoints)
-    kp = keypoints[KeypointId.RIGHT_KNEE]
-    keypoints[KeypointId.RIGHT_KNEE] = Keypoint(kp.x, kp.y, 0.3)
-    frame = PoseFrame(keypoints=keypoints, frame_index=0)
-    assert frame_is_valid(frame, 0.5) is False
-    assert frame_is_valid(frame, 0.2) is True
+    seq = sequence_from_coords(np.arange(28).reshape(1, 14, 2), confidence=0.9)
+    conf = seq.conf.copy()
+    conf[0, KeypointId.RIGHT_KNEE - 1] = 0.3
+    seq = PoseSequence(seq.xy, conf)
+    assert frame_is_valid(seq, 0.5) is False
+    assert frame_is_valid(seq, 0.2) is True
 
 
 def test_frame_is_valid_monotone_in_threshold():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        frame = frame_from_coords(
-            rng.uniform(0, 100, (14, 2)), confidence=float(rng.uniform(0, 1))
+        seq = sequence_from_coords(
+            rng.uniform(0, 100, (1, 14, 2)), confidence=float(rng.uniform(0, 1))
         )
-        results = [frame_is_valid(frame, t) for t in np.linspace(0, 1, 11)]
+        results = [frame_is_valid(seq, t) for t in np.linspace(0, 1, 11)]
         # once invalid, stays invalid as the threshold rises
         assert all(a >= b for a, b in zip(results, results[1:]))

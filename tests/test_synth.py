@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gaitlab.ingest import load_keypoint_file, serialize_sequence
-from gaitlab.pose import GaitLabel, frame_is_valid
+from gaitlab.ingest import filter_valid, load_keypoint_file, serialize_sequence
+from gaitlab.pose import GaitLabel
 from gaitlab.synth import (
     DEFAULT_COUNTS,
     GaitParams,
@@ -14,7 +14,7 @@ from gaitlab.synth import (
 )
 from gaitlab.video_features import featurize_sequence
 
-from helpers import CD, HL, US
+from helpers import BS, CD, HL, LS, US
 
 TORSO_PX = 100.0
 
@@ -57,7 +57,8 @@ def test_generate_deterministic():
 def test_generated_frames_complete():
     seq = generate(default_params(GaitLabel.DIPLEGIA, 5), "d")
     assert len(seq) == 60
-    assert all(frame_is_valid(f, 0.5) for f in seq.frames)
+    _, report = filter_valid(seq, 0.5, 1)
+    assert report.dropped_frames == 0
 
 
 def test_normal_gait_is_straight():
@@ -69,9 +70,9 @@ def test_normal_gait_is_straight():
     # per the model's construction: straight limbs and a collinear trunk,
     # every frame
     for ff in feats:
-        assert (ff.limb_straightness <= 0.02 * TORSO_PX).all()
-        assert ff.upper_body_straightness <= 0.02 * TORSO_PX
-        assert ff.body_straightness <= 0.02 * TORSO_PX
+        assert (ff[LS] <= 0.02 * TORSO_PX).all()
+        assert ff[US] <= 0.02 * TORSO_PX
+        assert ff[BS] <= 0.02 * TORSO_PX
     vf = featurize_sequence(seq)
     assert vf.mean[US] <= 0.02 * TORSO_PX
 

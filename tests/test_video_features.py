@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gaitlab.errors import TooFewFrames
-from gaitlab.frame_features import FrameFeatures, extract_frame_features
+from gaitlab.errors import ParseError, TooFewFrames
+from gaitlab.frame_features import extract_frame_features
 from gaitlab.pose import GaitLabel
 from gaitlab.video_features import (
     aggregate,
@@ -17,15 +17,7 @@ from helpers import random_frame, vf_from_vector
 
 
 def ff_constant(value, frame_index=0):
-    return FrameFeatures(
-        limb_straightness=np.full(4, value),
-        hand_leg_coordination=np.full(2, value),
-        upper_body_straightness=value,
-        body_straightness=value,
-        central_distances=np.full(14, value),
-        mutual_distances=np.full(91, value),
-        frame_index=frame_index,
-    )
+    return np.full(113, value)
 
 
 def test_identical_frames_zero_std():
@@ -50,15 +42,15 @@ def test_sample_std_mode():
 
 def test_output_dimension_226():
     rng = np.random.default_rng(0)
-    feats = [extract_frame_features(random_frame(rng, frame_index=i)) for i in range(5)]
+    feats = [extract_frame_features(random_frame(rng)) for i in range(5)]
     vf = aggregate(feats, "v")
     assert vf.vector().shape == (226,)
 
 
 def test_mean_std_against_numpy_oracle():
     rng = np.random.default_rng(1)
-    feats = [extract_frame_features(random_frame(rng, frame_index=i)) for i in range(7)]
-    matrix = np.stack([ff.vector() for ff in feats])
+    feats = [extract_frame_features(random_frame(rng)) for i in range(7)]
+    matrix = np.stack(feats)
     vf = aggregate(feats, "v")
     assert vf.vector() == pytest.approx(
         np.concatenate([matrix.mean(axis=0), matrix.std(axis=0)]))
@@ -71,7 +63,7 @@ def test_too_few_frames():
 
 def test_permutation_invariance():
     rng = np.random.default_rng(2)
-    feats = [extract_frame_features(random_frame(rng, frame_index=i)) for i in range(6)]
+    feats = [extract_frame_features(random_frame(rng)) for i in range(6)]
     base = aggregate(feats, "v").vector()
     shuffled = [feats[i] for i in rng.permutation(6)]
     assert aggregate(shuffled, "v").vector() == pytest.approx(base)
@@ -79,7 +71,7 @@ def test_permutation_invariance():
 
 def test_replication_invariance():
     rng = np.random.default_rng(3)
-    feats = [extract_frame_features(random_frame(rng, frame_index=i)) for i in range(4)]
+    feats = [extract_frame_features(random_frame(rng)) for i in range(4)]
     base = aggregate(feats, "v").vector()
     for k in (2, 3):
         assert aggregate(feats * k, "v").vector() == pytest.approx(base)
@@ -124,4 +116,13 @@ def test_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
+        read_features_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "features.csv"
+    write_features_csv([(vf_from_vector(np.ones(226), "a"), GaitLabel.NORMAL)], path)
+    path.write_text(path.read_text().replace("1.0", bad, 1))
+    with pytest.raises(ParseError):
         read_features_csv(path)
