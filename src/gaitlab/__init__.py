@@ -27,9 +27,12 @@ from .synth import GaitParams, default_params, generate, generate_corpus, write_
 from .classify import (
     ALGORITHMS,
     TrainedModel,
+    feature_matrix,
     load_model,
     predict,
+    predict_many,
     save_model,
+    scores,
     train,
 )
 from .evaluate import (

@@ -7,7 +7,8 @@ their inputs internally; trees and naive Bayes work on raw features.
 
 All tie-breaking is explicit so that retraining is bit-for-bit reproducible:
 distance ties go to the lower training index, vote/score ties to the earlier
-class in class_set order. Models serialize to a versioned JSON document that
+class in class_set order. A model's parameters are numpy arrays; a tree is
+stored as flat node arrays. Models serialize to a versioned JSON document that
 embeds the feature schema fingerprint; prediction refuses mismatched inputs.
 """
 
@@ -16,17 +17,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InsufficientData, SchemaMismatch
 from .pose import GaitLabel
-from .video_features import VideoFeatures
+from .video_features import N_VIDEO_FEATURES, VideoFeatures
 
 ALGORITHMS = ("knn", "tree", "forest", "gnb", "logreg")
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 DEFAULT_HYPERS = {
     "knn": {"k": 5},
@@ -36,16 +38,37 @@ DEFAULT_HYPERS = {
     "logreg": {"lr": 0.01, "epochs": 200, "batch_size": 16, "l2": 1e-4},
 }
 
+# Smallest value of each integer hyperparameter; max_depth may also be None.
+_HYPER_MINIMUM = {"k": 1, "n_trees": 1, "min_samples_leaf": 1, "max_depth": 0,
+                  "batch_size": 1, "epochs": 0}
+
+# The parameter arrays of each algorithm: name -> (dtype, one letter per axis).
+# "d" is the feature count and "c" the class count; any other letter is a size
+# that every array using it must share.
+_NODE_ARRAYS = {"feature": (int, "m"), "threshold": (float, "m"), "left": (int, "m"),
+                "right": (int, "m"), "probs": (float, "mc"), "roots": (int, "t")}
+_PARAMETER_ARRAYS = {
+    "knn": {"X": (float, "nd"), "y": (int, "n"), "mean": (float, "d"), "std": (float, "d")},
+    "tree": _NODE_ARRAYS,
+    "forest": _NODE_ARRAYS,
+    "gnb": {"means": (float, "cd"), "vars": (float, "cd"), "log_priors": (float, "c")},
+    "logreg": {"W": (float, "cd"), "b": (float, "c"), "mean": (float, "d"), "std": (float, "d")},
+}
+
 _STD_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainedModel:
     algorithm: str
-    parameters: dict
+    parameters: dict  # name -> numpy array, as in _PARAMETER_ARRAYS
     class_set: tuple[GaitLabel, ...]
     schema_fingerprint: str
     hyperparameters: dict
+
+    def __eq__(self, other):
+        # parameters are arrays, so compare the documents they serialize to
+        return isinstance(other, TrainedModel) and self.to_json() == other.to_json()
 
     def to_json(self) -> str:
         doc = {
@@ -55,22 +78,92 @@ class TrainedModel:
             "classes": [c.value for c in self.class_set],
             "schema_fingerprint": self.schema_fingerprint,
             "hyperparameters": self.hyperparameters,
-            "parameters": self.parameters,
+            "parameters": {name: value.tolist() for name, value in self.parameters.items()},
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "TrainedModel":
+        """Parse and validate a model document; any defect raises ValueError."""
         doc = json.loads(text)
-        if doc.get("format") != "gaitmodel" or doc.get("version") != MODEL_FORMAT_VERSION:
+        if not isinstance(doc, dict) or doc.get("format") != "gaitmodel":
             raise ValueError("not a recognized gaitmodel document")
+        if doc.get("version") != MODEL_FORMAT_VERSION:
+            raise ValueError(f"gaitmodel version {doc.get('version')!r} is not supported "
+                             f"(expected {MODEL_FORMAT_VERSION}); retrain the model")
+        algorithm = doc.get("algorithm")
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r} in model")
+        for key, kind in (("classes", list), ("schema_fingerprint", str),
+                          ("hyperparameters", dict), ("parameters", dict)):
+            if not isinstance(doc.get(key), kind):
+                raise ValueError(f"model {key!r} is missing or not a {kind.__name__}")
+        if not all(isinstance(c, str) for c in doc["classes"]):
+            raise ValueError("model classes must be label names")
+        classes = tuple(GaitLabel.from_name(c) for c in doc["classes"])
+        if len(classes) < 2 or len(set(classes)) != len(classes):
+            raise ValueError(f"model classes {doc['classes']} are not 2 or more distinct labels")
+        parameters = _parameters_from_json(algorithm, doc["parameters"], len(classes))
+        _check_hypers(algorithm, doc["hyperparameters"], len(parameters.get("X", ())))
         return cls(
-            algorithm=doc["algorithm"],
-            parameters=doc["parameters"],
-            class_set=tuple(GaitLabel.from_name(c) for c in doc["classes"]),
+            algorithm=algorithm,
+            parameters=parameters,
+            class_set=classes,
             schema_fingerprint=doc["schema_fingerprint"],
             hyperparameters=doc["hyperparameters"],
         )
+
+
+def _parameters_from_json(algorithm: str, raw: dict, n_classes: int) -> dict:
+    """Convert a document's parameter lists to arrays, checking names, types and shapes."""
+    sizes = {"d": N_VIDEO_FEATURES, "c": n_classes}
+    params = {}
+    for name, (dtype, axes) in _PARAMETER_ARRAYS[algorithm].items():
+        if name not in raw:
+            raise ValueError(f"{algorithm} model is missing parameter {name!r}")
+        value = np.asarray(raw[name])  # a ragged list raises ValueError here
+        kinds = "iu" if dtype is int else "iuf"
+        if value.size and value.dtype.kind not in kinds:
+            raise ValueError(f"parameter {name!r} holds values that are not {dtype.__name__}s")
+        value = value.astype(dtype)
+        if dtype is float and not np.isfinite(value).all():
+            raise ValueError(f"parameter {name!r} holds non-finite values")
+        if value.ndim != len(axes):
+            raise ValueError(f"parameter {name!r} has {value.ndim} axes, expected {len(axes)}")
+        for axis, size in zip(axes, value.shape):
+            if sizes.setdefault(axis, size) != size:
+                raise ValueError(f"parameter {name!r} has shape {value.shape}, which does not "
+                                 f"agree with {sizes['d']} features, {n_classes} classes "
+                                 f"and the other parameters")
+        params[name] = value
+    for name in ("std", "vars"):  # divisors of the scores
+        if name in params and (params[name] <= 0).any():
+            raise ValueError(f"parameter {name!r} holds non-positive values")
+    if algorithm == "knn" and ((params["y"] < 0) | (params["y"] >= n_classes)).any():
+        raise ValueError("knn labels are outside the model's classes")
+    if "roots" in params:
+        _check_nodes(params)
+    if algorithm == "tree" and len(params["roots"]) != 1:
+        raise ValueError("a tree model has exactly one root")
+    return params
+
+
+def _check_nodes(p: dict) -> None:
+    """Every walk from a root must end in a leaf: each inner node's children
+    come after it (preorder), so a walk can neither loop nor leave the arrays."""
+    m = len(p["feature"])
+    if m == 0 or len(p["roots"]) == 0:
+        raise ValueError("tree model has no nodes or no roots")
+    if (p["feature"] < -1).any() or (p["feature"] >= N_VIDEO_FEATURES).any():
+        raise ValueError("tree node feature index out of range")
+    inner = p["feature"] >= 0
+    parent = np.arange(m)[inner]
+    for side in ("left", "right"):
+        child = p[side][inner]
+        if ((child <= parent) | (child >= m)).any():
+            raise ValueError(f"tree node {side} child index out of range")
+    if ((p["roots"] < 0) | (p["roots"] >= m)).any():
+        raise ValueError("tree root index out of range")
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -85,14 +178,11 @@ def load_model(path) -> TrainedModel:
 
 
 def _fit_standardizer(X: np.ndarray) -> dict:
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std = np.maximum(std, _STD_FLOOR)
-    return {"mean": mean.tolist(), "std": std.tolist()}
+    return {"mean": X.mean(axis=0), "std": np.maximum(X.std(axis=0), _STD_FLOOR)}
 
 
-def _standardize(X: np.ndarray, scaler: dict) -> np.ndarray:
-    return (X - np.asarray(scaler["mean"])) / np.asarray(scaler["std"])
+def _standardize(X: np.ndarray, p: dict) -> np.ndarray:
+    return (X - p["mean"]) / p["std"]
 
 
 # --- dataset plumbing ---------------------------------------------------------
@@ -116,6 +206,25 @@ def _dataset_arrays(items):
         raise InsufficientData(f"class {small.value} has fewer than 2 examples")
     X = np.stack([vf.vector() for vf, _ in items])
     return X, y, classes, next(iter(fingerprints))
+
+
+def _check_hypers(algorithm: str, hyper: dict, n_train: int) -> None:
+    """Refuse hyperparameters that would give NaN scores or silently wrong votes."""
+    for name in DEFAULT_HYPERS[algorithm]:
+        if name not in hyper:
+            raise ValueError(f"{algorithm}: missing hyperparameter {name!r}")
+        value = hyper[name]
+        if name not in _HYPER_MINIMUM or (name == "max_depth" and value is None):
+            continue
+        low = _HYPER_MINIMUM[name]
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+            raise ValueError(f"{algorithm}: {name} must be an integer >= {low}, got {value!r}")
+    if algorithm == "knn" and hyper["k"] > n_train:
+        raise ValueError(f"knn: k={hyper['k']} exceeds the {n_train} training rows")
+    if algorithm == "gnb":
+        floor = hyper["var_floor"]
+        if isinstance(floor, bool) or not isinstance(floor, Real) or not floor > 0:
+            raise ValueError(f"gnb: var_floor must be a number > 0, got {floor!r}")
 
 
 # --- decision tree ------------------------------------------------------------
@@ -149,12 +258,18 @@ def _best_split_for_feature(x, y_onehot, min_leaf):
     return float(weighted[best]), float(threshold)
 
 
-def _build_tree(X, y, n_classes, max_depth, min_leaf, rng, max_features, depth=0):
+def _grow_tree(X, y, n_classes, max_depth, min_leaf, rng, max_features, nodes, depth=0) -> int:
+    """Append a tree for (X, y) to ``nodes`` in preorder and return its root's index.
+
+    A node is [feature, threshold, left, right, class frequencies]; a leaf has
+    feature, left and right -1.
+    """
     counts = np.bincount(y, minlength=n_classes)
-    node_probs = (counts / counts.sum()).tolist()
+    index = len(nodes)
+    nodes.append([-1, 0.0, -1, -1, counts / counts.sum()])
     pure = counts.max() == len(y)
     if pure or len(y) < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
-        return {"leaf": True, "probs": node_probs}
+        return index
 
     d = X.shape[1]
     if max_features is not None and max_features < d:
@@ -169,26 +284,40 @@ def _build_tree(X, y, n_classes, max_depth, min_leaf, rng, max_features, depth=0
         if found is not None and (best is None or found[0] < best[0]):
             best = (found[0], int(f), found[1])
     if best is None:
-        return {"leaf": True, "probs": node_probs}
+        return index
 
     _, f, t = best
     mask = X[:, f] <= t
-    return {
-        "leaf": False,
-        "feature": f,
-        "threshold": t,
-        "left": _build_tree(X[mask], y[mask], n_classes, max_depth, min_leaf,
-                            rng, max_features, depth + 1),
-        "right": _build_tree(X[~mask], y[~mask], n_classes, max_depth, min_leaf,
-                             rng, max_features, depth + 1),
-    }
+    left = _grow_tree(X[mask], y[mask], n_classes, max_depth, min_leaf,
+                      rng, max_features, nodes, depth + 1)
+    right = _grow_tree(X[~mask], y[~mask], n_classes, max_depth, min_leaf,
+                       rng, max_features, nodes, depth + 1)
+    nodes[index][:4] = [f, t, left, right]
+    return index
 
 
-def tree_scores(node: dict, x: np.ndarray) -> np.ndarray:
-    """Leaf class frequencies for one input vector."""
-    while not node["leaf"]:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return np.asarray(node["probs"])
+def _node_arrays(nodes: list, roots: list) -> dict:
+    feature, threshold, left, right, probs = zip(*nodes)
+    return {"feature": np.array(feature), "threshold": np.array(threshold),
+            "left": np.array(left), "right": np.array(right),
+            "probs": np.array(probs), "roots": np.array(roots)}
+
+
+def _leaves(p: dict, X: np.ndarray) -> np.ndarray:
+    """(n, n_trees) leaf reached by every (row, tree) pair.
+
+    All pairs move down one level per step, so a forest takes at most its
+    depth + 1 steps.
+    """
+    rows = np.arange(len(X))[:, None]
+    node = np.repeat(p["roots"][None, :], len(X), axis=0)
+    while True:
+        feature = p["feature"][node]
+        inner = feature >= 0
+        if not inner.any():
+            return node
+        go_left = X[rows, feature] <= p["threshold"][node]
+        node = np.where(inner, np.where(go_left, p["left"][node], p["right"][node]), node)
 
 
 # --- logistic regression ------------------------------------------------------
@@ -231,7 +360,7 @@ def _train_logreg(X, y, n_classes, hyper, seed):
             _, dW, db = logreg_loss_and_grad(W, b, Xs[idx], y[idx], hyper["l2"])
             W -= hyper["lr"] * dW
             b -= hyper["lr"] * db
-    return {"W": W.tolist(), "b": b.tolist(), "scaler": scaler}
+    return {"W": W, "b": b, **scaler}
 
 
 # --- training -----------------------------------------------------------------
@@ -245,43 +374,34 @@ def train(algorithm: str, items, hyper: dict | None = None, seed: int = 0) -> Tr
     merged = dict(DEFAULT_HYPERS[algorithm])
     if hyper:
         merged.update(hyper)
+    _check_hypers(algorithm, merged, len(X))
     n_classes = len(classes)
 
     if algorithm == "knn":
         scaler = _fit_standardizer(X)
-        params = {
-            "k": merged["k"],
-            "X": _standardize(X, scaler).tolist(),
-            "y": y.tolist(),
-            "scaler": scaler,
-        }
+        params = {"X": _standardize(X, scaler), "y": y, **scaler}
     elif algorithm == "tree":
-        rng = np.random.default_rng(seed)
-        params = {
-            "tree": _build_tree(X, y, n_classes, merged["max_depth"],
-                                merged["min_samples_leaf"], rng, None)
-        }
+        nodes = []
+        root = _grow_tree(X, y, n_classes, merged["max_depth"], merged["min_samples_leaf"],
+                          np.random.default_rng(seed), None, nodes)
+        params = _node_arrays(nodes, [root])
     elif algorithm == "forest":
         n = X.shape[0]
         max_features = max(1, int(math.sqrt(X.shape[1])))
-        tree_seeds = np.random.SeedSequence(seed).spawn(merged["n_trees"])
-        trees = []
-        for ss in tree_seeds:
+        nodes, roots = [], []
+        for ss in np.random.SeedSequence(seed).spawn(merged["n_trees"]):
             rng = np.random.default_rng(ss)
             boot = rng.integers(0, n, size=n)
-            trees.append(
-                _build_tree(X[boot], y[boot], n_classes, merged["max_depth"],
-                            merged["min_samples_leaf"], rng, max_features)
-            )
-        params = {"trees": trees, "max_features": max_features}
+            roots.append(_grow_tree(X[boot], y[boot], n_classes, merged["max_depth"],
+                                    merged["min_samples_leaf"], rng, max_features, nodes))
+        params = _node_arrays(nodes, roots)
     elif algorithm == "gnb":
-        means, variances, priors = [], [], []
-        for c in range(n_classes):
-            Xc = X[y == c]
-            means.append(Xc.mean(axis=0).tolist())
-            variances.append(np.maximum(Xc.var(axis=0), merged["var_floor"]).tolist())
-            priors.append(len(Xc) / len(X))
-        params = {"means": means, "vars": variances, "log_priors": np.log(priors).tolist()}
+        groups = [X[y == c] for c in range(n_classes)]
+        params = {
+            "means": np.array([Xc.mean(axis=0) for Xc in groups]),
+            "vars": np.array([np.maximum(Xc.var(axis=0), merged["var_floor"]) for Xc in groups]),
+            "log_priors": np.log([len(Xc) / len(X) for Xc in groups]),
+        }
     else:  # logreg
         params = _train_logreg(X, y, n_classes, merged, seed)
 
@@ -297,44 +417,56 @@ def train(algorithm: str, items, hyper: dict | None = None, seed: int = 0) -> Tr
 # --- prediction ---------------------------------------------------------------
 
 
-def _score_vector(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+def scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """(n, n_classes) class scores of the rows of X (n, 226); each row sums to 1."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != N_VIDEO_FEATURES:
+        raise ValueError(f"expected an (n, {N_VIDEO_FEATURES}) feature matrix, got {X.shape}")
     p = model.parameters
     n_classes = len(model.class_set)
     if model.algorithm == "knn":
-        xs = _standardize(x, p["scaler"])
-        X = np.asarray(p["X"])
-        y = np.asarray(p["y"])
-        dist = np.sqrt(((X - xs) ** 2).sum(axis=1))
-        order = np.argsort(dist, kind="stable")  # distance ties -> lower index
-        votes = np.bincount(y[order[: p["k"]]], minlength=n_classes)
-        return votes / votes.sum()
+        k = model.hyperparameters["k"]
+        out = np.empty((len(X), n_classes))
+        # One query at a time, so no (n, n_train, d) difference array is made.
+        # The distance keeps this form: the GEMM form rounds differently and
+        # would reorder near-ties.
+        for i, xs in enumerate(_standardize(X, p)):
+            dist = np.sqrt(((p["X"] - xs) ** 2).sum(axis=1))
+            nearest = np.argsort(dist, kind="stable")[:k]  # distance ties -> lower index
+            out[i] = np.bincount(p["y"][nearest], minlength=n_classes) / k
+        return out
     if model.algorithm == "tree":
-        return tree_scores(p["tree"], x)
+        return p["probs"][_leaves(p, X)[:, 0]]
     if model.algorithm == "forest":
-        votes = np.zeros(n_classes)
-        for tree in p["trees"]:
-            votes[int(np.argmax(tree_scores(tree, x)))] += 1
-        return votes / votes.sum()
+        votes = p["probs"].argmax(axis=1)[_leaves(p, X)]  # (n, n_trees) class voted
+        counts = (votes[:, :, None] == np.arange(n_classes)).sum(axis=1)
+        return counts / len(p["roots"])
     if model.algorithm == "gnb":
-        means = np.asarray(p["means"])
-        variances = np.asarray(p["vars"])
-        logp = np.asarray(p["log_priors"]) - 0.5 * (
-            np.log(2.0 * math.pi * variances) + (x - means) ** 2 / variances
-        ).sum(axis=1)
+        variances = p["vars"]
+        logp = p["log_priors"] - 0.5 * (
+            np.log(2.0 * math.pi * variances) + (X[:, None, :] - p["means"]) ** 2 / variances
+        ).sum(axis=2)
         return softmax(logp)
-    # logreg
-    xs = _standardize(x, p["scaler"])
-    return softmax(np.asarray(p["W"]) @ xs + np.asarray(p["b"]))
+    # logreg: W @ xs row by row, since the batched Xs @ W.T rounds differently
+    logits = np.array([p["W"] @ xs for xs in _standardize(X, p)]).reshape(len(X), n_classes)
+    return softmax(logits + p["b"])
+
+
+def feature_matrix(model: TrainedModel, features_list) -> np.ndarray:
+    """(n, 226) vectors of the videos; refuses a video with another feature schema."""
+    for features in features_list:
+        if features.schema_fingerprint != model.schema_fingerprint:
+            raise SchemaMismatch(model.schema_fingerprint, features.schema_fingerprint)
+    return np.array([vf.vector() for vf in features_list]).reshape(-1, N_VIDEO_FEATURES)
 
 
 def predict(model: TrainedModel, features: VideoFeatures):
     """(label, per-class score dict); label is the argmax with class-order ties."""
-    if features.schema_fingerprint != model.schema_fingerprint:
-        raise SchemaMismatch(model.schema_fingerprint, features.schema_fingerprint)
-    scores = _score_vector(model, features.vector())
-    label = model.class_set[int(np.argmax(scores))]
-    return label, {c: float(s) for c, s in zip(model.class_set, scores)}
+    row = scores(model, feature_matrix(model, [features]))[0]
+    label = model.class_set[int(np.argmax(row))]
+    return label, {c: float(s) for c, s in zip(model.class_set, row)}
 
 
 def predict_many(model: TrainedModel, features_list) -> list[GaitLabel]:
-    return [predict(model, vf)[0] for vf in features_list]
+    best = scores(model, feature_matrix(model, features_list)).argmax(axis=1)
+    return [model.class_set[i] for i in best]

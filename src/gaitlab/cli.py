@@ -127,14 +127,15 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model = classify.load_model(args.model)
     rows = read_features_csv(args.features, norm_scope=args.norm_scope, std_mode=args.std)
+    videos = [vf for vf, _ in rows]
+    scores = classify.scores(model, classify.feature_matrix(model, videos))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source_id", "predicted"]
                         + [f"score_{c.value}" for c in model.class_set])
-        for vf, _ in rows:
-            label, scores = classify.predict(model, vf)
-            writer.writerow([vf.source_id, label.value]
-                            + [repr(scores[c]) for c in model.class_set])
+        for vf, row in zip(videos, scores):
+            label = model.class_set[int(row.argmax())]
+            writer.writerow([vf.source_id, label.value] + [repr(float(s)) for s in row])
     print(f"wrote {len(rows)} predictions to {args.out}")
     return EXIT_OK
 

@@ -127,9 +127,9 @@ def cross_validate(
 
 def confusion_matrix(model, items, classes) -> tuple:
     matrix = np.zeros((len(classes), len(classes)), dtype=int)
-    for vf, true_label in items:
-        predicted, _ = classify.predict(model, vf)
-        matrix[classes.index(true_label), classes.index(predicted)] += 1
+    predicted = classify.predict_many(model, [vf for vf, _ in items])
+    for (_, true_label), label in zip(items, predicted):
+        matrix[classes.index(true_label), classes.index(label)] += 1
     return tuple(tuple(int(v) for v in row) for row in matrix)
 
 

@@ -81,6 +81,27 @@ def make_separable_items(rng, n_per_class=10, labels=(GaitLabel.NORMAL, GaitLabe
     return items
 
 
+def tree_leaf_oracle(params, root, x):
+    """Class frequencies at the leaf that one tree of a flat node-array model
+    (``feature``, ``threshold``, ``left``, ``right``, ``probs``) sends x to,
+    walked node by node in plain Python."""
+    node = int(root)
+    while int(params["feature"][node]) >= 0:
+        f = int(params["feature"][node])
+        side = "left" if float(x[f]) <= float(params["threshold"][node]) else "right"
+        node = int(params[side][node])
+    return [float(p) for p in params["probs"][node]]
+
+
+def forest_vote_oracle(model, x):
+    """Per-class count of the forest's trees whose leaf class (first argmax) it is."""
+    votes = [0] * len(model.class_set)
+    for root in model.parameters["roots"]:
+        probs = tree_leaf_oracle(model.parameters, root, x)
+        votes[probs.index(max(probs))] += 1
+    return votes
+
+
 def knn_brute_force_oracle(items, query: VideoFeatures, k: int) -> GaitLabel:
     """Exhaustive O(N*d) kNN scan in plain Python, used to validate predict().
 

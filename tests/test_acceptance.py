@@ -27,6 +27,7 @@ from helpers import (
     MD,
     US,
     bs_direct_oracle,
+    forest_vote_oracle,
     knn_brute_force_oracle,
     slope_distance_oracle,
     us_direct_oracle,
@@ -214,9 +215,7 @@ def test_criterion_5_classifier_oracles():
     small = items[:60]
     forest = classify.train("forest", small, hyper={"n_trees": 25}, seed=1)
     for vf, _ in small[:20]:
-        votes = np.zeros(len(forest.class_set))
-        for tree in forest.parameters["trees"]:
-            votes[int(np.argmax(classify.tree_scores(tree, vf.vector())))] += 1
+        votes = np.array(forest_vote_oracle(forest, vf.vector()))
         if classify.predict(forest, vf)[0] is not forest.class_set[int(np.argmax(votes))]:
             ok = False
 

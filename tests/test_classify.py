@@ -1,22 +1,34 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitlab.classify import (
     ALGORITHMS,
+    DEFAULT_HYPERS,
     TrainedModel,
     load_model,
     logreg_loss_and_grad,
     predict,
     predict_many,
     save_model,
+    scores,
     train,
-    tree_scores,
 )
 from gaitlab.errors import InsufficientData, SchemaMismatch
 from gaitlab.pose import GaitLabel
 from gaitlab.video_features import schema_fingerprint
 
-from helpers import knn_brute_force_oracle, make_separable_items, vf_from_vector
+from helpers import (
+    forest_vote_oracle,
+    knn_brute_force_oracle,
+    make_separable_items,
+    tree_leaf_oracle,
+    vf_from_vector,
+)
 
 
 def random_items(rng, n=30, n_classes=3, spread=1.0):
@@ -99,9 +111,10 @@ def test_logreg_zero_weights_uniform_scores():
     model = TrainedModel(
         algorithm="logreg",
         parameters={
-            "W": np.zeros((3, d)).tolist(),
-            "b": [0.0, 0.0, 0.0],
-            "scaler": {"mean": [0.0] * d, "std": [1.0] * d},
+            "W": np.zeros((3, d)),
+            "b": np.zeros(3),
+            "mean": np.zeros(d),
+            "std": np.ones(d),
         },
         class_set=(GaitLabel.CHOREIFORM, GaitLabel.DIPLEGIA, GaitLabel.NORMAL),
         schema_fingerprint=schema_fingerprint(),
@@ -118,14 +131,24 @@ def test_forest_prediction_is_tree_majority_vote():
     model = train("forest", items, hyper={"n_trees": 15}, seed=2)
     classes = model.class_set
     for vf, _ in items[:15]:
-        x = vf.vector()
-        votes = np.zeros(len(classes))
-        for tree in model.parameters["trees"]:
-            votes[int(np.argmax(tree_scores(tree, x)))] += 1
+        votes = np.array(forest_vote_oracle(model, vf.vector()), dtype=float)
         expected = classes[int(np.argmax(votes))]
         label, scores = predict(model, vf)
         assert label is expected
         assert scores[expected] == pytest.approx(votes.max() / votes.sum())
+
+
+def test_tree_sends_a_value_equal_to_the_threshold_left():
+    nodes = {"feature": [4, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+             "right": [2, -1, -1], "probs": [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]], "roots": [0]}
+    doc = {"format": "gaitmodel", "version": 2, "algorithm": "tree",
+           "classes": ["Normal", "Parkinson"], "schema_fingerprint": schema_fingerprint(),
+           "hyperparameters": DEFAULT_HYPERS["tree"], "parameters": nodes}
+    model = TrainedModel.from_json(json.dumps(doc))
+    X = np.zeros((3, 226))
+    X[:, 4] = [0.5, np.nextafter(0.5, 1.0), -3.0]
+    assert scores(model, X).tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    assert tree_leaf_oracle(model.parameters, 0, X[0]) == [1.0, 0.0]
 
 
 def test_gnb_scores_normalize_and_stay_finite():
@@ -203,13 +226,111 @@ def test_training_is_deterministic(algorithm):
 def test_model_json_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     items = random_items(rng, n=24, n_classes=3)
-    model = train("gnb", items)
-    path = tmp_path / "m.gaitmodel.json"
-    save_model(model, path)
-    back = load_model(path)
-    assert back == model
-    for vf, _ in items[:5]:
-        assert predict(back, vf) == predict(model, vf)
+    for algorithm in ALGORITHMS:
+        hyper = {"n_trees": 8} if algorithm == "forest" else None
+        model = train(algorithm, items, hyper=hyper)
+        path = tmp_path / f"{algorithm}.gaitmodel.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert back == model
+        for name, value in model.parameters.items():
+            loaded = back.parameters[name]
+            assert isinstance(loaded, np.ndarray) and loaded.dtype == value.dtype
+            assert loaded.tobytes() == value.tobytes()
+        for vf, _ in items[:5]:
+            assert predict(back, vf) == predict(model, vf)
+        # equality compares the documents, so one changed value breaks it
+        name, value = next(iter(model.parameters.items()))
+        changed = value.copy()
+        changed.flat[0] += 1
+        assert replace(model, parameters={**model.parameters, name: changed}) != model
+
+
+@pytest.fixture(scope="module")
+def models():
+    """One small trained model per algorithm."""
+    items = random_items(np.random.default_rng(16), n=24, n_classes=3)
+    return {a: train(a, items, hyper={"n_trees": 4} if a == "forest" else None, seed=1)
+            for a in ALGORITHMS}
+
+
+def _set(path, value):
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+def _drop(key):
+    def edit(doc):
+        del doc["parameters"][key]
+    return edit
+
+
+@pytest.mark.parametrize("algorithm, edit, message", [
+    ("gnb", _set(["version"], 1), "version 1"),
+    ("gnb", _set(["algorithm"], "svm"), "unknown algorithm"),
+    ("gnb", _set(["classes"], ["Normal", "Normal", "Parkinson"]), "distinct"),
+    ("gnb", _set(["classes"], ["Normal", "Limping", "Parkinson"]), "unknown gait label"),
+    ("gnb", _set(["parameters"], []), "parameters"),
+    ("gnb", _drop("vars"), "'vars'"),
+    ("knn", _drop("y"), "'y'"),
+    ("forest", _drop("roots"), "'roots'"),
+    ("logreg", _drop("mean"), "'mean'"),
+    ("tree", _drop("probs"), "'probs'"),
+    ("gnb", _set(["parameters", "log_priors"], [0.0, 0.0]), "'log_priors'"),
+    ("logreg", _set(["parameters", "mean"], [0.0] * 225), "'mean'"),
+    ("knn", _set(["parameters", "y"], [0, 1]), "'y'"),
+    ("logreg", _set(["parameters", "W"], [[0.0] * 226, [0.0] * 3]), "inhomogeneous"),
+    ("logreg", _set(["parameters", "b"], ["a", "b", "c"]), "'b'"),
+    ("forest", _set(["parameters", "roots"], [0.5]), "'roots'"),
+    ("gnb", _set(["parameters", "log_priors"], [0.0, float("nan"), 0.0]), "non-finite"),
+    ("gnb", _set(["parameters", "vars", 0, 0], 0.0), "'vars' holds non-positive"),
+    ("knn", _set(["parameters", "std", 3], -1.0), "'std' holds non-positive"),
+    ("knn", _set(["parameters", "y", 0], 3), "labels"),
+    ("knn", _set(["hyperparameters", "k"], 31), "k=31"),
+    ("knn", _set(["hyperparameters", "k"], 0), "k must be"),
+    ("tree", _set(["parameters", "left", 0], 0), "left child"),
+    ("forest", _set(["parameters", "right", 0], 10**6), "right child"),
+    ("forest", _set(["parameters", "feature", 0], 226), "feature index"),
+    ("forest", _set(["parameters", "roots", 0], -1), "root index"),
+    ("tree", _set(["parameters", "roots"], [0, 0]), "one root"),
+])
+def test_from_json_refuses_malformed_models(models, algorithm, edit, message):
+    doc = json.loads(models[algorithm].to_json())
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        TrainedModel.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("algorithm, hyper", [
+    ("knn", {"k": 0}),
+    ("knn", {"k": 2.5}),
+    ("forest", {"n_trees": 0}),
+    ("tree", {"min_samples_leaf": 0}),
+    ("forest", {"min_samples_leaf": 0}),
+    ("tree", {"max_depth": -1}),
+    ("forest", {"max_depth": -1}),
+    ("logreg", {"batch_size": 0}),
+    ("logreg", {"epochs": -1}),
+    ("gnb", {"var_floor": 0.0}),
+])
+def test_train_refuses_bad_hyperparameters(algorithm, hyper):
+    items = random_items(np.random.default_rng(15), n=24, n_classes=3)
+    with pytest.raises(ValueError):
+        train(algorithm, items, hyper=hyper)
+
+
+def test_knn_k_is_bounded_by_the_training_set():
+    items = random_items(np.random.default_rng(17), n=24, n_classes=3)
+    with pytest.raises(ValueError):
+        train("knn", items, hyper={"k": len(items) + 1})
+    model = train("knn", items, hyper={"k": len(items)})
+    _, scores = predict(model, items[0][0])
+    counts = [sum(label is c for _, label in items) for c in model.class_set]
+    assert list(scores.values()) == [n / len(items) for n in counts]
 
 
 def test_predict_refuses_schema_mismatch():
@@ -234,3 +355,55 @@ def test_train_refuses_mixed_fingerprints():
 def test_unknown_algorithm():
     with pytest.raises(ValueError):
         train("svm", [])
+
+
+@pytest.fixture(scope="module")
+def tie_models():
+    """Models over 18 random rows plus the first six again under the next label.
+
+    A query is equidistant from each repeated pair, so kNN must break the tie
+    by training index; a forest of 4 shallow trees often splits its votes 2-2.
+    """
+    rng = np.random.default_rng(18)
+    labels = [GaitLabel.NORMAL, GaitLabel.PARKINSON, GaitLabel.DIPLEGIA]
+    vectors = rng.normal(size=(18, 226))
+    items = [(vf_from_vector(v, f"t{i}"), labels[i % 3]) for i, v in enumerate(vectors)]
+    items += [(vf_from_vector(vectors[i], f"d{i}"), labels[(i + 1) % 3]) for i in range(6)]
+    hypers = {"knn": {"k": 1}, "forest": {"n_trees": 4, "max_depth": 2}}
+    return vectors, {a: train(a, items, hyper=hypers.get(a), seed=4) for a in ALGORITHMS}, items
+
+
+def _queries(vectors, picks):
+    """Rows a + w (b - a): training rows (w 0 or 1), midpoints and points beyond."""
+    return np.array([vectors[a] + w * (vectors[b] - vectors[a]) for a, b, w in picks])
+
+
+def test_tie_models_have_knn_and_forest_vote_ties(tie_models):
+    vectors, models, items = tie_models
+    X = _queries(vectors, [(i, j, w) for i in range(6) for j in range(6) for w in (0.0, 0.5)])
+    top = np.sort(scores(models["forest"], X), axis=1)
+    assert (top[:, -1] == top[:, -2]).any()  # some query gets a tied forest vote
+    for i in range(6):  # rows i and 18 + i are both at distance 0; the lower index wins
+        q = vf_from_vector(vectors[i], "q")
+        assert predict(models["knn"], q)[0] is items[i][1]
+        assert knn_brute_force_oracle(items, q, 1) is items[i][1]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@settings(max_examples=30, deadline=None)
+@given(picks=st.lists(st.tuples(st.integers(0, 17), st.integers(0, 17),
+                                st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+                      min_size=1, max_size=8))
+def test_batch_scores_equal_single_row_scores(tie_models, algorithm, picks):
+    vectors, models, _ = tie_models
+    X = _queries(vectors, picks)
+    batch = scores(models[algorithm], X)
+    assert batch.shape == (len(X), 3)
+    for i, row in enumerate(X):
+        assert batch[i].tobytes() == scores(models[algorithm], row[None, :])[0].tobytes()
+
+
+def test_scores_of_no_rows(models):
+    for model in models.values():
+        assert scores(model, np.empty((0, 226))).shape == (0, len(model.class_set))
+        assert predict_many(model, []) == []

@@ -161,3 +161,23 @@ def test_exit_code_duplicate_source_ids(pipeline_dir, tmp_path):
                  "--out", str(tmp_path / "m.json")]) == 2
     assert main(["eval", "--features", features, "--algos", "gnb", "--folds", "2",
                  "--report", str(tmp_path / "r.json")]) == 2
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(algorithm="svm"), "unknown algorithm 'svm'"),
+    (lambda doc: doc["parameters"].pop("y"), "missing parameter 'y'"),
+    (lambda doc: doc["parameters"].update(mean=[0.0] * 10), "parameter 'mean' has shape (10,)"),
+    (lambda doc: doc.update(version=1), "version 1 is not supported"),
+], ids=["unknown-algorithm", "missing-parameter", "wrong-shape", "version-1"])
+def test_exit_code_malformed_model(pipeline_dir, tmp_path, capsys, edit, message):
+    features = str(pipeline_dir / "features.csv")
+    model_path = tmp_path / "model.gaitmodel.json"
+    assert main(["train", "--features", features, "--algo", "knn", "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    edit(doc)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(model_path), "--features", features,
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
