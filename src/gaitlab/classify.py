@@ -209,7 +209,11 @@ def _dataset_arrays(items):
 
 
 def _check_hypers(algorithm: str, hyper: dict, n_train: int) -> None:
-    """Refuse hyperparameters that would give NaN scores or silently wrong votes."""
+    """Refuse unknown hyperparameter names and values that would give NaN
+    scores or silently wrong votes."""
+    unknown = [name for name in hyper if name not in DEFAULT_HYPERS[algorithm]]
+    if unknown:
+        raise ValueError(f"{algorithm}: unknown hyperparameter(s) {unknown}")
     for name in DEFAULT_HYPERS[algorithm]:
         if name not in hyper:
             raise ValueError(f"{algorithm}: missing hyperparameter {name!r}")

@@ -14,19 +14,13 @@ from pathlib import Path
 from . import classify, evaluate, ingest, synth
 from .errors import InsufficientDataError, ParseError, SchemaMismatch
 from .pose import GaitLabel
-from .video_features import featurize_sequence, read_features_csv, write_features_csv
+from .video_features import (featurize_sequence, read_features_csv, schema_config,
+                             write_features_csv)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INSUFFICIENT = 3
 EXIT_SCHEMA = 4
-
-
-def _add_feature_config(parser):
-    parser.add_argument("--norm-scope", choices=["frame", "video"], default="frame",
-                        help="distance normalization scope (default: frame)")
-    parser.add_argument("--std", choices=["population", "sample"], default="population",
-                        help="standard deviation convention (default: population)")
 
 
 def _parse_counts(text: str) -> dict:
@@ -78,7 +72,7 @@ def cmd_synth(args) -> int:
 
 
 def _labeled_rows(args):
-    rows = read_features_csv(args.features, norm_scope=args.norm_scope, std_mode=args.std)
+    rows = read_features_csv(args.features)
     labeled = [(vf, label) for vf, label in rows if label is not None]
     if not labeled:
         raise ParseError(f"no labeled rows in {args.features}")
@@ -111,12 +105,13 @@ def cmd_eval(args) -> int:
         print(f"{algorithm}: {exc}", file=sys.stderr)
     if not reports:
         raise next(iter(errors.values()))
+    norm_scope, std = schema_config(items[0][0].schema_fingerprint)
     extra = {
         "task": args.task,
         "folds": args.folds,
         "seed": args.seed,
-        "norm_scope": args.norm_scope,
-        "std": args.std,
+        "norm_scope": norm_scope,
+        "std": std,
     }
     Path(args.report).write_text(evaluate.reports_to_json(reports, extra), encoding="utf-8")
     print(evaluate.render_text_table(reports), end="")
@@ -126,7 +121,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = classify.load_model(args.model)
-    rows = read_features_csv(args.features, norm_scope=args.norm_scope, std_mode=args.std)
+    rows = read_features_csv(args.features)
     videos = [vf for vf, _ in rows]
     scores = classify.scores(model, classify.feature_matrix(model, videos))
     with open(args.out, "w", newline="") as fh:
@@ -152,7 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output features CSV")
     p.add_argument("--min-conf", type=float, default=ingest.DEFAULT_MIN_CONFIDENCE)
     p.add_argument("--min-frames", type=int, default=ingest.DEFAULT_MIN_VALID_FRAMES)
-    _add_feature_config(p)
+    p.add_argument("--norm-scope", choices=["frame", "video"], default="frame",
+                   help="distance normalization scope (default: frame)")
+    p.add_argument("--std", choices=["population", "sample"], default="population",
+                   help="standard deviation convention (default: population)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
@@ -169,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", default="multi", help="multi or binary:<Label>")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output .gaitmodel.json path")
-    _add_feature_config(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="split, cross-validate and test algorithms")
@@ -179,14 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=evaluate.DEFAULT_FOLDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", required=True, help="output report JSON path")
-    _add_feature_config(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="predict labels for a feature CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="output predictions CSV")
-    _add_feature_config(p)
     p.set_defaults(func=cmd_predict)
 
     return parser

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ParseError
 from .ingest import save_keypoint_file
 from .pose import GaitLabel, KeypointId, PoseSequence
 
@@ -228,10 +229,24 @@ def write_corpus(
 
 
 def read_manifest(path) -> dict[str, GaitLabel]:
-    """source_id -> label mapping from a corpus manifest.csv."""
+    """source_id -> label mapping from a corpus manifest.csv.
+
+    A missing column, a short row, an unknown label, non-UTF-8 bytes or a
+    defect the csv module finds raise ParseError naming the file and line."""
     labels = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            labels[row["source_id"]] = GaitLabel.from_name(row["label"])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if not {"source_id", "label"} <= set(reader.fieldnames or ()):
+                raise ParseError(f"{path} line 1: the header needs source_id and label columns")
+            for row in reader:
+                where = f"{path} line {reader.line_num}"
+                if row["source_id"] is None or row["label"] is None:
+                    raise ParseError(f"{where}: row has too few cells")
+                try:
+                    labels[row["source_id"]] = GaitLabel.from_name(row["label"])
+                except ValueError as exc:
+                    raise ParseError(f"{where}: {exc}") from None
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path} is not a readable manifest: {exc}") from None
     return labels

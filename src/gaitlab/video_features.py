@@ -2,7 +2,8 @@
 
 The video vector is [113 means, 113 stds] = 226 values. Standard deviation
 is population (1/N) by default; sample (1/(N-1)) is available behind the
-``std_mode`` flag and is recorded in the schema fingerprint.
+``std_mode`` flag and is recorded in the schema fingerprint, which a features
+CSV carries in its header.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError, TooFewFrames
+from .errors import ParseError, SchemaMismatch, TooFewFrames
 from .frame_features import FEATURE_NAMES, NORM_SCOPES, extract_sequence
 from .pose import GaitLabel, PoseSequence
 
@@ -35,6 +36,15 @@ def schema_fingerprint(norm_scope: str = "frame", std_mode: str = "population") 
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def schema_config(fingerprint: str) -> Optional[tuple[str, str]]:
+    """The (norm_scope, std_mode) that ``schema_fingerprint`` hashes to ``fingerprint``, or None."""
+    for norm_scope in NORM_SCOPES:
+        for std_mode in STD_MODES:
+            if schema_fingerprint(norm_scope, std_mode) == fingerprint:
+                return norm_scope, std_mode
+    return None
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,7 @@ def featurize_sequence(
     return aggregate(feats, source_id=seq.source_id, norm_scope=norm_scope, std_mode=std_mode)
 
 
-# --- CSV interface: source_id,label,mu1..mu113,sd1..sd113 -------------------
+# --- CSV interface: source_id,label,mu1..mu113,sd1..sd113,schema=<fingerprint> ---
 
 _CSV_HEADER = (
     ["source_id", "label"]
@@ -91,9 +101,16 @@ _CSV_HEADER = (
 
 
 def write_features_csv(rows: list[tuple[VideoFeatures, Optional[GaitLabel]]], path) -> None:
-    with open(path, "w", newline="") as fh:
+    """Write one row per video; the header's last cell names the rows' shared fingerprint."""
+    if not rows:
+        raise ValueError("no feature rows to write")
+    fingerprint = rows[0][0].schema_fingerprint
+    for vf, _ in rows:
+        if vf.schema_fingerprint != fingerprint:
+            raise SchemaMismatch(fingerprint, vf.schema_fingerprint)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
+        writer.writerow(_CSV_HEADER + [f"schema={fingerprint}"])
         for vf, label in rows:
             writer.writerow(
                 [vf.source_id, label.value if label is not None else ""]
@@ -102,38 +119,44 @@ def write_features_csv(rows: list[tuple[VideoFeatures, Optional[GaitLabel]]], pa
             )
 
 
-def read_features_csv(
-    path,
-    norm_scope: str = "frame",
-    std_mode: str = "population",
-) -> list[tuple[VideoFeatures, Optional[GaitLabel]]]:
-    """Read a feature CSV; the fingerprint is derived from the stated config.
+def read_features_csv(path) -> list[tuple[VideoFeatures, Optional[GaitLabel]]]:
+    """Read a features CSV; every row gets the fingerprint its header names.
 
-    Every feature value must be a finite number (ParseError otherwise)."""
-    fingerprint = schema_fingerprint(norm_scope, std_mode)
+    A header without a known schema cell, a row of the wrong length, a value
+    that is not a finite number, an unknown label, non-UTF-8 bytes and any
+    defect the csv module finds raise ParseError."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected feature CSV header in {path}")
-        for row in reader:
-            if len(row) != len(_CSV_HEADER):
-                raise ValueError(f"bad feature CSV row length in {path}")
-            label = GaitLabel.from_name(row[1]) if row[1] else None
-            values = np.array([float(v) for v in row[2:]])
-            if not np.isfinite(values).all():
-                raise ParseError(f"non-finite feature value for {row[0]!r} in {path}")
-            rows.append(
-                (
-                    VideoFeatures(
-                        mean=values[:113],
-                        std=values[113:],
-                        n_frames_used=0,  # unknown after CSV round-trip
-                        source_id=row[0],
-                        schema_fingerprint=fingerprint,
-                    ),
-                    label,
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            *names, schema = next(reader, None) or [""]
+            fingerprint = schema.removeprefix("schema=")
+            if names != _CSV_HEADER or fingerprint == schema or schema_config(fingerprint) is None:
+                raise ParseError(f"{path} has no gaitlab feature CSV header with a known "
+                                 f"schema= cell; re-run `gaitlab extract` to write one")
+            for row in reader:
+                where = f"{path} line {reader.line_num}"
+                if len(row) != len(_CSV_HEADER):
+                    raise ParseError(f"{where}: {len(row)} cells, expected {len(_CSV_HEADER)}")
+                try:
+                    label = GaitLabel.from_name(row[1]) if row[1] else None
+                    values = np.array([float(v) for v in row[2:]])
+                except ValueError as exc:
+                    raise ParseError(f"{where}: {exc}") from None
+                if not np.isfinite(values).all():
+                    raise ParseError(f"{where}: non-finite feature value for {row[0]!r}")
+                rows.append(
+                    (
+                        VideoFeatures(
+                            mean=values[:113],
+                            std=values[113:],
+                            n_frames_used=0,  # unknown after CSV round-trip
+                            source_id=row[0],
+                            schema_fingerprint=fingerprint,
+                        ),
+                        label,
+                    )
                 )
-            )
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path} is not a readable feature CSV: {exc}") from None
     return rows

@@ -292,6 +292,7 @@ def _drop(key):
     ("knn", _set(["parameters", "y", 0], 3), "labels"),
     ("knn", _set(["hyperparameters", "k"], 31), "k=31"),
     ("knn", _set(["hyperparameters", "k"], 0), "k must be"),
+    ("knn", _set(["hyperparameters", "n_neighbors"], 1), "unknown hyperparameter"),
     ("tree", _set(["parameters", "left", 0], 0), "left child"),
     ("forest", _set(["parameters", "right", 0], 10**6), "right child"),
     ("forest", _set(["parameters", "feature", 0], 226), "feature index"),
@@ -316,6 +317,7 @@ def test_from_json_refuses_malformed_models(models, algorithm, edit, message):
     ("logreg", {"batch_size": 0}),
     ("logreg", {"epochs": -1}),
     ("gnb", {"var_floor": 0.0}),
+    ("knn", {"n_neighbors": 1}),
 ])
 def test_train_refuses_bad_hyperparameters(algorithm, hyper):
     items = random_items(np.random.default_rng(15), n=24, n_classes=3)

@@ -108,15 +108,52 @@ def test_exit_code_insufficient_data(pipeline_dir, tmp_path):
     assert rc == 3
 
 
+def _extract(pipeline_dir, out, *flags):
+    assert main(["extract", "--in", str(pipeline_dir / "corpus"), "--out", str(out),
+                 *flags]) == 0
+    return str(out)
+
+
 def test_exit_code_schema_mismatch(pipeline_dir, tmp_path):
     model_path = tmp_path / "model.gaitmodel.json"
     assert main(["train", "--features", str(pipeline_dir / "features.csv"),
                  "--algo", "gnb", "--out", str(model_path)]) == 0
-    # reading the same CSV under a different declared config changes the schema
+    # features extracted under another std convention carry another schema
+    sample = _extract(pipeline_dir, tmp_path / "sample.csv", "--std", "sample")
+    rc = main(["predict", "--model", str(model_path), "--features", sample,
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 4
+
+
+def test_model_of_video_scope_csv_refuses_frame_scope_csv(pipeline_dir, tmp_path):
+    video = _extract(pipeline_dir, tmp_path / "video.csv", "--norm-scope", "video")
+    model_path = tmp_path / "model.gaitmodel.json"
+    assert main(["train", "--features", video, "--algo", "gnb", "--out", str(model_path)]) == 0
+    assert main(["predict", "--model", str(model_path), "--features", video,
+                 "--out", str(tmp_path / "p.csv")]) == 0
     rc = main(["predict", "--model", str(model_path),
                "--features", str(pipeline_dir / "features.csv"),
-               "--std", "sample", "--out", str(tmp_path / "p.csv")])
+               "--out", str(tmp_path / "p.csv")])
     assert rc == 4
+
+
+def test_eval_reports_the_schema_of_the_csv(pipeline_dir, tmp_path):
+    features = _extract(pipeline_dir, tmp_path / "video-sample.csv",
+                        "--norm-scope", "video", "--std", "sample")
+    report = tmp_path / "report.json"
+    assert main(["eval", "--features", features, "--algos", "gnb", "--folds", "2",
+                 "--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert (doc["norm_scope"], doc["std"]) == ("video", "sample")
+
+
+def test_only_extract_takes_the_feature_config(capsys):
+    for command, takes_it in [("extract", True), ("train", False), ("eval", False),
+                              ("predict", False)]:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        assert ("--norm-scope" in usage, "--std" in usage) == (takes_it, takes_it)
 
 
 def test_eval_deterministic_report_bytes(pipeline_dir, tmp_path):
@@ -181,3 +218,38 @@ def test_exit_code_malformed_model(pipeline_dir, tmp_path, capsys, edit, message
                "--out", str(tmp_path / "p.csv")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: [rows[0][:rows[0].rindex(",")]] + rows[1:],
+    lambda rows: [rows[0][:rows[0].rindex("=") + 1] + "0123456789abcdef"] + rows[1:],
+    lambda rows: rows[:1] + [rows[1].replace(",", "," + "1" * 200_000, 1)] + rows[2:],
+], ids=["no-schema-cell", "unknown-fingerprint", "oversized-field"])
+def test_exit_code_unreadable_features_csv(pipeline_dir, tmp_path, capsys, edit):
+    features = _edited_features(pipeline_dir, tmp_path, edit)
+    model_path = tmp_path / "model.gaitmodel.json"
+    assert main(["train", "--features", features, "--algo", "gnb",
+                 "--out", str(model_path)]) == 2
+    assert main(["train", "--features", str(pipeline_dir / "features.csv"), "--algo", "gnb",
+                 "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--features", features,
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert str(tmp_path / "edited.csv") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ("id,label\n{sid},Normal\n", "line 1"),
+    ("source_id,label\n{sid}\n", "line 2"),
+], ids=["no-source_id-column", "short-row"])
+def test_exit_code_malformed_manifest(pipeline_dir, tmp_path, capsys, manifest, message):
+    src = next(iter((pipeline_dir / "corpus").glob("*.kp.jsonl")))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / src.name).write_bytes(src.read_bytes())
+    sid = src.name.removesuffix(".kp.jsonl")
+    (corpus / "manifest.csv").write_text(manifest.format(sid=sid))
+    rc = main(["extract", "--in", str(corpus), "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "manifest.csv" in err and message in err

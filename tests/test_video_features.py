@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from gaitlab.errors import ParseError, TooFewFrames
+from gaitlab.errors import ParseError, SchemaMismatch, TooFewFrames
 from gaitlab.frame_features import extract_frame_features
 from gaitlab.pose import GaitLabel
 from gaitlab.video_features import (
     aggregate,
     featurize_sequence,
     read_features_csv,
+    schema_config,
     schema_fingerprint,
     write_features_csv,
 )
@@ -95,12 +96,22 @@ def test_fingerprint_depends_on_config():
     assert len(prints) == 4
 
 
-def test_csv_roundtrip(tmp_path):
+def test_schema_config_inverts_the_fingerprint():
+    for norm_scope in ("frame", "video"):
+        for std_mode in ("population", "sample"):
+            fingerprint = schema_fingerprint(norm_scope, std_mode)
+            assert schema_config(fingerprint) == (norm_scope, std_mode)
+    assert schema_config("0123456789abcdef") is None
+
+
+@pytest.mark.parametrize("fingerprint", [None, schema_fingerprint("video", "sample")],
+                         ids=["default", "video-sample"])
+def test_csv_roundtrip(tmp_path, fingerprint):
     rng = np.random.default_rng(4)
     rows = [
-        (vf_from_vector(rng.uniform(-5, 5, 226), "a"), GaitLabel.NORMAL),
-        (vf_from_vector(rng.uniform(-5, 5, 226), "b"), GaitLabel.PARKINSON),
-        (vf_from_vector(rng.uniform(-5, 5, 226), "c"), None),
+        (vf_from_vector(rng.uniform(-5, 5, 226), "a", fingerprint), GaitLabel.NORMAL),
+        (vf_from_vector(rng.uniform(-5, 5, 226), "b", fingerprint), GaitLabel.PARKINSON),
+        (vf_from_vector(rng.uniform(-5, 5, 226), "c", fingerprint), None),
     ]
     path = tmp_path / "features.csv"
     write_features_csv(rows, path)
@@ -112,10 +123,56 @@ def test_csv_roundtrip(tmp_path):
         assert vf1.schema_fingerprint == vf0.schema_fingerprint
 
 
+def test_csv_header_ends_with_the_schema_cell(tmp_path):
+    path = tmp_path / "features.csv"
+    fingerprint = schema_fingerprint("video")
+    write_features_csv([(vf_from_vector(np.ones(226), "a", fingerprint), None)], path)
+    header, row = path.read_text().splitlines()
+    assert header.split(",")[:2] == ["source_id", "label"]
+    assert header.split(",")[-1] == f"schema={fingerprint}"
+    assert len(header.split(",")) == 229 and len(row.split(",")) == 228
+
+
+def test_write_refuses_mixed_fingerprints_and_no_rows(tmp_path):
+    rows = [(vf_from_vector(np.ones(226), "a"), None),
+            (vf_from_vector(np.ones(226), "b", schema_fingerprint("video")), None)]
+    with pytest.raises(SchemaMismatch):
+        write_features_csv(rows, tmp_path / "mixed.csv")
+    with pytest.raises(ValueError):
+        write_features_csv([], tmp_path / "empty.csv")
+    assert not (tmp_path / "mixed.csv").exists()
+
+
 def test_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
+        read_features_csv(path)
+
+
+def _replace_first(old, new):
+    return lambda data: data.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data.replace(b",schema=" + schema_fingerprint().encode(), b""),
+    _replace_first(b"schema=" + schema_fingerprint().encode(), b"schema=0123456789abcdef"),
+    _replace_first(b"schema=", b""),
+    _replace_first(b"1.0", b"1" * 200_000),  # longer than the csv module's field limit
+    _replace_first(b"\r\na,", b"\r\n\xff,"),
+    _replace_first(b"1.0", b"1.0,1.0"),
+    _replace_first(b",1.0", b""),
+    _replace_first(b"1.0", b"one"),
+    _replace_first(b"Normal", b"Limping"),
+], ids=["no schema cell", "unknown fingerprint", "schema cell without its name", "csv.Error",
+        "non-UTF-8", "long row", "short row", "not a number", "unknown label"])
+def test_csv_defects_raise_parse_error(tmp_path, edit):
+    path = tmp_path / "features.csv"
+    write_features_csv([(vf_from_vector(np.ones(226), "a"), GaitLabel.NORMAL)], path)
+    data = path.read_bytes()
+    path.write_bytes(edit(data))
+    assert path.read_bytes() != data
+    with pytest.raises(ParseError):
         read_features_csv(path)
 
 
