@@ -61,42 +61,38 @@ class EvalReport:
         }
 
 
+def _class_ranks(labels, seed: int):
+    """Each item's rank in a seeded shuffle of its class, and that class's
+    size; the classes draw their permutations in GaitLabel order."""
+    labels = np.array(labels, dtype=object)
+    rng = np.random.default_rng(seed)
+    rank, size = np.zeros((2, len(labels)), dtype=int)
+    for label in GaitLabel:
+        idx = np.flatnonzero(labels == label)
+        if len(idx):
+            rank[idx[rng.permutation(len(idx))]] = np.arange(len(idx))
+            size[idx] = len(idx)
+    return rank, size
+
+
 def stratified_split(items, seed: int = 0) -> LabeledDataset:
     """Per-class seeded shuffle, then floor(3n/4) items to train, rest to test."""
     items = tuple(items)
-    by_class: dict[GaitLabel, list] = {}
-    for position, (_, label) in enumerate(items):
-        by_class.setdefault(label, []).append(position)
+    labels = [label for _, label in items]
     for label in GaitLabel:
-        if label in by_class and len(by_class[label]) < 4:
-            raise ClassTooSmall(label.value, len(by_class[label]))
-    rng = np.random.default_rng(seed)
-    split = [""] * len(items)
-    for label in GaitLabel:
-        group = by_class.get(label, [])
-        if not group:
-            continue
-        perm = rng.permutation(len(group))
-        n_train = (3 * len(group)) // 4
-        for rank, idx in enumerate(perm):
-            split[group[idx]] = "train" if rank < n_train else "test"
-    return LabeledDataset(items=items, split=tuple(split))
+        if 0 < labels.count(label) < 4:
+            raise ClassTooSmall(label.value, labels.count(label))
+    rank, size = _class_ranks(labels, seed)
+    split = tuple("train" if r < (3 * n) // 4 else "test" for r, n in zip(rank, size))
+    return LabeledDataset(items=items, split=split)
 
 
 def _stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     """Fold index per item: per-class shuffle then round-robin assignment."""
-    labels = list(labels)
-    present = [label for label in GaitLabel if label in set(labels)]
-    smallest = min(sum(1 for l in labels if l == label) for label in present)
-    if folds > smallest:
-        raise TooManyFolds(folds, smallest)
-    rng = np.random.default_rng(seed)
-    assignment = np.empty(len(labels), dtype=int)
-    for label in present:
-        idx = np.array([i for i, l in enumerate(labels) if l == label])
-        perm = rng.permutation(len(idx))
-        assignment[idx[perm]] = np.arange(len(idx)) % folds
-    return assignment
+    rank, size = _class_ranks(labels, seed)
+    if folds > size.min():
+        raise TooManyFolds(folds, int(size.min()))
+    return rank % folds
 
 
 def _accuracy(model, items) -> float:
@@ -108,7 +104,6 @@ def cross_validate(
     algorithm: str,
     train_items,
     folds: int = DEFAULT_FOLDS,
-    hyper: dict | None = None,
     seed: int = 0,
 ) -> float:
     """Mean of per-fold accuracies over a stratified k-fold of the training part."""
@@ -120,7 +115,7 @@ def cross_validate(
     for f in range(folds):
         fit = [item for item, a in zip(train_items, assignment) if a != f]
         held = [item for item, a in zip(train_items, assignment) if a == f]
-        model = classify.train(algorithm, fit, hyper=hyper, seed=seed)
+        model = classify.train(algorithm, fit, seed=seed)
         accuracies.append(_accuracy(model, held))
     return float(np.mean(accuracies))
 
@@ -151,7 +146,6 @@ def run_task(
     dataset: LabeledDataset,
     folds: int = DEFAULT_FOLDS,
     seed: int = 0,
-    hypers: dict | None = None,
 ):
     """One EvalReport per algorithm; failures are collected, not fatal.
 
@@ -163,10 +157,9 @@ def run_task(
     classes = tuple(label for label in GaitLabel if label in present)
     reports, errors = [], {}
     for algorithm in algorithms:
-        hyper = (hypers or {}).get(algorithm)
         try:
-            cv = cross_validate(algorithm, train_items, folds=folds, hyper=hyper, seed=seed)
-            model = classify.train(algorithm, train_items, hyper=hyper, seed=seed)
+            cv = cross_validate(algorithm, train_items, folds=folds, seed=seed)
+            model = classify.train(algorithm, train_items, seed=seed)
             confusion = confusion_matrix(model, test_items, classes)
             test_acc = np.trace(np.asarray(confusion)) / len(test_items)
             reports.append(

@@ -49,6 +49,19 @@ DEFAULT_COUNTS = {
 }
 
 
+# the five abnormality amplitudes in field order, which is also the order
+# _perturbed_params draws their variation in, and each class's defaults
+_AMPLITUDES = ("forward_lean_deg", "arm_bend_deg", "circumduct_left", "circumduct_right",
+               "jitter_std")
+_CLASS_AMPLITUDES = {
+    GaitLabel.CHOREIFORM: {"jitter_std": 0.15},
+    GaitLabel.DIPLEGIA: {"circumduct_left": 0.35, "circumduct_right": 0.35},
+    GaitLabel.HEMIPLEGIA: {"circumduct_right": 0.35},
+    GaitLabel.NORMAL: {},
+    GaitLabel.PARKINSON: {"forward_lean_deg": 25.0, "arm_bend_deg": 60.0},
+}
+
+
 @dataclass(frozen=True)
 class GaitParams:
     label: GaitLabel
@@ -62,26 +75,24 @@ class GaitParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_frames < 2:
-            raise ValueError("n_frames must be >= 2")
-        for name in ("forward_lean_deg", "arm_bend_deg", "circumduct_left",
-                     "circumduct_right", "jitter_std"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if (not isinstance(self.n_frames, (int, np.integer)) or isinstance(self.n_frames, bool)
+                or self.n_frames < 2):
+            raise ValueError("n_frames must be an integer >= 2")
+        if not (math.isfinite(self.stride_period_frames) and self.stride_period_frames > 0):
+            raise ValueError("stride_period_frames must be finite and > 0")
+        for name in _AMPLITUDES:
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 def default_params(label: GaitLabel, seed: int = 0) -> GaitParams:
     """Per-class default knobs; Normal has all abnormality amplitudes at zero."""
-    base = GaitParams(label=label, seed=seed)
-    if label is GaitLabel.PARKINSON:
-        return replace(base, forward_lean_deg=25.0, arm_bend_deg=60.0)
-    if label is GaitLabel.HEMIPLEGIA:
-        return replace(base, circumduct_right=0.35)
-    if label is GaitLabel.DIPLEGIA:
-        return replace(base, circumduct_left=0.35, circumduct_right=0.35)
-    if label is GaitLabel.CHOREIFORM:
-        return replace(base, jitter_std=0.15)
-    return base
+    return GaitParams(label=label, seed=seed, **_CLASS_AMPLITUDES[label])
+
+
+def _unit(angle: np.ndarray) -> np.ndarray:
+    """(T, 2) direction vectors (sin, cos) of per-frame angles from straight down."""
+    return np.stack([np.sin(angle), np.cos(angle)], axis=1)
 
 
 def generate(params: GaitParams, source_id: str = "") -> PoseSequence:
@@ -89,106 +100,75 @@ def generate(params: GaitParams, source_id: str = "") -> PoseSequence:
     rng = np.random.default_rng(params.seed)
     phase0 = rng.uniform(0.0, 2.0 * math.pi)
     omega = 2.0 * math.pi / params.stride_period_frames
+    ph = omega * np.arange(params.n_frames) + phase0
 
     lean = math.radians(params.forward_lean_deg)
-    neck_angle = _NECK_LEAN_FACTOR * lean
+    neck = _NECK_LEAN_FACTOR * lean
     bend = math.radians(params.arm_bend_deg)
     swing = math.radians(_SWING_DEG)
-    circ_px = {
-        +1: params.circumduct_left * TORSO_WIDTH * TORSO_PX,
-        -1: params.circumduct_right * TORSO_WIDTH * TORSO_PX,
-    }
+    xy = np.empty((params.n_frames, len(KeypointId), 2))  # column k - 1 holds joint k
+
+    hip_c = np.stack([np.full(params.n_frames, 250.0), 300.0 + 2.0 * np.sin(2.0 * ph)], axis=1)
+    shoulder_c = hip_c + TORSO_PX * np.array([math.sin(lean), -math.cos(lean)])
+    ear_c = shoulder_c + _NECK_LEN * TORSO_PX * np.array([math.sin(neck), -math.cos(neck)])
+    for left, right, center, half in (
+        (K.LEFT_EAR, K.RIGHT_EAR, ear_c, _EAR_HALF),
+        (K.LEFT_SHOULDER, K.RIGHT_SHOULDER, shoulder_c, _SHOULDER_HALF),
+        (K.LEFT_HIP, K.RIGHT_HIP, hip_c, _HIP_HALF),
+    ):
+        xy[:, left - 1] = center + [half * TORSO_PX, 0.0]
+        xy[:, right - 1] = center - [half * TORSO_PX, 0.0]
+
+    # legs: straight (knee at the midpoint), with lateral circumduction
+    # offsets applied linearly along the limb so it stays collinear
+    for side, circumduct, hip_k, knee_k, ankle_k, leg_phase in (
+        (+1, params.circumduct_left, K.LEFT_HIP, K.LEFT_KNEE, K.LEFT_ANKLE, 0.0),
+        (-1, params.circumduct_right, K.RIGHT_HIP, K.RIGHT_KNEE, K.RIGHT_ANKLE, math.pi),
+    ):
+        s = np.sin(ph + leg_phase)
+        ankle = xy[:, hip_k - 1] + _LEG_LEN * TORSO_PX * _unit(swing * s)
+        ankle[:, 0] += side * (circumduct * TORSO_WIDTH * TORSO_PX) * np.abs(s)
+        xy[:, ankle_k - 1] = ankle
+        xy[:, knee_k - 1] = (xy[:, hip_k - 1] + ankle) / 2.0
+
+    # arms: swing in phase with the opposite leg; elbow flexion bends
+    # the forearm forward (+x)
+    for shoulder_k, elbow_k, wrist_k, arm_phase in (
+        (K.LEFT_SHOULDER, K.LEFT_ELBOW, K.LEFT_WRIST, math.pi),
+        (K.RIGHT_SHOULDER, K.RIGHT_ELBOW, K.RIGHT_WRIST, 0.0),
+    ):
+        theta = swing * np.sin(ph + arm_phase)
+        xy[:, elbow_k - 1] = xy[:, shoulder_k - 1] + _ARM_SEG * TORSO_PX * _unit(theta)
+        xy[:, wrist_k - 1] = xy[:, elbow_k - 1] + _ARM_SEG * TORSO_PX * _unit(theta + bend)
+
     jitter_px = params.jitter_std * TORSO_WIDTH * TORSO_PX
-
-    frames = []
-    for t in range(params.n_frames):
-        ph = omega * t + phase0
-        hip_c = np.array([250.0, 300.0 + 2.0 * math.sin(2.0 * ph)])
-        shoulder_c = hip_c + TORSO_PX * np.array([math.sin(lean), -math.cos(lean)])
-        ear_c = shoulder_c + _NECK_LEN * TORSO_PX * np.array(
-            [math.sin(neck_angle), -math.cos(neck_angle)]
-        )
-
-        pts = {}
-        pts[K.LEFT_EAR] = ear_c + [_EAR_HALF * TORSO_PX, 0.0]
-        pts[K.RIGHT_EAR] = ear_c - [_EAR_HALF * TORSO_PX, 0.0]
-        pts[K.LEFT_SHOULDER] = shoulder_c + [_SHOULDER_HALF * TORSO_PX, 0.0]
-        pts[K.RIGHT_SHOULDER] = shoulder_c - [_SHOULDER_HALF * TORSO_PX, 0.0]
-        pts[K.LEFT_HIP] = hip_c + [_HIP_HALF * TORSO_PX, 0.0]
-        pts[K.RIGHT_HIP] = hip_c - [_HIP_HALF * TORSO_PX, 0.0]
-
-        # legs: straight (knee at the midpoint), with lateral circumduction
-        # offsets applied linearly along the limb so it stays collinear
-        for side, hip_k, knee_k, ankle_k, leg_phase in (
-            (+1, K.LEFT_HIP, K.LEFT_KNEE, K.LEFT_ANKLE, 0.0),
-            (-1, K.RIGHT_HIP, K.RIGHT_KNEE, K.RIGHT_ANKLE, math.pi),
-        ):
-            theta = swing * math.sin(ph + leg_phase)
-            lateral = side * circ_px[side] * abs(math.sin(ph + leg_phase))
-            ankle = pts[hip_k] + _LEG_LEN * TORSO_PX * np.array(
-                [math.sin(theta), math.cos(theta)]
-            ) + [lateral, 0.0]
-            pts[ankle_k] = ankle
-            pts[knee_k] = (pts[hip_k] + ankle) / 2.0
-
-        # arms: swing in phase with the opposite leg; elbow flexion bends
-        # the forearm forward (+x)
-        for shoulder_k, elbow_k, wrist_k, arm_phase in (
-            (K.LEFT_SHOULDER, K.LEFT_ELBOW, K.LEFT_WRIST, math.pi),
-            (K.RIGHT_SHOULDER, K.RIGHT_ELBOW, K.RIGHT_WRIST, 0.0),
-        ):
-            theta = swing * math.sin(ph + arm_phase)
-            elbow = pts[shoulder_k] + _ARM_SEG * TORSO_PX * np.array(
-                [math.sin(theta), math.cos(theta)]
-            )
-            wrist = elbow + _ARM_SEG * TORSO_PX * np.array(
-                [math.sin(theta + bend), math.cos(theta + bend)]
-            )
-            pts[elbow_k] = elbow
-            pts[wrist_k] = wrist
-
-        coords = np.array([pts[k] for k in KeypointId])
-        if jitter_px > 0:
-            coords = coords + rng.normal(0.0, jitter_px, size=coords.shape)
-
-        frames.append(coords)
-    return PoseSequence(
-        xy=np.stack(frames),
-        t_ms=tuple(round(t * 1000 / 30) for t in range(params.n_frames)),
-        source_id=source_id,
-    )
+    if jitter_px > 0:
+        xy += rng.normal(0.0, jitter_px, size=xy.shape)
+    return PoseSequence(xy, t_ms=tuple(round(t * 1000 / 30) for t in range(params.n_frames)),
+                        source_id=source_id)
 
 
 def _perturbed_params(label: GaitLabel, rng: np.random.Generator, n_frames: int) -> GaitParams:
     """Defaults with +/-20% variation on amplitudes (and stride period) per sequence."""
     base = default_params(label, seed=int(rng.integers(2**31)))
-    scale = lambda v: v * rng.uniform(0.8, 1.2)  # noqa: E731
-    return replace(
-        base,
-        n_frames=n_frames,
-        stride_period_frames=max(4, round(base.stride_period_frames * rng.uniform(0.8, 1.2))),
-        forward_lean_deg=scale(base.forward_lean_deg),
-        arm_bend_deg=scale(base.arm_bend_deg),
-        circumduct_left=scale(base.circumduct_left),
-        circumduct_right=scale(base.circumduct_right),
-        jitter_std=scale(base.jitter_std),
-    )
+    stride = max(4, round(base.stride_period_frames * rng.uniform(0.8, 1.2)))
+    return replace(base, n_frames=n_frames, stride_period_frames=stride,
+                   **{name: getattr(base, name) * rng.uniform(0.8, 1.2) for name in _AMPLITUDES})
 
 
 def _corpus_items(
-    counts: dict[GaitLabel, int], seed: int, n_frames: int
+    counts: dict[GaitLabel, int] | None, seed: int, n_frames: int
 ) -> list[tuple[PoseSequence, GaitLabel, GaitParams]]:
+    counts = DEFAULT_COUNTS if counts is None else counts
     for label, n in counts.items():
         if n < 1:
             raise ValueError(f"count for {label} must be >= 1")
     total = sum(counts.get(label, 0) for label in GaitLabel)
-    children = np.random.SeedSequence(seed).spawn(total)
+    children = iter(np.random.SeedSequence(seed).spawn(total))
     items = []
-    j = 0
     for label in GaitLabel:
         for i in range(counts.get(label, 0)):
-            rng = np.random.default_rng(children[j])
-            j += 1
+            rng = np.random.default_rng(next(children))
             params = _perturbed_params(label, rng, n_frames)
             source_id = f"{label.value.lower()}_{i:03d}"
             items.append((generate(params, source_id=source_id), label, params))
@@ -201,8 +181,6 @@ def generate_corpus(
     n_frames: int = 60,
 ) -> list[tuple[PoseSequence, GaitLabel]]:
     """Labeled corpus with per-sequence derived seeds and parameter variation."""
-    if counts is None:
-        counts = DEFAULT_COUNTS
     return [(seq, label) for seq, label, _ in _corpus_items(counts, seed, n_frames)]
 
 
@@ -213,8 +191,6 @@ def write_corpus(
     n_frames: int = 60,
 ) -> list[tuple[str, GaitLabel]]:
     """Emit ``<source_id>.kp.jsonl`` files plus ``manifest.csv`` into out_dir."""
-    if counts is None:
-        counts = DEFAULT_COUNTS
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -231,8 +207,9 @@ def write_corpus(
 def read_manifest(path) -> dict[str, GaitLabel]:
     """source_id -> label mapping from a corpus manifest.csv.
 
-    A missing column, a short row, an unknown label, non-UTF-8 bytes or a
-    defect the csv module finds raise ParseError naming the file and line."""
+    A missing column, a short row, a repeated source_id, an unknown label,
+    non-UTF-8 bytes or a defect the csv module finds raise ParseError naming
+    the file and line."""
     labels = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -243,6 +220,8 @@ def read_manifest(path) -> dict[str, GaitLabel]:
                 where = f"{path} line {reader.line_num}"
                 if row["source_id"] is None or row["label"] is None:
                     raise ParseError(f"{where}: row has too few cells")
+                if row["source_id"] in labels:
+                    raise ParseError(f"{where}: duplicate source_id {row['source_id']!r}")
                 try:
                     labels[row["source_id"]] = GaitLabel.from_name(row["label"])
                 except ValueError as exc:

@@ -241,7 +241,8 @@ def test_exit_code_unreadable_features_csv(pipeline_dir, tmp_path, capsys, edit)
 @pytest.mark.parametrize("manifest, message", [
     ("id,label\n{sid},Normal\n", "line 1"),
     ("source_id,label\n{sid}\n", "line 2"),
-], ids=["no-source_id-column", "short-row"])
+    ("source_id,label\n{sid},Normal\n{sid},Parkinson\n", "line 3: duplicate source_id"),
+], ids=["no-source_id-column", "short-row", "duplicate-source_id"])
 def test_exit_code_malformed_manifest(pipeline_dir, tmp_path, capsys, manifest, message):
     src = next(iter((pipeline_dir / "corpus").glob("*.kp.jsonl")))
     corpus = tmp_path / "corpus"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,14 @@ def test_params_validation():
         GaitParams(label=GaitLabel.NORMAL, n_frames=1)
     with pytest.raises(ValueError):
         GaitParams(label=GaitLabel.NORMAL, jitter_std=-0.1)
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"n_frames": 2.5}, {"n_frames": True}, {"stride_period_frames": 0},
+                {"stride_period_frames": -3}, {"stride_period_frames": nan},
+                {"stride_period_frames": inf}, {"forward_lean_deg": nan},
+                {"jitter_std": nan}, {"circumduct_left": inf}, {"arm_bend_deg": -inf}):
+        with pytest.raises(ValueError):
+            GaitParams(label=GaitLabel.NORMAL, **bad)
+    assert len(generate(GaitParams(label=GaitLabel.NORMAL, n_frames=np.int64(2)))) == 2
 
 
 def test_generate_deterministic():
@@ -144,3 +154,15 @@ def test_write_corpus_roundtrip(tmp_path):
         seq = load_keypoint_file(tmp_path / f"{source_id}.kp.jsonl")
         assert labels[source_id] is label
         assert seq == regenerated[source_id]
+
+
+def test_write_corpus_bytes_pinned(tmp_path):
+    """The generator's exact output, covering jitter and both circumduction
+    sides: any change to the written bytes has to update this digest."""
+    write_corpus(tmp_path, {label: 2 for label in GaitLabel}, seed=11, n_frames=12)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == (
+        "1dffe289d4c7863e9ec34f3b1378a76e9110dc7111279559075ec85c6e833380")
