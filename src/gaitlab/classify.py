@@ -41,6 +41,8 @@ DEFAULT_HYPERS = {
 # Smallest value of each integer hyperparameter; max_depth may also be None.
 _HYPER_MINIMUM = {"k": 1, "n_trees": 1, "min_samples_leaf": 1, "max_depth": 0,
                   "batch_size": 1, "epochs": 0}
+# How each real hyperparameter compares with 0; every one must also be finite.
+_REAL_HYPERS = {"var_floor": ">", "lr": ">", "l2": ">="}
 
 # The parameter arrays of each algorithm: name -> (dtype, one letter per axis).
 # "d" is the feature count and "c" the class count; any other letter is a size
@@ -103,7 +105,7 @@ class TrainedModel:
         classes = tuple(GaitLabel.from_name(c) for c in doc["classes"])
         if len(classes) < 2 or len(set(classes)) != len(classes):
             raise ValueError(f"model classes {doc['classes']} are not 2 or more distinct labels")
-        parameters = _parameters_from_json(algorithm, doc["parameters"], len(classes))
+        parameters = _checked_parameters(algorithm, doc["parameters"], len(classes))
         _check_hypers(algorithm, doc["hyperparameters"], len(parameters.get("X", ())))
         return cls(
             algorithm=algorithm,
@@ -114,8 +116,9 @@ class TrainedModel:
         )
 
 
-def _parameters_from_json(algorithm: str, raw: dict, n_classes: int) -> dict:
-    """Convert a document's parameter lists to arrays, checking names, types and shapes."""
+def _checked_parameters(algorithm: str, raw: dict, n_classes: int) -> dict:
+    """Arrays of a model's parameters, from a document's lists or a training
+    run's arrays; checks names, types, shapes and values, raising ValueError."""
     sizes = {"d": N_VIDEO_FEATURES, "c": n_classes}
     params = {}
     for name, (dtype, axes) in _PARAMETER_ARRAYS[algorithm].items():
@@ -218,48 +221,49 @@ def _check_hypers(algorithm: str, hyper: dict, n_train: int) -> None:
         if name not in hyper:
             raise ValueError(f"{algorithm}: missing hyperparameter {name!r}")
         value = hyper[name]
-        if name not in _HYPER_MINIMUM or (name == "max_depth" and value is None):
-            continue
-        low = _HYPER_MINIMUM[name]
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-            raise ValueError(f"{algorithm}: {name} must be an integer >= {low}, got {value!r}")
+        if name in _REAL_HYPERS:
+            op = _REAL_HYPERS[name]
+            if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
+                    or not (value > 0 or (op == ">=" and value == 0))):
+                raise ValueError(f"{algorithm}: {name} must be a finite number {op} 0, got {value!r}")
+        elif name in _HYPER_MINIMUM and not (name == "max_depth" and value is None):
+            low = _HYPER_MINIMUM[name]
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{algorithm}: {name} must be an integer >= {low}, got {value!r}")
     if algorithm == "knn" and hyper["k"] > n_train:
         raise ValueError(f"knn: k={hyper['k']} exceeds the {n_train} training rows")
-    if algorithm == "gnb":
-        floor = hyper["var_floor"]
-        if isinstance(floor, bool) or not isinstance(floor, Real) or not floor > 0:
-            raise ValueError(f"gnb: var_floor must be a number > 0, got {floor!r}")
 
 
 # --- decision tree ------------------------------------------------------------
 
 
-def _gini_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    # counts: (m, n_classes), totals: (m,)
-    p = counts / totals[:, None]
-    return 1.0 - (p**2).sum(axis=1)
+def _best_split(X, y, n_classes, features, min_leaf):
+    """(feature, threshold) of the lowest weighted Gini over the candidate
+    columns of X, or None when no split leaves min_leaf rows on each side.
 
-
-def _best_split_for_feature(x, y_onehot, min_leaf):
-    """Best (weighted_gini, threshold) for one feature, or None."""
-    n = x.shape[0]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    cum = np.cumsum(y_onehot[order], axis=0)  # (n, c) prefix class counts
-    left_n = np.arange(1, n)  # split after position i-1 -> left size i
-    valid = (xs[:-1] < xs[1:]) & (left_n >= min_leaf) & (n - left_n >= min_leaf)
-    if not valid.any():
-        return None
-    left_counts = cum[:-1][valid]
-    right_counts = cum[-1] - left_counts
-    ln = left_n[valid].astype(float)
+    Ties go to the lowest threshold, then to the lowest feature index.
+    """
+    n = len(y)
+    cols = X[:, features]
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0)  # (n, f) sorted columns
+    ys = y[order]
+    ln = np.arange(1, n, dtype=float)[:, None]  # split after position i-1 -> left size i
     rn = n - ln
-    weighted = (ln * _gini_from_counts(left_counts, ln)
-                + rn * _gini_from_counts(right_counts, rn)) / n
-    best = int(np.argmin(weighted))  # ties -> lowest threshold
-    idx = np.nonzero(valid)[0][best]
-    threshold = (xs[idx] + xs[idx + 1]) / 2.0  # midpoint thresholds
-    return float(weighted[best]), float(threshold)
+    # Squared class shares summed class by class (the same left fold as a sum
+    # over a class axis), so no (n, f, c) count array is held.
+    left_sq = right_sq = 0.0
+    for c in range(n_classes):
+        cum = np.cumsum(ys == c, axis=0)  # (n, f) prefix counts of class c
+        left_sq = left_sq + (cum[:-1] / ln) ** 2
+        right_sq = right_sq + ((cum[-1] - cum[:-1]) / rn) ** 2
+    valid = (xs[:-1] < xs[1:]) & (ln >= min_leaf) & (rn >= min_leaf)
+    weighted = np.where(valid, (ln * (1.0 - left_sq) + rn * (1.0 - right_sq)) / n, np.inf)
+    best = int(weighted.min(axis=0).argmin())
+    i = weighted[:, best].argmin()
+    if not valid[i, best]:
+        return None
+    return int(features[best]), float((xs[i, best] + xs[i + 1, best]) / 2.0)  # midpoint
 
 
 def _grow_tree(X, y, n_classes, max_depth, min_leaf, rng, max_features, nodes, depth=0) -> int:
@@ -281,16 +285,11 @@ def _grow_tree(X, y, n_classes, max_depth, min_leaf, rng, max_features, nodes, d
     else:
         features = np.arange(d)
 
-    y_onehot = np.eye(n_classes)[y]
-    best = None  # (gini, feature, threshold); ties -> lowest feature index
-    for f in features:
-        found = _best_split_for_feature(X[:, f], y_onehot, min_leaf)
-        if found is not None and (best is None or found[0] < best[0]):
-            best = (found[0], int(f), found[1])
+    best = _best_split(X, y, n_classes, features, min_leaf)
     if best is None:
         return index
 
-    _, f, t = best
+    f, t = best
     mask = X[:, f] <= t
     left = _grow_tree(X[mask], y[mask], n_classes, max_depth, min_leaf,
                       rng, max_features, nodes, depth + 1)
@@ -409,6 +408,10 @@ def train(algorithm: str, items, hyper: dict | None = None, seed: int = 0) -> Tr
     else:  # logreg
         params = _train_logreg(X, y, n_classes, merged, seed)
 
+    try:  # the check a loaded model passes, so train and load agree
+        params = _checked_parameters(algorithm, params, n_classes)
+    except ValueError as exc:
+        raise ValueError(f"{algorithm} with {merged} gave an invalid model: {exc}") from None
     return TrainedModel(
         algorithm=algorithm,
         parameters=params,

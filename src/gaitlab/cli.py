@@ -48,16 +48,24 @@ def cmd_extract(args) -> int:
     in_path = Path(args.in_path)
     files = _keypoint_files(in_path)
     manifest = in_path / "manifest.csv" if in_path.is_dir() else None
-    labels = synth.read_manifest(manifest) if manifest and manifest.exists() else {}
+    labels = synth.read_manifest(manifest) if manifest and manifest.exists() else None
     rows = []
     for path in files:
         seq = ingest.load_keypoint_file(path)
         seq, report = ingest.filter_valid(seq, args.min_conf, args.min_frames)
         vf = featurize_sequence(seq, norm_scope=args.norm_scope, std_mode=args.std)
-        rows.append((vf, labels.get(seq.source_id)))
+        rows.append((vf, None if labels is None else labels.get(seq.source_id)))
         if report.dropped_frames:
             print(f"{seq.source_id}: dropped {report.dropped_frames}/"
                   f"{report.total_frames} frames", file=sys.stderr)
+    if labels is not None:  # a manifest and the files should name the same videos
+        found = {vf.source_id for vf, _ in rows}
+        for source_id in labels:
+            if source_id not in found:
+                print(f"{source_id}: in manifest.csv but has no keypoint file", file=sys.stderr)
+        for vf, label in rows:
+            if label is None:
+                print(f"{vf.source_id}: no manifest.csv row, written unlabeled", file=sys.stderr)
     write_features_csv(rows, args.out)
     print(f"wrote {len(rows)} video feature rows to {args.out}")
     return EXIT_OK

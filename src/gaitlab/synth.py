@@ -190,14 +190,18 @@ def write_corpus(
     seed: int = 0,
     n_frames: int = 60,
 ) -> list[tuple[str, GaitLabel]]:
-    """Emit ``<source_id>.kp.jsonl`` files plus ``manifest.csv`` into out_dir."""
+    """Emit ``<source_id>.kp.jsonl`` files plus ``manifest.csv`` into out_dir.
+
+    The sequences are built first, so refused counts or frame counts leave
+    out_dir as it was."""
+    items = _corpus_items(counts, seed, n_frames)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     with open(out_dir / "manifest.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source_id", "label", "seed"])
-        for seq, label, params in _corpus_items(counts, seed, n_frames):
+        for seq, label, params in items:
             save_keypoint_file(seq, out_dir / f"{seq.source_id}.kp.jsonl")
             writer.writerow([seq.source_id, label.value, params.seed])
             written.append((seq.source_id, label))

@@ -93,6 +93,40 @@ def tree_leaf_oracle(params, root, x):
     return [float(p) for p in params["probs"][node]]
 
 
+def best_split_oracle(X, y, n_classes, features, min_leaf):
+    """(feature, threshold, weighted Gini) of the best split of rows X (n, d)
+    with class indices y over the columns ``features``, scanned in plain
+    Python; None when no split leaves min_leaf rows on each side.
+
+    A split puts the rows with x[f] <= threshold on the left, at the midpoint
+    of two adjacent distinct values. The Gini arithmetic is the production
+    one (squared class shares summed class by class from 0.0), so the weighted
+    Gini values agree bit for bit. Scanning features in order and thresholds
+    upward, keeping only a strictly lower value, gives the tie rules: the
+    lowest feature index, then the lowest threshold.
+    """
+    n = len(y)
+    best = None
+    for f in features:
+        values = sorted({float(row[f]) for row in X})
+        for low, high in zip(values, values[1:]):
+            left = [int(c) for row, c in zip(X, y) if float(row[f]) <= low]
+            right = [int(c) for row, c in zip(X, y) if float(row[f]) > low]
+            if len(left) < min_leaf or len(right) < min_leaf:
+                continue
+            impurity = []
+            for side in (left, right):
+                sum_sq = 0.0
+                for c in range(n_classes):
+                    share = side.count(c) / float(len(side))
+                    sum_sq += share * share
+                impurity.append(1.0 - sum_sq)
+            weighted = (len(left) * impurity[0] + len(right) * impurity[1]) / n
+            if best is None or weighted < best[2]:
+                best = (int(f), (low + high) / 2.0, weighted)
+    return best
+
+
 def forest_vote_oracle(model, x):
     """Per-class count of the forest's trees whose leaf class (first argmax) it is."""
     votes = [0] * len(model.class_set)

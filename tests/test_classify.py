@@ -1,11 +1,13 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from gaitlab import classify
 from gaitlab.classify import (
     ALGORITHMS,
     DEFAULT_HYPERS,
@@ -18,11 +20,14 @@ from gaitlab.classify import (
     scores,
     train,
 )
+from gaitlab.cli import main
 from gaitlab.errors import InsufficientData, SchemaMismatch
 from gaitlab.pose import GaitLabel
-from gaitlab.video_features import schema_fingerprint
+from gaitlab.synth import write_corpus
+from gaitlab.video_features import read_features_csv, schema_fingerprint
 
 from helpers import (
+    best_split_oracle,
     forest_vote_oracle,
     knn_brute_force_oracle,
     make_separable_items,
@@ -151,6 +156,49 @@ def test_tree_sends_a_value_equal_to_the_threshold_left():
     assert tree_leaf_oracle(model.parameters, 0, X[0]) == [1.0, 0.0]
 
 
+@st.composite
+def split_cases(draw):
+    """(X, y, n_classes, features, min_leaf) with values 0-3 in X, so equal
+    values and equal Gini across features and thresholds are common."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 5))
+    n_classes = draw(st.integers(2, 5))
+    row = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    X = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=float)
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    features = np.array(sorted(draw(st.sets(st.integers(0, d - 1), min_size=1))))
+    return X, y, n_classes, features, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=split_cases())
+def test_best_split_matches_the_oracle(case):
+    expected = best_split_oracle(*case)
+    assert classify._best_split(*case) == (None if expected is None else expected[:2])
+
+
+def test_split_cases_have_gini_ties_across_features():
+    """The cases above include ones whose best Gini two or more features
+    reach, so the feature tie rule is exercised, and ones with no valid split."""
+    seen = set()
+
+    @seed(0)
+    @settings(max_examples=200, database=None, deadline=None)
+    @given(case=split_cases())
+    def record(case):
+        X, y, n_classes, features, min_leaf = case
+        best = best_split_oracle(*case)
+        if best is None:
+            seen.add("no split")
+            return
+        per_feature = [best_split_oracle(X, y, n_classes, [f], min_leaf) for f in features]
+        if sum(b is not None and b[2] == best[2] for b in per_feature) >= 2:
+            seen.add("tie across features")
+
+    record()
+    assert seen == {"no split", "tie across features"}
+
+
 def test_gnb_scores_normalize_and_stay_finite():
     rng = np.random.default_rng(7)
     items = random_items(rng, n=30, n_classes=3)
@@ -221,6 +269,36 @@ def test_training_is_deterministic(algorithm):
     a = train(algorithm, items, hyper=hyper, seed=5).to_json()
     b = train(algorithm, items, hyper=hyper, seed=5).to_json()
     assert a == b
+
+
+@pytest.fixture(scope="module")
+def corpus_items(tmp_path_factory):
+    """Labeled features of a small synthetic corpus, 12 videos of each class."""
+    work = tmp_path_factory.mktemp("corpus")
+    write_corpus(work / "corpus", {label: 12 for label in GaitLabel}, seed=5, n_frames=20)
+    assert main(["extract", "--in", str(work / "corpus"), "--out", str(work / "f.csv")]) == 0
+    return read_features_csv(work / "f.csv")
+
+
+@pytest.mark.parametrize("algorithm, hyper, digest", [
+    ("tree", None, "22a5c61506e4294bd0402a0bf6c368fc4a15369c66ad352d25d12eed22b96719"),
+    ("tree", {"max_depth": None},
+     "60eda836a1038d4931c1307416e32a394d787ba0a8314b024d7252352a9fcd02"),
+    ("tree", {"min_samples_leaf": 1},
+     "26796b4282025cdd259df7efea645cfbfec09cbde8f95849ed8148cd63582147"),
+    ("forest", None, "1d6facc0c9b6bfacb81ee6ea6dfded53daa07312fd6251ce0f8155c636642ecf"),
+    ("forest", {"max_depth": None},
+     "3be14b8f7b3d9b61f02d888b78db55beca3ede09715803ac997f6b4292bdf75b"),
+    ("forest", {"min_samples_leaf": 1},
+     "6206795e3a8e65e39047fae6ad25243abf207e53e929fdf7ea1dc3fc2bd17006"),
+    ("forest", {"n_trees": 1},
+     "21dbfc3853b4408cb98a3a11016045332e7de3fefa7efbb8c72b8008bd115476"),
+])
+def test_tree_and_forest_model_bytes_pinned(corpus_items, algorithm, hyper, digest):
+    """Tree growth's exact output: a change to its splits, tie rules or random
+    draws that moves a model's bytes has to update these digests."""
+    model = train(algorithm, corpus_items, hyper=hyper, seed=0)
+    assert hashlib.sha256(model.to_json().encode()).hexdigest() == digest
 
 
 def test_model_json_roundtrip(tmp_path):
@@ -318,11 +396,18 @@ def test_from_json_refuses_malformed_models(models, algorithm, edit, message):
     ("logreg", {"epochs": -1}),
     ("gnb", {"var_floor": 0.0}),
     ("knn", {"n_neighbors": 1}),
+    ("logreg", {"lr": 0.0}),
+    ("logreg", {"lr": float("nan")}),
+    ("logreg", {"lr": "x"}),
+    ("logreg", {"l2": float("inf")}),
+    ("logreg", {"l2": -1e-4}),
+    ("logreg", {"lr": 1e6}),  # diverges: the trained weights are not finite
 ])
 def test_train_refuses_bad_hyperparameters(algorithm, hyper):
     items = random_items(np.random.default_rng(15), n=24, n_classes=3)
-    with pytest.raises(ValueError):
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=algorithm) as info:
         train(algorithm, items, hyper=hyper)
+    assert all(name in str(info.value) for name in hyper)
 
 
 def test_knn_k_is_bounded_by_the_training_set():

@@ -48,6 +48,45 @@ def test_extract_single_file(pipeline_dir, tmp_path):
     assert rows[1][1] == ""  # no manifest, so no label
 
 
+def test_refused_synth_leaves_the_output_directory_alone(tmp_path):
+    out = tmp_path / "m"
+    assert main(["synth", "--out", str(out), "--counts", "Normal=5,Parkinson=5"]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main(["synth", "--out", str(out), "--frames", "1"]) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert main(["synth", "--out", str(tmp_path / "new"), "--frames", "1"]) == 2
+    assert not (tmp_path / "new").exists()
+
+
+def test_extract_names_manifest_and_file_disagreements(pipeline_dir, tmp_path, capsys):
+    """A manifest row without a file and a file without a manifest row each get
+    one stderr line; the exit code and the CSV stay as they were."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for path in (pipeline_dir / "corpus").iterdir():
+        if path.name != "normal_000.kp.jsonl":
+            (corpus / path.name).write_bytes(path.read_bytes())
+    (corpus / "stray_000.kp.jsonl").write_bytes((corpus / "normal_001.kp.jsonl").read_bytes())
+    with open(corpus / "manifest.csv", "a", newline="") as fh:
+        fh.write("ghost_001,Normal,0\r\n")
+    capsys.readouterr()
+    assert main(["extract", "--in", str(corpus), "--out", str(tmp_path / "o.csv")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "normal_000: in manifest.csv but has no keypoint file",
+        "ghost_001: in manifest.csv but has no keypoint file",
+        "stray_000: no manifest.csv row, written unlabeled",
+    ]
+    lines = (pipeline_dir / "features.csv").read_text().splitlines(keepends=True)
+    stray = next(line for line in lines if line.startswith("normal_001,"))
+    expected = [line for line in lines if not line.startswith("normal_000,")]
+    expected.append(stray.replace("normal_001,Normal,", "stray_000,,", 1))
+    assert (tmp_path / "o.csv").read_text() == "".join(expected)
+    # a corpus that agrees with its manifest gets no such line
+    assert main(["extract", "--in", str(pipeline_dir / "corpus"),
+                 "--out", str(tmp_path / "p.csv")]) == 0
+    assert "manifest.csv" not in capsys.readouterr().err
+
+
 def test_eval_writes_report(pipeline_dir, tmp_path):
     report = tmp_path / "report.json"
     rc = main(["eval", "--features", str(pipeline_dir / "features.csv"),
