@@ -16,6 +16,7 @@ from .frame_features import (
     point_line_distance,
 )
 from .video_features import (
+    FeatureTable,
     VideoFeatures,
     aggregate,
     featurize_sequence,
@@ -27,21 +28,19 @@ from .synth import GaitParams, default_params, generate, generate_corpus, write_
 from .classify import (
     ALGORITHMS,
     TrainedModel,
-    feature_matrix,
     load_model,
     predict,
-    predict_many,
     save_model,
     scores,
     train,
 )
 from .evaluate import (
     EvalReport,
-    LabeledDataset,
     best_report,
     cross_validate,
     run_task,
     stratified_split,
+    task_rows,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InsufficientData, SchemaMismatch
 from .pose import GaitLabel
-from .video_features import N_VIDEO_FEATURES, VideoFeatures
+from .video_features import N_VIDEO_FEATURES, FeatureTable, VideoFeatures
 
 ALGORITHMS = ("knn", "tree", "forest", "gnb", "logreg")
 
@@ -191,24 +191,21 @@ def _standardize(X: np.ndarray, p: dict) -> np.ndarray:
 # --- dataset plumbing ---------------------------------------------------------
 
 
-def _dataset_arrays(items):
-    """items: list of (VideoFeatures, GaitLabel) -> (X, y, classes, fingerprint)."""
-    if not items:
+def _class_indices(labels):
+    """labels -> (y, classes): the classes present in GaitLabel order, and
+    each label's index among them."""
+    if not len(labels):
         raise InsufficientData("empty training set")
-    fingerprints = {vf.schema_fingerprint for vf, _ in items}
-    if len(fingerprints) != 1:
-        raise SchemaMismatch(next(iter(fingerprints)), sorted(fingerprints))
-    present = {label for _, label in items}
+    present = set(labels)
     classes = tuple(label for label in GaitLabel if label in present)
     if len(classes) < 2:
         raise InsufficientData(f"need at least 2 classes, got {len(classes)}")
-    y = np.array([classes.index(label) for _, label in items])
+    y = np.array([classes.index(label) for label in labels])
     counts = np.bincount(y, minlength=len(classes))
     if counts.min() < 2:
         small = classes[int(counts.argmin())]
         raise InsufficientData(f"class {small.value} has fewer than 2 examples")
-    X = np.stack([vf.vector() for vf, _ in items])
-    return X, y, classes, next(iter(fingerprints))
+    return y, classes
 
 
 def _check_hypers(algorithm: str, hyper: dict, n_train: int) -> None:
@@ -369,11 +366,13 @@ def _train_logreg(X, y, n_classes, hyper, seed):
 # --- training -----------------------------------------------------------------
 
 
-def train(algorithm: str, items, hyper: dict | None = None, seed: int = 0) -> TrainedModel:
-    """Fit one of the five algorithms on (VideoFeatures, GaitLabel) pairs."""
+def train(algorithm: str, table: FeatureTable, hyper: dict | None = None,
+          seed: int = 0) -> TrainedModel:
+    """Fit one of the five algorithms on the rows of a labeled feature table."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    X, y, classes, fingerprint = _dataset_arrays(items)
+    X = table.X
+    y, classes = _class_indices(table.labels)
     merged = dict(DEFAULT_HYPERS[algorithm])
     if hyper:
         merged.update(hyper)
@@ -416,7 +415,7 @@ def train(algorithm: str, items, hyper: dict | None = None, seed: int = 0) -> Tr
         algorithm=algorithm,
         parameters=params,
         class_set=classes,
-        schema_fingerprint=fingerprint,
+        schema_fingerprint=table.fingerprint,
         hyperparameters=merged,
     )
 
@@ -424,11 +423,17 @@ def train(algorithm: str, items, hyper: dict | None = None, seed: int = 0) -> Tr
 # --- prediction ---------------------------------------------------------------
 
 
-def scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    """(n, n_classes) class scores of the rows of X (n, 226); each row sums to 1."""
+def scores(model: TrainedModel, X: np.ndarray, fingerprint: str) -> np.ndarray:
+    """(n, n_classes) class scores of the rows of X (n, 226); each row sums to 1.
+
+    ``fingerprint`` is the feature schema of X's rows; a model refuses another."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != N_VIDEO_FEATURES:
         raise ValueError(f"expected an (n, {N_VIDEO_FEATURES}) feature matrix, got {X.shape}")
+    if len(X) and fingerprint != model.schema_fingerprint:  # an empty X fits any schema
+        raise SchemaMismatch(model.schema_fingerprint, fingerprint)
+    if not np.isfinite(X).all():
+        raise ValueError("the feature matrix holds non-finite values")
     p = model.parameters
     n_classes = len(model.class_set)
     if model.algorithm == "knn":
@@ -459,21 +464,8 @@ def scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     return softmax(logits + p["b"])
 
 
-def feature_matrix(model: TrainedModel, features_list) -> np.ndarray:
-    """(n, 226) vectors of the videos; refuses a video with another feature schema."""
-    for features in features_list:
-        if features.schema_fingerprint != model.schema_fingerprint:
-            raise SchemaMismatch(model.schema_fingerprint, features.schema_fingerprint)
-    return np.array([vf.vector() for vf in features_list]).reshape(-1, N_VIDEO_FEATURES)
-
-
 def predict(model: TrainedModel, features: VideoFeatures):
-    """(label, per-class score dict); label is the argmax with class-order ties."""
-    row = scores(model, feature_matrix(model, [features]))[0]
+    """(label, per-class score dict) of one video; label is the argmax with class-order ties."""
+    row = scores(model, features.vector()[None, :], features.schema_fingerprint)[0]
     label = model.class_set[int(np.argmax(row))]
     return label, {c: float(s) for c, s in zip(model.class_set, row)}
-
-
-def predict_many(model: TrainedModel, features_list) -> list[GaitLabel]:
-    best = scores(model, feature_matrix(model, features_list)).argmax(axis=1)
-    return [model.class_set[i] for i in best]

@@ -14,8 +14,8 @@ from pathlib import Path
 from . import classify, evaluate, ingest, synth
 from .errors import InsufficientDataError, ParseError, SchemaMismatch
 from .pose import GaitLabel
-from .video_features import (featurize_sequence, read_features_csv, schema_config,
-                             write_features_csv)
+from .video_features import (FeatureTable, featurize_sequence, read_features_csv,
+                             schema_config, write_features_csv)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -66,7 +66,7 @@ def cmd_extract(args) -> int:
         for vf, label in rows:
             if label is None:
                 print(f"{vf.source_id}: no manifest.csv row, written unlabeled", file=sys.stderr)
-    write_features_csv(rows, args.out)
+    write_features_csv(FeatureTable.from_rows(rows), args.out)
     print(f"wrote {len(rows)} video feature rows to {args.out}")
     return EXIT_OK
 
@@ -79,41 +79,44 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _labeled_rows(args):
-    rows = read_features_csv(args.features)
-    labeled = [(vf, label) for vf, label in rows if label is not None]
-    if not labeled:
+def _labeled_rows(args) -> FeatureTable:
+    table = FeatureTable.from_rows([(vf, label) for vf, label in read_features_csv(args.features)
+                                    if label is not None])
+    if not len(table):
         raise ParseError(f"no labeled rows in {args.features}")
     seen = set()
-    for vf, _ in labeled:
-        if vf.source_id in seen:
-            raise ParseError(f"duplicate source_id {vf.source_id!r} in {args.features}")
-        seen.add(vf.source_id)
-    return labeled
+    for source_id in table.source_ids:
+        if source_id in seen:
+            raise ParseError(f"duplicate source_id {source_id!r} in {args.features}")
+        seen.add(source_id)
+    return table
 
 
 def cmd_train(args) -> int:
-    items = evaluate.task_items(args.task, _labeled_rows(args))
-    model = classify.train(args.algo, items, seed=args.seed)
+    table = _labeled_rows(args)
+    table = table[evaluate.task_rows(args.task, table.labels)]
+    model = classify.train(args.algo, table, seed=args.seed)
     classify.save_model(model, args.out)
-    print(f"trained {args.algo} on {len(items)} videos -> {args.out}")
+    print(f"trained {args.algo} on {len(table)} videos -> {args.out}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    items = _labeled_rows(args)
-    dataset = evaluate.stratified_split(items, seed=args.seed)
+    table = _labeled_rows(args)
+    train_rows = evaluate.stratified_split(table.labels, seed=args.seed)
     algorithms = list(classify.ALGORITHMS) if args.algos == "all" else args.algos.split(",")
-    for a in algorithms:
+    for i, a in enumerate(algorithms):
         if a not in classify.ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")
-    reports, errors = evaluate.run_task(args.task, algorithms, dataset,
+        if a in algorithms[:i]:
+            raise ValueError(f"algorithm {a!r} is listed twice")
+    reports, errors = evaluate.run_task(args.task, algorithms, table, train_rows,
                                         folds=args.folds, seed=args.seed)
     for algorithm, exc in errors.items():
         print(f"{algorithm}: {exc}", file=sys.stderr)
     if not reports:
         raise next(iter(errors.values()))
-    norm_scope, std = schema_config(items[0][0].schema_fingerprint)
+    norm_scope, std = schema_config(table.fingerprint)
     extra = {
         "task": args.task,
         "folds": args.folds,
@@ -129,17 +132,16 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = classify.load_model(args.model)
-    rows = read_features_csv(args.features)
-    videos = [vf for vf, _ in rows]
-    scores = classify.scores(model, classify.feature_matrix(model, videos))
+    table = FeatureTable.from_rows(read_features_csv(args.features))
+    scores = classify.scores(model, table.X, table.fingerprint)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source_id", "predicted"]
                         + [f"score_{c.value}" for c in model.class_set])
-        for vf, row in zip(videos, scores):
+        for source_id, row in zip(table.source_ids, scores):
             label = model.class_set[int(row.argmax())]
-            writer.writerow([vf.source_id, label.value] + [repr(float(s)) for s in row])
-    print(f"wrote {len(rows)} predictions to {args.out}")
+            writer.writerow([source_id, label.value] + [repr(float(s)) for s in row])
+    print(f"wrote {len(table)} predictions to {args.out}")
     return EXIT_OK
 
 

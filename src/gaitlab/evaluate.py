@@ -18,23 +18,9 @@ import numpy as np
 from . import classify
 from .errors import ClassTooSmall, TooManyFolds
 from .pose import GaitLabel
-from .video_features import VideoFeatures
+from .video_features import FeatureTable
 
 DEFAULT_FOLDS = 5
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Labeled video features with a train/test partition by position."""
-
-    items: tuple  # of (VideoFeatures, GaitLabel)
-    split: tuple  # "train" | "test" for each item, in item order
-
-    def train_items(self):
-        return [item for item, part in zip(self.items, self.split) if part == "train"]
-
-    def test_items(self):
-        return [item for item, part in zip(self.items, self.split) if part == "test"]
 
 
 @dataclass(frozen=True)
@@ -75,16 +61,15 @@ def _class_ranks(labels, seed: int):
     return rank, size
 
 
-def stratified_split(items, seed: int = 0) -> LabeledDataset:
-    """Per-class seeded shuffle, then floor(3n/4) items to train, rest to test."""
-    items = tuple(items)
-    labels = [label for _, label in items]
+def stratified_split(labels, seed: int = 0) -> np.ndarray:
+    """Boolean training mask: a per-class seeded shuffle, then floor(3n/4) of
+    each class to train and the rest to test."""
+    labels = list(labels)
     for label in GaitLabel:
         if 0 < labels.count(label) < 4:
             raise ClassTooSmall(label.value, labels.count(label))
     rank, size = _class_ranks(labels, seed)
-    split = tuple("train" if r < (3 * n) // 4 else "test" for r, n in zip(rank, size))
-    return LabeledDataset(items=items, split=split)
+    return rank < (3 * size) // 4
 
 
 def _stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
@@ -95,73 +80,67 @@ def _stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     return rank % folds
 
 
-def _accuracy(model, items) -> float:
-    predicted = classify.predict_many(model, [vf for vf, _ in items])
-    return sum(p == t for p, (_, t) in zip(predicted, items)) / len(items)
+def confusion_matrix(model, table: FeatureTable) -> tuple:
+    """Counts of (true, predicted) class pairs over the table's rows; rows and
+    columns follow the model's class_set."""
+    true = np.array([model.class_set.index(label) for label in table.labels], dtype=int)
+    predicted = classify.scores(model, table.X, table.fingerprint).argmax(axis=1)
+    matrix = np.zeros((len(model.class_set),) * 2, dtype=int)
+    np.add.at(matrix, (true, predicted), 1)
+    return tuple(tuple(int(v) for v in row) for row in matrix)
 
 
 def cross_validate(
     algorithm: str,
-    train_items,
+    table: FeatureTable,
     folds: int = DEFAULT_FOLDS,
     seed: int = 0,
 ) -> float:
-    """Mean of per-fold accuracies over a stratified k-fold of the training part."""
+    """Mean of per-fold accuracies over a stratified k-fold of the table's rows."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    labels = [label for _, label in train_items]
-    assignment = _stratified_folds(labels, folds, seed)
+    assignment = _stratified_folds(table.labels, folds, seed)
     accuracies = []
     for f in range(folds):
-        fit = [item for item, a in zip(train_items, assignment) if a != f]
-        held = [item for item, a in zip(train_items, assignment) if a == f]
-        model = classify.train(algorithm, fit, seed=seed)
-        accuracies.append(_accuracy(model, held))
+        model = classify.train(algorithm, table[assignment != f], seed=seed)
+        held = table[assignment == f]
+        accuracies.append(int(np.trace(confusion_matrix(model, held))) / len(held))
     return float(np.mean(accuracies))
 
 
-def confusion_matrix(model, items, classes) -> tuple:
-    matrix = np.zeros((len(classes), len(classes)), dtype=int)
-    predicted = classify.predict_many(model, [vf for vf, _ in items])
-    for (_, true_label), label in zip(items, predicted):
-        matrix[classes.index(true_label), classes.index(label)] += 1
-    return tuple(tuple(int(v) for v in row) for row in matrix)
-
-
-def task_items(task: str, items):
-    """Filter items for a task: 'multi' keeps all, 'binary:<Label>' keeps
-    the concerned abnormality plus Normal."""
+def task_rows(task: str, labels) -> np.ndarray:
+    """Row mask of a task: 'multi' keeps every row, 'binary:<Label>' the rows
+    of the concerned abnormality and of Normal."""
     if task == "multi":
-        return list(items)
+        return np.ones(len(labels), dtype=bool)
     if task.startswith("binary:"):
-        concerned = GaitLabel.from_name(task.split(":", 1)[1])
-        keep = {concerned, GaitLabel.NORMAL}
-        return [(vf, label) for vf, label in items if label in keep]
+        keep = {GaitLabel.from_name(task.split(":", 1)[1]), GaitLabel.NORMAL}
+        return np.array([label in keep for label in labels], dtype=bool)
     raise ValueError(f"unknown task {task!r}")
 
 
 def run_task(
     task: str,
     algorithms,
-    dataset: LabeledDataset,
+    table: FeatureTable,
+    train_rows: np.ndarray,
     folds: int = DEFAULT_FOLDS,
     seed: int = 0,
 ):
-    """One EvalReport per algorithm; failures are collected, not fatal.
+    """One EvalReport per algorithm, fit on the task's rows of ``train_rows``
+    (a boolean mask) and tested on its other rows; failures are collected, not fatal.
 
     Returns (reports, errors) where errors maps algorithm -> exception.
     """
-    train_items = task_items(task, dataset.train_items())
-    test_items = task_items(task, dataset.test_items())
-    present = {label for _, label in train_items}
-    classes = tuple(label for label in GaitLabel if label in present)
+    rows = task_rows(task, table.labels)
+    train, test = table[rows & train_rows], table[rows & ~train_rows]
     reports, errors = [], {}
     for algorithm in algorithms:
         try:
-            cv = cross_validate(algorithm, train_items, folds=folds, seed=seed)
-            model = classify.train(algorithm, train_items, seed=seed)
-            confusion = confusion_matrix(model, test_items, classes)
-            test_acc = np.trace(np.asarray(confusion)) / len(test_items)
+            cv = cross_validate(algorithm, train, folds=folds, seed=seed)
+            model = classify.train(algorithm, train, seed=seed)
+            confusion = confusion_matrix(model, test)
+            test_acc = np.trace(np.asarray(confusion)) / len(test)
             reports.append(
                 EvalReport(
                     task=task,
@@ -169,7 +148,7 @@ def run_task(
                     cv_accuracy=cv,
                     test_accuracy=float(test_acc),
                     confusion=confusion,
-                    classes=classes,
+                    classes=model.class_set,
                     fold_count=folds,
                     seed=seed,
                 )

@@ -239,15 +239,3 @@ def extract_frame_features(xy) -> np.ndarray:
     features, _ = extract_sequence(PoseSequence(np.asarray(xy, dtype=float)[None]),
                                    skip_degenerate=False)
     return features[0]
-
-
-def write_frame_features_csv(frame_index, features, path) -> None:
-    """Per-frame dump of (n, 113) features with their frame indices: header
-    ``frame,ls1..ls4,hl1,hl2,us,bs,cd1..cd14,md1..md91``."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("frame",) + FEATURE_NAMES)
-        for idx, row in zip(frame_index, np.asarray(features).tolist()):
-            writer.writerow([int(idx)] + [repr(v) for v in row])

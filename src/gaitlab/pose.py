@@ -38,14 +38,8 @@ class KeypointId(enum.IntEnum):
         """CamelCase name used in the .kp.jsonl interchange format."""
         return "".join(part.capitalize() for part in self.name.split("_"))
 
-    @classmethod
-    def from_json_name(cls, name: str) -> Optional["KeypointId"]:
-        return _JSON_NAME_TO_ID.get(name)
-
 
 KEYPOINT_ORDER = tuple(KeypointId)  # index order 1..14
-
-_JSON_NAME_TO_ID = {k.json_name: k for k in KeypointId}
 
 
 class GaitLabel(enum.Enum):
@@ -63,9 +57,6 @@ class GaitLabel(enum.Enum):
             if label.value.lower() == name.strip().lower():
                 return label
         raise ValueError(f"unknown gait label {name!r}")
-
-
-LABEL_ORDER = tuple(GaitLabel)
 
 
 @dataclass(frozen=True, eq=False)

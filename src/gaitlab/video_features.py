@@ -72,13 +72,50 @@ def aggregate(
         raise TooFewFrames(len(features))
     matrix = np.asarray(features, dtype=float)
     ddof = 0 if std_mode == "population" else 1
+    mean, std = matrix.mean(axis=0), matrix.std(axis=0, ddof=ddof)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise ParseError(f"{source_id!r} has non-finite video features; "
+                         "are its coordinates too large?")
     return VideoFeatures(
-        mean=matrix.mean(axis=0),
-        std=matrix.std(axis=0, ddof=ddof),
+        mean=mean,
+        std=std,
         n_frames_used=len(features),
         source_id=source_id,
         schema_fingerprint=schema_fingerprint(norm_scope, std_mode),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """Videos as rows of one matrix: ``X`` (n, 226) holds each video's
+    [113 means, 113 stds], ``labels`` (n,) its GaitLabel or None, and every
+    row shares the feature schema ``fingerprint``."""
+
+    source_ids: tuple
+    X: np.ndarray
+    labels: np.ndarray  # of objects
+    fingerprint: Optional[str]  # None only for a table of no rows
+
+    @classmethod
+    def from_rows(cls, rows) -> "FeatureTable":
+        """The table of (VideoFeatures, label) rows; refuses rows of mixed schemas."""
+        fingerprint = rows[0][0].schema_fingerprint if rows else None
+        for vf, _ in rows:
+            if vf.schema_fingerprint != fingerprint:
+                raise SchemaMismatch(fingerprint, vf.schema_fingerprint)
+        X = np.fromiter((vf.vector() for vf, _ in rows), dtype=(float, N_VIDEO_FEATURES),
+                        count=len(rows))
+        labels = np.array([label for _, label in rows], dtype=object)
+        return cls(tuple(vf.source_id for vf, _ in rows), X, labels, fingerprint)
+
+    def __len__(self) -> int:
+        return len(self.source_ids)
+
+    def __getitem__(self, rows) -> "FeatureTable":
+        """The rows a boolean mask or an index array selects, as a new table."""
+        rows = np.arange(len(self))[rows]
+        return FeatureTable(tuple(self.source_ids[i] for i in rows), self.X[rows],
+                            self.labels[rows], self.fingerprint)
 
 
 def featurize_sequence(
@@ -100,23 +137,16 @@ _CSV_HEADER = (
 )
 
 
-def write_features_csv(rows: list[tuple[VideoFeatures, Optional[GaitLabel]]], path) -> None:
-    """Write one row per video; the header's last cell names the rows' shared fingerprint."""
-    if not rows:
+def write_features_csv(table: FeatureTable, path) -> None:
+    """Write one row per video; the header's last cell names the table's fingerprint."""
+    if not len(table):
         raise ValueError("no feature rows to write")
-    fingerprint = rows[0][0].schema_fingerprint
-    for vf, _ in rows:
-        if vf.schema_fingerprint != fingerprint:
-            raise SchemaMismatch(fingerprint, vf.schema_fingerprint)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER + [f"schema={fingerprint}"])
-        for vf, label in rows:
-            writer.writerow(
-                [vf.source_id, label.value if label is not None else ""]
-                + [repr(float(v)) for v in vf.mean]
-                + [repr(float(v)) for v in vf.std]
-            )
+        writer.writerow(_CSV_HEADER + [f"schema={table.fingerprint}"])
+        for source_id, label, x in zip(table.source_ids, table.labels, table.X):
+            writer.writerow([source_id, label.value if label is not None else ""]
+                            + [repr(v) for v in x.tolist()])
 
 
 def read_features_csv(path) -> list[tuple[VideoFeatures, Optional[GaitLabel]]]:

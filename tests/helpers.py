@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from gaitlab.pose import GaitLabel, PoseSequence
-from gaitlab.video_features import VideoFeatures, schema_fingerprint
+from gaitlab.classify import scores
+from gaitlab.video_features import FeatureTable, VideoFeatures, schema_fingerprint
 
 # vector layout of the 113-dim frame features
 LS = slice(0, 4)
@@ -37,6 +38,12 @@ def vf_from_vector(vec, source_id="v", fingerprint=None):
         source_id=source_id,
         schema_fingerprint=fingerprint or schema_fingerprint(),
     )
+
+
+def predicted_labels(model, videos):
+    """The labels a model predicts for a list of VideoFeatures, scored as one matrix."""
+    table = FeatureTable.from_rows([(vf, None) for vf in videos])
+    return [model.class_set[i] for i in scores(model, table.X, table.fingerprint).argmax(axis=1)]
 
 
 # --- slope-intercept oracles (independent of the cross-product code path) ----

@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import json
 import math
+from dataclasses import replace
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from gaitlab import classify, evaluate
 from gaitlab import frame_features as ffmod
 from gaitlab.pose import GaitLabel, KeypointId
 from gaitlab.synth import default_params, generate, generate_corpus
-from gaitlab.video_features import aggregate, featurize_sequence
+from gaitlab.video_features import FeatureTable, aggregate, featurize_sequence
 
 from helpers import (
     BS,
@@ -45,9 +46,9 @@ def _report(criterion, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def corpus_items():
+def corpus_table():
     corpus = generate_corpus(seed=CORPUS_SEED)
-    return [(featurize_sequence(seq), label) for seq, label in corpus]
+    return FeatureTable.from_rows([(featurize_sequence(seq), label) for seq, label in corpus])
 
 
 def test_criterion_1_dimension_fidelity():
@@ -140,16 +141,12 @@ def test_criterion_4_split_fidelity():
         GaitLabel.NORMAL: 31,
         GaitLabel.PARKINSON: 51,
     }
-    rng = np.random.default_rng(4)
-    items = []
-    for label, n in counts.items():
-        for i in range(n):
-            items.append((vf_from_vector(rng.normal(size=226), f"{label.value}{i}"), label))
-    dataset = evaluate.stratified_split(items, seed=SPLIT_SEED)
+    labels = [label for label, n in counts.items() for _ in range(n)]
+    train_rows = evaluate.stratified_split(labels, seed=SPLIT_SEED)
     train = {label: 0 for label in GaitLabel}
     test = {label: 0 for label in GaitLabel}
-    for (_, label), part in zip(items, dataset.split):
-        (train if part == "train" else test)[label] += 1
+    for label, part in zip(labels, train_rows):
+        (train if part else test)[label] += 1
     expected_train = {
         GaitLabel.CHOREIFORM: 38,
         GaitLabel.DIPLEGIA: 41,
@@ -180,7 +177,8 @@ def test_criterion_5_classifier_oracles():
         (vf_from_vector(rng.normal(0, 1, 226), f"p{i}"), labels[int(rng.integers(5))])
         for i in range(200)
     ]
-    model = classify.train("knn", items, hyper={"k": 5})
+    table = FeatureTable.from_rows(items)
+    model = classify.train("knn", table, hyper={"k": 5})
     for vf, _ in items:
         if classify.predict(model, vf)[0] is not knn_brute_force_oracle(items, vf, 5):
             ok = False
@@ -213,14 +211,14 @@ def test_criterion_5_classifier_oracles():
 
     # forest prediction equals the per-tree majority vote
     small = items[:60]
-    forest = classify.train("forest", small, hyper={"n_trees": 25}, seed=1)
+    forest = classify.train("forest", table[:60], hyper={"n_trees": 25}, seed=1)
     for vf, _ in small[:20]:
         votes = np.array(forest_vote_oracle(forest, vf.vector()))
         if classify.predict(forest, vf)[0] is not forest.class_set[int(np.argmax(votes))]:
             ok = False
 
     # naive Bayes scores normalize to 1 within 1e-9
-    gnb = classify.train("gnb", items)
+    gnb = classify.train("gnb", table)
     for vf, _ in items[:50]:
         _, scores = classify.predict(gnb, vf)
         if abs(sum(scores.values()) - 1.0) > 1e-9:
@@ -231,12 +229,13 @@ def test_criterion_5_classifier_oracles():
     _report(5, ok, f"({elapsed:.1f}s)")
 
 
-def test_criterion_6_end_to_end_benchmark(corpus_items):
+def test_criterion_6_end_to_end_benchmark(corpus_table):
     start = time.perf_counter()
-    dataset = evaluate.stratified_split(corpus_items, seed=SPLIT_SEED)
+    train_rows = evaluate.stratified_split(corpus_table.labels, seed=SPLIT_SEED)
     candidates = ["knn", "logreg"]
 
-    reports, errors = evaluate.run_task("multi", candidates, dataset, seed=SPLIT_SEED)
+    reports, errors = evaluate.run_task("multi", candidates, corpus_table, train_rows,
+                                        seed=SPLIT_SEED)
     assert not errors
     multi_best = max(r.test_accuracy for r in reports)
 
@@ -244,16 +243,15 @@ def test_criterion_6_end_to_end_benchmark(corpus_items):
     for label in (GaitLabel.CHOREIFORM, GaitLabel.DIPLEGIA,
                   GaitLabel.HEMIPLEGIA, GaitLabel.PARKINSON):
         reports, errors = evaluate.run_task(f"binary:{label.value}", candidates,
-                                            dataset, seed=SPLIT_SEED)
+                                            corpus_table, train_rows, seed=SPLIT_SEED)
         assert not errors
         binary_best[label.value] = max(r.test_accuracy for r in reports)
 
     # chance-level control: permuted labels should score near 1/5
     rng = np.random.default_rng(7)
-    perm = rng.permutation(len(corpus_items))
-    permuted = [(vf, corpus_items[perm[i]][1]) for i, (vf, _) in enumerate(corpus_items)]
-    control_ds = evaluate.stratified_split(permuted, seed=SPLIT_SEED)
-    control = evaluate.cross_validate("knn", control_ds.train_items(),
+    permuted = replace(corpus_table, labels=corpus_table.labels[rng.permutation(len(corpus_table))])
+    control_rows = evaluate.stratified_split(permuted.labels, seed=SPLIT_SEED)
+    control = evaluate.cross_validate("knn", permuted[control_rows],
                                       folds=5, seed=SPLIT_SEED)
 
     elapsed = time.perf_counter() - start

@@ -15,7 +15,6 @@ from gaitlab.classify import (
     load_model,
     logreg_loss_and_grad,
     predict,
-    predict_many,
     save_model,
     scores,
     train,
@@ -24,13 +23,14 @@ from gaitlab.cli import main
 from gaitlab.errors import InsufficientData, SchemaMismatch
 from gaitlab.pose import GaitLabel
 from gaitlab.synth import write_corpus
-from gaitlab.video_features import read_features_csv, schema_fingerprint
+from gaitlab.video_features import FeatureTable, read_features_csv, schema_fingerprint
 
 from helpers import (
     best_split_oracle,
     forest_vote_oracle,
     knn_brute_force_oracle,
     make_separable_items,
+    predicted_labels,
     tree_leaf_oracle,
     vf_from_vector,
 )
@@ -55,8 +55,8 @@ def test_separable_classes_training_accuracy(algorithm):
     rng = np.random.default_rng(0)
     items = make_separable_items(rng, n_per_class=10)
     hyper = {"n_trees": 15} if algorithm == "forest" else None
-    model = train(algorithm, items, hyper=hyper, seed=0)
-    predicted = predict_many(model, [vf for vf, _ in items])
+    model = train(algorithm, FeatureTable.from_rows(items), hyper=hyper, seed=0)
+    predicted = predicted_labels(model, [vf for vf, _ in items])
     assert all(p == t for p, (_, t) in zip(predicted, items))
 
 
@@ -65,7 +65,7 @@ def test_single_class_is_insufficient():
     items = [(vf_from_vector(rng.normal(size=226), f"s{i}"), GaitLabel.NORMAL)
              for i in range(6)]
     with pytest.raises(InsufficientData):
-        train("knn", items)
+        train("knn", FeatureTable.from_rows(items))
 
 
 def test_tiny_class_is_insufficient():
@@ -73,14 +73,14 @@ def test_tiny_class_is_insufficient():
     items = make_separable_items(rng, n_per_class=5)
     items.append((vf_from_vector(rng.normal(size=226), "lone"), GaitLabel.DIPLEGIA))
     with pytest.raises(InsufficientData):
-        train("gnb", items)
+        train("gnb", FeatureTable.from_rows(items))
 
 
 def test_knn_k1_self_prediction():
     rng = np.random.default_rng(3)
     items = random_items(rng)
-    model = train("knn", items, hyper={"k": 1})
-    predicted = predict_many(model, [vf for vf, _ in items])
+    model = train("knn", FeatureTable.from_rows(items), hyper={"k": 1})
+    predicted = predicted_labels(model, [vf for vf, _ in items])
     assert all(p == t for p, (_, t) in zip(predicted, items))
 
 
@@ -88,7 +88,7 @@ def test_knn_matches_brute_force_oracle():
     rng = np.random.default_rng(4)
     items = random_items(rng, n=44, n_classes=4)
     for k in (1, 3, 5):
-        model = train("knn", items, hyper={"k": k})
+        model = train("knn", FeatureTable.from_rows(items), hyper={"k": k})
         for vf, _ in items[:20]:
             assert predict(model, vf)[0] is knn_brute_force_oracle(items, vf, k)
         for _ in range(10):
@@ -133,7 +133,7 @@ def test_logreg_zero_weights_uniform_scores():
 def test_forest_prediction_is_tree_majority_vote():
     rng = np.random.default_rng(6)
     items = random_items(rng, n=40, n_classes=3)
-    model = train("forest", items, hyper={"n_trees": 15}, seed=2)
+    model = train("forest", FeatureTable.from_rows(items), hyper={"n_trees": 15}, seed=2)
     classes = model.class_set
     for vf, _ in items[:15]:
         votes = np.array(forest_vote_oracle(model, vf.vector()), dtype=float)
@@ -152,7 +152,8 @@ def test_tree_sends_a_value_equal_to_the_threshold_left():
     model = TrainedModel.from_json(json.dumps(doc))
     X = np.zeros((3, 226))
     X[:, 4] = [0.5, np.nextafter(0.5, 1.0), -3.0]
-    assert scores(model, X).tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    expected = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    assert scores(model, X, schema_fingerprint()).tolist() == expected
     assert tree_leaf_oracle(model.parameters, 0, X[0]) == [1.0, 0.0]
 
 
@@ -202,7 +203,7 @@ def test_split_cases_have_gini_ties_across_features():
 def test_gnb_scores_normalize_and_stay_finite():
     rng = np.random.default_rng(7)
     items = random_items(rng, n=30, n_classes=3)
-    model = train("gnb", items)
+    model = train("gnb", FeatureTable.from_rows(items))
     # extreme query far outside the training range
     q = vf_from_vector(np.full(226, 1e6), "far")
     label, scores = predict(model, q)
@@ -241,8 +242,9 @@ def test_logreg_gradient_matches_finite_differences():
 def test_tree_memorizes_consistent_data():
     rng = np.random.default_rng(9)
     items = random_items(rng, n=40, n_classes=4)
-    model = train("tree", items, hyper={"max_depth": None, "min_samples_leaf": 1})
-    predicted = predict_many(model, [vf for vf, _ in items])
+    model = train("tree", FeatureTable.from_rows(items),
+                  hyper={"max_depth": None, "min_samples_leaf": 1})
+    predicted = predicted_labels(model, [vf for vf, _ in items])
     assert all(p == t for p, (_, t) in zip(predicted, items))
 
 
@@ -251,14 +253,14 @@ def test_standardization_absorbs_input_scale(algorithm):
     rng = np.random.default_rng(10)
     items = random_items(rng, n=36, n_classes=3)
     queries = [vf_from_vector(rng.normal(0, 1, 226), f"q{i}") for i in range(10)]
-    model = train(algorithm, items, seed=1)
-    base = predict_many(model, queries)
+    model = train(algorithm, FeatureTable.from_rows(items), seed=1)
+    base = predicted_labels(model, queries)
     scale = 37.0
     scaled_items = [(vf_from_vector(vf.vector() * scale, vf.source_id), label)
                     for vf, label in items]
-    scaled_model = train(algorithm, scaled_items, seed=1)
+    scaled_model = train(algorithm, FeatureTable.from_rows(scaled_items), seed=1)
     scaled_queries = [vf_from_vector(q.vector() * scale, q.source_id) for q in queries]
-    assert predict_many(scaled_model, scaled_queries) == base
+    assert predicted_labels(scaled_model, scaled_queries) == base
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -266,18 +268,18 @@ def test_training_is_deterministic(algorithm):
     rng = np.random.default_rng(11)
     items = random_items(rng, n=24, n_classes=3)
     hyper = {"n_trees": 8} if algorithm == "forest" else None
-    a = train(algorithm, items, hyper=hyper, seed=5).to_json()
-    b = train(algorithm, items, hyper=hyper, seed=5).to_json()
+    a = train(algorithm, FeatureTable.from_rows(items), hyper=hyper, seed=5).to_json()
+    b = train(algorithm, FeatureTable.from_rows(items), hyper=hyper, seed=5).to_json()
     assert a == b
 
 
 @pytest.fixture(scope="module")
-def corpus_items(tmp_path_factory):
+def corpus_table(tmp_path_factory):
     """Labeled features of a small synthetic corpus, 12 videos of each class."""
     work = tmp_path_factory.mktemp("corpus")
     write_corpus(work / "corpus", {label: 12 for label in GaitLabel}, seed=5, n_frames=20)
     assert main(["extract", "--in", str(work / "corpus"), "--out", str(work / "f.csv")]) == 0
-    return read_features_csv(work / "f.csv")
+    return FeatureTable.from_rows(read_features_csv(work / "f.csv"))
 
 
 @pytest.mark.parametrize("algorithm, hyper, digest", [
@@ -294,10 +296,10 @@ def corpus_items(tmp_path_factory):
     ("forest", {"n_trees": 1},
      "21dbfc3853b4408cb98a3a11016045332e7de3fefa7efbb8c72b8008bd115476"),
 ])
-def test_tree_and_forest_model_bytes_pinned(corpus_items, algorithm, hyper, digest):
+def test_tree_and_forest_model_bytes_pinned(corpus_table, algorithm, hyper, digest):
     """Tree growth's exact output: a change to its splits, tie rules or random
     draws that moves a model's bytes has to update these digests."""
-    model = train(algorithm, corpus_items, hyper=hyper, seed=0)
+    model = train(algorithm, corpus_table, hyper=hyper, seed=0)
     assert hashlib.sha256(model.to_json().encode()).hexdigest() == digest
 
 
@@ -306,7 +308,7 @@ def test_model_json_roundtrip(tmp_path):
     items = random_items(rng, n=24, n_classes=3)
     for algorithm in ALGORITHMS:
         hyper = {"n_trees": 8} if algorithm == "forest" else None
-        model = train(algorithm, items, hyper=hyper)
+        model = train(algorithm, FeatureTable.from_rows(items), hyper=hyper)
         path = tmp_path / f"{algorithm}.gaitmodel.json"
         save_model(model, path)
         back = load_model(path)
@@ -328,7 +330,8 @@ def test_model_json_roundtrip(tmp_path):
 def models():
     """One small trained model per algorithm."""
     items = random_items(np.random.default_rng(16), n=24, n_classes=3)
-    return {a: train(a, items, hyper={"n_trees": 4} if a == "forest" else None, seed=1)
+    table = FeatureTable.from_rows(items)
+    return {a: train(a, table, hyper={"n_trees": 4} if a == "forest" else None, seed=1)
             for a in ALGORITHMS}
 
 
@@ -406,15 +409,15 @@ def test_from_json_refuses_malformed_models(models, algorithm, edit, message):
 def test_train_refuses_bad_hyperparameters(algorithm, hyper):
     items = random_items(np.random.default_rng(15), n=24, n_classes=3)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=algorithm) as info:
-        train(algorithm, items, hyper=hyper)
+        train(algorithm, FeatureTable.from_rows(items), hyper=hyper)
     assert all(name in str(info.value) for name in hyper)
 
 
 def test_knn_k_is_bounded_by_the_training_set():
     items = random_items(np.random.default_rng(17), n=24, n_classes=3)
     with pytest.raises(ValueError):
-        train("knn", items, hyper={"k": len(items) + 1})
-    model = train("knn", items, hyper={"k": len(items)})
+        train("knn", FeatureTable.from_rows(items), hyper={"k": len(items) + 1})
+    model = train("knn", FeatureTable.from_rows(items), hyper={"k": len(items)})
     _, scores = predict(model, items[0][0])
     counts = [sum(label is c for _, label in items) for c in model.class_set]
     assert list(scores.values()) == [n / len(items) for n in counts]
@@ -423,11 +426,25 @@ def test_knn_k_is_bounded_by_the_training_set():
 def test_predict_refuses_schema_mismatch():
     rng = np.random.default_rng(13)
     items = random_items(rng, n=24, n_classes=3)
-    model = train("knn", items)
+    model = train("knn", FeatureTable.from_rows(items))
     other = vf_from_vector(rng.normal(size=226), "q",
                            fingerprint=schema_fingerprint("video", "sample"))
     with pytest.raises(SchemaMismatch):
         predict(model, other)
+
+
+def test_scores_refuse_another_schema_and_non_finite_features(models):
+    model = models["gnb"]
+    X = np.zeros((2, 226))
+    assert scores(model, X, model.schema_fingerprint).shape == (2, 3)
+    with pytest.raises(SchemaMismatch):
+        scores(model, X, schema_fingerprint("video"))
+    for bad in (np.nan, np.inf, -np.inf):
+        X[1, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            scores(model, X, model.schema_fingerprint)
+        with pytest.raises(ValueError, match="non-finite"):
+            predict(model, vf_from_vector(X[1], "q"))
 
 
 def test_train_refuses_mixed_fingerprints():
@@ -436,12 +453,12 @@ def test_train_refuses_mixed_fingerprints():
     odd = vf_from_vector(rng.normal(size=226), "odd",
                          fingerprint=schema_fingerprint("video"))
     with pytest.raises(SchemaMismatch):
-        train("tree", items + [(odd, GaitLabel.NORMAL)])
+        train("tree", FeatureTable.from_rows(items + [(odd, GaitLabel.NORMAL)]))
 
 
 def test_unknown_algorithm():
     with pytest.raises(ValueError):
-        train("svm", [])
+        train("svm", FeatureTable.from_rows([]))
 
 
 @pytest.fixture(scope="module")
@@ -457,7 +474,8 @@ def tie_models():
     items = [(vf_from_vector(v, f"t{i}"), labels[i % 3]) for i, v in enumerate(vectors)]
     items += [(vf_from_vector(vectors[i], f"d{i}"), labels[(i + 1) % 3]) for i in range(6)]
     hypers = {"knn": {"k": 1}, "forest": {"n_trees": 4, "max_depth": 2}}
-    return vectors, {a: train(a, items, hyper=hypers.get(a), seed=4) for a in ALGORITHMS}, items
+    table = FeatureTable.from_rows(items)
+    return vectors, {a: train(a, table, hyper=hypers.get(a), seed=4) for a in ALGORITHMS}, items
 
 
 def _queries(vectors, picks):
@@ -468,7 +486,7 @@ def _queries(vectors, picks):
 def test_tie_models_have_knn_and_forest_vote_ties(tie_models):
     vectors, models, items = tie_models
     X = _queries(vectors, [(i, j, w) for i in range(6) for j in range(6) for w in (0.0, 0.5)])
-    top = np.sort(scores(models["forest"], X), axis=1)
+    top = np.sort(scores(models["forest"], X, schema_fingerprint()), axis=1)
     assert (top[:, -1] == top[:, -2]).any()  # some query gets a tied forest vote
     for i in range(6):  # rows i and 18 + i are both at distance 0; the lower index wins
         q = vf_from_vector(vectors[i], "q")
@@ -484,13 +502,15 @@ def test_tie_models_have_knn_and_forest_vote_ties(tie_models):
 def test_batch_scores_equal_single_row_scores(tie_models, algorithm, picks):
     vectors, models, _ = tie_models
     X = _queries(vectors, picks)
-    batch = scores(models[algorithm], X)
+    batch = scores(models[algorithm], X, schema_fingerprint())
     assert batch.shape == (len(X), 3)
     for i, row in enumerate(X):
-        assert batch[i].tobytes() == scores(models[algorithm], row[None, :])[0].tobytes()
+        single = scores(models[algorithm], row[None, :], schema_fingerprint())[0]
+        assert batch[i].tobytes() == single.tobytes()
 
 
 def test_scores_of_no_rows(models):
     for model in models.values():
-        assert scores(model, np.empty((0, 226))).shape == (0, len(model.class_set))
-        assert predict_many(model, []) == []
+        assert scores(model, np.empty((0, 226)), schema_fingerprint()).shape == (
+            0, len(model.class_set))
+        assert predicted_labels(model, []) == []

@@ -1,11 +1,14 @@
 import csv
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from gaitlab.cli import main
 from gaitlab.classify import load_model
 from gaitlab.pose import GaitLabel
+from gaitlab.synth import write_corpus
 
 SMALL_COUNTS = "Choreiform=6,Diplegia=6,Hemiplegia=6,Normal=6,Parkinson=6"
 
@@ -99,6 +102,21 @@ def test_eval_writes_report(pipeline_dir, tmp_path):
     assert all(len(r["confusion"]) == 5 for r in doc["reports"])
 
 
+@pytest.mark.parametrize("algos, message", [
+    ("knn,svm", "unknown algorithm 'svm'"),
+    ("knn,knn", "algorithm 'knn' is listed twice"),
+    ("gnb,tree,gnb", "algorithm 'gnb' is listed twice"),
+], ids=["unknown", "repeated", "repeated-later"])
+def test_eval_refuses_bad_algorithm_lists(pipeline_dir, tmp_path, capsys, algos, message):
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = main(["eval", "--features", str(pipeline_dir / "features.csv"), "--algos", algos,
+               "--folds", "2", "--report", str(report)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_eval_binary_task(pipeline_dir, tmp_path):
     report = tmp_path / "binary.json"
     rc = main(["eval", "--features", str(pipeline_dir / "features.csv"),
@@ -132,12 +150,46 @@ def test_train_and_predict(pipeline_dir, tmp_path):
     assert abs(sum(scores) - 1.0) < 1e-9
 
 
+def test_predict_of_a_csv_without_rows(pipeline_dir, tmp_path):
+    """A features CSV of no videos gets a predictions CSV of no rows."""
+    features = _edited_features(pipeline_dir, tmp_path, lambda rows: rows[:1])
+    model_path = tmp_path / "model.gaitmodel.json"
+    assert main(["train", "--features", str(pipeline_dir / "features.csv"), "--algo", "gnb",
+                 "--out", str(model_path)]) == 0
+    predictions = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model_path), "--features", features,
+                 "--out", str(predictions)]) == 0
+    with open(predictions, newline="") as fh:
+        assert [row[:2] for row in csv.reader(fh)] == [["source_id", "predicted"]]
+    assert main(["train", "--features", features, "--algo", "gnb",
+                 "--out", str(model_path)]) == 2
+
+
 def test_exit_code_parse_error(tmp_path):
     bad = tmp_path / "bad.kp.jsonl"
     bad.write_text("{nope\n")
     assert main(["extract", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
     assert main(["extract", "--in", str(tmp_path / "missing.kp.jsonl"),
                  "--out", str(tmp_path / "o.csv")]) == 2
+
+
+def test_extract_refuses_coordinates_too_large_for_finite_features(pipeline_dir, tmp_path, capsys):
+    """Finite but huge coordinates overflow the features; extract names the
+    video and exits 2 instead of writing nan and inf cells."""
+    src = next(iter((pipeline_dir / "corpus").glob("*.kp.jsonl")))
+    huge = tmp_path / "huge.kp.jsonl"
+    with open(huge, "w") as fh:
+        for line in src.read_text().splitlines():
+            frame = json.loads(line)
+            frame["kp"] = {name: [x * 1e160, y * 1e160, c] for name, (x, y, c)
+                           in frame["kp"].items()}
+            fh.write(json.dumps(frame) + "\n")
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = main(["extract", "--in", str(huge), "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "'huge'" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_exit_code_insufficient_data(pipeline_dir, tmp_path):
@@ -293,3 +345,54 @@ def test_exit_code_malformed_manifest(pipeline_dir, tmp_path, capsys, manifest, 
     assert rc == 2
     err = capsys.readouterr().err
     assert "manifest.csv" in err and message in err
+
+
+@pytest.fixture(scope="module")
+def pinned_outputs(tmp_path_factory):
+    """Bytes of the train, predict and eval outputs on a small seed-5 corpus."""
+    root = tmp_path_factory.mktemp("pinned")
+    write_corpus(root / "corpus", {label: 12 for label in GaitLabel}, seed=5, n_frames=20)
+    features = str(root / "f.csv")
+    assert main(["extract", "--in", str(root / "corpus"), "--out", features]) == 0
+    outputs = {}
+    for algo in ("knn", "tree", "forest", "gnb", "logreg"):
+        model, predictions = root / f"{algo}.json", root / f"{algo}.csv"
+        assert main(["train", "--features", features, "--algo", algo, "--out", str(model)]) == 0
+        assert main(["predict", "--model", str(model), "--features", features,
+                     "--out", str(predictions)]) == 0
+        outputs[f"model-{algo}"] = model.read_bytes()
+        outputs[f"predict-{algo}"] = predictions.read_bytes()
+    for task in ("multi", "binary:Parkinson"):
+        report = root / "report.json"
+        assert main(["eval", "--features", features, "--task", task,
+                     "--report", str(report)]) == 0
+        outputs[f"eval-{task}"] = report.read_bytes()
+    return outputs
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("model-knn",
+     "e6d3f66a3a924bec80a758323f59f16963b6b87383be98ef8e3c4b53391963d1"),
+    ("model-gnb",
+     "137930e053c4a12d7f81cd367d10b3d45d599864195cde3f9484b888d837132a"),
+    ("model-logreg",
+     "0f7d5185c26677e76a0af441780fde00230de9595b349abc47030e3b5f52d944"),
+    ("predict-knn",
+     "ee4e6cc3eba8b604e0f50d70d36b5968da5c70fb86665af0def1219a891f7279"),
+    ("predict-tree",
+     "e4de5f00cc7114ba72b423fdb2afbb8eb18f0ad1c4d47a78a9c8e1d7cbe510fd"),
+    ("predict-forest",
+     "dc0c8d472aab5e4156da8a9ff10cdf357611d810544d31e9eddd211f03e2f206"),
+    ("predict-gnb",
+     "f1339ac0ff62ab00d25bbcc35db1f70b8e789d1003e8a932ee899eefa44bbd36"),
+    ("predict-logreg",
+     "655e35d0c7b7b2ec849060fd0e8db250091d06e275b47aa27ec7ea74a3ba36a4"),
+    ("eval-multi",
+     "7936e497848c310cd92d90cf809cd732efff35f31b5937e5f76ffeefcb7b133f"),
+    ("eval-binary:Parkinson",
+     "5743eb8f9d0a85768a2663731c270a67e1f94759afd027df53ef6671d60a169a"),
+])
+def test_cli_output_bytes_pinned(pinned_outputs, name, digest):
+    """The exact bytes `train`, `predict` and `eval` write; a change that moves
+    them has to update these digests."""
+    assert hashlib.sha256(pinned_outputs[name]).hexdigest() == digest

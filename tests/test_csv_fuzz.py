@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from gaitlab.errors import ParseError
 from gaitlab.pose import GaitLabel
-from gaitlab.video_features import read_features_csv, schema_config, write_features_csv
+from gaitlab.video_features import (FeatureTable, read_features_csv, schema_config,
+                                    write_features_csv)
 
 from helpers import vf_from_vector
 
@@ -18,8 +19,9 @@ def work(tmp_path_factory):
     root = tmp_path_factory.mktemp("csv_fuzz")
     valid = root / "valid.csv"
     rng = np.random.default_rng(8)
-    write_features_csv([(vf_from_vector(rng.uniform(-5, 5, 226), "a"), GaitLabel.NORMAL),
-                        (vf_from_vector(rng.uniform(-5, 5, 226), "b"), None)], valid)
+    write_features_csv(FeatureTable.from_rows(
+        [(vf_from_vector(rng.uniform(-5, 5, 226), "a"), GaitLabel.NORMAL),
+         (vf_from_vector(rng.uniform(-5, 5, 226), "b"), None)]), valid)
     return root / "fuzzed.csv", valid.read_bytes()
 
 

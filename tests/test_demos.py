@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_synthetic_gaits.py", "02_feature_walkthrough.py"])
+@pytest.mark.parametrize("demo", ["01_synthetic_gaits.py", "02_feature_walkthrough.py",
+                                  "03_train_and_evaluate.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -13,11 +13,11 @@ from gaitlab.evaluate import (
     reports_to_json,
     run_task,
     stratified_split,
-    task_items,
+    task_rows,
 )
 from gaitlab.pose import GaitLabel
 from gaitlab.synth import generate_corpus
-from gaitlab.video_features import featurize_sequence
+from gaitlab.video_features import FeatureTable, featurize_sequence
 
 from helpers import make_separable_items, vf_from_vector
 
@@ -47,117 +47,127 @@ def dummy_items(counts, rng=None):
     return items
 
 
-def split_counts(dataset):
-    train = Counter(label for _, label in dataset.train_items())
-    test = Counter(label for _, label in dataset.test_items())
+def dummy_labels(counts):
+    return [label for label, n in counts.items() for _ in range(n)]
+
+
+def split_counts(labels, train_rows):
+    train = Counter(label for label, part in zip(labels, train_rows) if part)
+    test = Counter(label for label, part in zip(labels, train_rows) if not part)
     return train, test
 
 
 def test_split_reproduces_reference_counts():
-    dataset = stratified_split(dummy_items(PAPER_COUNTS), seed=0)
-    train, test = split_counts(dataset)
+    labels = dummy_labels(PAPER_COUNTS)
+    train, test = split_counts(labels, stratified_split(labels, seed=0))
     for label, n in PAPER_COUNTS.items():
         assert train[label] == EXPECTED_TRAIN[label]
         assert test[label] == n - EXPECTED_TRAIN[label]
 
 
 def test_split_minimum_class():
-    dataset = stratified_split(dummy_items({GaitLabel.NORMAL: 4, GaitLabel.PARKINSON: 4}))
-    train, test = split_counts(dataset)
+    labels = dummy_labels({GaitLabel.NORMAL: 4, GaitLabel.PARKINSON: 4})
+    train, test = split_counts(labels, stratified_split(labels))
     assert train[GaitLabel.NORMAL] == 3 and test[GaitLabel.NORMAL] == 1
 
 
 def test_split_rejects_tiny_class():
     with pytest.raises(ClassTooSmall):
-        stratified_split(dummy_items({GaitLabel.NORMAL: 3, GaitLabel.PARKINSON: 8}))
+        stratified_split(dummy_labels({GaitLabel.NORMAL: 3, GaitLabel.PARKINSON: 8}))
 
 
 def test_split_deterministic_and_seed_sensitive():
-    items = dummy_items(PAPER_COUNTS)
-    a = stratified_split(items, seed=7)
-    b = stratified_split(items, seed=7)
-    assert a.split == b.split
-    c = stratified_split(items, seed=8)
-    assert a.split != c.split
+    labels = dummy_labels(PAPER_COUNTS)
+    a = stratified_split(labels, seed=7)
+    b = stratified_split(labels, seed=7)
+    assert (a == b).all()
+    c = stratified_split(labels, seed=8)
+    assert (a != c).any()
 
 
 def test_split_covers_every_item_once():
-    items = dummy_items({GaitLabel.NORMAL: 9, GaitLabel.DIPLEGIA: 13})
-    dataset = stratified_split(items, seed=1)
-    assert len(dataset.split) == len(items) and set(dataset.split) == {"train", "test"}
-    assert len(dataset.train_items()) + len(dataset.test_items()) == len(items)
+    labels = dummy_labels({GaitLabel.NORMAL: 9, GaitLabel.DIPLEGIA: 13})
+    train_rows = stratified_split(labels, seed=1)
+    assert train_rows.shape == (len(labels),) and train_rows.dtype == bool
+    assert set(train_rows) == {True, False}
+    train, test = split_counts(labels, train_rows)
+    assert sum(train.values()) + sum(test.values()) == len(labels)
 
 
 def test_split_is_by_position_not_source_id():
     # 40 Normal items sharing one id must still split 30/10 like unique ids
-    unique = dummy_items({GaitLabel.NORMAL: 40, GaitLabel.PARKINSON: 40})
-    shared = [(vf_from_vector(vf.vector(), "same" if label is GaitLabel.NORMAL else vf.source_id),
-               label) for vf, label in unique]
-    assert split_counts(stratified_split(shared, seed=3)) == split_counts(
-        stratified_split(unique, seed=3))
-    assert stratified_split(shared, seed=3).split == stratified_split(unique, seed=3).split
-    train, test = split_counts(stratified_split(shared, seed=3))
+    unique = FeatureTable.from_rows(dummy_items({GaitLabel.NORMAL: 40, GaitLabel.PARKINSON: 40}))
+    shared = FeatureTable.from_rows(
+        [(vf_from_vector(x, "same" if label is GaitLabel.NORMAL else source_id), label)
+         for source_id, x, label in zip(unique.source_ids, unique.X, unique.labels)])
+    shared_rows = stratified_split(shared.labels, seed=3)
+    unique_rows = stratified_split(unique.labels, seed=3)
+    assert split_counts(shared.labels, shared_rows) == split_counts(unique.labels, unique_rows)
+    assert (shared_rows == unique_rows).all()
+    train, test = split_counts(shared.labels, shared_rows)
     assert train[GaitLabel.NORMAL] == 30 and test[GaitLabel.NORMAL] == 10
 
 
 def test_cross_validate_separable_is_perfect():
     rng = np.random.default_rng(1)
-    items = make_separable_items(rng, n_per_class=12)
-    assert cross_validate("knn", items, folds=5, seed=0) == 1.0
-    assert cross_validate("gnb", items, folds=5, seed=0) == 1.0
+    table = FeatureTable.from_rows(make_separable_items(rng, n_per_class=12))
+    assert cross_validate("knn", table, folds=5, seed=0) == 1.0
+    assert cross_validate("gnb", table, folds=5, seed=0) == 1.0
 
 
 def test_fold_count_bounds():
     rng = np.random.default_rng(2)
     # smallest class has 3 items
-    items = make_separable_items(rng, n_per_class=3)
-    assert cross_validate("gnb", items, folds=3, seed=0) >= 0.0
+    table = FeatureTable.from_rows(make_separable_items(rng, n_per_class=3))
+    assert cross_validate("gnb", table, folds=3, seed=0) >= 0.0
     with pytest.raises(TooManyFolds):
-        cross_validate("gnb", items, folds=4, seed=0)
+        cross_validate("gnb", table, folds=4, seed=0)
     with pytest.raises(ValueError):
-        cross_validate("gnb", items, folds=1, seed=0)
+        cross_validate("gnb", table, folds=1, seed=0)
 
 
 def test_cross_validate_deterministic():
     rng = np.random.default_rng(3)
     items = dummy_items({GaitLabel.NORMAL: 10, GaitLabel.PARKINSON: 10}, rng)
-    a = cross_validate("tree", items, folds=5, seed=4)
-    b = cross_validate("tree", items, folds=5, seed=4)
+    table = FeatureTable.from_rows(items)
+    a = cross_validate("tree", table, folds=5, seed=4)
+    b = cross_validate("tree", table, folds=5, seed=4)
     assert a == b
 
 
-def test_task_items_binary_filters():
-    items = dummy_items({label: 4 for label in GaitLabel})
-    binary = task_items("binary:Parkinson", items)
-    assert {label for _, label in binary} == {GaitLabel.PARKINSON, GaitLabel.NORMAL}
-    assert len(binary) == 8
-    assert task_items("multi", items) == items
+def test_task_rows_binary_filters():
+    labels = np.array(dummy_labels({label: 4 for label in GaitLabel}) + [None], dtype=object)
+    binary = task_rows("binary:Parkinson", labels)
+    assert set(labels[binary]) == {GaitLabel.PARKINSON, GaitLabel.NORMAL}
+    assert binary.sum() == 8
+    assert task_rows("multi", labels).all()
     with pytest.raises(ValueError):
-        task_items("pairwise", items)
+        task_rows("pairwise", labels)
 
 
 @pytest.fixture(scope="module")
 def small_dataset():
+    """A small corpus's feature table and its training-row mask."""
     corpus = generate_corpus({label: 8 for label in GaitLabel}, seed=11, n_frames=24)
-    items = [(featurize_sequence(seq), label) for seq, label in corpus]
-    return stratified_split(items, seed=0)
+    table = FeatureTable.from_rows([(featurize_sequence(seq), label) for seq, label in corpus])
+    return table, stratified_split(table.labels, seed=0)
 
 
 def test_run_task_multiclass_shapes(small_dataset):
-    reports, errors = run_task("multi", ["gnb", "tree"], small_dataset, folds=2, seed=0)
+    reports, errors = run_task("multi", ["gnb", "tree"], *small_dataset, folds=2, seed=0)
     assert not errors
     assert len(reports) == 2
     for r in reports:
         assert len(r.confusion) == 5 and all(len(row) == 5 for row in r.confusion)
         total = sum(sum(row) for row in r.confusion)
         trace = sum(r.confusion[i][i] for i in range(5))
-        assert total == len(small_dataset.test_items())
+        assert total == (~small_dataset[1]).sum()
         assert r.test_accuracy == trace / total
         assert 0.0 <= r.cv_accuracy <= 1.0
 
 
 def test_run_task_binary_reduces_classes(small_dataset):
-    reports, errors = run_task("binary:Hemiplegia", ["gnb"], small_dataset,
+    reports, errors = run_task("binary:Hemiplegia", ["gnb"], *small_dataset,
                                folds=2, seed=0)
     assert not errors
     assert reports[0].classes == (GaitLabel.HEMIPLEGIA, GaitLabel.NORMAL)
@@ -165,7 +175,7 @@ def test_run_task_binary_reduces_classes(small_dataset):
 
 
 def test_run_task_isolates_failures(small_dataset):
-    reports, errors = run_task("multi", ["gnb", "no-such-algo"], small_dataset,
+    reports, errors = run_task("multi", ["gnb", "no-such-algo"], *small_dataset,
                                folds=2, seed=0)
     assert len(reports) == 1 and reports[0].algorithm == "gnb"
     assert "no-such-algo" in errors
@@ -174,12 +184,12 @@ def test_run_task_isolates_failures(small_dataset):
 def test_confusion_row_sums_match_class_counts(small_dataset):
     from gaitlab import classify
 
-    train = small_dataset.train_items()
-    test = small_dataset.test_items()
-    model = classify.train("gnb", train)
+    table, train_rows = small_dataset
+    model = classify.train("gnb", table[train_rows])
+    test = table[~train_rows]
     classes = model.class_set
-    confusion = confusion_matrix(model, test, classes)
-    counts = Counter(label for _, label in test)
+    confusion = confusion_matrix(model, test)
+    counts = Counter(test.labels)
     for i, label in enumerate(classes):
         assert sum(confusion[i]) == counts[label]
 

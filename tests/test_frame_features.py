@@ -15,7 +15,6 @@ from gaitlab.frame_features import (
     mutual_distances,
     point_line_distance,
     upper_body_straightness,
-    write_frame_features_csv,
 )
 from gaitlab.pose import KeypointId
 from gaitlab.synth import default_params, generate
@@ -394,17 +393,6 @@ def test_extract_sequence_skips_degenerate_frames():
     assert len(feats) == 1 and failed == 1
     with pytest.raises((DegenerateLine, DegeneratePose)):
         extract_sequence(seq, skip_degenerate=False)
-
-
-def test_frame_features_csv_header(tmp_path):
-    rng = np.random.default_rng(12)
-    feats = np.stack([extract_frame_features(random_frame(rng)) for i in range(3)])
-    path = tmp_path / "frames.csv"
-    write_frame_features_csv(range(3), feats, path)
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("frame,ls1,ls2,ls3,ls4,hl1,hl2,us,bs,cd1")
-    assert header.endswith("md90,md91")
-    assert len(header.split(",")) == 114
 
 
 def test_kernel_rows_match_single_pose_features():

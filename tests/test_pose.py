@@ -35,12 +35,6 @@ def test_keypoint_order_is_frozen():
     assert [k.json_name for k in KEYPOINT_ORDER] == expected
 
 
-def test_json_name_roundtrip():
-    for k in KeypointId:
-        assert KeypointId.from_json_name(k.json_name) is k
-    assert KeypointId.from_json_name("Nose") is None
-
-
 def test_gait_labels():
     assert len(GaitLabel) == 5
     assert GaitLabel.from_name("parkinson") is GaitLabel.PARKINSON

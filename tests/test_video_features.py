@@ -5,6 +5,7 @@ from gaitlab.errors import ParseError, SchemaMismatch, TooFewFrames
 from gaitlab.frame_features import extract_frame_features
 from gaitlab.pose import GaitLabel
 from gaitlab.video_features import (
+    FeatureTable,
     aggregate,
     featurize_sequence,
     read_features_csv,
@@ -14,7 +15,7 @@ from gaitlab.video_features import (
 )
 from gaitlab.synth import default_params, generate
 
-from helpers import random_frame, vf_from_vector
+from helpers import random_frame, sequence_from_coords, vf_from_vector
 
 
 def ff_constant(value, frame_index=0):
@@ -86,6 +87,18 @@ def test_featurize_sequence():
     assert vf.vector().shape == (226,)
 
 
+def test_non_finite_video_features_raise_parse_error():
+    """Coordinates that are finite but so large that the features overflow
+    are refused by name rather than written out as nan or inf."""
+    base = generate(default_params(GaitLabel.NORMAL, seed=1), "clip")
+    huge = sequence_from_coords(base.xy * 1e160, source_id="huge")
+    with np.errstate(all="ignore"), pytest.raises(ParseError, match="'huge'"):
+        featurize_sequence(huge)
+    with np.errstate(all="ignore"), pytest.raises(ParseError, match="'v'"):
+        aggregate([ff_constant(1.0), ff_constant(np.inf)], "v")
+    assert np.isfinite(featurize_sequence(base).vector()).all()
+
+
 def test_fingerprint_depends_on_config():
     prints = {
         schema_fingerprint("frame", "population"),
@@ -114,7 +127,7 @@ def test_csv_roundtrip(tmp_path, fingerprint):
         (vf_from_vector(rng.uniform(-5, 5, 226), "c", fingerprint), None),
     ]
     path = tmp_path / "features.csv"
-    write_features_csv(rows, path)
+    write_features_csv(FeatureTable.from_rows(rows), path)
     back = read_features_csv(path)
     assert [vf.source_id for vf, _ in back] == ["a", "b", "c"]
     assert [label for _, label in back] == [GaitLabel.NORMAL, GaitLabel.PARKINSON, None]
@@ -126,7 +139,8 @@ def test_csv_roundtrip(tmp_path, fingerprint):
 def test_csv_header_ends_with_the_schema_cell(tmp_path):
     path = tmp_path / "features.csv"
     fingerprint = schema_fingerprint("video")
-    write_features_csv([(vf_from_vector(np.ones(226), "a", fingerprint), None)], path)
+    write_features_csv(FeatureTable.from_rows([(vf_from_vector(np.ones(226), "a", fingerprint),
+                                                None)]), path)
     header, row = path.read_text().splitlines()
     assert header.split(",")[:2] == ["source_id", "label"]
     assert header.split(",")[-1] == f"schema={fingerprint}"
@@ -137,10 +151,52 @@ def test_write_refuses_mixed_fingerprints_and_no_rows(tmp_path):
     rows = [(vf_from_vector(np.ones(226), "a"), None),
             (vf_from_vector(np.ones(226), "b", schema_fingerprint("video")), None)]
     with pytest.raises(SchemaMismatch):
-        write_features_csv(rows, tmp_path / "mixed.csv")
+        write_features_csv(FeatureTable.from_rows(rows), tmp_path / "mixed.csv")
     with pytest.raises(ValueError):
-        write_features_csv([], tmp_path / "empty.csv")
+        write_features_csv(FeatureTable.from_rows([]), tmp_path / "empty.csv")
     assert not (tmp_path / "mixed.csv").exists()
+
+
+def test_feature_table_from_rows():
+    rng = np.random.default_rng(6)
+    vectors = rng.normal(size=(3, 226))
+    fingerprint = schema_fingerprint("video")
+    labels = [GaitLabel.NORMAL, None, GaitLabel.NORMAL]
+    rows = [(vf_from_vector(v, f"v{i}", fingerprint), label)
+            for i, (v, label) in enumerate(zip(vectors, labels))]
+    table = FeatureTable.from_rows(rows)
+    assert len(table) == 3 and table.source_ids == ("v0", "v1", "v2")
+    assert table.X.shape == (3, 226) and table.X.tobytes() == vectors.tobytes()
+    assert table.labels.dtype == object
+    assert list(table.labels) == [GaitLabel.NORMAL, None, GaitLabel.NORMAL]
+    assert table.fingerprint == fingerprint
+    empty = FeatureTable.from_rows([])
+    assert len(empty) == 0 and empty.X.shape == (0, 226) and empty.fingerprint is None
+
+
+def test_feature_table_refuses_mixed_fingerprints():
+    rows = [(vf_from_vector(np.ones(226), "a"), GaitLabel.NORMAL),
+            (vf_from_vector(np.ones(226), "b", schema_fingerprint("frame", "sample")),
+             GaitLabel.NORMAL)]
+    with pytest.raises(SchemaMismatch):
+        FeatureTable.from_rows(rows)
+
+
+def test_feature_table_rows_by_mask_and_index():
+    rng = np.random.default_rng(5)
+    labels = [GaitLabel.NORMAL, GaitLabel.PARKINSON, None]
+    table = FeatureTable.from_rows([(vf_from_vector(rng.normal(size=226), f"v{i}"), labels[i % 3])
+                                    for i in range(5)])
+    mask = np.array([True, False, True, False, True])
+    for rows in (mask, np.array([0, 2, 4]), slice(0, 5, 2)):
+        sub = table[rows]
+        assert sub.source_ids == ("v0", "v2", "v4")
+        assert sub.X.tobytes() == table.X[[0, 2, 4]].tobytes()
+        assert list(sub.labels) == [GaitLabel.NORMAL, None, GaitLabel.PARKINSON]
+        assert sub.fingerprint == table.fingerprint
+    assert table[np.array([3, 1])].source_ids == ("v3", "v1")
+    none = table[np.zeros(5, dtype=bool)]
+    assert len(none) == 0 and none.X.shape == (0, 226) and none.fingerprint == table.fingerprint
 
 
 def test_csv_rejects_bad_header(tmp_path):
@@ -168,7 +224,8 @@ def _replace_first(old, new):
         "non-UTF-8", "long row", "short row", "not a number", "unknown label"])
 def test_csv_defects_raise_parse_error(tmp_path, edit):
     path = tmp_path / "features.csv"
-    write_features_csv([(vf_from_vector(np.ones(226), "a"), GaitLabel.NORMAL)], path)
+    write_features_csv(FeatureTable.from_rows([(vf_from_vector(np.ones(226), "a"),
+                                                GaitLabel.NORMAL)]), path)
     data = path.read_bytes()
     path.write_bytes(edit(data))
     assert path.read_bytes() != data
@@ -179,7 +236,8 @@ def test_csv_defects_raise_parse_error(tmp_path, edit):
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_csv_rejects_non_finite_values(tmp_path, bad):
     path = tmp_path / "features.csv"
-    write_features_csv([(vf_from_vector(np.ones(226), "a"), GaitLabel.NORMAL)], path)
+    write_features_csv(FeatureTable.from_rows([(vf_from_vector(np.ones(226), "a"),
+                                                GaitLabel.NORMAL)]), path)
     path.write_text(path.read_text().replace("1.0", bad, 1))
     with pytest.raises(ParseError):
         read_features_csv(path)
