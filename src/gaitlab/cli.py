@@ -114,8 +114,8 @@ def cmd_eval(args) -> int:
                                         folds=args.folds, seed=args.seed)
     for algorithm, exc in errors.items():
         print(f"{algorithm}: {exc}", file=sys.stderr)
-    if not reports:
-        raise next(iter(errors.values()))
+    if not reports:  # each algorithm's message is printed above
+        return _exit_code(next(iter(errors.values())))
     norm_scope, std = schema_config(table.fingerprint)
     extra = {
         "task": args.task,
@@ -197,19 +197,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(exc: Exception) -> int:
+    """The exit code of an error the CLI reports by its message; re-raises any other."""
+    if isinstance(exc, SchemaMismatch):
+        return EXIT_SCHEMA
+    if isinstance(exc, InsufficientDataError):
+        return EXIT_INSUFFICIENT
+    if isinstance(exc, (ParseError, FileNotFoundError, ValueError, OSError)):
+        return EXIT_PARSE
+    raise exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaMismatch as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except (ParseError, FileNotFoundError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return code
 
 
 if __name__ == "__main__":

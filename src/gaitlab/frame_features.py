@@ -27,12 +27,24 @@ EPS = 1e-9  # pixels; below this two defining points are considered coincident
 
 K = KeypointId
 
-# (name, center joint, end joints) per limb, in feature order
-_LIMBS = (
+# midpoints of joint pairs, numbered after the 14 joints as points 15-18
+_MIDPOINTS = (
+    (K.LEFT_EAR, K.RIGHT_EAR),
+    (K.LEFT_SHOULDER, K.RIGHT_SHOULDER),
+    (K.LEFT_HIP, K.RIGHT_HIP),
+    (K.LEFT_ANKLE, K.RIGHT_ANKLE),
+)
+_EAR, _SHOULDER, _HIP, _ANKLE = range(15, 19)
+
+# (line name, point, line end, line end) per straightness value, which is the
+# point's distance from the line through the two ends; order ls1-ls4, us, bs
+_LINES = (
     ("left-hand", K.LEFT_ELBOW, K.LEFT_SHOULDER, K.LEFT_WRIST),
     ("right-hand", K.RIGHT_ELBOW, K.RIGHT_SHOULDER, K.RIGHT_WRIST),
     ("left-leg", K.LEFT_KNEE, K.LEFT_HIP, K.LEFT_ANKLE),
     ("right-leg", K.RIGHT_KNEE, K.RIGHT_HIP, K.RIGHT_ANKLE),
+    ("upper-body axis", _SHOULDER, _EAR, _HIP),
+    ("body axis", _HIP, _SHOULDER, _ANKLE),
 )
 
 # hand (shoulder->wrist) paired with the opposite leg (hip->ankle)
@@ -42,20 +54,20 @@ _PAIRS = (
 )
 
 
-def _joints(table, column):
-    """0-based joint indices of one column of a joint table."""
+def _points(table, column):
+    """0-based point indices of one column of a point table."""
     return np.array([row[column] - 1 for row in table])
 
 
-_LIMB_MIDDLE, _LIMB_END_A, _LIMB_END_B = (_joints(_LIMBS, c) for c in (1, 2, 3))
-_SHOULDER, _WRIST, _HIP, _ANKLE = (_joints(_PAIRS, c) for c in (1, 2, 4, 5))
-_LIMB_NAMES = tuple(row[0] for row in _LIMBS)
-_PAIR_NAMES = tuple(name for row in _PAIRS for name in (row[0], row[3]))  # hand, then leg
-
+_MID_A, _MID_B = (_points(_MIDPOINTS, c) for c in (0, 1))
+_POINT, _END_A, _END_B = (_points(_LINES, c) for c in (1, 2, 3))
+_HAND_A, _HAND_B, _LEG_A, _LEG_B = (_points(_PAIRS, c) for c in (1, 2, 4, 5))
 _PAIR_I, _PAIR_J = np.triu_indices(14, k=1)  # lexicographic (i, j), i < j
 
-# every defining line, in the order the first degeneracy of a frame is reported
-_LINE_NAMES = _LIMB_NAMES + _PAIR_NAMES + ("upper-body axis", "body axis")
+# every defining line, in the order the first degeneracy of a frame is reported;
+# a pair's lines are limbs' end-to-end lines, so a limb is named before its pair
+_LINE_NAMES = (tuple(row[0] for row in _LINES)
+               + tuple(name for row in _PAIRS for name in (row[0], row[3])))
 
 FEATURE_NAMES: tuple[str, ...] = (
     tuple(f"ls{i}" for i in range(1, 5))
@@ -96,8 +108,35 @@ def point_line_distance(p, a, b):
     return distance
 
 
-def _limb_straightness(xy):
-    return _point_line(xy[..., _LIMB_MIDDLE, :], xy[..., _LIMB_END_A, :], xy[..., _LIMB_END_B, :])
+def _geometry(xy):
+    """Every unnormalized measurement of (..., 14, 2) poses in one pass:
+    (8 line values in feature order, 10 defining-line lengths in _LINE_NAMES
+    order, 14 centroid distances, 91 pairwise distances)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # aggregate refuses non-finite features
+        mid = (xy[..., _MID_A, :] + xy[..., _MID_B, :]) / 2.0
+        points = np.concatenate([xy, mid], axis=-2)
+        straight, length = _point_line(points[..., _POINT, :], points[..., _END_A, :],
+                                       points[..., _END_B, :])
+        u = xy[..., _HAND_B, :] - xy[..., _HAND_A, :]  # hand lines
+        v = xy[..., _LEG_B, :] - xy[..., _LEG_A, :]  # opposite leg lines
+        cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+        dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+        angle = np.arctan2(np.abs(cross), dot)  # in [0, pi]
+        pair_lengths = np.stack([np.hypot(u[..., 0], u[..., 1]), np.hypot(v[..., 0], v[..., 1])],
+                                axis=-1)  # hand, leg, hand, leg
+        folded = np.minimum(angle, np.pi - angle)  # lines have no direction
+        lines = np.concatenate([straight[..., :4], folded, straight[..., 4:]], axis=-1)
+        lengths = np.concatenate([length, pair_lengths.reshape(*u.shape[:-2], 4)], axis=-1)
+        central = np.linalg.norm(xy - xy.mean(axis=-2, keepdims=True), axis=-1)
+        mutual = np.linalg.norm(xy[..., _PAIR_I, :] - xy[..., _PAIR_J, :], axis=-1)
+    return lines, lengths, central, mutual
+
+
+def _line_family(xy, columns, lines):
+    """One line family's columns of the pass; raises its own first short line."""
+    values, lengths, _, _ = _geometry(np.asarray(xy, dtype=float))
+    _check_lines(lengths[..., lines], _LINE_NAMES[lines])
+    return values[..., columns]
 
 
 def limb_straightness(xy) -> np.ndarray:
@@ -105,20 +144,7 @@ def limb_straightness(xy) -> np.ndarray:
 
     Order: left hand, right hand, left leg, right leg. Shape (..., 4).
     """
-    distance, length = _limb_straightness(np.asarray(xy, dtype=float))
-    _check_lines(length, _LIMB_NAMES)
-    return distance
-
-
-def _hand_leg_coordination(xy):
-    u = xy[..., _WRIST, :] - xy[..., _SHOULDER, :]  # hand lines
-    v = xy[..., _ANKLE, :] - xy[..., _HIP, :]  # opposite leg lines
-    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
-    angle = np.arctan2(np.abs(cross), dot)  # in [0, pi]
-    lengths = np.stack([np.hypot(u[..., 0], u[..., 1]), np.hypot(v[..., 0], v[..., 1])], axis=-1)
-    # fold the angle, since lines have no direction; lengths run hand, leg, hand, leg
-    return np.minimum(angle, np.pi - angle), lengths.reshape(*lengths.shape[:-2], 4)
+    return _line_family(xy, slice(0, 4), slice(0, 4))
 
 
 def hand_leg_coordination(xy) -> np.ndarray:
@@ -126,51 +152,17 @@ def hand_leg_coordination(xy) -> np.ndarray:
 
     Order: (left hand, right leg), (right hand, left leg). Shape (..., 2).
     """
-    angle, lengths = _hand_leg_coordination(np.asarray(xy, dtype=float))
-    _check_lines(lengths, _PAIR_NAMES)
-    return angle
-
-
-def _midpoint(xy, left: KeypointId, right: KeypointId):
-    return (xy[..., left - 1, :] + xy[..., right - 1, :]) / 2.0
-
-
-def _upper_body_straightness(xy):
-    ear = _midpoint(xy, K.LEFT_EAR, K.RIGHT_EAR)
-    shoulder = _midpoint(xy, K.LEFT_SHOULDER, K.RIGHT_SHOULDER)
-    hip = _midpoint(xy, K.LEFT_HIP, K.RIGHT_HIP)
-    return _point_line(shoulder, ear, hip)
+    return _line_family(xy, slice(4, 6), slice(6, 10))
 
 
 def upper_body_straightness(xy) -> np.ndarray:
     """Displacement of the effective shoulder from the effective ear-hip line."""
-    distance, length = _upper_body_straightness(np.asarray(xy, dtype=float))
-    _check_lines(length, ("upper-body axis",))
-    return distance
-
-
-def _body_straightness(xy):
-    shoulder = _midpoint(xy, K.LEFT_SHOULDER, K.RIGHT_SHOULDER)
-    hip = _midpoint(xy, K.LEFT_HIP, K.RIGHT_HIP)
-    ankle = _midpoint(xy, K.LEFT_ANKLE, K.RIGHT_ANKLE)
-    return _point_line(hip, shoulder, ankle)
+    return _line_family(xy, 6, slice(4, 5))
 
 
 def body_straightness(xy) -> np.ndarray:
     """Displacement of the effective hip from the effective shoulder-ankle line."""
-    distance, length = _body_straightness(np.asarray(xy, dtype=float))
-    _check_lines(length, ("body axis",))
-    return distance
-
-
-def _central_distances(xy):
-    """Unnormalized distances from each keypoint to the 14-point centroid."""
-    return np.linalg.norm(xy - xy.mean(axis=-2, keepdims=True), axis=-1)
-
-
-def _mutual_distances(xy):
-    """Unnormalized pairwise keypoint distances, lexicographic (i, j) with i < j."""
-    return np.linalg.norm(xy[..., _PAIR_I, :] - xy[..., _PAIR_J, :], axis=-1)
+    return _line_family(xy, 7, slice(5, 6))
 
 
 def _per_frame_normalized(distances):
@@ -182,12 +174,12 @@ def _per_frame_normalized(distances):
 
 def central_distances(xy) -> np.ndarray:
     """Centroid distances normalized by the frame maximum; in [0, 1], max = 1."""
-    return _per_frame_normalized(_central_distances(np.asarray(xy, dtype=float)))
+    return _per_frame_normalized(_geometry(np.asarray(xy, dtype=float))[2])
 
 
 def mutual_distances(xy) -> np.ndarray:
     """Pairwise distances normalized by the frame maximum; 91 values in [0, 1]."""
-    return _per_frame_normalized(_mutual_distances(np.asarray(xy, dtype=float)))
+    return _per_frame_normalized(_geometry(np.asarray(xy, dtype=float))[3])
 
 
 def extract_sequence(
@@ -211,11 +203,8 @@ def extract_sequence(
     incomplete = np.flatnonzero(np.isnan(xy).any(axis=(1, 2)))
     if incomplete.size:
         raise ValueError(f"frame {seq.frame_index[incomplete[0]]} is missing keypoints")
-    families = (_limb_straightness(xy), _hand_leg_coordination(xy),
-                _upper_body_straightness(xy), _body_straightness(xy))
-    lines = np.column_stack([family[0] for family in families])  # (T, 8)
-    short = np.column_stack([family[1] for family in families]) < EPS  # (T, 10)
-    cd, md = _central_distances(xy), _mutual_distances(xy)
+    lines, lengths, cd, md = _geometry(xy)
+    short = lengths < EPS  # (T, 10)
     cd_top, md_top = cd.max(axis=1, keepdims=True), md.max(axis=1, keepdims=True)
     degenerate = short.any(axis=1) | (cd_top[:, 0] < EPS) | (md_top[:, 0] < EPS)
 
@@ -230,7 +219,8 @@ def extract_sequence(
     cd_top, md_top = cd_top[keep], md_top[keep]
     if norm_scope == "video" and keep.any():
         cd_top, md_top = cd_top.max(), md_top.max()
-    features = np.hstack([lines[keep], cd[keep] / cd_top, md[keep] / md_top])
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = np.hstack([lines[keep], cd[keep] / cd_top, md[keep] / md_top])
     return features, int(degenerate.sum())
 
 

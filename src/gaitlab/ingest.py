@@ -2,7 +2,7 @@
 
 Interchange format (extension ``.kp.jsonl``): one JSON object per line,
 
-    {"frame": <int>, "t_ms": <int, optional>,
+    {"frame": <int>, "t_ms": <number, optional>,
      "kp": {"LeftEar": [x, y, conf], ..., "RightAnkle": [x, y, conf]}}
 
 Keypoint names are the CamelCase forms of the 14 joint identifiers; unknown
@@ -93,7 +93,7 @@ def parse_keypoint_file(data: Union[bytes, str], source_id: str = "") -> PoseSeq
             raise MalformedLine(line_no, "keypoint value beyond the float range") from None
         line_nos.append(line_no)
         indices.append(idx)
-        stamps.append(None if t_ms is None else int(t_ms))
+        stamps.append(t_ms)
         rows.append(row)
         named.append(row_named)
     if not indices:

@@ -72,7 +72,8 @@ def aggregate(
         raise TooFewFrames(len(features))
     matrix = np.asarray(features, dtype=float)
     ddof = 0 if std_mode == "population" else 1
-    mean, std = matrix.mean(axis=0), matrix.std(axis=0, ddof=ddof)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        mean, std = matrix.mean(axis=0), matrix.std(axis=0, ddof=ddof)
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
         raise ParseError(f"{source_id!r} has non-finite video features; "
                          "are its coordinates too large?")

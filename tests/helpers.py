@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from gaitlab.pose import GaitLabel, PoseSequence
+from gaitlab.pose import GaitLabel, KeypointId, PoseSequence
 from gaitlab.classify import scores
 from gaitlab.video_features import FeatureTable, VideoFeatures, schema_fingerprint
 
@@ -75,6 +75,50 @@ def bs_direct_oracle(xy):
     m = (sl[1] + sr[1] - al[1] - ar[1]) / den
     c = ((sl[0] + sr[0]) * (al[1] + ar[1]) - (al[0] + ar[0]) * (sl[1] + sr[1])) / den
     return 0.5 * abs(m * (hl[0] + hr[0]) + c - (hl[1] + hr[1])) / math.sqrt(1 + m * m)
+
+
+# defining lines of each line family, (name, end, end); an end is a 1-based
+# joint number or a pair of them, whose midpoint it is
+_K = KeypointId
+_FAMILY_LINES = {
+    "limb": (("left-hand", _K.LEFT_SHOULDER, _K.LEFT_WRIST),
+             ("right-hand", _K.RIGHT_SHOULDER, _K.RIGHT_WRIST),
+             ("left-leg", _K.LEFT_HIP, _K.LEFT_ANKLE),
+             ("right-leg", _K.RIGHT_HIP, _K.RIGHT_ANKLE)),
+    "hand-leg": (("left-hand", _K.LEFT_SHOULDER, _K.LEFT_WRIST),
+                 ("right-leg", _K.RIGHT_HIP, _K.RIGHT_ANKLE),
+                 ("right-hand", _K.RIGHT_SHOULDER, _K.RIGHT_WRIST),
+                 ("left-leg", _K.LEFT_HIP, _K.LEFT_ANKLE)),
+    "upper-body": (("upper-body axis", (_K.LEFT_EAR, _K.RIGHT_EAR), (_K.LEFT_HIP, _K.RIGHT_HIP)),),
+    "body": (("body axis", (_K.LEFT_SHOULDER, _K.RIGHT_SHOULDER),
+              (_K.LEFT_ANKLE, _K.RIGHT_ANKLE)),),
+}
+
+
+def line_lengths_oracle(pose, family):
+    """[(name, length)] of a line family's defining lines in one pose (14 [x, y]
+    pairs), computed in plain Python; family is limb, hand-leg, upper-body or body."""
+    def point(end):
+        if isinstance(end, tuple):
+            (ax, ay), (bx, by) = pose[end[0] - 1], pose[end[1] - 1]
+            return (ax + bx) / 2.0, (ay + by) / 2.0
+        return pose[end - 1]
+
+    lengths = []
+    for name, a, b in _FAMILY_LINES[family]:
+        (ax, ay), (bx, by) = point(a), point(b)
+        lengths.append((name, math.hypot(bx - ax, by - ay)))
+    return lengths
+
+
+def distance_maxima_oracle(pose):
+    """(largest centroid distance, largest pairwise distance) of one pose, in plain Python."""
+    cx = sum(x for x, _ in pose) / len(pose)
+    cy = sum(y for _, y in pose) / len(pose)
+    central = max(math.hypot(x - cx, y - cy) for x, y in pose)
+    mutual = max(math.hypot(bx - ax, by - ay) for i, (ax, ay) in enumerate(pose)
+                 for bx, by in pose[i + 1:])
+    return central, mutual
 
 
 def make_separable_items(rng, n_per_class=10, labels=(GaitLabel.NORMAL, GaitLabel.PARKINSON)):

@@ -2,7 +2,6 @@ import csv
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from gaitlab.cli import main
@@ -117,6 +116,22 @@ def test_eval_refuses_bad_algorithm_lists(pipeline_dir, tmp_path, capsys, algos,
     assert not report.exists()
 
 
+
+@pytest.mark.parametrize("algos, failing", [
+    ("gnb", ["gnb"]),
+    ("all", ["knn", "tree", "forest", "gnb", "logreg"]),
+])
+def test_eval_prints_each_failure_once(pipeline_dir, tmp_path, capsys, algos, failing):
+    """When every algorithm fails, stderr holds one line per algorithm and nothing more."""
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = main(["eval", "--features", str(pipeline_dir / "features.csv"), "--algos", algos,
+               "--task", "binary:Normal", "--folds", "2", "--report", str(report)])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"{algo}: need at least 2 classes, got 1" for algo in failing]
+    assert not report.exists()
+
 def test_eval_binary_task(pipeline_dir, tmp_path):
     report = tmp_path / "binary.json"
     rc = main(["eval", "--features", str(pipeline_dir / "features.csv"),
@@ -185,10 +200,10 @@ def test_extract_refuses_coordinates_too_large_for_finite_features(pipeline_dir,
                            in frame["kp"].items()}
             fh.write(json.dumps(frame) + "\n")
     capsys.readouterr()
-    with np.errstate(all="ignore"):
-        rc = main(["extract", "--in", str(huge), "--out", str(tmp_path / "o.csv")])
+    rc = main(["extract", "--in", str(huge), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
-    assert "'huge'" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'huge'" in err[0]
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -349,12 +364,16 @@ def test_exit_code_malformed_manifest(pipeline_dir, tmp_path, capsys, manifest, 
 
 @pytest.fixture(scope="module")
 def pinned_outputs(tmp_path_factory):
-    """Bytes of the train, predict and eval outputs on a small seed-5 corpus."""
+    """Bytes of the extract, train, predict and eval outputs on a small seed-5 corpus."""
     root = tmp_path_factory.mktemp("pinned")
     write_corpus(root / "corpus", {label: 12 for label in GaitLabel}, seed=5, n_frames=20)
-    features = str(root / "f.csv")
-    assert main(["extract", "--in", str(root / "corpus"), "--out", features]) == 0
     outputs = {}
+    for name, config in (("features", []),
+                         ("features-video-sample", ["--norm-scope", "video", "--std", "sample"])):
+        path = root / f"{name}.csv"
+        assert main(["extract", "--in", str(root / "corpus"), "--out", str(path)] + config) == 0
+        outputs[name] = path.read_bytes()
+    features = str(root / "features.csv")
     for algo in ("knn", "tree", "forest", "gnb", "logreg"):
         model, predictions = root / f"{algo}.json", root / f"{algo}.csv"
         assert main(["train", "--features", features, "--algo", algo, "--out", str(model)]) == 0
@@ -371,6 +390,10 @@ def pinned_outputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name, digest", [
+    ("features",
+     "5a4ea570ca00c9218499f6d076ad07162e0cc8238b02404e290ddd41eff22437"),
+    ("features-video-sample",
+     "9e691fbd63319e96646adeb5f4bc6fd1bfb8876d6bd059715e93211acb9b6ae2"),
     ("model-knn",
      "e6d3f66a3a924bec80a758323f59f16963b6b87383be98ef8e3c4b53391963d1"),
     ("model-gnb",
@@ -393,6 +416,6 @@ def pinned_outputs(tmp_path_factory):
      "5743eb8f9d0a85768a2663731c270a67e1f94759afd027df53ef6671d60a169a"),
 ])
 def test_cli_output_bytes_pinned(pinned_outputs, name, digest):
-    """The exact bytes `train`, `predict` and `eval` write; a change that moves
+    """The exact bytes `extract`, `train`, `predict` and `eval` write; a change that moves
     them has to update these digests."""
     assert hashlib.sha256(pinned_outputs[name]).hexdigest() == digest

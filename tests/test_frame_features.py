@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from gaitlab.errors import DegenerateLine, DegeneratePose
 from gaitlab.frame_features import (
+    EPS,
     FEATURE_NAMES,
     body_straightness,
     central_distances,
@@ -28,6 +31,8 @@ from helpers import (
     MD,
     US,
     bs_direct_oracle,
+    distance_maxima_oracle,
+    line_lengths_oracle,
     random_frame,
     sequence_from_coords,
     slope_distance_oracle,
@@ -444,3 +449,80 @@ def test_extract_sequence_refuses_missing_keypoints():
     xy[1, K.RIGHT_KNEE - 1] = np.nan  # how the parser stores an absent joint
     with pytest.raises(ValueError, match="frame 1"):
         extract_sequence(sequence_from_coords(xy))
+
+
+# --- per-family functions against the kernel ------------------------------------
+
+LINE_FAMILIES = (
+    ("limb", limb_straightness, LS),
+    ("hand-leg", hand_leg_coordination, HL),
+    ("upper-body", upper_body_straightness, US),
+    ("body", body_straightness, BS),
+)
+DISTANCE_FAMILIES = ((central_distances, CD), (mutual_distances, MD))
+
+# joints on a small integer grid whose size each frame draws, so that joints
+# coincide often and a grid of one point collapses the whole pose
+grid_frames = st.integers(0, 4).flatmap(
+    lambda size: st.lists(st.tuples(st.integers(0, size), st.integers(0, size)),
+                          min_size=14, max_size=14))
+grid_stacks = st.lists(grid_frames, min_size=1, max_size=4)
+
+
+def first_short_line(frames, family):
+    """Name of the family's first line shorter than EPS, frame by frame, or None."""
+    for pose in frames:
+        for name, length in line_lengths_oracle(pose, family):
+            if length < EPS:
+                return name
+    return None
+
+
+def has_collapsed_frame(frames):
+    return any(max(distance_maxima_oracle(pose)) < EPS for pose in frames)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=grid_stacks)
+def test_families_raise_their_own_degeneracy_and_agree_with_the_kernel(frames):
+    xy = np.array(frames, dtype=float)
+    feats, failed = extract_sequence(sequence_from_coords(xy))
+    for family, function, columns in LINE_FAMILIES:
+        expected = first_short_line(frames, family)
+        if expected is None:
+            values = function(xy)
+            if failed == 0:
+                assert np.array_equal(values, feats[:, columns])
+        else:
+            with pytest.raises(DegenerateLine) as exc:
+                function(xy)
+            assert exc.value.what == expected
+    for function, columns in DISTANCE_FAMILIES:
+        if has_collapsed_frame(frames):
+            with pytest.raises(DegeneratePose):
+                function(xy)
+        else:
+            values = function(xy)
+            if failed == 0:
+                assert np.array_equal(values, feats[:, columns])
+
+
+def test_grid_stacks_hold_both_kinds_of_degeneracy():
+    """The stacks above include short lines without a collapsed pose, collapsed
+    poses, and stacks with no degenerate frame at all."""
+    seen = set()
+
+    @seed(0)
+    @settings(max_examples=200, database=None, deadline=None)
+    @given(frames=grid_stacks)
+    def record(frames):
+        short = any(first_short_line(frames, family) for family, _, _ in LINE_FAMILIES)
+        if has_collapsed_frame(frames):
+            seen.add("collapsed pose")
+        elif short:
+            seen.add("short line")
+        else:
+            seen.add("none")
+
+    record()
+    assert seen == {"collapsed pose", "short line", "none"}

@@ -98,6 +98,13 @@ def test_serialize_parse_roundtrip():
         assert back == seq
 
 
+
+def test_fractional_timestamp_survives_parse_and_serialize():
+    seq = parse_keypoint_file(line_for(0, t_ms=33.7) + "\n" + line_for(1, t_ms=67))
+    assert seq.t_ms == (33.7, 67)
+    assert [json.loads(line)["t_ms"] for line in serialize_sequence(seq).splitlines()] == [33.7, 67]
+    assert parse_keypoint_file(serialize_sequence(seq)) == seq
+
 def test_filter_valid_passthrough():
     rng = np.random.default_rng(2)
     seq = random_sequence(rng, n_frames=10)
