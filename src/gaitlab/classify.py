@@ -87,7 +87,10 @@ class TrainedModel:
     @classmethod
     def from_json(cls, text: str) -> "TrainedModel":
         """Parse and validate a model document; any defect raises ValueError."""
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:  # nesting too deep for the decoder
+            raise ValueError("model document is nested too deeply") from None
         if not isinstance(doc, dict) or doc.get("format") != "gaitmodel":
             raise ValueError("not a recognized gaitmodel document")
         if doc.get("version") != MODEL_FORMAT_VERSION:

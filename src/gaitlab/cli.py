@@ -29,7 +29,10 @@ def _parse_counts(text: str) -> dict:
         name, _, value = part.partition("=")
         if not value:
             raise ValueError(f"bad counts entry {part!r}, expected Label=N")
-        counts[GaitLabel.from_name(name)] = int(value)
+        label = GaitLabel.from_name(name)
+        if label in counts:
+            raise ValueError(f"label {label.value!r} is counted twice")
+        counts[label] = int(value)
     return counts
 
 

@@ -83,10 +83,11 @@ def test_criterion_2_geometry_oracles():
         if abs(xy[2, 0] + xy[3, 0] - xy[12, 0] - xy[13, 0]) < 0.05:
             continue
         el = xy[KeypointId.LEFT_ELBOW - 1]
+        ff = ffmod.extract_frame_features(xy)
         pairs = (
             (ffmod.point_line_distance(el, sl, wl), slope_distance_oracle(el, sl, wl)),
-            (ffmod.upper_body_straightness(xy), us_direct_oracle(xy)),
-            (ffmod.body_straightness(xy), bs_direct_oracle(xy)),
+            (ff[US], us_direct_oracle(xy)),
+            (ff[BS], bs_direct_oracle(xy)),
         )
         for got, expected in pairs:
             worst = max(worst, abs(got - expected) / max(abs(expected), 1e-9))

@@ -60,6 +60,18 @@ def test_refused_synth_leaves_the_output_directory_alone(tmp_path):
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("counts, label", [
+    ("Normal=2,Parkinson=2,Normal=3", "Normal"),
+    ("Parkinson=2,parkinson=2", "Parkinson"),
+], ids=["repeated", "repeated-other-case"])
+def test_synth_refuses_a_label_counted_twice(tmp_path, capsys, counts, label):
+    out = tmp_path / "c"
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--counts", counts, "--frames", "4"]) == 2
+    assert f"label {label!r} is counted twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_names_manifest_and_file_disagreements(pipeline_dir, tmp_path, capsys):
     """A manifest row without a file and a file without a manifest row each get
     one stderr line; the exit code and the CSV stay as they were."""
@@ -324,6 +336,17 @@ def test_exit_code_malformed_model(pipeline_dir, tmp_path, capsys, edit, message
                "--out", str(tmp_path / "p.csv")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_predict_refuses_a_deeply_nested_model(pipeline_dir, tmp_path, capsys):
+    model_path = tmp_path / "deep.gaitmodel.json"
+    model_path.write_text("[" * 200_000 + "]" * 200_000)
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(model_path), "--features",
+               str(pipeline_dir / "features.csv"), "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert "nested too deeply" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize("edit", [

@@ -9,15 +9,9 @@ from gaitlab.errors import DegenerateLine, DegeneratePose
 from gaitlab.frame_features import (
     EPS,
     FEATURE_NAMES,
-    body_straightness,
-    central_distances,
     extract_frame_features,
     extract_sequence,
-    hand_leg_coordination,
-    limb_straightness,
-    mutual_distances,
     point_line_distance,
-    upper_body_straightness,
 )
 from gaitlab.pose import KeypointId
 from gaitlab.synth import default_params, generate
@@ -73,6 +67,16 @@ def test_point_line_distance_matches_slope_oracle():
         assert point_line_distance(p, a, b) == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize("p, a, b", [
+    ((1e160, 3e160), (0, 0), (4e160, 1e160)),  # finite, but the cross product overflows
+    ((1, 1), (0, 0), (np.nan, 2)),
+    ((1, np.inf), (0, 0), (2, 0)),
+], ids=["overflow", "nan", "inf"])
+def test_point_line_distance_refuses_non_finite_results(p, a, b):
+    with pytest.raises(ValueError, match="not finite"):
+        point_line_distance(p, a, b)
+
+
 # --- limb straightness ----------------------------------------------------------
 
 
@@ -87,20 +91,20 @@ def coords_with(overrides):
 
 def test_limb_straightness_straight_arm():
     xy = coords_with({K.LEFT_SHOULDER: (0, 0), K.LEFT_ELBOW: (1, 0), K.LEFT_WRIST: (2, 0)})
-    assert limb_straightness(xy)[0] == pytest.approx(0.0, abs=1e-12)
+    assert extract_frame_features(xy)[LS][0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_limb_straightness_bent_arm():
     xy = coords_with({K.LEFT_SHOULDER: (0, 0), K.LEFT_ELBOW: (1, 1), K.LEFT_WRIST: (2, 0)})
     expected = slope_distance_oracle((1, 1), (0, 0), (2, 0))
-    assert limb_straightness(xy)[0] == pytest.approx(expected)
+    assert extract_frame_features(xy)[LS][0] == pytest.approx(expected)
     assert expected == pytest.approx(1.0)
 
 
 def test_limb_straightness_degenerate_names_limb():
     xy = coords_with({K.LEFT_SHOULDER: (3, 3), K.LEFT_WRIST: (3, 3)})
     with pytest.raises(DegenerateLine) as exc:
-        limb_straightness(xy)
+        extract_frame_features(xy)
     assert exc.value.what == "left-hand"
 
 
@@ -112,7 +116,7 @@ def test_limb_straightness_order():
         K.LEFT_HIP: (0, 50), K.LEFT_KNEE: (0, 60), K.LEFT_ANKLE: (0, 70),
         K.RIGHT_HIP: (30, 50), K.RIGHT_KNEE: (35, 60), K.RIGHT_ANKLE: (30, 70),
     })
-    values = limb_straightness(xy)
+    values = extract_frame_features(xy)[LS]
     assert values[:3] == pytest.approx([0, 0, 0], abs=1e-12)
     assert values[3] == pytest.approx(5.0)
 
@@ -132,24 +136,24 @@ def pair_frame(hand_dir, leg_dir):
 
 
 def test_hand_leg_parallel():
-    angles = hand_leg_coordination(pair_frame((0, 2), (0, 5)))
+    angles = extract_frame_features(pair_frame((0, 2), (0, 5)))[HL]
     assert angles[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hand_leg_perpendicular():
-    angles = hand_leg_coordination(pair_frame((1, 0), (0, 1)))
+    angles = extract_frame_features(pair_frame((1, 0), (0, 1)))[HL]
     assert angles[0] == pytest.approx(math.pi / 2)
 
 
 def test_hand_leg_forty_five():
-    angles = hand_leg_coordination(pair_frame((1, 1), (1, 0)))
+    angles = extract_frame_features(pair_frame((1, 1), (1, 0)))[HL]
     assert angles[0] == pytest.approx(math.pi / 4)
 
 
 def test_hand_leg_degenerate():
     xy = coords_with({K.RIGHT_HIP: (9, 9), K.RIGHT_ANKLE: (9, 9)})
     with pytest.raises(DegenerateLine) as exc:
-        hand_leg_coordination(xy)
+        extract_frame_features(xy)
     assert exc.value.what == "right-leg"
 
 
@@ -157,12 +161,12 @@ def test_hand_leg_endpoint_swap_symmetry():
     rng = np.random.default_rng(4)
     for _ in range(50):
         xy = random_frame(rng)
-        base = hand_leg_coordination(xy)
+        base = extract_frame_features(xy)[HL]
         # swap shoulder/wrist of the left hand: direction negates
         swapped = xy.copy()
         swapped[K.LEFT_SHOULDER - 1], swapped[K.LEFT_WRIST - 1] = (
             xy[K.LEFT_WRIST - 1].copy(), xy[K.LEFT_SHOULDER - 1].copy())
-        assert hand_leg_coordination(swapped) == pytest.approx(base)
+        assert extract_frame_features(swapped)[HL] == pytest.approx(base)
         assert 0.0 <= base[0] <= math.pi / 2 + 1e-12
 
 
@@ -175,7 +179,7 @@ def test_upper_body_collinear():
         K.LEFT_SHOULDER: (0, 5), K.RIGHT_SHOULDER: (0, 5),
         K.LEFT_HIP: (0, 10), K.RIGHT_HIP: (0, 10),
     })
-    assert upper_body_straightness(xy) == pytest.approx(0.0, abs=1e-12)
+    assert extract_frame_features(xy)[US] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_upper_body_displaced():
@@ -185,7 +189,7 @@ def test_upper_body_displaced():
         K.LEFT_HIP: (-1, 10), K.RIGHT_HIP: (1, 10),
     })
     # midpoints (0,0), (2,5), (0,10): shoulder is 2 off the vertical axis
-    assert upper_body_straightness(xy) == pytest.approx(2.0)
+    assert extract_frame_features(xy)[US] == pytest.approx(2.0)
 
 
 def test_upper_body_degenerate():
@@ -195,7 +199,7 @@ def test_upper_body_degenerate():
         K.LEFT_HIP: (5, 5), K.RIGHT_HIP: (5, 5),
     })
     with pytest.raises(DegenerateLine) as exc:
-        upper_body_straightness(xy)
+        extract_frame_features(xy)
     assert exc.value.what == "upper-body axis"
 
 
@@ -205,19 +209,20 @@ def test_body_straightness_cases():
         K.LEFT_HIP: (0, 6), K.RIGHT_HIP: (0, 6),
         K.LEFT_ANKLE: (0, 12), K.RIGHT_ANKLE: (0, 12),
     })
-    assert body_straightness(collinear) == pytest.approx(0.0, abs=1e-12)
+    assert extract_frame_features(collinear)[BS] == pytest.approx(0.0, abs=1e-12)
     displaced = coords_with({
         K.LEFT_SHOULDER: (0, 0), K.RIGHT_SHOULDER: (0, 0),
         K.LEFT_HIP: (3, 6), K.RIGHT_HIP: (3, 6),
         K.LEFT_ANKLE: (0, 12), K.RIGHT_ANKLE: (0, 12),
     })
-    assert body_straightness(displaced) == pytest.approx(3.0)
+    assert extract_frame_features(displaced)[BS] == pytest.approx(3.0)
     degenerate = coords_with({
         K.LEFT_SHOULDER: (1, 1), K.RIGHT_SHOULDER: (1, 1),
         K.LEFT_ANKLE: (1, 1), K.RIGHT_ANKLE: (1, 1),
     })
-    with pytest.raises(DegenerateLine):
-        body_straightness(degenerate)
+    with pytest.raises(DegenerateLine) as exc:
+        extract_frame_features(degenerate)
+    assert exc.value.what == "body axis"
 
 
 def test_us_bs_match_direct_formula():
@@ -229,10 +234,9 @@ def test_us_bs_match_direct_formula():
             continue
         if abs(xy[2, 0] + xy[3, 0] - xy[12, 0] - xy[13, 0]) < 0.05:
             continue
-        assert upper_body_straightness(xy) == pytest.approx(
-            us_direct_oracle(xy), rel=1e-6, abs=1e-9)
-        assert body_straightness(xy) == pytest.approx(
-            bs_direct_oracle(xy), rel=1e-6, abs=1e-9)
+        ff = extract_frame_features(xy)
+        assert ff[US] == pytest.approx(us_direct_oracle(xy), rel=1e-6, abs=1e-9)
+        assert ff[BS] == pytest.approx(bs_direct_oracle(xy), rel=1e-6, abs=1e-9)
         checked += 1
 
 
@@ -242,37 +246,67 @@ def test_us_bs_match_direct_formula():
 def test_central_distances_circle():
     angles = np.linspace(0, 2 * math.pi, 14, endpoint=False)
     xy = 50 + 7.5 * np.column_stack([np.cos(angles), np.sin(angles)])
-    cd = central_distances(xy)
+    cd = extract_frame_features(xy)[CD]
     assert cd == pytest.approx(np.ones(14))
 
 
 def test_central_distances_constructed():
     # 5 cancelling unit pairs + three unit vectors summing to (2,0) + (-2,0):
-    # centroid is the origin, 13 points at distance 1 and one at distance 2
-    pts = []
-    for theta in np.linspace(0.3, 1.5, 5):
-        u = np.array([math.cos(theta), math.sin(theta)])
-        pts += [u, -u]
+    # centroid is the origin, 13 points at distance 1 and one at distance 2;
+    # the pairs' halves are apart, so no two joints of a defining line meet
+    units = [np.array([math.cos(theta), math.sin(theta)]) for theta in np.linspace(0.3, 1.5, 5)]
+    pts = units + [-u for u in units]
     s = math.sqrt(3) / 2
     pts += [np.array([1.0, 0.0]), np.array([0.5, s]), np.array([0.5, -s])]
     pts.append(np.array([-2.0, 0.0]))
     xy = np.stack(pts)
     assert np.allclose(xy.mean(axis=0), 0.0)
-    cd = central_distances(xy)
+    cd = extract_frame_features(xy)[CD]
     expected = np.full(14, 0.5)
     expected[13] = 1.0  # the distance-2 point, normalized by the max
     assert cd == pytest.approx(expected)
 
 
 def test_central_distances_degenerate():
+    collapsed = np.full((14, 2), 3.0)
+    with pytest.raises(DegenerateLine) as exc:  # its lines are short before its distances
+        extract_frame_features(collapsed)
+    assert exc.value.what == "left-hand"
+    good = generate(default_params(GaitLabel.NORMAL, seed=1), "g").xy[0]
+    feats, failed = extract_sequence(sequence_from_coords([collapsed, good]))
+    assert failed == 1 and feats == pytest.approx(extract_frame_features(good)[None])
+
+
+def test_collapsed_pose_with_long_lines_raises_degenerate_pose():
+    """Every defining line is at least 1.13e-9 px long, but no joint is 1e-9 px
+    from the centroid (9.1e-10 px at most): a collapsed pose, not a short line."""
+    r = 0.8e-9
+    xy = np.zeros((14, 2))
+    for joints, point in (((K.LEFT_EAR, K.RIGHT_EAR), (0, r)),
+                          ((K.LEFT_HIP, K.RIGHT_HIP), (0, -r)),
+                          ((K.LEFT_SHOULDER, K.RIGHT_SHOULDER), (r, 0)),
+                          ((K.LEFT_WRIST, K.RIGHT_WRIST, K.LEFT_ANKLE, K.RIGHT_ANKLE), (-r, 0))):
+        for k in joints:
+            xy[k - 1] = point
+    pose = xy.tolist()
+    assert degeneracy_oracle(pose) == (DegeneratePose, None)
+    assert min(length for family in LINE_FAMILIES
+               for _, length in line_lengths_oracle(pose, family)) > 1.1e-9
     with pytest.raises(DegeneratePose):
-        central_distances(np.full((14, 2), 3.0))
+        extract_frame_features(xy)
+    good = generate(default_params(GaitLabel.NORMAL, seed=1), "g").xy[0]
+    seq = sequence_from_coords([good, xy], frame_index=[2, 7])
+    with pytest.raises(DegeneratePose) as exc:
+        extract_sequence(seq, skip_degenerate=False)
+    assert exc.value.frame_index == 7
+    feats, failed = extract_sequence(seq)
+    assert failed == 1 and feats == pytest.approx(extract_frame_features(good)[None])
 
 
 def test_mutual_distances_count_and_order():
     rng = np.random.default_rng(6)
     xy = random_frame(rng)
-    md = mutual_distances(xy)
+    md = extract_frame_features(xy)[MD]
     assert md.shape == (91,)
     # brute-force all-pairs oracle in lexicographic order
     raw = [math.dist(xy[i], xy[j]) for i in range(14) for j in range(i + 1, 14)]
@@ -281,21 +315,28 @@ def test_mutual_distances_count_and_order():
 
 
 def test_mutual_distances_two_clusters():
-    xy = np.array([(0.0, 0.0)] * 7 + [(3.0, 4.0)] * 7)
-    md = mutual_distances(xy)
+    # 7 joints at each of two points, split so that no defining line collapses
+    far = {K.LEFT_WRIST, K.RIGHT_WRIST, K.LEFT_HIP, K.RIGHT_ANKLE,
+           K.LEFT_ELBOW, K.RIGHT_ELBOW, K.RIGHT_KNEE}
+    xy = np.array([(3.0, 4.0) if k in far else (0.0, 0.0) for k in K])
+    md = extract_frame_features(xy)[MD]
     assert set(np.round(md, 12)) == {0.0, 1.0}
     # 7*7 cross-cluster pairs at the max distance
     assert int((md == 1.0).sum()) == 49
 
 
 def test_mutual_distances_degenerate():
-    with pytest.raises(DegeneratePose):
-        mutual_distances(np.zeros((14, 2)))
+    collapsed = np.zeros((14, 2))
+    with pytest.raises(DegenerateLine) as exc:  # its lines are short before its distances
+        extract_frame_features(collapsed)
+    assert exc.value.what == "left-hand"
+    feats, failed = extract_sequence(sequence_from_coords([collapsed]))
+    assert feats.shape == (0, 113) and failed == 1
 
 
 def test_mutual_distances_synthetic_pose_vs_oracle():
     xy = generate(default_params(GaitLabel.NORMAL, seed=9), "t").xy[0]
-    md = mutual_distances(xy)
+    md = extract_frame_features(xy)[MD]
     raw = [math.dist(xy[i], xy[j]) for i in range(14) for j in range(i + 1, 14)]
     assert md == pytest.approx(np.array(raw) / max(raw))
 
@@ -407,8 +448,22 @@ def test_kernel_rows_match_single_pose_features():
     assert failed == 0
     for t in range(6):
         assert feats[t] == pytest.approx(extract_frame_features(xy[t]), rel=1e-12, abs=1e-12)
-    assert limb_straightness(xy) == pytest.approx(feats[:, LS], rel=1e-12)
-    assert hand_leg_coordination(xy) == pytest.approx(feats[:, HL], rel=1e-12)
+    for pose, row in zip(xy, feats):
+        assert np.cos(row[HL]) == pytest.approx(hand_leg_cosines_oracle(pose), abs=1e-12)
+
+
+def hand_leg_cosines_oracle(pose):
+    """Cosines of [hl1, hl2] of one pose: of the angle between each undirected
+    hand line and the opposite leg line, from the dot product in plain Python."""
+    def direction(a, b):
+        return pose[b - 1][0] - pose[a - 1][0], pose[b - 1][1] - pose[a - 1][1]
+
+    cosines = []
+    for hand, leg in (((K.LEFT_SHOULDER, K.LEFT_WRIST), (K.RIGHT_HIP, K.RIGHT_ANKLE)),
+                      ((K.RIGHT_SHOULDER, K.RIGHT_WRIST), (K.LEFT_HIP, K.LEFT_ANKLE))):
+        (ux, uy), (vx, vy) = direction(*hand), direction(*leg)
+        cosines.append(abs(ux * vx + uy * vy) / (math.hypot(ux, uy) * math.hypot(vx, vy)))
+    return cosines
 
 
 def test_kernel_reports_first_degeneracy_in_precedence_order():
@@ -451,15 +506,11 @@ def test_extract_sequence_refuses_missing_keypoints():
         extract_sequence(sequence_from_coords(xy))
 
 
-# --- per-family functions against the kernel ------------------------------------
+# --- the kernel against a plain-Python degeneracy oracle ---------------------------
 
-LINE_FAMILIES = (
-    ("limb", limb_straightness, LS),
-    ("hand-leg", hand_leg_coordination, HL),
-    ("upper-body", upper_body_straightness, US),
-    ("body", body_straightness, BS),
-)
-DISTANCE_FAMILIES = ((central_distances, CD), (mutual_distances, MD))
+# the kernel's defining lines in the order it reports them; the hand-leg lines
+# are the limbs' lines again, so a short one always has its limb named first
+LINE_FAMILIES = ("limb", "hand-leg", "upper-body", "body")
 
 # joints on a small integer grid whose size each frame draws, so that joints
 # coincide often and a grid of one point collapses the whole pose
@@ -469,57 +520,57 @@ grid_frames = st.integers(0, 4).flatmap(
 grid_stacks = st.lists(grid_frames, min_size=1, max_size=4)
 
 
-def first_short_line(frames, family):
-    """Name of the family's first line shorter than EPS, frame by frame, or None."""
-    for pose in frames:
+def degeneracy_oracle(pose):
+    """(DegenerateLine, line name) for a pose's first line shorter than EPS,
+    else (DegeneratePose, None) when its centroid or pairwise distances all
+    stay under EPS, else None."""
+    for family in LINE_FAMILIES:
         for name, length in line_lengths_oracle(pose, family):
             if length < EPS:
-                return name
+                return DegenerateLine, name
+    if min(distance_maxima_oracle(pose)) < EPS:
+        return DegeneratePose, None
     return None
-
-
-def has_collapsed_frame(frames):
-    return any(max(distance_maxima_oracle(pose)) < EPS for pose in frames)
 
 
 @settings(max_examples=200, deadline=None)
 @given(frames=grid_stacks)
-def test_families_raise_their_own_degeneracy_and_agree_with_the_kernel(frames):
+def test_kernel_raises_and_drops_what_the_oracle_predicts(frames):
     xy = np.array(frames, dtype=float)
-    feats, failed = extract_sequence(sequence_from_coords(xy))
-    for family, function, columns in LINE_FAMILIES:
-        expected = first_short_line(frames, family)
-        if expected is None:
-            values = function(xy)
-            if failed == 0:
-                assert np.array_equal(values, feats[:, columns])
+    frame_index = [3 * t + 5 for t in range(len(frames))]
+    seq = sequence_from_coords(xy, frame_index=frame_index)
+    verdicts = [degeneracy_oracle(pose) for pose in frames]
+    first = next(((t, v) for t, v in enumerate(verdicts) if v is not None), None)
+    for norm_scope in ("frame", "video"):
+        if first is None:
+            feats, failed = extract_sequence(seq, norm_scope, skip_degenerate=False)
+            assert feats.shape == (len(frames), 113) and failed == 0
         else:
-            with pytest.raises(DegenerateLine) as exc:
-                function(xy)
-            assert exc.value.what == expected
-    for function, columns in DISTANCE_FAMILIES:
-        if has_collapsed_frame(frames):
-            with pytest.raises(DegeneratePose):
-                function(xy)
-        else:
-            values = function(xy)
-            if failed == 0:
-                assert np.array_equal(values, feats[:, columns])
+            t, (error, what) = first
+            with pytest.raises(error) as exc:
+                extract_sequence(seq, norm_scope, skip_degenerate=False)
+            assert type(exc.value) is error
+            assert exc.value.frame_index == frame_index[t]
+            if what is not None:
+                assert exc.value.what == what
+        feats, failed = extract_sequence(seq, norm_scope)
+        expected = sum(v is not None for v in verdicts)
+        assert failed == expected and feats.shape == (len(frames) - expected, 113)
 
 
 def test_grid_stacks_hold_both_kinds_of_degeneracy():
-    """The stacks above include short lines without a collapsed pose, collapsed
-    poses, and stacks with no degenerate frame at all."""
+    """The stacks above include short lines, collapsed poses, and stacks with
+    no degenerate frame at all."""
     seen = set()
 
     @seed(0)
     @settings(max_examples=200, database=None, deadline=None)
     @given(frames=grid_stacks)
     def record(frames):
-        short = any(first_short_line(frames, family) for family, _, _ in LINE_FAMILIES)
-        if has_collapsed_frame(frames):
+        verdicts = [degeneracy_oracle(pose) for pose in frames]
+        if any(min(distance_maxima_oracle(pose)) < EPS for pose in frames):
             seen.add("collapsed pose")
-        elif short:
+        elif any(v is not None for v in verdicts):
             seen.add("short line")
         else:
             seen.add("none")
