@@ -177,7 +177,12 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    return TrainedModel.from_json(Path(path).read_text(encoding="utf-8"))
+    """Read a model file; a file that is not a valid model document raises
+    ValueError naming it."""
+    try:
+        return TrainedModel.from_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # also a decoding or JSON syntax error
+        raise ValueError(f"model file {path}: {exc}") from None
 
 
 # --- standardization ---------------------------------------------------------
@@ -241,29 +246,32 @@ def _best_split(X, y, n_classes, features, min_leaf):
     """(feature, threshold) of the lowest weighted Gini over the candidate
     columns of X, or None when no split leaves min_leaf rows on each side.
 
-    Ties go to the lowest threshold, then to the lowest feature index.
+    Ties go to the lowest feature index, then to the lowest threshold.
     """
     n = len(y)
-    cols = X[:, features]
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=0)  # (n, f) sorted columns
+    cols = X[:, features].T  # (f, n): one row per candidate feature
+    # Any sort order works: a valid split lies between two distinct values, so
+    # its prefix class counts do not depend on how tied values are ordered.
+    order = np.argsort(cols, axis=1)
+    xs = np.take_along_axis(cols, order, axis=1)
     ys = y[order]
-    ln = np.arange(1, n, dtype=float)[:, None]  # split after position i-1 -> left size i
+    ln = np.arange(1, n, dtype=float)  # split after position i-1 -> left size i
     rn = n - ln
     # Squared class shares summed class by class (the same left fold as a sum
-    # over a class axis), so no (n, f, c) count array is held.
+    # over a class axis), so no (c, f, n) count array is held. The counts are
+    # small integers, exact as floats.
     left_sq = right_sq = 0.0
     for c in range(n_classes):
-        cum = np.cumsum(ys == c, axis=0)  # (n, f) prefix counts of class c
-        left_sq = left_sq + (cum[:-1] / ln) ** 2
-        right_sq = right_sq + ((cum[-1] - cum[:-1]) / rn) ** 2
-    valid = (xs[:-1] < xs[1:]) & (ln >= min_leaf) & (rn >= min_leaf)
+        cum = np.cumsum(ys == c, axis=1, dtype=float)  # (f, n) prefix counts of class c
+        left_sq = left_sq + (cum[:, :-1] / ln) ** 2
+        right_sq = right_sq + ((cum[:, -1:] - cum[:, :-1]) / rn) ** 2
+    valid = (xs[:, :-1] < xs[:, 1:]) & (ln >= min_leaf) & (rn >= min_leaf)
     weighted = np.where(valid, (ln * (1.0 - left_sq) + rn * (1.0 - right_sq)) / n, np.inf)
-    best = int(weighted.min(axis=0).argmin())
-    i = weighted[:, best].argmin()
-    if not valid[i, best]:
+    best = int(weighted.min(axis=1).argmin())
+    i = weighted[best].argmin()
+    if not valid[best, i]:
         return None
-    return int(features[best]), float((xs[i, best] + xs[i + 1, best]) / 2.0)  # midpoint
+    return int(features[best]), float((xs[best, i] + xs[best, i + 1]) / 2.0)  # midpoint
 
 
 def _grow_tree(X, y, n_classes, max_depth, min_leaf, rng, max_features, nodes, depth=0) -> int:
@@ -341,11 +349,16 @@ def logreg_loss_and_grad(W, b, X, y, l2=0.0):
     probs = softmax(X @ W.T + b)
     eps = 1e-300  # guard the log only; probs from softmax are positive anyway
     loss = -np.mean(np.log(probs[np.arange(n), y] + eps)) + 0.5 * l2 * np.sum(W**2)
+    return (loss, *_logreg_grad(probs, W, X, y, l2))
+
+
+def _logreg_grad(probs, W, X, y, l2):
+    """(dW, db) of the loss above, from the softmax probabilities of X's rows
+    (overwritten)."""
+    n = X.shape[0]
     delta = probs
     delta[np.arange(n), y] -= 1.0
-    dW = delta.T @ X / n + l2 * W
-    db = delta.sum(axis=0) / n
-    return loss, dW, db
+    return delta.T @ X / n + l2 * W, delta.sum(axis=0) / n
 
 
 def _train_logreg(X, y, n_classes, hyper, seed):
@@ -358,9 +371,10 @@ def _train_logreg(X, y, n_classes, hyper, seed):
     bs = hyper["batch_size"]
     for _ in range(hyper["epochs"]):
         perm = rng.permutation(n)
+        Xp, yp = Xs[perm], y[perm]  # minibatches below are views of these
         for start in range(0, n, bs):
-            idx = perm[start:start + bs]
-            _, dW, db = logreg_loss_and_grad(W, b, Xs[idx], y[idx], hyper["l2"])
+            Xb, yb = Xp[start:start + bs], yp[start:start + bs]
+            dW, db = _logreg_grad(softmax(Xb @ W.T + b), W, Xb, yb, hyper["l2"])
             W -= hyper["lr"] * dW
             b -= hyper["lr"] * db
     return {"W": W, "b": b, **scaler}

@@ -162,7 +162,7 @@ def _corpus_items(
     counts = DEFAULT_COUNTS if counts is None else counts
     for label, n in counts.items():
         if n < 1:
-            raise ValueError(f"count for {label} must be >= 1")
+            raise ValueError(f"count for {label.value} must be >= 1")
     total = sum(counts.get(label, 0) for label in GaitLabel)
     children = iter(np.random.SeedSequence(seed).spawn(total))
     items = []

@@ -178,6 +178,17 @@ def test_best_split_matches_the_oracle(case):
     assert classify._best_split(*case) == (None if expected is None else expected[:2])
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=split_cases(), data=st.data())
+def test_best_split_ignores_row_order(case, data):
+    """Reordering the rows reorders tied values in every sort, so this holds
+    the split search to not depending on how a sort orders ties."""
+    X, y, n_classes, features, min_leaf = case
+    perm = np.array(data.draw(st.permutations(range(len(y)))))
+    assert (classify._best_split(X[perm], y[perm], n_classes, features, min_leaf)
+            == classify._best_split(*case))
+
+
 def test_split_cases_have_gini_ties_across_features():
     """The cases above include ones whose best Gini two or more features
     reach, so the feature tie rule is exercised, and ones with no valid split."""
@@ -300,6 +311,22 @@ def test_tree_and_forest_model_bytes_pinned(corpus_table, algorithm, hyper, dige
     """Tree growth's exact output: a change to its splits, tie rules or random
     draws that moves a model's bytes has to update these digests."""
     model = train(algorithm, corpus_table, hyper=hyper, seed=0)
+    assert hashlib.sha256(model.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("hyper, digest", [
+    ({"epochs": 20, "batch_size": 7},  # 60 rows: a short final minibatch of 4
+     "82679c8111c9162dc8ebce7120b4a9d882cdb7656daa77996b0d6602f7eba16f"),
+    ({"epochs": 20, "batch_size": 1},
+     "cc6c80ca0d620ff312ecda0daf38ec768b95bc1dfe1cc47aa7148a1b56b4d415"),
+    ({"epochs": 20, "l2": 0.0},
+     "8579da0d7c3a1c78b93f7378556beaa9518be83b79fa45012aa5f599d6ce471e"),
+])
+def test_logreg_model_bytes_pinned(corpus_table, hyper, digest):
+    """Minibatch SGD's exact output: a change to the batching, the order of
+    the rows or the gradient arithmetic that moves a model's bytes has to
+    update these digests."""
+    model = train("logreg", corpus_table, hyper=hyper, seed=0)
     assert hashlib.sha256(model.to_json().encode()).hexdigest() == digest
 
 

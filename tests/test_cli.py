@@ -72,6 +72,14 @@ def test_synth_refuses_a_label_counted_twice(tmp_path, capsys, counts, label):
     assert not out.exists()
 
 
+def test_synth_names_the_label_of_a_refused_count(tmp_path, capsys):
+    out = tmp_path / "c"
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--counts", "Normal=0,Parkinson=2"]) == 2
+    assert "count for Normal must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_names_manifest_and_file_disagreements(pipeline_dir, tmp_path, capsys):
     """A manifest row without a file and a file without a manifest row each get
     one stderr line; the exit code and the CSV stay as they were."""
@@ -346,6 +354,19 @@ def test_predict_refuses_a_deeply_nested_model(pipeline_dir, tmp_path, capsys):
                str(pipeline_dir / "features.csv"), "--out", str(tmp_path / "p.csv")])
     assert rc == 2
     assert "nested too deeply" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", None], ids=["not-utf8", "features-csv"])
+def test_predict_names_an_unreadable_model_file(pipeline_dir, tmp_path, capsys, content):
+    features = pipeline_dir / "features.csv"
+    model_path = tmp_path / "model.gaitmodel.json"
+    model_path.write_bytes(features.read_bytes() if content is None else content)
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(model_path), "--features", str(features),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert f"model file {model_path}:" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
 
 
