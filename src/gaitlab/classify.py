@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientData, SchemaMismatch
+from .errors import InsufficientDataError, SchemaMismatch
 from .pose import GaitLabel
 from .video_features import N_VIDEO_FEATURES, FeatureTable, VideoFeatures
 
@@ -203,16 +203,16 @@ def _class_indices(labels):
     """labels -> (y, classes): the classes present in GaitLabel order, and
     each label's index among them."""
     if not len(labels):
-        raise InsufficientData("empty training set")
+        raise InsufficientDataError("empty training set")
     present = set(labels)
     classes = tuple(label for label in GaitLabel if label in present)
     if len(classes) < 2:
-        raise InsufficientData(f"need at least 2 classes, got {len(classes)}")
+        raise InsufficientDataError(f"need at least 2 classes, got {len(classes)}")
     y = np.array([classes.index(label) for label in labels])
     counts = np.bincount(y, minlength=len(classes))
     if counts.min() < 2:
         small = classes[int(counts.argmin())]
-        raise InsufficientData(f"class {small.value} has fewer than 2 examples")
+        raise InsufficientDataError(f"class {small.value} has fewer than 2 examples")
     return y, classes
 
 

@@ -1,7 +1,7 @@
 """Command-line pipeline: extract, synth, train, eval, predict.
 
-Exit codes: 0 success, 2 input/parse error, 3 insufficient data,
-4 schema mismatch.
+Exit code 0 on success; a failure exits with its error's ``exit_code``
+(see gaitlab.errors), and a ValueError or OSError with ParseError's.
 """
 
 from __future__ import annotations
@@ -12,16 +12,10 @@ import sys
 from pathlib import Path
 
 from . import classify, evaluate, ingest, synth
-from .errors import InsufficientDataError, ParseError, SchemaMismatch
+from .errors import GaitLabError, ParseError
 from .pose import GaitLabel
 from .video_features import (FeatureTable, featurize_sequence, read_features_csv,
                              schema_config, write_features_csv)
-
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_INSUFFICIENT = 3
-EXIT_SCHEMA = 4
-
 
 def _parse_counts(text: str) -> dict:
     counts = {}
@@ -71,7 +65,7 @@ def cmd_extract(args) -> int:
                 print(f"{vf.source_id}: no manifest.csv row, written unlabeled", file=sys.stderr)
     write_features_csv(FeatureTable.from_rows(rows), args.out)
     print(f"wrote {len(rows)} video feature rows to {args.out}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_synth(args) -> int:
@@ -79,7 +73,7 @@ def cmd_synth(args) -> int:
     written = synth.write_corpus(args.out, counts=counts, seed=args.seed,
                                  n_frames=args.frames)
     print(f"wrote {len(written)} sequences to {args.out}")
-    return EXIT_OK
+    return 0
 
 
 def _labeled_rows(args) -> FeatureTable:
@@ -101,7 +95,7 @@ def cmd_train(args) -> int:
     model = classify.train(args.algo, table, seed=args.seed)
     classify.save_model(model, args.out)
     print(f"trained {args.algo} on {len(table)} videos -> {args.out}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_eval(args) -> int:
@@ -130,7 +124,7 @@ def cmd_eval(args) -> int:
     Path(args.report).write_text(evaluate.reports_to_json(reports, extra), encoding="utf-8")
     print(evaluate.render_text_table(reports), end="")
     print(f"report written to {args.report}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_predict(args) -> int:
@@ -145,7 +139,7 @@ def cmd_predict(args) -> int:
             label = model.class_set[int(row.argmax())]
             writer.writerow([source_id, label.value] + [repr(float(s)) for s in row])
     print(f"wrote {len(table)} predictions to {args.out}")
-    return EXIT_OK
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,12 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _exit_code(exc: Exception) -> int:
     """The exit code of an error the CLI reports by its message; re-raises any other."""
-    if isinstance(exc, SchemaMismatch):
-        return EXIT_SCHEMA
-    if isinstance(exc, InsufficientDataError):
-        return EXIT_INSUFFICIENT
-    if isinstance(exc, (ParseError, FileNotFoundError, ValueError, OSError)):
-        return EXIT_PARSE
+    if isinstance(exc, GaitLabError):
+        return exc.exit_code
+    if isinstance(exc, (ValueError, OSError)):
+        return ParseError.exit_code
     raise exc
 
 

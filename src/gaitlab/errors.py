@@ -1,24 +1,29 @@
 """Exception hierarchy shared across the pipeline.
 
-Exit-code mapping used by the CLI:
-  2 -- input/parse errors
-  3 -- insufficient data
-  4 -- schema mismatch
+Every gaitlab error is one of three bases, and each base carries the exit
+code the CLI gives it:
+
+  ParseError.exit_code = 2             -- malformed or unusable input
+  InsufficientDataError.exit_code = 3  -- too little data
+  SchemaMismatch.exit_code = 4         -- feature schema disagreement
+
+A subclass exists only for the attributes its callers read.
 """
 
 
 class GaitLabError(Exception):
-    """Base class for all gaitlab errors."""
+    """Base class for all gaitlab errors; raise one of the three bases below."""
+    exit_code: int
 
 
 class ParseError(GaitLabError):
-    """Base for input/parse failures (CLI exit code 2)."""
+    """Malformed or unusable input."""
+    exit_code = 2
 
 
 class MalformedLine(ParseError):
     def __init__(self, line_no, reason=""):
         self.line_no = line_no
-        self.reason = reason
         msg = f"malformed keypoint line {line_no}"
         if reason:
             msg += f": {reason}"
@@ -31,55 +36,7 @@ class DuplicateFrame(ParseError):
         super().__init__(f"duplicate frame index {frame_index}")
 
 
-class EmptyInput(ParseError):
-    def __init__(self, source=""):
-        self.source = source
-        super().__init__(f"no frames parsed from input {source!r}")
-
-
-class InsufficientDataError(GaitLabError):
-    """Base for not-enough-data failures (CLI exit code 3)."""
-
-
-class TooFewValidFrames(InsufficientDataError):
-    def __init__(self, valid, required):
-        self.valid = valid
-        self.required = required
-        super().__init__(f"only {valid} valid frames, need at least {required}")
-
-
-class TooFewFrames(InsufficientDataError):
-    def __init__(self, n):
-        self.n = n
-        super().__init__(f"need at least 2 frames to aggregate, got {n}")
-
-
-class InsufficientData(InsufficientDataError):
-    def __init__(self, msg):
-        super().__init__(msg)
-
-
-class ClassTooSmall(InsufficientDataError):
-    def __init__(self, label, n):
-        self.label = label
-        self.n = n
-        super().__init__(f"class {label} has only {n} items, need at least 4")
-
-
-class TooManyFolds(InsufficientDataError):
-    def __init__(self, folds, smallest):
-        self.folds = folds
-        self.smallest = smallest
-        super().__init__(
-            f"{folds} folds requested but smallest class has {smallest} items"
-        )
-
-
-class DegenerateGeometry(GaitLabError):
-    """Base for geometric degeneracies in a frame."""
-
-
-class DegenerateLine(DegenerateGeometry):
+class DegenerateLine(ParseError):
     def __init__(self, what, frame_index=None):
         self.what = what
         self.frame_index = frame_index
@@ -89,7 +46,7 @@ class DegenerateLine(DegenerateGeometry):
         super().__init__(msg)
 
 
-class DegeneratePose(DegenerateGeometry):
+class DegeneratePose(ParseError):
     def __init__(self, frame_index=None):
         self.frame_index = frame_index
         msg = "degenerate pose: all keypoints coincide"
@@ -98,8 +55,21 @@ class DegeneratePose(DegenerateGeometry):
         super().__init__(msg)
 
 
+class InsufficientDataError(GaitLabError):
+    """Too few frames, videos or class members to go on."""
+    exit_code = 3
+
+
+class TooFewValidFrames(InsufficientDataError):
+    def __init__(self, valid, required):
+        self.valid = valid
+        self.required = required
+        super().__init__(f"only {valid} valid frames, need at least {required}")
+
+
 class SchemaMismatch(GaitLabError):
-    """Feature schema fingerprint disagreement (CLI exit code 4)."""
+    """Feature schema fingerprint disagreement."""
+    exit_code = 4
 
     def __init__(self, expected, got):
         self.expected = expected

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classify
-from .errors import ClassTooSmall, TooManyFolds
+from .errors import InsufficientDataError
 from .pose import GaitLabel
 from .video_features import FeatureTable
 
@@ -67,7 +67,8 @@ def stratified_split(labels, seed: int = 0) -> np.ndarray:
     labels = list(labels)
     for label in GaitLabel:
         if 0 < labels.count(label) < 4:
-            raise ClassTooSmall(label.value, labels.count(label))
+            raise InsufficientDataError(f"class {label.value} has only "
+                                        f"{labels.count(label)} items, need at least 4")
     rank, size = _class_ranks(labels, seed)
     return rank < (3 * size) // 4
 
@@ -76,7 +77,8 @@ def _stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     """Fold index per item: per-class shuffle then round-robin assignment."""
     rank, size = _class_ranks(labels, seed)
     if folds > size.min():
-        raise TooManyFolds(folds, int(size.min()))
+        raise InsufficientDataError(f"{folds} folds requested but smallest class has "
+                                    f"{size.min()} items")
     return rank % folds
 
 

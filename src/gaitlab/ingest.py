@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DuplicateFrame, EmptyInput, MalformedLine, ParseError, TooFewValidFrames
+from .errors import DuplicateFrame, MalformedLine, ParseError, TooFewValidFrames
 from .pose import KEYPOINT_ORDER, PoseSequence
 
 DEFAULT_MIN_CONFIDENCE = 0.05
@@ -97,7 +97,7 @@ def parse_keypoint_file(data: Union[bytes, str], source_id: str = "") -> PoseSeq
         rows.append(row)
         named.append(row_named)
     if not indices:
-        raise EmptyInput(source_id)
+        raise ParseError(f"no frames parsed from input {source_id!r}")
 
     frame_index = np.array(indices, dtype=np.int64)
     order = np.argsort(frame_index)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError, SchemaMismatch, TooFewFrames
+from .errors import InsufficientDataError, ParseError, SchemaMismatch
 from .frame_features import FEATURE_NAMES, NORM_SCOPES, extract_sequence
 from .pose import GaitLabel, PoseSequence
 
@@ -69,7 +69,7 @@ def aggregate(
 ) -> VideoFeatures:
     """Mean and std over the (n, 113) frame features; order is [all means, then all stds]."""
     if len(features) < 2:
-        raise TooFewFrames(len(features))
+        raise InsufficientDataError(f"need at least 2 frames to aggregate, got {len(features)}")
     matrix = np.asarray(features, dtype=float)
     ddof = 0 if std_mode == "population" else 1
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below

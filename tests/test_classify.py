@@ -20,7 +20,7 @@ from gaitlab.classify import (
     train,
 )
 from gaitlab.cli import main
-from gaitlab.errors import InsufficientData, SchemaMismatch
+from gaitlab.errors import InsufficientDataError, SchemaMismatch
 from gaitlab.pose import GaitLabel
 from gaitlab.synth import write_corpus
 from gaitlab.video_features import FeatureTable, read_features_csv, schema_fingerprint
@@ -64,7 +64,7 @@ def test_single_class_is_insufficient():
     rng = np.random.default_rng(1)
     items = [(vf_from_vector(rng.normal(size=226), f"s{i}"), GaitLabel.NORMAL)
              for i in range(6)]
-    with pytest.raises(InsufficientData):
+    with pytest.raises(InsufficientDataError, match="need at least 2 classes, got 1"):
         train("knn", FeatureTable.from_rows(items))
 
 
@@ -72,7 +72,7 @@ def test_tiny_class_is_insufficient():
     rng = np.random.default_rng(2)
     items = make_separable_items(rng, n_per_class=5)
     items.append((vf_from_vector(rng.normal(size=226), "lone"), GaitLabel.DIPLEGIA))
-    with pytest.raises(InsufficientData):
+    with pytest.raises(InsufficientDataError, match="class Diplegia has fewer than 2 examples"):
         train("gnb", FeatureTable.from_rows(items))
 
 

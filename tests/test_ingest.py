@@ -5,7 +5,6 @@ import pytest
 
 from gaitlab.errors import (
     DuplicateFrame,
-    EmptyInput,
     MalformedLine,
     ParseError,
     TooFewValidFrames,
@@ -73,9 +72,9 @@ def test_bad_triple_is_malformed():
 
 
 def test_empty_input():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ParseError, match="no frames parsed from input ''"):
         parse_keypoint_file("")
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ParseError, match="no frames parsed from input ''"):
         parse_keypoint_file("\n\n")
 
 

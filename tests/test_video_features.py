@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaitlab.errors import ParseError, SchemaMismatch, TooFewFrames
+from gaitlab.errors import InsufficientDataError, ParseError, SchemaMismatch
 from gaitlab.frame_features import extract_frame_features
 from gaitlab.pose import GaitLabel
 from gaitlab.video_features import (
@@ -59,7 +59,7 @@ def test_mean_std_against_numpy_oracle():
 
 
 def test_too_few_frames():
-    with pytest.raises(TooFewFrames):
+    with pytest.raises(InsufficientDataError, match="need at least 2 frames to aggregate, got 1"):
         aggregate([ff_constant(1.0)], "v")
 
 
