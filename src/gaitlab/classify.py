@@ -383,6 +383,7 @@ def _train_logreg(X, y, n_classes, hyper, seed):
 # --- training -----------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _checked_parameters refuses what overflows
 def train(algorithm: str, table: FeatureTable, hyper: dict | None = None,
           seed: int = 0) -> TrainedModel:
     """Fit one of the five algorithms on the rows of a labeled feature table."""
@@ -443,7 +444,9 @@ def train(algorithm: str, table: FeatureTable, hyper: dict | None = None,
 def scores(model: TrainedModel, X: np.ndarray, fingerprint: str) -> np.ndarray:
     """(n, n_classes) class scores of the rows of X (n, 226); each row sums to 1.
 
-    ``fingerprint`` is the feature schema of X's rows; a model refuses another."""
+    ``fingerprint`` is the feature schema of X's rows; a model refuses another.
+    A row whose knn distances or gnb or logreg class scores overflow raises
+    ValueError; trees only compare values."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != N_VIDEO_FEATURES:
         raise ValueError(f"expected an (n, {N_VIDEO_FEATURES}) feature matrix, got {X.shape}")
@@ -453,32 +456,45 @@ def scores(model: TrainedModel, X: np.ndarray, fingerprint: str) -> np.ndarray:
         raise ValueError("the feature matrix holds non-finite values")
     p = model.parameters
     n_classes = len(model.class_set)
-    if model.algorithm == "knn":
-        k = model.hyperparameters["k"]
-        out = np.empty((len(X), n_classes))
-        # One query at a time, so no (n, n_train, d) difference array is made.
-        # The distance keeps this form: the GEMM form rounds differently and
-        # would reorder near-ties.
-        for i, xs in enumerate(_standardize(X, p)):
-            dist = np.sqrt(((p["X"] - xs) ** 2).sum(axis=1))
-            nearest = np.argsort(dist, kind="stable")[:k]  # distance ties -> lower index
-            out[i] = np.bincount(p["y"][nearest], minlength=n_classes) / k
-        return out
     if model.algorithm == "tree":
         return p["probs"][_leaves(p, X)[:, 0]]
     if model.algorithm == "forest":
         votes = p["probs"].argmax(axis=1)[_leaves(p, X)]  # (n, n_trees) class voted
         counts = (votes[:, :, None] == np.arange(n_classes)).sum(axis=1)
         return counts / len(p["roots"])
-    if model.algorithm == "gnb":
-        variances = p["vars"]
-        logp = p["log_priors"] - 0.5 * (
-            np.log(2.0 * math.pi * variances) + (X[:, None, :] - p["means"]) ** 2 / variances
-        ).sum(axis=2)
-        return softmax(logp)
-    # logreg: W @ xs row by row, since the batched Xs @ W.T rounds differently
-    logits = np.array([p["W"] @ xs for xs in _standardize(X, p)]).reshape(len(X), n_classes)
-    return softmax(logits + p["b"])
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses what overflows
+        if model.algorithm == "gnb":
+            variances = p["vars"]
+            logp = p["log_priors"] - 0.5 * (
+                np.log(2.0 * math.pi * variances) + (X[:, None, :] - p["means"]) ** 2 / variances
+            ).sum(axis=2)
+            return softmax(_finite(logp, "class scores"))
+        Xs = _standardize(X, p)
+        if model.algorithm == "knn":
+            k = model.hyperparameters["k"]
+            # One query at a time, so no (n, n_train, d) difference array is made.
+            # The distance keeps this form: the GEMM form rounds differently and
+            # would reorder near-ties.
+            out = np.empty((len(X), n_classes))
+            for i, xs in enumerate(Xs):
+                dist = _finite(np.sqrt(((p["X"] - xs) ** 2).sum(axis=1)), "distances", i)
+                nearest = np.argsort(dist, kind="stable")[:k]  # distance ties -> lower index
+                out[i] = np.bincount(p["y"][nearest], minlength=n_classes) / k
+            return out
+        # logreg: W @ xs row by row, since the batched Xs @ W.T rounds differently
+        logits = np.array([p["W"] @ xs for xs in Xs]).reshape(len(X), n_classes) + p["b"]
+        return softmax(_finite(logits, "class scores"))
+
+
+def _finite(values: np.ndarray, what: str, row: int = 0) -> np.ndarray:
+    """``values`` unchanged when finite; else ValueError naming the first
+    feature row they come from (row i of a 2-D array, else ``row``)."""
+    if not np.isfinite(values).all():
+        if values.ndim == 2:
+            row = int(np.argmin(np.isfinite(values).all(axis=1)))
+        raise ValueError(f"feature row {row} gives non-finite {what}; "
+                         "is a value far outside the model's training range?")
+    return values
 
 
 def predict(model: TrainedModel, features: VideoFeatures):

@@ -17,6 +17,7 @@ from .pose import GaitLabel
 from .video_features import (FeatureTable, featurize_sequence, read_features_csv,
                              schema_config, write_features_csv)
 
+
 def _parse_counts(text: str) -> dict:
     counts = {}
     for part in text.split(","):
@@ -131,7 +132,7 @@ def cmd_predict(args) -> int:
     model = classify.load_model(args.model)
     table = FeatureTable.from_rows(read_features_csv(args.features))
     scores = classify.scores(model, table.X, table.fingerprint)
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source_id", "predicted"]
                         + [f"score_{c.value}" for c in model.class_set])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateLine, DegeneratePose
+from .errors import DegenerateLine, DegeneratePose, ParseError
 from .pose import KeypointId, PoseSequence
 
 EPS = 1e-9  # pixels; below this two defining points are considered coincident
@@ -101,7 +101,7 @@ def _geometry(xy):
     """Every unnormalized measurement of (..., 14, 2) poses in one pass:
     (8 line values in feature order, 6 defining-line lengths in _LINE_NAMES
     order, 14 centroid distances, 91 pairwise distances)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # aggregate refuses non-finite features
+    with np.errstate(over="ignore", invalid="ignore"):  # extract_sequence refuses what overflows
         mid = (xy[..., _MID_A, :] + xy[..., _MID_B, :]) / 2.0
         points = np.concatenate([xy, mid], axis=-2)
         a = points[..., _END_A, :]
@@ -131,7 +131,8 @@ def extract_sequence(
     remain) and counted; with skip_degenerate=False the first one raises
     instead, naming its first short line. norm_scope "frame" divides each
     frame's central/mutual distances by that frame's maximum; "video"
-    divides by the maximum over all kept frames (one max per block).
+    divides by the maximum over all kept frames (one max per block). A kept
+    frame whose features overflow raises ParseError naming the source and frame.
     """
     if norm_scope not in NORM_SCOPES:
         raise ValueError(f"norm_scope must be 'frame' or 'video', got {norm_scope!r}")
@@ -157,6 +158,10 @@ def extract_sequence(
         cd_top, md_top = cd_top.max(), md_top.max()
     with np.errstate(over="ignore", invalid="ignore"):
         features = np.hstack([lines[keep], cd[keep] / cd_top, md[keep] / md_top])
+    if not np.isfinite(features).all():
+        t = np.argmin(np.isfinite(features).all(axis=1))
+        raise ParseError(f"{seq.source_id!r} frame {seq.frame_index[keep][t]} has non-finite "
+                         "features; are its coordinates too large?")
     return features, int(degenerate.sum())
 
 

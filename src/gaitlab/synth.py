@@ -198,7 +198,7 @@ def write_corpus(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    with open(out_dir / "manifest.csv", "w", newline="") as fh:
+    with open(out_dir / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source_id", "label", "seed"])
         for seq, label, params in items:

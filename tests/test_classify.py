@@ -474,6 +474,23 @@ def test_scores_refuse_another_schema_and_non_finite_features(models):
             predict(model, vf_from_vector(X[1], "q"))
 
 
+@pytest.mark.parametrize("algorithm, value, what", [
+    ("knn", 1e200, "distances"),  # finite once standardized; its square overflows
+    ("knn", 1e308, "distances"),
+    ("gnb", 1e200, "class scores"),
+])
+def test_scores_refuse_rows_that_overflow(models, algorithm, value, what):
+    """A finite feature far outside the training range is refused by its row,
+    not scored nan or voted on infinite distances; the other rows still score.
+    (Logreg, whose logits must overflow, is held to this through the CLI.)"""
+    model = models[algorithm]
+    X = np.zeros((3, 226))
+    X[1, 7] = value
+    with pytest.raises(ValueError, match=f"feature row 1 gives non-finite {what}"):
+        scores(model, X, model.schema_fingerprint)
+    assert np.isfinite(scores(model, X[[0, 2]], model.schema_fingerprint)).all()
+
+
 def test_train_refuses_mixed_fingerprints():
     rng = np.random.default_rng(14)
     items = random_items(rng, n=24, n_classes=3)

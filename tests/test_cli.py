@@ -1,6 +1,11 @@
 import csv
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,7 @@ from gaitlab.pose import GaitLabel
 from gaitlab.synth import write_corpus
 
 SMALL_COUNTS = "Choreiform=6,Diplegia=6,Hemiplegia=6,Normal=6,Parkinson=6"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -463,3 +469,108 @@ def test_cli_output_bytes_pinned(pinned_outputs, name, digest):
     """The exact bytes `extract`, `train`, `predict` and `eval` write; a change that moves
     them has to update these digests."""
     assert hashlib.sha256(pinned_outputs[name]).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def huge_value_features(tmp_path_factory):
+    """A 12-video features CSV, and a copy with column 5 of its first three
+    rows set to the finite value 1e308."""
+    root = tmp_path_factory.mktemp("huge-values")
+    features, huge = root / "features.csv", root / "huge.csv"
+    assert main(["synth", "--counts", "Normal=6,Parkinson=6", "--seed", "1", "--frames", "20",
+                 "--out", str(root / "corpus")]) == 0
+    assert main(["extract", "--in", str(root / "corpus"), "--out", str(features)]) == 0
+    with open(features, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:4]:
+        row[5] = "1e308"
+    with open(huge, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return features, huge
+
+
+@pytest.mark.parametrize("algo", ["knn", "tree", "forest", "gnb", "logreg"])
+def test_predict_refuses_rows_whose_scores_overflow(huge_value_features, tmp_path, capsys,
+                                                    algo):
+    """A feature of 1e308 overflows the knn distances and the gnb and logreg
+    class scores: predict refuses the row instead of writing nan scores or
+    voting on infinite distances. Trees only compare values and score it."""
+    features, huge = huge_value_features
+    model, out = tmp_path / "model.json", tmp_path / "p.csv"
+    assert main(["train", "--features", str(features), "--algo", algo, "--out", str(model)]) == 0
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(model), "--features", str(huge), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if algo in ("tree", "forest"):
+        assert rc == 0 and err == []
+        with open(out, newline="") as fh:
+            assert all(math.isfinite(float(v)) for row in list(csv.reader(fh))[1:]
+                       for v in row[2:])
+    else:
+        assert rc == 2 and len(err) == 1
+        assert err[0].startswith("error: feature row 0 gives non-finite ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["knn", "gnb", "logreg"])
+def test_train_refuses_overflowing_features_in_one_line(huge_value_features, tmp_path, capsys,
+                                                        algo):
+    """Training on a feature of 1e308 overflows; the refused model is the one
+    line on stderr, with no numpy warning before it."""
+    _, huge = huge_value_features
+    capsys.readouterr()
+    rc = main(["train", "--features", str(huge), "--algo", algo,
+               "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1
+    assert err[0].startswith(f"error: {algo} with ") and "non-finite values" in err[0]
+
+
+def _run_python(code, *args, **env):
+    """Run code in a fresh interpreter that imports gaitlab from this checkout."""
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_predict_writes_utf8_whatever_the_locale(huge_value_features, tmp_path):
+    """The predictions CSV is UTF-8 like every other output, also where the
+    locale's encoding is ASCII."""
+    features, _ = huge_value_features
+    text = features.read_text(encoding="utf-8")
+    first_id = text.splitlines()[1].split(",")[0]
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text(text.replace(first_id + ",", "vid\u00e9o_1,", 1), encoding="utf-8")
+    model, out = tmp_path / "model.json", tmp_path / "p.csv"
+    assert main(["train", "--features", str(features), "--algo", "gnb", "--out", str(model)]) == 0
+    result = _run_python("import sys; from gaitlab.cli import main; sys.exit(main(sys.argv[1:]))",
+                         "predict", "--model", model, "--features", renamed, "--out", out,
+                         LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert result.returncode == 0, result.stderr
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 13 and rows[1].startswith("vid\u00e9o_1,")
+
+
+_DEV_ONLY = ("scipy", "orjson", "hypothesis", "pytest", "pytest_benchmark")
+
+
+def test_every_subcommand_runs_on_numpy_alone(tmp_path):
+    """numpy is the only runtime dependency: no subcommand imports a package
+    that is installed here for development only."""
+    code = f"""
+import sys
+from gaitlab.cli import main
+out = sys.argv[1]
+for argv in (["synth", "--counts", "Normal=6,Parkinson=6", "--frames", "12", "--out", out + "/c"],
+             ["extract", "--in", out + "/c", "--out", out + "/f.csv"],
+             ["train", "--features", out + "/f.csv", "--algo", "knn", "--out", out + "/m.json"],
+             ["eval", "--features", out + "/f.csv", "--folds", "2", "--report", out + "/r.json"],
+             ["predict", "--model", out + "/m.json", "--features", out + "/f.csv",
+              "--out", out + "/p.csv"]):
+    assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] in {_DEV_ONLY!r}))
+"""
+    result = _run_python(code, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from gaitlab.errors import DegenerateLine, DegeneratePose
+from gaitlab.errors import DegenerateLine, DegeneratePose, ParseError
 from gaitlab.frame_features import (
     EPS,
     FEATURE_NAMES,
+    NORM_SCOPES,
     extract_frame_features,
     extract_sequence,
     point_line_distance,
@@ -75,6 +76,21 @@ def test_point_line_distance_matches_slope_oracle():
 def test_point_line_distance_refuses_non_finite_results(p, a, b):
     with pytest.raises(ValueError, match="not finite"):
         point_line_distance(p, a, b)
+
+
+def test_overflowing_coordinates_raise_parse_error_naming_source_and_frame():
+    """Coordinates so large that the features overflow are refused, naming the
+    video and its first such frame, instead of coming back as NaN features."""
+    base = generate(default_params(GaitLabel.NORMAL, seed=1), "clip")
+    xy = base.xy.copy()
+    xy[5:] *= 1e160
+    seq = sequence_from_coords(xy, frame_index=np.arange(len(xy)) + 10, source_id="big")
+    for norm_scope in NORM_SCOPES:
+        with pytest.raises(ParseError, match="'big' frame 15 has non-finite features"):
+            extract_sequence(seq, norm_scope=norm_scope)
+    with pytest.raises(ParseError, match="frame 0 has non-finite features"):
+        extract_frame_features(base.xy[0] * 1e160)
+    assert np.isfinite(extract_sequence(sequence_from_coords(xy[:5]))[0]).all()
 
 
 # --- limb straightness ----------------------------------------------------------
