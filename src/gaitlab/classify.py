@@ -241,77 +241,94 @@ def _check_hypers(algorithm: str, hyper: dict, n_train: int) -> None:
 
 # --- decision tree ------------------------------------------------------------
 
+_GROUP = 10  # trees grown in lockstep; a larger group pads more rows and holds more memory
 
-def _best_split(X, y, n_classes, features, min_leaf):
-    """(feature, threshold) of the lowest weighted Gini over the candidate
-    columns of X, or None when no split leaves min_leaf rows on each side.
 
-    Ties go to the lowest feature index, then to the lowest threshold.
-    """
-    n = len(y)
-    cols = X[:, features].T  # (f, n): one row per candidate feature
+def _best_splits(Xp, yp, n_classes, nodes, min_leaf):
+    """(feature, threshold) of the lowest weighted Gini of each (rows,
+    candidate columns) node, or None where no split leaves min_leaf rows on
+    each side; ties go to the lowest feature index, then to the lowest
+    threshold. Every node has as many columns, and the nodes are padded to
+    one length with Xp's last row: +inf values, class -1 in yp."""
+    n = np.array([len(rows) for rows, _ in nodes])[:, None, None]  # (K, 1, 1)
+    rows = np.full((len(nodes), n.max()), len(Xp) - 1)  # (K, N)
+    for k, (r, _) in enumerate(nodes):
+        rows[k, :len(r)] = r
+    features = np.array([f for _, f in nodes])  # (K, f)
+    cols = Xp[rows[:, None, :], features[:, :, None]]  # (K, f, N)
     # Any sort order works: a valid split lies between two distinct values, so
     # its prefix class counts do not depend on how tied values are ordered.
-    order = np.argsort(cols, axis=1)
-    xs = np.take_along_axis(cols, order, axis=1)
-    ys = y[order]
-    ln = np.arange(1, n, dtype=float)  # split after position i-1 -> left size i
+    order = np.argsort(cols, axis=2)
+    xs = np.take_along_axis(cols, order, axis=2)
+    ys = np.take_along_axis(yp[rows][:, None, :], order, axis=2)
+    ln = np.arange(1, rows.shape[1], dtype=float)  # split after position i-1 -> left size i
     rn = n - ln
+    rn_safe = np.maximum(rn, 1.0)  # rn <= 0 only where a node is padded, so no 0 / 0
     # Squared class shares summed class by class (the same left fold as a sum
-    # over a class axis), so no (c, f, n) count array is held. The counts are
+    # over a class axis), so no (c, K, f, N) count array is held. The counts are
     # small integers, exact as floats.
     left_sq = right_sq = 0.0
     for c in range(n_classes):
-        cum = np.cumsum(ys == c, axis=1, dtype=float)  # (f, n) prefix counts of class c
-        left_sq = left_sq + (cum[:, :-1] / ln) ** 2
-        right_sq = right_sq + ((cum[:, -1:] - cum[:, :-1]) / rn) ** 2
-    valid = (xs[:, :-1] < xs[:, 1:]) & (ln >= min_leaf) & (rn >= min_leaf)
+        cum = np.cumsum(ys == c, axis=2, dtype=float)  # (K, f, N) prefix counts of class c
+        left_sq = left_sq + (cum[..., :-1] / ln) ** 2
+        right_sq = right_sq + ((cum[..., -1:] - cum[..., :-1]) / rn_safe) ** 2
+    valid = (xs[..., :-1] < xs[..., 1:]) & (ln >= min_leaf) & (rn >= min_leaf)
     weighted = np.where(valid, (ln * (1.0 - left_sq) + rn * (1.0 - right_sq)) / n, np.inf)
-    best = int(weighted.min(axis=1).argmin())
-    i = weighted[best].argmin()
-    if not valid[best, i]:
-        return None
-    return int(features[best]), float((xs[best, i] + xs[best, i + 1]) / 2.0)  # midpoint
+    # each node's first minimum in row-major order: the lowest feature, then threshold
+    best, at = np.divmod(weighted.reshape(len(nodes), -1).argmin(axis=1), rows.shape[1] - 1)
+    return [(int(features[k, j]), float((xs[k, j, i] + xs[k, j, i + 1]) / 2.0))  # midpoint
+            if valid[k, j, i] else None for k, (j, i) in enumerate(zip(best, at))]
 
 
-def _grow_tree(X, y, n_classes, max_depth, min_leaf, rng, max_features, nodes, depth=0) -> int:
-    """Append a tree for (X, y) to ``nodes`` in preorder and return its root's index.
+def _grow_trees(X, y, n_classes, max_depth, min_leaf, roots, max_features=None) -> dict:
+    """Flat node arrays of one tree per (generator, root row indices) pair.
 
-    A node is [feature, threshold, left, right, class frequencies]; a leaf has
-    feature, left and right -1.
+    A node is [feature, threshold, left, right, class frequencies], with -1
+    for a leaf's feature and links. A tree grows in preorder from its stack of
+    (rows, depth, parent slot), drawing max_features candidate columns per
+    node from its own generator (all columns when it has none), so it is the
+    same tree alone or in a group. _GROUP trees grow in lockstep: each pops
+    nodes until one needs a split search, and one _best_splits call serves
+    them all.
     """
-    counts = np.bincount(y, minlength=n_classes)
-    index = len(nodes)
-    nodes.append([-1, 0.0, -1, -1, counts / counts.sum()])
-    pure = counts.max() == len(y)
-    if pure or len(y) < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
-        return index
-
     d = X.shape[1]
-    if max_features is not None and max_features < d:
-        features = np.sort(rng.choice(d, size=max_features, replace=False))
-    else:
-        features = np.arange(d)
-
-    best = _best_split(X, y, n_classes, features, min_leaf)
-    if best is None:
-        return index
-
-    f, t = best
-    mask = X[:, f] <= t
-    left = _grow_tree(X[mask], y[mask], n_classes, max_depth, min_leaf,
-                      rng, max_features, nodes, depth + 1)
-    right = _grow_tree(X[~mask], y[~mask], n_classes, max_depth, min_leaf,
-                       rng, max_features, nodes, depth + 1)
-    nodes[index][:4] = [f, t, left, right]
-    return index
-
-
-def _node_arrays(nodes: list, roots: list) -> dict:
-    feature, threshold, left, right, probs = zip(*nodes)
-    return {"feature": np.array(feature), "threshold": np.array(threshold),
-            "left": np.array(left), "right": np.array(right),
-            "probs": np.array(probs), "roots": np.array(roots)}
+    Xp, yp = np.vstack([X, np.full(d, np.inf)]), np.append(y, -1)
+    trees = [([], [(rows, 0, None)], rng) for rng, rows in roots]  # (nodes, stack, generator)
+    for g in range(0, len(trees), _GROUP):
+        while True:
+            pending, searches = [], []  # (nodes, stack, index, depth) and (rows, columns)
+            for nodes, stack, rng in trees[g:g + _GROUP]:
+                while stack:
+                    rows, depth, slot = stack.pop()
+                    if slot:  # (parent index, 2 for its left link or 3 for its right)
+                        nodes[slot[0]][slot[1]] = len(nodes)
+                    counts = np.bincount(y[rows], minlength=n_classes)
+                    nodes.append([-1, 0.0, -1, -1, counts / counts.sum()])
+                    pure = counts.max() == len(rows)
+                    deep = max_depth is not None and depth >= max_depth
+                    if pure or deep or len(rows) < 2 * min_leaf:
+                        continue
+                    features = np.arange(d) if rng is None else np.sort(
+                        rng.choice(d, size=max_features, replace=False))
+                    pending.append((nodes, stack, len(nodes) - 1, depth))
+                    searches.append((rows, features))
+                    break
+            if not searches:
+                break
+            splits = _best_splits(Xp, yp, n_classes, searches, min_leaf)
+            for (nodes, stack, index, depth), (rows, _), best in zip(pending, searches, splits):
+                if best is not None:
+                    nodes[index][:2] = best
+                    mask = X[rows, best[0]] <= best[1]
+                    stack += [(rows[~mask], depth + 1, (index, 3)),
+                              (rows[mask], depth + 1, (index, 2))]
+    sizes = [len(nodes) for nodes, _, _ in trees]
+    feature, threshold, left, right, probs = map(
+        np.array, zip(*[node for nodes, _, _ in trees for node in nodes]))
+    starts = np.cumsum([0] + sizes[:-1])
+    shift = np.where(feature >= 0, np.repeat(starts, sizes), 0)  # tree links -> array indices
+    return {"feature": feature, "threshold": threshold, "left": left + shift,
+            "right": right + shift, "probs": probs, "roots": starts}
 
 
 def _leaves(p: dict, X: np.ndarray) -> np.ndarray:
@@ -390,6 +407,9 @@ def train(algorithm: str, table: FeatureTable, hyper: dict | None = None,
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     X = table.X
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if len(bad):
+        raise ValueError(f"feature row {bad[0]} ({table.source_ids[bad[0]]!r}) is not finite")
     y, classes = _class_indices(table.labels)
     merged = dict(DEFAULT_HYPERS[algorithm])
     if hyper:
@@ -401,20 +421,13 @@ def train(algorithm: str, table: FeatureTable, hyper: dict | None = None,
         scaler = _fit_standardizer(X)
         params = {"X": _standardize(X, scaler), "y": y, **scaler}
     elif algorithm == "tree":
-        nodes = []
-        root = _grow_tree(X, y, n_classes, merged["max_depth"], merged["min_samples_leaf"],
-                          np.random.default_rng(seed), None, nodes)
-        params = _node_arrays(nodes, [root])
+        params = _grow_trees(X, y, n_classes, merged["max_depth"], merged["min_samples_leaf"],
+                             [(None, np.arange(len(X)))])
     elif algorithm == "forest":
-        n = X.shape[0]
-        max_features = max(1, int(math.sqrt(X.shape[1])))
-        nodes, roots = [], []
-        for ss in np.random.SeedSequence(seed).spawn(merged["n_trees"]):
-            rng = np.random.default_rng(ss)
-            boot = rng.integers(0, n, size=n)
-            roots.append(_grow_tree(X[boot], y[boot], n_classes, merged["max_depth"],
-                                    merged["min_samples_leaf"], rng, max_features, nodes))
-        params = _node_arrays(nodes, roots)
+        rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(merged["n_trees"]))
+        params = _grow_trees(X, y, n_classes, merged["max_depth"], merged["min_samples_leaf"],
+                             [(rng, rng.integers(0, len(X), size=len(X))) for rng in rngs],
+                             max(1, int(math.sqrt(X.shape[1]))))
     elif algorithm == "gnb":
         groups = [X[y == c] for c in range(n_classes)]
         params = {

@@ -117,6 +117,8 @@ def task_rows(task: str, labels) -> np.ndarray:
         return np.ones(len(labels), dtype=bool)
     if task.startswith("binary:"):
         keep = {GaitLabel.from_name(task.split(":", 1)[1]), GaitLabel.NORMAL}
+        if len(keep) == 1:
+            raise ValueError(f"task {task!r} compares Normal with itself")
         return np.array([label in keep for label in labels], dtype=bool)
     raise ValueError(f"unknown task {task!r}")
 
@@ -134,6 +136,8 @@ def run_task(
 
     Returns (reports, errors) where errors maps algorithm -> exception.
     """
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
     rows = task_rows(task, table.labels)
     train, test = table[rows & train_rows], table[rows & ~train_rows]
     reports, errors = [], {}

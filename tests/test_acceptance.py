@@ -4,6 +4,7 @@ PASS/FAIL line and asserting its stated tolerance and runtime budget.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -264,6 +265,66 @@ def test_criterion_6_end_to_end_benchmark(corpus_table):
     )
     _report(6, ok, f"(multi {multi_best:.3f}, binary {binary_best}, "
                    f"permuted control {control:.3f}, {elapsed:.1f}s)")
+
+
+# Tree growth's exact output on the full-size corpus: sha256 of the tree and
+# forest model JSONs for training seeds 0 and 42, computed when trees were still
+# grown one at a time, so growing them in lockstep changed no model.
+_GATE_HYPERS = {"defaults": None, "max_depth=None": {"max_depth": None},
+                "min_samples_leaf=1": {"min_samples_leaf": 1}, "n_trees=1": {"n_trees": 1}}
+_GATE_DIGESTS = {
+    ("multi", "tree", "defaults"): (
+        "0237ef4b055ecff393ff8e749854a8a9f16e386ae579528102a16639d16f7911",
+        "0237ef4b055ecff393ff8e749854a8a9f16e386ae579528102a16639d16f7911"),
+    ("multi", "tree", "max_depth=None"): (
+        "32f908f8b1c41c6743226aa71ed0588973359f983abf902e12692bc82a7132bb",
+        "32f908f8b1c41c6743226aa71ed0588973359f983abf902e12692bc82a7132bb"),
+    ("multi", "tree", "min_samples_leaf=1"): (
+        "710dbef0af9f210df4396913f1c9054641e9bbb720afa907f77fa2a9d1abf38a",
+        "710dbef0af9f210df4396913f1c9054641e9bbb720afa907f77fa2a9d1abf38a"),
+    ("multi", "forest", "defaults"): (
+        "919a2e784f210afec567224e72f532a6d78fc0564ea57d47906e862ef0184f54",
+        "6dfff5cacdeea1d76c948084e0117a9a234137dffcb365e1ddf3e8f1d8b65682"),
+    ("multi", "forest", "max_depth=None"): (
+        "d3db5e2abf102e7d7250081f93f8053018b663fa847c76167ee18d7a100386bf",
+        "4e6461d71a0926d2ded5a38d4c39aa5df48c8bcd7a02534c5a8a73d52cc77cf3"),
+    ("multi", "forest", "min_samples_leaf=1"): (
+        "0b95d694cf293ef5fbcfb5e9fb987ab9f46ff8701bd8fb26e5c0155d9e8867c9",
+        "6d0b41858d77acef49b26cd223efb97d741dd2ad654f5c15445a38f09c9a5ce4"),
+    ("multi", "forest", "n_trees=1"): (
+        "dd7dea4318d3ab8d0f2e51f647e7b3a86fbecd592062829997bdb8179ed595a5",
+        "fd09c64f480a1b54a3d97f3457d3ceacf2a848d2e42df1be12a8ec2aa94a57a1"),
+    ("binary:Parkinson", "tree", "defaults"): (
+        "891f605ac0d2e94107ea541af4fbd2930857cae9fe6ddbcc4cd597c9330822d2",
+        "891f605ac0d2e94107ea541af4fbd2930857cae9fe6ddbcc4cd597c9330822d2"),
+    ("binary:Parkinson", "tree", "max_depth=None"): (
+        "cbea3a57afc22f6169ad73bf8c76ca153df9e2eef755cfd95f8665ca34896159",
+        "cbea3a57afc22f6169ad73bf8c76ca153df9e2eef755cfd95f8665ca34896159"),
+    ("binary:Parkinson", "tree", "min_samples_leaf=1"): (
+        "8cf4ddbd16ed4889fb7f5eb05204220ee20c034e00d286c127e9f193891979c5",
+        "8cf4ddbd16ed4889fb7f5eb05204220ee20c034e00d286c127e9f193891979c5"),
+    ("binary:Parkinson", "forest", "defaults"): (
+        "3efad3466cb9b92eadef3030f3f6d5a8583bb81a4d71d14eea729f71950c2815",
+        "7450e14184d2ccbcc01c638021b1abd14522c90fc016c321c3570d12662f578a"),
+    ("binary:Parkinson", "forest", "max_depth=None"): (
+        "702958fc3c49ca238647b4a4fcdccae4f2cba5de09f30700436c5ab1d74d40ed",
+        "b8e60f8ad877e2f96a5960aeaf3033c183bee16853aeaa1fe890eec17ebb56ce"),
+    ("binary:Parkinson", "forest", "min_samples_leaf=1"): (
+        "212e8d67f93b98e82d661a7b7fffd28b9545ec920479fc30d0517d1638a99297",
+        "2547c1b7222b71a7c6d5d02bcb62967c94ef56659eb6ffa52ea511ecdd6589d0"),
+    ("binary:Parkinson", "forest", "n_trees=1"): (
+        "fe902f143a51575441cb15550bde35026b0cf30c8cc9c55df163ee11490d116a",
+        "d77b25441c7b40abf6674b58991c24f4c1ff28f2ca0dbabf5142af4c471c0e44"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("task, algorithm, hyper", _GATE_DIGESTS)
+def test_tree_growth_gate_model_bytes(corpus_table, task, algorithm, hyper, seed):
+    rows = evaluate.task_rows(task, corpus_table.labels)
+    model = classify.train(algorithm, corpus_table[rows], hyper=_GATE_HYPERS[hyper], seed=seed)
+    digest = hashlib.sha256(model.to_json().encode()).hexdigest()
+    assert digest == _GATE_DIGESTS[task, algorithm, hyper][seed == 42]
 
 
 def test_criterion_7_cli_determinism(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from dataclasses import replace
@@ -171,22 +172,58 @@ def split_cases(draw):
     return X, y, n_classes, features, draw(st.integers(1, 4))
 
 
+@st.composite
+def split_batches(draw):
+    """(X, y, n_classes, nodes, min_leaf): a split case whose rows and columns
+    are the first node, then up to 3 more nodes over the same X with 2-12 row
+    indices each (repeats allowed, as in a bootstrap sample) and as many
+    columns as the first, so the batch pads nodes of different sizes."""
+    X, y, n_classes, features, min_leaf = draw(split_cases())
+    nodes = [(np.arange(len(y)), features)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows = draw(st.lists(st.integers(0, len(y) - 1), min_size=2, max_size=12))
+        columns = draw(st.permutations(range(X.shape[1])))[:len(features)]
+        nodes.append((np.array(rows), np.sort(columns)))
+    return X, y, n_classes, nodes, min_leaf
+
+
+def batch_splits(X, y, n_classes, nodes, min_leaf):
+    """classify._best_splits of the nodes, over X with the padding row the grower appends."""
+    Xp, yp = np.vstack([X, np.full(X.shape[1], np.inf)]), np.append(y, -1)
+    return classify._best_splits(Xp, yp, n_classes, nodes, min_leaf)
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=split_cases())
-def test_best_split_matches_the_oracle(case):
-    expected = best_split_oracle(*case)
-    assert classify._best_split(*case) == (None if expected is None else expected[:2])
+@given(batch=split_batches())
+def test_best_split_matches_the_oracle(batch):
+    """Every node of a batch, including one with no valid split, gets the
+    plain-Python oracle's split of its own rows."""
+    X, y, n_classes, nodes, min_leaf = batch
+    for (rows, features), split in zip(nodes, batch_splits(*batch)):
+        expected = best_split_oracle(X[rows], y[rows], n_classes, features, min_leaf)
+        assert split == (None if expected is None else expected[:2])
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=split_cases(), data=st.data())
-def test_best_split_ignores_row_order(case, data):
+@given(batch=split_batches(), data=st.data())
+def test_best_split_ignores_row_order(batch, data):
     """Reordering the rows reorders tied values in every sort, so this holds
     the split search to not depending on how a sort orders ties."""
-    X, y, n_classes, features, min_leaf = case
-    perm = np.array(data.draw(st.permutations(range(len(y)))))
-    assert (classify._best_split(X[perm], y[perm], n_classes, features, min_leaf)
-            == classify._best_split(*case))
+    X, y, n_classes, nodes, min_leaf = batch
+    shuffled = [(rows[np.array(data.draw(st.permutations(range(len(rows)))))], features)
+                for rows, features in nodes]
+    assert batch_splits(X, y, n_classes, shuffled, min_leaf) == batch_splits(*batch)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=split_batches())
+def test_best_split_of_a_node_does_not_depend_on_its_batch(batch):
+    """A node searched with others, padded to the longest, gets the split it
+    gets alone, in any batch order."""
+    X, y, n_classes, nodes, min_leaf = batch
+    alone = [batch_splits(X, y, n_classes, [node], min_leaf)[0] for node in nodes]
+    assert batch_splits(*batch) == alone
+    assert batch_splits(X, y, n_classes, nodes[::-1], min_leaf) == alone[::-1]
 
 
 def test_split_cases_have_gini_ties_across_features():
@@ -306,6 +343,17 @@ def corpus_table(tmp_path_factory):
      "6206795e3a8e65e39047fae6ad25243abf207e53e929fdf7ea1dc3fc2bd17006"),
     ("forest", {"n_trees": 1},
      "21dbfc3853b4408cb98a3a11016045332e7de3fefa7efbb8c72b8008bd115476"),
+    # trees are grown ten at a time: both sides of a group boundary, and two groups and a part
+    ("forest", {"n_trees": 9},
+     "dac5c4a4d2c4690ac8212924de0deb7c630f1a687e6c69399a745e9dc863cfde"),
+    ("forest", {"n_trees": 10},
+     "2b93cd8dc174a72820e26e840b1e9b08b6c06815ee01a03979e7b26889bb9595"),
+    ("forest", {"n_trees": 11},
+     "fb36fd05381fab6446ef15813036a6f3a1ccaae9a700f30c98b881448d5eda29"),
+    ("forest", {"n_trees": 23},
+     "8ee91fc572c50057df5615d2532c9fcead30dc1054c3e9f8ab9a02059183fa17"),
+    ("forest", {"max_depth": 0},  # every tree is one leaf: no search at all
+     "249f2fd00d6dcb1798cfef41badd35f65606dd927308a4e2d17c879b7c9f294d"),
 ])
 def test_tree_and_forest_model_bytes_pinned(corpus_table, algorithm, hyper, digest):
     """Tree growth's exact output: a change to its splits, tie rules or random
@@ -498,6 +546,33 @@ def test_train_refuses_mixed_fingerprints():
                          fingerprint=schema_fingerprint("video"))
     with pytest.raises(SchemaMismatch):
         train("tree", FeatureTable.from_rows(items + [(odd, GaitLabel.NORMAL)]))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_train_refuses_non_finite_rows(algorithm, value):
+    """Every algorithm refuses a table with an inf or NaN feature, naming the
+    first bad row, as scoring refuses one."""
+    rng = np.random.default_rng(19)
+    items = random_items(rng, n=24, n_classes=3)
+    items[3] = (vf_from_vector(np.where(np.arange(226) == 40, value, 1.0), "bad"), items[3][1])
+    items[5] = (vf_from_vector(np.full(226, value), "worse"), items[5][1])
+    with pytest.raises(ValueError, match="feature row 3 \\('bad'\\) is not finite"):
+        train(algorithm, FeatureTable.from_rows(items))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_training_leaves_no_cyclic_garbage(algorithm):
+    """A fit's arrays are freed when it returns, not held until the cycle
+    collector runs: garbage left by each fit grows a long eval's peak memory."""
+    table = FeatureTable.from_rows(random_items(np.random.default_rng(20), n=24, n_classes=3))
+    gc.collect()
+    gc.disable()
+    try:
+        train(algorithm, table, hyper={"n_trees": 12} if algorithm == "forest" else None)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unknown_algorithm():

@@ -148,14 +148,33 @@ def test_eval_refuses_bad_algorithm_lists(pipeline_dir, tmp_path, capsys, algos,
     ("all", ["knn", "tree", "forest", "gnb", "logreg"]),
 ])
 def test_eval_prints_each_failure_once(pipeline_dir, tmp_path, capsys, algos, failing):
-    """When every algorithm fails, stderr holds one line per algorithm and nothing more."""
+    """When every algorithm fails, stderr holds one line per algorithm and nothing more.
+    Each class has 4 training rows, too few for 5 folds, which every algorithm finds."""
     report = tmp_path / "report.json"
     capsys.readouterr()
     rc = main(["eval", "--features", str(pipeline_dir / "features.csv"), "--algos", algos,
-               "--task", "binary:Normal", "--folds", "2", "--report", str(report)])
+               "--folds", "5", "--report", str(report)])
     assert rc == 3
     assert capsys.readouterr().err.splitlines() == [
-        f"{algo}: need at least 2 classes, got 1" for algo in failing]
+        f"{algo}: 5 folds requested but smallest class has 4 items" for algo in failing]
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--folds", "1"], "folds must be >= 2"),
+    (["--folds", "0"], "folds must be >= 2"),
+    (["--task", "binary:Normal"], "task 'binary:Normal' compares Normal with itself"),
+    (["--task", "binary:normal"], "task 'binary:normal' compares Normal with itself"),
+], ids=["one-fold", "no-folds", "normal-against-normal", "normal-other-case"])
+def test_eval_refuses_a_bad_argument_once(pipeline_dir, tmp_path, capsys, args, message):
+    """A bad fold count or task is an argument error, reported once and not
+    once per algorithm."""
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = main(["eval", "--features", str(pipeline_dir / "features.csv"), "--report", str(report)]
+              + args)
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not report.exists()
 
 def test_eval_binary_task(pipeline_dir, tmp_path):

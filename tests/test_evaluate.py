@@ -145,6 +145,8 @@ def test_task_rows_binary_filters():
     assert task_rows("multi", labels).all()
     with pytest.raises(ValueError):
         task_rows("pairwise", labels)
+    with pytest.raises(ValueError, match="compares Normal with itself"):
+        task_rows("binary:Normal", labels)
 
 
 @pytest.fixture(scope="module")
