@@ -244,39 +244,48 @@ def _check_hypers(algorithm: str, hyper: dict, n_train: int) -> None:
 _GROUP = 10  # trees grown in lockstep; a larger group pads more rows and holds more memory
 
 
-def _best_splits(Xp, yp, n_classes, nodes, min_leaf):
-    """(feature, threshold) of the lowest weighted Gini of each (rows,
-    candidate columns) node, or None where no split leaves min_leaf rows on
-    each side; ties go to the lowest feature index, then to the lowest
-    threshold. Every node has as many columns, and the nodes are padded to
-    one length with Xp's last row: +inf values, class -1 in yp."""
+def _rank_keys(X, y, n_classes):
+    """Per fit: keys (n + 1, d) = rank * (n_classes + 1) + class, a rank being the
+    count of lower values in its column (-0.0 ties 0.0), padded by a row of rank n
+    and class n_classes; values[rank, j] is column j's value of that rank."""
+    n, d = X.shape
+    order = np.argsort(X, axis=0)
+    values = np.take_along_axis(X, order, axis=0)
+    starts = np.vstack([np.ones((1, d), bool), values[1:] > values[:-1]]) * np.arange(n)[:, None]
+    ranks = np.full((n + 1, d), n)
+    np.put_along_axis(ranks[:n], order, np.maximum.accumulate(starts, axis=0), axis=0)
+    return ranks * (n_classes + 1) + np.append(y, n_classes)[:, None], values
+
+
+def _best_splits(keys, values, n_classes, nodes, min_leaf):
+    """(feature, threshold) of the lowest weighted Gini of each (rows, candidate
+    columns) node over the fit's _rank_keys, or None where no split leaves
+    min_leaf rows on each side; ties go to the lowest feature index, then the
+    lowest threshold. Nodes have as many columns, padded with keys' last row."""
     n = np.array([len(rows) for rows, _ in nodes])[:, None, None]  # (K, 1, 1)
-    rows = np.full((len(nodes), n.max()), len(Xp) - 1)  # (K, N)
+    rows = np.full((len(nodes), n.max()), len(keys) - 1)  # (K, N)
     for k, (r, _) in enumerate(nodes):
         rows[k, :len(r)] = r
     features = np.array([f for _, f in nodes])  # (K, f)
-    cols = Xp[rows[:, None, :], features[:, :, None]]  # (K, f, N)
-    # Any sort order works: a valid split lies between two distinct values, so
-    # its prefix class counts do not depend on how tied values are ordered.
-    order = np.argsort(cols, axis=2)
-    xs = np.take_along_axis(cols, order, axis=2)
-    ys = np.take_along_axis(yp[rows][:, None, :], order, axis=2)
+    # Sorted keys order each column by value and a tie by class; a valid split
+    # lies between two ranks, so its prefix class counts do not see tie order.
+    rank, ys = np.divmod(np.sort(keys[rows[:, None, :], features[:, :, None]]), n_classes + 1)
     ln = np.arange(1, rows.shape[1], dtype=float)  # split after position i-1 -> left size i
-    rn = n - ln
-    rn_safe = np.maximum(rn, 1.0)  # rn <= 0 only where a node is padded, so no 0 / 0
-    # Squared class shares summed class by class (the same left fold as a sum
-    # over a class axis), so no (c, K, f, N) count array is held. The counts are
-    # small integers, exact as floats.
+    rn = n - ln  # <= 0 only where a node is padded, so the division below clamps it to 1
+    # Squared class shares summed class by class from 0.0, as over a class axis but
+    # holding no (c, K, f, N) array; integer counts give the same shares as floats.
+    cum = np.empty(ys.shape, np.int32)  # prefix counts of one class
     left_sq = right_sq = 0.0
     for c in range(n_classes):
-        cum = np.cumsum(ys == c, axis=2, dtype=float)  # (K, f, N) prefix counts of class c
-        left_sq = left_sq + (cum[..., :-1] / ln) ** 2
-        right_sq = right_sq + ((cum[..., -1:] - cum[..., :-1]) / rn_safe) ** 2
-    valid = (xs[..., :-1] < xs[..., 1:]) & (ln >= min_leaf) & (rn >= min_leaf)
+        np.cumsum(ys == c, axis=2, dtype=np.int32, out=cum)
+        left_sq += (cum[..., :-1] / ln) ** 2  # in place from the second class on
+        right_sq += ((cum[..., -1:] - cum[..., :-1]) / np.maximum(rn, 1.0)) ** 2
+    valid = (rank[..., :-1] < rank[..., 1:]) & (ln >= min_leaf) & (rn >= min_leaf)
     weighted = np.where(valid, (ln * (1.0 - left_sq) + rn * (1.0 - right_sq)) / n, np.inf)
     # each node's first minimum in row-major order: the lowest feature, then threshold
     best, at = np.divmod(weighted.reshape(len(nodes), -1).argmin(axis=1), rows.shape[1] - 1)
-    return [(int(features[k, j]), float((xs[k, j, i] + xs[k, j, i + 1]) / 2.0))  # midpoint
+    return [(int(features[k, j]), float((values[rank[k, j, i], features[k, j]]  # midpoint
+                                         + values[rank[k, j, i + 1], features[k, j]]) / 2.0))
             if valid[k, j, i] else None for k, (j, i) in enumerate(zip(best, at))]
 
 
@@ -292,7 +301,7 @@ def _grow_trees(X, y, n_classes, max_depth, min_leaf, roots, max_features=None) 
     them all.
     """
     d = X.shape[1]
-    Xp, yp = np.vstack([X, np.full(d, np.inf)]), np.append(y, -1)
+    keys, values = _rank_keys(X, y, n_classes)
     trees = [([], [(rows, 0, None)], rng) for rng, rows in roots]  # (nodes, stack, generator)
     for g in range(0, len(trees), _GROUP):
         while True:
@@ -315,7 +324,7 @@ def _grow_trees(X, y, n_classes, max_depth, min_leaf, roots, max_features=None) 
                     break
             if not searches:
                 break
-            splits = _best_splits(Xp, yp, n_classes, searches, min_leaf)
+            splits = _best_splits(keys, values, n_classes, searches, min_leaf)
             for (nodes, stack, index, depth), (rows, _), best in zip(pending, searches, splits):
                 if best is not None:
                     nodes[index][:2] = best
@@ -459,7 +468,7 @@ def scores(model: TrainedModel, X: np.ndarray, fingerprint: str) -> np.ndarray:
 
     ``fingerprint`` is the feature schema of X's rows; a model refuses another.
     A row whose knn distances or gnb or logreg class scores overflow raises
-    ValueError; trees only compare values."""
+    UnscorableRow, a ValueError; trees only compare values."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != N_VIDEO_FEATURES:
         raise ValueError(f"expected an (n, {N_VIDEO_FEATURES}) feature matrix, got {X.shape}")
@@ -499,14 +508,21 @@ def scores(model: TrainedModel, X: np.ndarray, fingerprint: str) -> np.ndarray:
         return softmax(_finite(logits, "class scores"))
 
 
+class UnscorableRow(ValueError):
+    """Feature row ``row`` gives ``reason``: non-finite knn distances or class scores."""
+    def __init__(self, row: int, what: str):
+        self.row = row
+        self.reason = f"non-finite {what}; is a value far outside the model's training range?"
+        super().__init__(f"feature row {row} gives {self.reason}")
+
+
 def _finite(values: np.ndarray, what: str, row: int = 0) -> np.ndarray:
-    """``values`` unchanged when finite; else ValueError naming the first
+    """``values`` unchanged when finite; else UnscorableRow naming the first
     feature row they come from (row i of a 2-D array, else ``row``)."""
     if not np.isfinite(values).all():
         if values.ndim == 2:
             row = int(np.argmin(np.isfinite(values).all(axis=1)))
-        raise ValueError(f"feature row {row} gives non-finite {what}; "
-                         "is a value far outside the model's training range?")
+        raise UnscorableRow(row, what)
     return values
 
 

@@ -131,7 +131,11 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model = classify.load_model(args.model)
     table = FeatureTable.from_rows(read_features_csv(args.features))
-    scores = classify.scores(model, table.X, table.fingerprint)
+    try:
+        scores = classify.scores(model, table.X, table.fingerprint)
+    except classify.UnscorableRow as exc:  # name the file and video, as the CSV reader does
+        raise ParseError(f"{args.features} data row {exc.row + 1} "
+                         f"({table.source_ids[exc.row]!r}) gives {exc.reason}") from None
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source_id", "predicted"]

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from gaitlab import classify
@@ -188,9 +188,47 @@ def split_batches(draw):
 
 
 def batch_splits(X, y, n_classes, nodes, min_leaf):
-    """classify._best_splits of the nodes, over X with the padding row the grower appends."""
-    Xp, yp = np.vstack([X, np.full(X.shape[1], np.inf)]), np.append(y, -1)
-    return classify._best_splits(Xp, yp, n_classes, nodes, min_leaf)
+    """classify._best_splits of the nodes, over the rank keys the grower builds from X."""
+    return classify._best_splits(*classify._rank_keys(X, y, n_classes), n_classes, nodes,
+                                 min_leaf)
+
+
+@st.composite
+def rank_cases(draw):
+    """(X, y, n_classes) whose columns hold a few small integers and both
+    zeros, so ties, and ties of -0.0 with 0.0, are common."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 5))
+    row = st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]), min_size=d, max_size=d)
+    X = np.array(draw(st.lists(row, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    return X, y, n_classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rank_cases())
+@example(case=(np.array([[0.0], [-0.0], [1.0], [-0.0]]), np.array([1, 0, 1, 0]), 2))
+def test_rank_keys_order_rows_by_value(case):
+    """In each column, two rows' keys order as their values do (equal values,
+    -0.0 and 0.0 too, by class) and equal values share a rank, which counts
+    the lower values; each key holds its row's class, the padding key tops
+    every real key, and the rank's value in the lookup is the row's value."""
+    X, y, n_classes = case
+    n, d = X.shape
+    keys, values = classify._rank_keys(X, y, n_classes)
+    assert keys.shape == (n + 1, d) and values.shape == (n, d)
+    rank, cls = np.divmod(keys, n_classes + 1)
+    assert (cls[:n] == y[:, None]).all() and (cls[n] == n_classes).all()
+    assert (keys[n] > keys[:n]).all()
+    for j in range(d):
+        for a in range(n):
+            assert rank[a, j] == sum(x < X[a, j] for x in X[:, j])
+            assert values[rank[a, j], j] == X[a, j]
+            for b in range(n):
+                assert (rank[a, j] == rank[b, j]) == (X[a, j] == X[b, j])
+                by_value = X[a, j] < X[b, j] or (X[a, j] == X[b, j] and y[a] < y[b])
+                assert (keys[a, j] < keys[b, j]) == by_value
 
 
 @settings(max_examples=300, deadline=None)

@@ -513,7 +513,8 @@ def test_predict_refuses_rows_whose_scores_overflow(huge_value_features, tmp_pat
                                                     algo):
     """A feature of 1e308 overflows the knn distances and the gnb and logreg
     class scores: predict refuses the row instead of writing nan scores or
-    voting on infinite distances. Trees only compare values and score it."""
+    voting on infinite distances, in one line naming the features file, the
+    data row and its source_id. Trees only compare values and score it."""
     features, huge = huge_value_features
     model, out = tmp_path / "model.json", tmp_path / "p.csv"
     assert main(["train", "--features", str(features), "--algo", algo, "--out", str(model)]) == 0
@@ -526,9 +527,22 @@ def test_predict_refuses_rows_whose_scores_overflow(huge_value_features, tmp_pat
             assert all(math.isfinite(float(v)) for row in list(csv.reader(fh))[1:]
                        for v in row[2:])
     else:
-        assert rc == 2 and len(err) == 1
-        assert err[0].startswith("error: feature row 0 gives non-finite ")
+        assert rc == 2
+        with open(huge, newline="") as fh:
+            rows = list(csv.reader(fh))
+        what = "distances" if algo == "knn" else "class scores"
+        hint = "is a value far outside the model's training range?"
+        assert err == [f"error: {huge} data row 1 ({rows[1][0]!r}) gives non-finite {what}; {hint}"]
         assert not out.exists()
+        # only the third data row is huge: the message names that row and its video
+        rows[1][5], rows[2][5] = rows[4][5], rows[4][5]
+        third = tmp_path / "third.csv"
+        with open(third, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["predict", "--model", str(model), "--features", str(third),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {third} data row 3 ({rows[3][0]!r}) gives non-finite {what}; {hint}"]
 
 
 @pytest.mark.parametrize("algo", ["knn", "gnb", "logreg"])
