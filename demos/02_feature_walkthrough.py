@@ -46,9 +46,9 @@ def main():
 
     feats, _ = extract_sequence(seq)
     video = aggregate(feats, source_id=seq.source_id)
-    print(f"video vector: {video.vector().shape[0]} dims "
-          f"({len(video.mean)} means + {len(video.std)} stds) "
-          f"from {video.n_frames_used} frames")
+    print(f"video vector: {video.x.shape[0]} dims "
+          f"({len(FEATURE_NAMES)} means + {len(FEATURE_NAMES)} stds) "
+          f"from {len(feats)} frames")
     print(f"schema fingerprint: {video.schema_fingerprint}")
     print()
     print("Translating or rotating the pose leaves every feature unchanged;")

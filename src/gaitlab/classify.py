@@ -528,6 +528,6 @@ def _finite(values: np.ndarray, what: str, row: int = 0) -> np.ndarray:
 
 def predict(model: TrainedModel, features: VideoFeatures):
     """(label, per-class score dict) of one video; label is the argmax with class-order ties."""
-    row = scores(model, features.vector()[None, :], features.schema_fingerprint)[0]
+    row = scores(model, features.x[None, :], features.schema_fingerprint)[0]
     label = model.class_set[int(np.argmax(row))]
     return label, {c: float(s) for c, s in zip(model.class_set, row)}

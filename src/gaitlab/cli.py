@@ -14,7 +14,8 @@ from pathlib import Path
 from . import classify, evaluate, ingest, synth
 from .errors import GaitLabError, ParseError
 from .pose import GaitLabel
-from .video_features import (FeatureTable, featurize_sequence, read_features_csv,
+from .frame_features import NORM_SCOPES
+from .video_features import (STD_MODES, FeatureTable, featurize_sequence, read_features_csv,
                              schema_config, write_features_csv)
 
 
@@ -29,6 +30,17 @@ def _parse_counts(text: str) -> dict:
             raise ValueError(f"label {label.value!r} is counted twice")
         counts[label] = int(value)
     return counts
+
+
+def _seed(text: str) -> int:
+    """The argparse type of every --seed: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
 
 
 def _keypoint_files(in_path: Path) -> list[Path]:
@@ -70,7 +82,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    counts = _parse_counts(args.counts) if args.counts else None
+    counts = None if args.counts is None else _parse_counts(args.counts)
     written = synth.write_corpus(args.out, counts=counts, seed=args.seed,
                                  n_frames=args.frames)
     print(f"wrote {len(written)} sequences to {args.out}")
@@ -110,8 +122,10 @@ def cmd_eval(args) -> int:
             raise ValueError(f"algorithm {a!r} is listed twice")
     reports, errors = evaluate.run_task(args.task, algorithms, table, train_rows,
                                         folds=args.folds, seed=args.seed)
-    for algorithm, exc in errors.items():
-        print(f"{algorithm}: {exc}", file=sys.stderr)
+    for algorithm, exc in errors.items():  # name the algorithm once, if its message does not
+        message = str(exc)
+        print(message if message.startswith(algorithm) else f"{algorithm}: {message}",
+              file=sys.stderr)
     if not reports:  # each algorithm's message is printed above
         return _exit_code(next(iter(errors.values())))
     norm_scope, std = schema_config(table.fingerprint)
@@ -159,16 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output features CSV")
     p.add_argument("--min-conf", type=float, default=ingest.DEFAULT_MIN_CONFIDENCE)
     p.add_argument("--min-frames", type=int, default=ingest.DEFAULT_MIN_VALID_FRAMES)
-    p.add_argument("--norm-scope", choices=["frame", "video"], default="frame",
+    p.add_argument("--norm-scope", choices=NORM_SCOPES, default="frame",
                    help="distance normalization scope (default: frame)")
-    p.add_argument("--std", choices=["population", "sample"], default="population",
+    p.add_argument("--std", choices=STD_MODES, default="population",
                    help="standard deviation convention (default: population)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     p.add_argument("--counts", default=None,
                    help="per-class counts, e.g. Choreiform=51,Diplegia=55,...")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--frames", type=int, default=60, help="frames per sequence")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
@@ -177,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--algo", required=True, choices=classify.ALGORITHMS)
     p.add_argument("--task", default="multi", help="multi or binary:<Label>")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output .gaitmodel.json path")
     p.set_defaults(func=cmd_train)
 
@@ -186,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algos", default="all", help="'all' or comma-separated list")
     p.add_argument("--task", default="multi", help="multi or binary:<Label>")
     p.add_argument("--folds", type=int, default=evaluate.DEFAULT_FOLDS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True, help="output report JSON path")
     p.set_defaults(func=cmd_eval)
 

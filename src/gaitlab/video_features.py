@@ -1,6 +1,6 @@
 """Video-level aggregation: per-dimension mean and std of frame features.
 
-The video vector is [113 means, 113 stds] = 226 values. Standard deviation
+The video row is [113 means, 113 stds] = 226 values. Standard deviation
 is population (1/N) by default; sample (1/(N-1)) is available behind the
 ``std_mode`` flag and is recorded in the schema fingerprint, which a features
 CSV carries in its header.
@@ -20,9 +20,18 @@ from .errors import InsufficientDataError, ParseError, SchemaMismatch
 from .frame_features import FEATURE_NAMES, NORM_SCOPES, extract_sequence
 from .pose import GaitLabel, PoseSequence
 
-N_VIDEO_FEATURES = 226
+N_VIDEO_FEATURES = 2 * len(FEATURE_NAMES)
 
 STD_MODES = ("population", "sample")
+
+# (norm_scope, std_mode) -> stable hash of the feature ordering plus that config
+_FINGERPRINTS = {
+    (norm_scope, std_mode): hashlib.sha256(json.dumps(
+        {"features": list(FEATURE_NAMES), "norm_scope": norm_scope, "std": std_mode},
+        sort_keys=True).encode()).hexdigest()[:16]
+    for norm_scope in NORM_SCOPES for std_mode in STD_MODES
+}
+_CONFIGS = {fingerprint: config for config, fingerprint in _FINGERPRINTS.items()}
 
 
 def schema_fingerprint(norm_scope: str = "frame", std_mode: str = "population") -> str:
@@ -31,34 +40,27 @@ def schema_fingerprint(norm_scope: str = "frame", std_mode: str = "population") 
         raise ValueError(f"bad norm_scope {norm_scope!r}")
     if std_mode not in STD_MODES:
         raise ValueError(f"bad std_mode {std_mode!r}")
-    payload = json.dumps(
-        {"features": list(FEATURE_NAMES), "norm_scope": norm_scope, "std": std_mode},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return _FINGERPRINTS[norm_scope, std_mode]
 
 
 def schema_config(fingerprint: str) -> Optional[tuple[str, str]]:
     """The (norm_scope, std_mode) that ``schema_fingerprint`` hashes to ``fingerprint``, or None."""
-    for norm_scope in NORM_SCOPES:
-        for std_mode in STD_MODES:
-            if schema_fingerprint(norm_scope, std_mode) == fingerprint:
-                return norm_scope, std_mode
-    return None
+    return _CONFIGS.get(fingerprint)
 
 
 @dataclass(frozen=True)
 class VideoFeatures:
-    """226-dim mean||std aggregate of one video plus provenance."""
+    """One video's row of a FeatureTable: ``x`` (226,) is [113 means, 113 stds]."""
 
-    mean: np.ndarray  # (113,)
-    std: np.ndarray  # (113,)
-    n_frames_used: int
+    x: np.ndarray
     source_id: str
     schema_fingerprint: str
 
     def vector(self) -> np.ndarray:
-        return np.concatenate([self.mean, self.std])
+        """``x`` as a read-only view, so a caller cannot change the row through it."""
+        view = self.x.view()
+        view.flags.writeable = False
+        return view
 
 
 def aggregate(
@@ -73,17 +75,11 @@ def aggregate(
     matrix = np.asarray(features, dtype=float)
     ddof = 0 if std_mode == "population" else 1
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        mean, std = matrix.mean(axis=0), matrix.std(axis=0, ddof=ddof)
-    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        x = np.concatenate([matrix.mean(axis=0), matrix.std(axis=0, ddof=ddof)])
+    if not np.isfinite(x).all():
         raise ParseError(f"{source_id!r} has non-finite video features; "
                          "are its coordinates too large?")
-    return VideoFeatures(
-        mean=mean,
-        std=std,
-        n_frames_used=len(features),
-        source_id=source_id,
-        schema_fingerprint=schema_fingerprint(norm_scope, std_mode),
-    )
+    return VideoFeatures(x, source_id, schema_fingerprint(norm_scope, std_mode))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +100,7 @@ class FeatureTable:
         for vf, _ in rows:
             if vf.schema_fingerprint != fingerprint:
                 raise SchemaMismatch(fingerprint, vf.schema_fingerprint)
-        X = np.fromiter((vf.vector() for vf, _ in rows), dtype=(float, N_VIDEO_FEATURES),
+        X = np.fromiter((vf.x for vf, _ in rows), dtype=(float, N_VIDEO_FEATURES),
                         count=len(rows))
         labels = np.array([label for _, label in rows], dtype=object)
         return cls(tuple(vf.source_id for vf, _ in rows), X, labels, fingerprint)
@@ -133,8 +129,8 @@ def featurize_sequence(
 
 _CSV_HEADER = (
     ["source_id", "label"]
-    + [f"mu{i}" for i in range(1, 114)]
-    + [f"sd{i}" for i in range(1, 114)]
+    + [f"mu{i}" for i in range(1, len(FEATURE_NAMES) + 1)]
+    + [f"sd{i}" for i in range(1, len(FEATURE_NAMES) + 1)]
 )
 
 
@@ -176,18 +172,7 @@ def read_features_csv(path) -> list[tuple[VideoFeatures, Optional[GaitLabel]]]:
                     raise ParseError(f"{where}: {exc}") from None
                 if not np.isfinite(values).all():
                     raise ParseError(f"{where}: non-finite feature value for {row[0]!r}")
-                rows.append(
-                    (
-                        VideoFeatures(
-                            mean=values[:113],
-                            std=values[113:],
-                            n_frames_used=0,  # unknown after CSV round-trip
-                            source_id=row[0],
-                            schema_fingerprint=fingerprint,
-                        ),
-                        label,
-                    )
-                )
+                rows.append((VideoFeatures(values, row[0], fingerprint), label))
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not a readable feature CSV: {exc}") from None
     return rows

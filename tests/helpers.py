@@ -29,15 +29,8 @@ def random_frame(rng, lo=0.0, hi=320.0):
 
 
 def vf_from_vector(vec, source_id="v", fingerprint=None):
-    vec = np.asarray(vec, dtype=float)
-    assert vec.shape == (226,)
-    return VideoFeatures(
-        mean=vec[:113],
-        std=vec[113:],
-        n_frames_used=2,
-        source_id=source_id,
-        schema_fingerprint=fingerprint or schema_fingerprint(),
-    )
+    return VideoFeatures(np.asarray(vec, dtype=float).reshape(226), source_id,
+                         fingerprint or schema_fingerprint())
 
 
 def predicted_labels(model, videos):

@@ -86,6 +86,36 @@ def test_synth_names_the_label_of_a_refused_count(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_refuses_empty_counts(tmp_path, capsys):
+    """An empty --counts is a bad counts entry, not the default corpus."""
+    out = tmp_path / "c"
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--counts", ""]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad counts entry '', expected Label=N"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--counts", "Normal=2,Parkinson=2", "--frames", "4", "--out", "{tmp}/c"],
+    ["eval", "--features", "{features}", "--report", "{tmp}/r.json"],
+    *[["train", "--features", "{features}", "--algo", algo, "--out", "{tmp}/m.json"]
+      for algo in ("knn", "tree", "forest", "gnb", "logreg")],
+], ids=["synth", "eval", "train-knn", "train-tree", "train-forest", "train-gnb",
+        "train-logreg"])
+def test_negative_seed_is_refused_by_name(pipeline_dir, tmp_path, capsys, argv):
+    """Every subcommand that takes --seed refuses a negative one before doing any
+    work, with exit 2 and a message naming the flag and the value."""
+    argv = [a.format(tmp=tmp_path, features=pipeline_dir / "features.csv") for a in argv]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--seed", "-1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected a non-negative integer, got '-1'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_extract_names_manifest_and_file_disagreements(pipeline_dir, tmp_path, capsys):
     """A manifest row without a file and a file without a manifest row each get
     one stderr line; the exit code and the CSV stay as they were."""
@@ -543,6 +573,20 @@ def test_predict_refuses_rows_whose_scores_overflow(huge_value_features, tmp_pat
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {third} data row 3 ({rows[3][0]!r}) gives non-finite {what}; {hint}"]
+
+
+def test_eval_names_the_algorithm_of_a_hyperparameter_error_once(huge_value_features,
+                                                                 tmp_path, capsys):
+    """Two folds of the 8 training rows of a 12-video corpus leave knn 4 rows for
+    its k=5: the one stderr line names knn once."""
+    features, _ = huge_value_features
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = main(["eval", "--features", str(features), "--folds", "2", "--algos", "knn",
+               "--report", str(report)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == ["knn: k=5 exceeds the 4 training rows"]
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("algo", ["knn", "gnb", "logreg"])

@@ -84,20 +84,20 @@ def test_normal_gait_is_straight():
         assert ff[US] <= 0.02 * TORSO_PX
         assert ff[BS] <= 0.02 * TORSO_PX
     vf = featurize_sequence(seq)
-    assert vf.mean[US] <= 0.02 * TORSO_PX
+    assert vf.x[US] <= 0.02 * TORSO_PX
 
 
 def test_parkinson_raises_upper_body_displacement():
     normal = featurize_sequence(generate(default_params(GaitLabel.NORMAL, 1), "n"))
     parkinson = featurize_sequence(generate(default_params(GaitLabel.PARKINSON, 1), "p"))
-    assert parkinson.mean[US] > normal.mean[US]
+    assert parkinson.x[US] > normal.x[US]
 
 
 def test_lean_monotonically_increases_us():
     values = []
     for lean in (0.0, 10.0, 20.0, 30.0):
         p = GaitParams(label=GaitLabel.PARKINSON, forward_lean_deg=lean, seed=5)
-        values.append(featurize_sequence(generate(p, "m")).mean[US])
+        values.append(featurize_sequence(generate(p, "m")).x[US])
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -136,10 +136,10 @@ def test_class_separability_from_normal():
 
     # each abnormal class differs from Normal by >= 5 population stds in
     # its dominant feature family
-    assert gap(GaitLabel.PARKINSON, lambda vf: vf.mean[US]) >= 5
-    assert gap(GaitLabel.HEMIPLEGIA, lambda vf: vf.mean[HL].max()) >= 5
-    assert gap(GaitLabel.DIPLEGIA, lambda vf: vf.mean[HL].mean()) >= 5
-    assert gap(GaitLabel.CHOREIFORM, lambda vf: vf.std[CD].mean()) >= 5
+    assert gap(GaitLabel.PARKINSON, lambda vf: vf.x[US]) >= 5
+    assert gap(GaitLabel.HEMIPLEGIA, lambda vf: vf.x[HL].max()) >= 5
+    assert gap(GaitLabel.DIPLEGIA, lambda vf: vf.x[HL].mean()) >= 5
+    assert gap(GaitLabel.CHOREIFORM, lambda vf: vf.x[113:][CD].mean()) >= 5
 
 
 def test_write_corpus_roundtrip(tmp_path):

@@ -24,21 +24,20 @@ def ff_constant(value, frame_index=0):
 
 def test_identical_frames_zero_std():
     vf = aggregate([ff_constant(2.5, i) for i in range(4)], "v")
-    assert vf.mean == pytest.approx(np.full(113, 2.5))
-    assert vf.std == pytest.approx(np.zeros(113))
-    assert vf.n_frames_used == 4
+    assert vf.x[:113] == pytest.approx(np.full(113, 2.5))
+    assert vf.x[113:] == pytest.approx(np.zeros(113))
 
 
 def test_two_frame_population_std():
     # values {1, 3} per dimension: mean 2, population std 1
     vf = aggregate([ff_constant(1.0, 0), ff_constant(3.0, 1)], "v")
-    assert vf.mean == pytest.approx(np.full(113, 2.0))
-    assert vf.std == pytest.approx(np.ones(113))
+    assert vf.x[:113] == pytest.approx(np.full(113, 2.0))
+    assert vf.x[113:] == pytest.approx(np.ones(113))
 
 
 def test_sample_std_mode():
     vf = aggregate([ff_constant(1.0, 0), ff_constant(3.0, 1)], "v", std_mode="sample")
-    assert vf.std == pytest.approx(np.full(113, np.sqrt(2.0)))
+    assert vf.x[113:] == pytest.approx(np.full(113, np.sqrt(2.0)))
     assert vf.schema_fingerprint != schema_fingerprint()
 
 
@@ -56,6 +55,15 @@ def test_mean_std_against_numpy_oracle():
     vf = aggregate(feats, "v")
     assert vf.vector() == pytest.approx(
         np.concatenate([matrix.mean(axis=0), matrix.std(axis=0)]))
+
+
+def test_vector_cannot_change_the_row():
+    vf = vf_from_vector(np.arange(226.0))
+    vec = vf.vector()
+    with pytest.raises(ValueError, match="read-only"):
+        vec[0] = -1.0
+    assert vf.vector() == pytest.approx(np.arange(226.0), abs=0)
+    assert vf.x[0] == 0.0
 
 
 def test_too_few_frames():
@@ -83,7 +91,6 @@ def test_featurize_sequence():
     seq = generate(default_params(GaitLabel.NORMAL, seed=1), "clip")
     vf = featurize_sequence(seq)
     assert vf.source_id == "clip"
-    assert vf.n_frames_used == len(seq)
     assert vf.vector().shape == (226,)
 
 
@@ -107,6 +114,19 @@ def test_fingerprint_depends_on_config():
         schema_fingerprint("video", "sample"),
     }
     assert len(prints) == 4
+
+
+@pytest.mark.parametrize("norm_scope, std_mode, fingerprint", [
+    ("frame", "population", "3cda7040bdf4c2ef"),
+    ("frame", "sample", "dd9b588d4613d46f"),
+    ("video", "population", "3177d86aece88f37"),
+    ("video", "sample", "8f609642c35817d7"),
+])
+def test_fingerprints_pinned(norm_scope, std_mode, fingerprint):
+    """The four schema fingerprints that feature CSVs and models carry; a change
+    to the feature names or their order has to move these."""
+    assert schema_fingerprint(norm_scope, std_mode) == fingerprint
+    assert schema_config(fingerprint) == (norm_scope, std_mode)
 
 
 def test_schema_config_inverts_the_fingerprint():
