@@ -199,16 +199,16 @@ def _standardize(X: np.ndarray, p: dict) -> np.ndarray:
 # --- dataset plumbing ---------------------------------------------------------
 
 
-def _class_indices(labels):
-    """labels -> (y, classes): the classes present in GaitLabel order, and
-    each label's index among them."""
-    if not len(labels):
+def _class_indices(table: FeatureTable):
+    """(y, classes): the classes of the table's labels in GaitLabel order, and
+    each row's index among them; an unlabeled row raises ValueError."""
+    if not len(table):
         raise InsufficientDataError("empty training set")
-    present = set(labels)
+    present = set(table.labels)
     classes = tuple(label for label in GaitLabel if label in present)
+    y = table.class_indices(classes)
     if len(classes) < 2:
         raise InsufficientDataError(f"need at least 2 classes, got {len(classes)}")
-    y = np.array([classes.index(label) for label in labels])
     counts = np.bincount(y, minlength=len(classes))
     if counts.min() < 2:
         small = classes[int(counts.argmin())]
@@ -419,7 +419,7 @@ def train(algorithm: str, table: FeatureTable, hyper: dict | None = None,
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if len(bad):
         raise ValueError(f"feature row {bad[0]} ({table.source_ids[bad[0]]!r}) is not finite")
-    y, classes = _class_indices(table.labels)
+    y, classes = _class_indices(table)
     merged = dict(DEFAULT_HYPERS[algorithm])
     if hyper:
         merged.update(hyper)
@@ -481,28 +481,22 @@ def scores(model: TrainedModel, X: np.ndarray, fingerprint: str) -> np.ndarray:
     if model.algorithm == "tree":
         return p["probs"][_leaves(p, X)[:, 0]]
     if model.algorithm == "forest":
-        votes = p["probs"].argmax(axis=1)[_leaves(p, X)]  # (n, n_trees) class voted
-        counts = (votes[:, :, None] == np.arange(n_classes)).sum(axis=1)
-        return counts / len(p["roots"])
+        return _vote_shares(p["probs"].argmax(axis=1)[_leaves(p, X)], n_classes)
     with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses what overflows
         if model.algorithm == "gnb":
-            variances = p["vars"]
             logp = p["log_priors"] - 0.5 * (
-                np.log(2.0 * math.pi * variances) + (X[:, None, :] - p["means"]) ** 2 / variances
+                np.log(2.0 * math.pi * p["vars"]) + (X[:, None, :] - p["means"]) ** 2 / p["vars"]
             ).sum(axis=2)
             return softmax(_finite(logp, "class scores"))
         Xs = _standardize(X, p)
         if model.algorithm == "knn":
-            k = model.hyperparameters["k"]
             # One query at a time, so no (n, n_train, d) difference array is made.
             # The distance keeps this form: the GEMM form rounds differently and
-            # would reorder near-ties.
-            out = np.empty((len(X), n_classes))
-            for i, xs in enumerate(Xs):
-                dist = _finite(np.sqrt(((p["X"] - xs) ** 2).sum(axis=1)), "distances", i)
-                nearest = np.argsort(dist, kind="stable")[:k]  # distance ties -> lower index
-                out[i] = np.bincount(p["y"][nearest], minlength=n_classes) / k
-            return out
+            # would reorder near-ties; the stable sort gives distance ties to the lower index.
+            dist = np.array([np.sqrt(((p["X"] - xs) ** 2).sum(axis=1)) for xs in Xs])
+            nearest = np.argsort(_finite(dist.reshape(len(X), len(p["X"])), "distances"), axis=1,
+                                 kind="stable")[:, :model.hyperparameters["k"]]
+            return _vote_shares(p["y"][nearest], n_classes)
         # logreg: W @ xs row by row, since the batched Xs @ W.T rounds differently
         logits = np.array([p["W"] @ xs for xs in Xs]).reshape(len(X), n_classes) + p["b"]
         return softmax(_finite(logits, "class scores"))
@@ -516,14 +510,17 @@ class UnscorableRow(ValueError):
         super().__init__(f"feature row {row} gives {self.reason}")
 
 
-def _finite(values: np.ndarray, what: str, row: int = 0) -> np.ndarray:
-    """``values`` unchanged when finite; else UnscorableRow naming the first
-    feature row they come from (row i of a 2-D array, else ``row``)."""
-    if not np.isfinite(values).all():
-        if values.ndim == 2:
-            row = int(np.argmin(np.isfinite(values).all(axis=1)))
-        raise UnscorableRow(row, what)
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` (n, m) unchanged when finite; else UnscorableRow naming its first other row."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise UnscorableRow(int(np.argmin(finite)), what)
     return values
+
+
+def _vote_shares(votes: np.ndarray, n_classes: int) -> np.ndarray:
+    """(n, n_classes) share of each row's votes (n, voters) that go to each class."""
+    return (votes[:, :, None] == np.arange(n_classes)).mean(axis=1)
 
 
 def predict(model: TrainedModel, features: VideoFeatures):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -23,24 +24,31 @@ def _parse_counts(text: str) -> dict:
     counts = {}
     for part in text.split(","):
         name, _, value = part.partition("=")
-        if not value:
-            raise ValueError(f"bad counts entry {part!r}, expected Label=N")
+        try:
+            count = int(value)
+        except ValueError:  # also an entry without "="
+            raise ValueError(f"bad counts entry {part!r}, expected Label=N") from None
         label = GaitLabel.from_name(name)
         if label in counts:
             raise ValueError(f"label {label.value!r} is counted twice")
-        counts[label] = int(value)
+        counts[label] = count
     return counts
 
 
-def _seed(text: str) -> int:
-    """The argparse type of every --seed: a non-negative integer."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return seed
+def _number(kind, low, high, wanted: str):
+    """The argparse type of a numeric flag: a ``kind`` value in [low, high]."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:  # a NaN fails too
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _number(int, 0, math.inf, "a non-negative integer")
 
 
 def _keypoint_files(in_path: Path) -> list[Path]:
@@ -61,9 +69,13 @@ def cmd_extract(args) -> int:
     labels = synth.read_manifest(manifest) if manifest and manifest.exists() else None
     rows = []
     for path in files:
-        seq = ingest.load_keypoint_file(path)
-        seq, report = ingest.filter_valid(seq, args.min_conf, args.min_frames)
-        vf = featurize_sequence(seq, norm_scope=args.norm_scope, std_mode=args.std)
+        try:
+            seq = ingest.load_keypoint_file(path)
+            seq, report = ingest.filter_valid(seq, args.min_conf, args.min_frames)
+            vf = featurize_sequence(seq, norm_scope=args.norm_scope, std_mode=args.std)
+        except GaitLabError as exc:  # name the file, keeping the type and so the exit code
+            exc.args = (f"{path}: {exc}",)
+            raise
         rows.append((vf, None if labels is None else labels.get(seq.source_id)))
         if report.dropped_frames:
             print(f"{seq.source_id}: dropped {report.dropped_frames}/"
@@ -171,8 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True,
                    help="a .kp.jsonl file or a directory of them")
     p.add_argument("--out", required=True, help="output features CSV")
-    p.add_argument("--min-conf", type=float, default=ingest.DEFAULT_MIN_CONFIDENCE)
-    p.add_argument("--min-frames", type=int, default=ingest.DEFAULT_MIN_VALID_FRAMES)
+    p.add_argument("--min-conf", type=_number(float, 0.0, 1.0, "a number in [0, 1]"),
+                   default=ingest.DEFAULT_MIN_CONFIDENCE)
+    p.add_argument("--min-frames", type=_number(int, 1, math.inf, "an integer >= 1"),
+                   default=ingest.DEFAULT_MIN_VALID_FRAMES)
     p.add_argument("--norm-scope", choices=NORM_SCOPES, default="frame",
                    help="distance normalization scope (default: frame)")
     p.add_argument("--std", choices=STD_MODES, default="population",
@@ -183,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default=None,
                    help="per-class counts, e.g. Choreiform=51,Diplegia=55,...")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--frames", type=int, default=60, help="frames per sequence")
+    p.add_argument("--frames", type=_number(int, 2, math.inf, "an integer >= 2"), default=60,
+                   help="frames per sequence")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 

@@ -11,7 +11,7 @@ accuracy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,16 +35,8 @@ class EvalReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "algorithm": self.algorithm,
-            "cv_accuracy": self.cv_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "confusion": [list(row) for row in self.confusion],
-            "classes": [c.value for c in self.classes],
-            "fold_count": self.fold_count,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "confusion": [list(row) for row in self.confusion],
+                "classes": [c.value for c in self.classes]}
 
 
 def _class_ranks(labels, seed: int):
@@ -84,12 +76,17 @@ def _stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
 
 def confusion_matrix(model, table: FeatureTable) -> tuple:
     """Counts of (true, predicted) class pairs over the table's rows; rows and
-    columns follow the model's class_set."""
-    true = np.array([model.class_set.index(label) for label in table.labels], dtype=int)
+    columns follow the model's class_set; a row of another class raises ValueError."""
+    true = table.class_indices(model.class_set)
     predicted = classify.scores(model, table.X, table.fingerprint).argmax(axis=1)
     matrix = np.zeros((len(model.class_set),) * 2, dtype=int)
     np.add.at(matrix, (true, predicted), 1)
     return tuple(tuple(int(v) for v in row) for row in matrix)
+
+
+def _accuracy(confusion) -> float:
+    """Share of a confusion matrix's counts that lie on its diagonal."""
+    return int(np.trace(confusion)) / int(np.sum(confusion))
 
 
 def cross_validate(
@@ -101,12 +98,12 @@ def cross_validate(
     """Mean of per-fold accuracies over a stratified k-fold of the table's rows."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
+    table.class_indices(GaitLabel)  # refuse unlabeled rows before any fit
     assignment = _stratified_folds(table.labels, folds, seed)
     accuracies = []
     for f in range(folds):
         model = classify.train(algorithm, table[assignment != f], seed=seed)
-        held = table[assignment == f]
-        accuracies.append(int(np.trace(confusion_matrix(model, held))) / len(held))
+        accuracies.append(_accuracy(confusion_matrix(model, table[assignment == f])))
     return float(np.mean(accuracies))
 
 
@@ -146,13 +143,12 @@ def run_task(
             cv = cross_validate(algorithm, train, folds=folds, seed=seed)
             model = classify.train(algorithm, train, seed=seed)
             confusion = confusion_matrix(model, test)
-            test_acc = np.trace(np.asarray(confusion)) / len(test)
             reports.append(
                 EvalReport(
                     task=task,
                     algorithm=algorithm,
                     cv_accuracy=cv,
-                    test_accuracy=float(test_acc),
+                    test_accuracy=_accuracy(confusion),
                     confusion=confusion,
                     classes=model.class_set,
                     fold_count=folds,

@@ -114,6 +114,19 @@ class FeatureTable:
         return FeatureTable(tuple(self.source_ids[i] for i in rows), self.X[rows],
                             self.labels[rows], self.fingerprint)
 
+    def class_indices(self, classes) -> np.ndarray:
+        """Each row's label as its index in ``classes``; ValueError names the
+        first row that is unlabeled or labeled with another class."""
+        index = {label: i for i, label in enumerate(classes)}
+        y = np.array([index.get(label, -1) for label in self.labels], dtype=int)
+        if (y < 0).any():
+            i = int(np.argmin(y >= 0))
+            label = self.labels[i]
+            what = "no label" if label is None else f"label {label.value}"
+            raise ValueError(f"feature row {i} ({self.source_ids[i]!r}) has {what}; expected "
+                             f"one of {', '.join(c.value for c in classes)}")
+        return y
+
 
 def featurize_sequence(
     seq: PoseSequence,

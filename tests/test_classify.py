@@ -600,6 +600,18 @@ def test_train_refuses_non_finite_rows(algorithm, value):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_train_names_an_unlabeled_row(algorithm):
+    """Every algorithm refuses a table with an unlabeled row, naming the first one."""
+    rng = np.random.default_rng(20)
+    items = random_items(rng, n=24, n_classes=3)
+    items[4] = (items[4][0], None)
+    items[6] = (items[6][0], None)
+    with pytest.raises(ValueError, match="^feature row 4 \\('r4'\\) has no label; expected one "
+                                         "of Choreiform, Diplegia, Hemiplegia$"):
+        train(algorithm, FeatureTable.from_rows(items))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_training_leaves_no_cyclic_garbage(algorithm):
     """A fit's arrays are freed when it returns, not held until the cycle
     collector runs: garbage left by each fit grows a long eval's peak memory."""

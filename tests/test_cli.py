@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -60,9 +61,13 @@ def test_refused_synth_leaves_the_output_directory_alone(tmp_path):
     out = tmp_path / "m"
     assert main(["synth", "--out", str(out), "--counts", "Normal=5,Parkinson=5"]) == 0
     before = {path.name: path.read_bytes() for path in out.iterdir()}
-    assert main(["synth", "--out", str(out), "--frames", "1"]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(["synth", "--out", str(out), "--frames", "1"])
+    assert info.value.code == 2
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
-    assert main(["synth", "--out", str(tmp_path / "new"), "--frames", "1"]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(["synth", "--out", str(tmp_path / "new"), "--frames", "1"])
+    assert info.value.code == 2
     assert not (tmp_path / "new").exists()
 
 
@@ -114,6 +119,69 @@ def test_negative_seed_is_refused_by_name(pipeline_dir, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "argument --seed: expected a non-negative integer, got '-1'" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--frames", "1"], "argument --frames: expected an integer >= 2, got '1'"),
+    (["synth", "--frames", "x"], "argument --frames: expected an integer >= 2, got 'x'"),
+    (["extract", "--in", "{corpus}", "--min-frames", "0"],
+     "argument --min-frames: expected an integer >= 1, got '0'"),
+    (["extract", "--in", "{corpus}", "--min-conf", "-1"],
+     "argument --min-conf: expected a number in [0, 1], got '-1'"),
+    (["extract", "--in", "{corpus}", "--min-conf", "nan"],
+     "argument --min-conf: expected a number in [0, 1], got 'nan'"),
+], ids=["frames", "frames-not-a-number", "min-frames", "min-conf", "min-conf-nan"])
+def test_numeric_flags_are_refused_by_name(pipeline_dir, tmp_path, capsys, argv, message):
+    """An out-of-range numeric flag is refused before any work, with exit 2 and
+    a message naming the flag and the value."""
+    argv = [a.format(corpus=pipeline_dir / "corpus") for a in argv]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_names_a_count_that_is_not_an_integer(tmp_path, capsys):
+    out = tmp_path / "c"
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--counts", "Normal=2,Parkinson=x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad counts entry 'Parkinson=x', expected Label=N"]
+    assert not out.exists()
+
+
+def _edit_line(data, index, old, new):
+    lines = data.splitlines(keepends=True)
+    lines[index] = lines[index].replace(old, new)
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("edit, flags, code, message", [
+    (lambda data: _edit_line(data, 2, b'"frame"', b'"frames"'), [], 2,
+     "malformed keypoint line 3: missing 'frame' field"),
+    (lambda data: b"".join(data.splitlines(keepends=True)[:4]), [], 3,
+     "only 4 valid frames, need at least 10"),
+    (lambda data: b"\xff" + data, [], 2, "keypoint data is not UTF-8: "),
+    (lambda data: data.splitlines(keepends=True)[0] + data, [], 2, "duplicate frame index 0"),
+    (lambda data: data.splitlines(keepends=True)[0], ["--min-frames", "1"], 3,
+     "need at least 2 frames to aggregate, got 1"),
+], ids=["no-frame-field", "too-few-valid-frames", "not-utf8", "duplicate-frame",
+        "one-frame"])
+def test_extract_names_the_refused_file(pipeline_dir, tmp_path, capsys, edit, flags, code,
+                                        message):
+    """A refused keypoint file in a directory is named in the one error line,
+    which keeps its exit code, and no CSV is written."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline_dir / "corpus", corpus)
+    refused = sorted(corpus.glob("*.kp.jsonl"))[4]
+    refused.write_bytes(edit(refused.read_bytes()))
+    capsys.readouterr()
+    assert main(["extract", "--in", str(corpus), "--out", str(tmp_path / "o.csv"), *flags]) == code
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {refused}: {message}")
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_extract_names_manifest_and_file_disagreements(pipeline_dir, tmp_path, capsys):

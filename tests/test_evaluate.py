@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from gaitlab import classify
 from gaitlab.errors import InsufficientDataError
 from gaitlab.evaluate import (
     EvalReport,
@@ -135,6 +136,29 @@ def test_cross_validate_deterministic():
     a = cross_validate("tree", table, folds=5, seed=4)
     b = cross_validate("tree", table, folds=5, seed=4)
     assert a == b
+
+
+def test_cross_validate_names_an_unlabeled_row_before_any_fit(monkeypatch):
+    rng = np.random.default_rng(5)
+    items = make_separable_items(rng, n_per_class=12)
+    items[7] = (items[7][0], None)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("cross_validate fit a model")
+
+    monkeypatch.setattr(classify, "train", no_fit)
+    with pytest.raises(ValueError, match="^feature row 7 \\('Normal_7'\\) has no label; "
+                                         "expected one of Choreiform, .*, Parkinson$"):
+        cross_validate("knn", FeatureTable.from_rows(items), folds=2, seed=0)
+
+
+def test_confusion_matrix_names_a_row_of_another_class():
+    rng = np.random.default_rng(6)
+    model = classify.train("gnb", FeatureTable.from_rows(make_separable_items(rng)))
+    rows = dummy_items({GaitLabel.NORMAL: 2, GaitLabel.CHOREIFORM: 1}, rng)
+    with pytest.raises(ValueError, match="^feature row 2 \\('Choreiform_0'\\) has label "
+                                         "Choreiform; expected one of Normal, Parkinson$"):
+        confusion_matrix(model, FeatureTable.from_rows(rows))
 
 
 def test_task_rows_binary_filters():
