@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--algos", default="all", help="'all' or comma-separated list")
     p.add_argument("--task", default="multi", help="multi or binary:<Label>")
-    p.add_argument("--folds", type=int, default=evaluate.DEFAULT_FOLDS)
+    p.add_argument("--folds", type=_number(int, 2, math.inf, "an integer >= 2"),
+                   default=evaluate.DEFAULT_FOLDS)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True, help="output report JSON path")
     p.set_defaults(func=cmd_eval)

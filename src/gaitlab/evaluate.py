@@ -130,6 +130,8 @@ def run_task(
 ):
     """One EvalReport per algorithm, fit on the task's rows of ``train_rows``
     (a boolean mask) and tested on its other rows; failures are collected, not fatal.
+    An unlabeled training row or more folds than its smallest class holds is
+    refused once, before any algorithm runs.
 
     Returns (reports, errors) where errors maps algorithm -> exception.
     """
@@ -137,6 +139,8 @@ def run_task(
         raise ValueError("folds must be >= 2")
     rows = task_rows(task, table.labels)
     train, test = table[rows & train_rows], table[rows & ~train_rows]
+    train.class_indices(GaitLabel)
+    _stratified_folds(train.labels, folds, seed)
     reports, errors = [], {}
     for algorithm in algorithms:
         try:

@@ -156,23 +156,20 @@ def _perturbed_params(label: GaitLabel, rng: np.random.Generator, n_frames: int)
                    **{name: getattr(base, name) * rng.uniform(0.8, 1.2) for name in _AMPLITUDES})
 
 
-def _corpus_items(
+def _corpus_params(
     counts: dict[GaitLabel, int] | None, seed: int, n_frames: int
-) -> list[tuple[PoseSequence, GaitLabel, GaitParams]]:
+) -> list[tuple[str, GaitLabel, GaitParams]]:
+    """(source_id, label, params) of every corpus sequence; refused counts or
+    frame counts raise here, before any sequence is built."""
     counts = DEFAULT_COUNTS if counts is None else counts
     for label, n in counts.items():
         if n < 1:
             raise ValueError(f"count for {label.value} must be >= 1")
     total = sum(counts.get(label, 0) for label in GaitLabel)
     children = iter(np.random.SeedSequence(seed).spawn(total))
-    items = []
-    for label in GaitLabel:
-        for i in range(counts.get(label, 0)):
-            rng = np.random.default_rng(next(children))
-            params = _perturbed_params(label, rng, n_frames)
-            source_id = f"{label.value.lower()}_{i:03d}"
-            items.append((generate(params, source_id=source_id), label, params))
-    return items
+    return [(f"{label.value.lower()}_{i:03d}", label,
+             _perturbed_params(label, np.random.default_rng(next(children)), n_frames))
+            for label in GaitLabel for i in range(counts.get(label, 0))]
 
 
 def generate_corpus(
@@ -181,7 +178,8 @@ def generate_corpus(
     n_frames: int = 60,
 ) -> list[tuple[PoseSequence, GaitLabel]]:
     """Labeled corpus with per-sequence derived seeds and parameter variation."""
-    return [(seq, label) for seq, label, _ in _corpus_items(counts, seed, n_frames)]
+    return [(generate(params, source_id), label)
+            for source_id, label, params in _corpus_params(counts, seed, n_frames)]
 
 
 def write_corpus(
@@ -192,20 +190,19 @@ def write_corpus(
 ) -> list[tuple[str, GaitLabel]]:
     """Emit ``<source_id>.kp.jsonl`` files plus ``manifest.csv`` into out_dir.
 
-    The sequences are built first, so refused counts or frame counts leave
-    out_dir as it was."""
-    items = _corpus_items(counts, seed, n_frames)
+    Every sequence's parameters are drawn first, so refused counts or frame
+    counts leave out_dir as it was; then each sequence is generated, written
+    and dropped in turn, so no more than one is held at a time."""
+    items = _corpus_params(counts, seed, n_frames)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     with open(out_dir / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source_id", "label", "seed"])
-        for seq, label, params in items:
-            save_keypoint_file(seq, out_dir / f"{seq.source_id}.kp.jsonl")
-            writer.writerow([seq.source_id, label.value, params.seed])
-            written.append((seq.source_id, label))
-    return written
+        for source_id, label, params in items:
+            save_keypoint_file(generate(params, source_id), out_dir / f"{source_id}.kp.jsonl")
+            writer.writerow([source_id, label.value, params.seed])
+    return [(source_id, label) for source_id, label, _ in items]
 
 
 def read_manifest(path) -> dict[str, GaitLabel]:

@@ -1,5 +1,6 @@
 """Shared builders and independent geometry oracles for the test suite."""
 
+import json
 import math
 
 import numpy as np
@@ -37,6 +38,22 @@ def predicted_labels(model, videos):
     """The labels a model predicts for a list of VideoFeatures, scored as one matrix."""
     table = FeatureTable.from_rows([(vf, None) for vf in videos])
     return [model.class_set[i] for i in scores(model, table.X, table.fingerprint).argmax(axis=1)]
+
+
+def serialize_sequence_oracle(seq):
+    """A sequence's .kp.jsonl text built as one dict per frame through json.dumps:
+    the writer that serialize_sequence's cached line formats replaced."""
+    names = [k.json_name for k in KeypointId]
+    lines = []
+    xy, conf = seq.xy.tolist(), seq.conf.tolist()
+    for t, idx in enumerate(seq.frame_index.tolist()):
+        obj = {"frame": idx}
+        if seq.t_ms[t] is not None:
+            obj["t_ms"] = seq.t_ms[t]
+        obj["kp"] = {name: [x, y, c] for name, (x, y), c in zip(names, xy[t], conf[t])
+                     if not math.isnan(c)}
+        lines.append(json.dumps(obj))
+    return "\n".join(lines) + "\n"
 
 
 # --- slope-intercept oracles (independent of the cross-product code path) ----

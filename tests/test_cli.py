@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from gaitlab import classify
 from gaitlab.cli import main
 from gaitlab.classify import load_model
+from gaitlab.errors import InsufficientDataError
 from gaitlab.pose import GaitLabel
 from gaitlab.synth import write_corpus
 
@@ -39,7 +41,7 @@ def test_synth_outputs(pipeline_dir):
 
 
 def test_extract_outputs_labeled_csv(pipeline_dir):
-    with open(pipeline_dir / "features.csv", newline="") as fh:
+    with open(pipeline_dir / "features.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:2] == ["source_id", "label"]
     assert len(rows) == 31  # header + 30 videos
@@ -51,7 +53,7 @@ def test_extract_single_file(pipeline_dir, tmp_path):
     src = next(iter((pipeline_dir / "corpus").glob("*.kp.jsonl")))
     out = tmp_path / "one.csv"
     assert main(["extract", "--in", str(src), "--out", str(out)]) == 0
-    with open(out, newline="") as fh:
+    with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 2
     assert rows[1][1] == ""  # no manifest, so no label
@@ -193,7 +195,7 @@ def test_extract_names_manifest_and_file_disagreements(pipeline_dir, tmp_path, c
         if path.name != "normal_000.kp.jsonl":
             (corpus / path.name).write_bytes(path.read_bytes())
     (corpus / "stray_000.kp.jsonl").write_bytes((corpus / "normal_001.kp.jsonl").read_bytes())
-    with open(corpus / "manifest.csv", "a", newline="") as fh:
+    with open(corpus / "manifest.csv", "a", newline="", encoding="utf-8") as fh:
         fh.write("ghost_001,Normal,0\r\n")
     capsys.readouterr()
     assert main(["extract", "--in", str(corpus), "--out", str(tmp_path / "o.csv")]) == 0
@@ -202,11 +204,11 @@ def test_extract_names_manifest_and_file_disagreements(pipeline_dir, tmp_path, c
         "ghost_001: in manifest.csv but has no keypoint file",
         "stray_000: no manifest.csv row, written unlabeled",
     ]
-    lines = (pipeline_dir / "features.csv").read_text().splitlines(keepends=True)
+    lines = (pipeline_dir / "features.csv").read_text(encoding="utf-8").splitlines(keepends=True)
     stray = next(line for line in lines if line.startswith("normal_001,"))
     expected = [line for line in lines if not line.startswith("normal_000,")]
     expected.append(stray.replace("normal_001,Normal,", "stray_000,,", 1))
-    assert (tmp_path / "o.csv").read_text() == "".join(expected)
+    assert (tmp_path / "o.csv").read_text(encoding="utf-8") == "".join(expected)
     # a corpus that agrees with its manifest gets no such line
     assert main(["extract", "--in", str(pipeline_dir / "corpus"),
                  "--out", str(tmp_path / "p.csv")]) == 0
@@ -219,7 +221,7 @@ def test_eval_writes_report(pipeline_dir, tmp_path):
                "--algos", "gnb,tree", "--task", "multi", "--folds", "2",
                "--seed", "0", "--report", str(report)])
     assert rc == 0
-    doc = json.loads(report.read_text())
+    doc = json.loads(report.read_text(encoding="utf-8"))
     assert {r["algorithm"] for r in doc["reports"]} == {"gnb", "tree"}
     assert doc["best_algorithm"] in {"gnb", "tree"}
     assert all(len(r["confusion"]) == 5 for r in doc["reports"])
@@ -245,35 +247,64 @@ def test_eval_refuses_bad_algorithm_lists(pipeline_dir, tmp_path, capsys, algos,
     ("gnb", ["gnb"]),
     ("all", ["knn", "tree", "forest", "gnb", "logreg"]),
 ])
-def test_eval_prints_each_failure_once(pipeline_dir, tmp_path, capsys, algos, failing):
-    """When every algorithm fails, stderr holds one line per algorithm and nothing more.
-    Each class has 4 training rows, too few for 5 folds, which every algorithm finds."""
+def test_eval_prints_each_failure_once(pipeline_dir, tmp_path, capsys, monkeypatch, algos,
+                                       failing):
+    """When every algorithm fails, stderr holds one line per algorithm and nothing more."""
+    def cannot_fit(algorithm, *args, **kwargs):
+        raise InsufficientDataError("too little data to fit")
+
+    monkeypatch.setattr(classify, "train", cannot_fit)
     report = tmp_path / "report.json"
     capsys.readouterr()
     rc = main(["eval", "--features", str(pipeline_dir / "features.csv"), "--algos", algos,
-               "--folds", "5", "--report", str(report)])
+               "--folds", "2", "--report", str(report)])
     assert rc == 3
     assert capsys.readouterr().err.splitlines() == [
-        f"{algo}: 5 folds requested but smallest class has 4 items" for algo in failing]
+        f"{algo}: too little data to fit" for algo in failing]
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("folds", ["5", "99999999999999999999"])
+def test_eval_refuses_more_folds_than_the_smallest_class_once(pipeline_dir, tmp_path, capsys,
+                                                              monkeypatch, folds):
+    """Each class has 4 training rows, too few for 5 folds: eval says so once,
+    with exit 3, before any algorithm fits a model."""
+    def no_fit(*args, **kwargs):
+        raise AssertionError("eval fit a model")
+
+    monkeypatch.setattr(classify, "train", no_fit)
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = main(["eval", "--features", str(pipeline_dir / "features.csv"), "--folds", folds,
+               "--report", str(report)])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {folds} folds requested but smallest class has 4 items"]
     assert not report.exists()
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--folds", "1"], "folds must be >= 2"),
-    (["--folds", "0"], "folds must be >= 2"),
-    (["--task", "binary:Normal"], "task 'binary:Normal' compares Normal with itself"),
-    (["--task", "binary:normal"], "task 'binary:normal' compares Normal with itself"),
+    (["--folds", "1"], "argument --folds: expected an integer >= 2, got '1'"),
+    (["--folds", "0"], "argument --folds: expected an integer >= 2, got '0'"),
+    (["--task", "binary:Normal"], "error: task 'binary:Normal' compares Normal with itself"),
+    (["--task", "binary:normal"], "error: task 'binary:normal' compares Normal with itself"),
 ], ids=["one-fold", "no-folds", "normal-against-normal", "normal-other-case"])
 def test_eval_refuses_a_bad_argument_once(pipeline_dir, tmp_path, capsys, args, message):
-    """A bad fold count or task is an argument error, reported once and not
-    once per algorithm."""
+    """A bad fold count or task is an argument error (exit 2), reported once and
+    not once per algorithm; argparse names the flag of a bad fold count."""
     report = tmp_path / "report.json"
+    argv = ["eval", "--features", str(pipeline_dir / "features.csv"), "--report", str(report)]
     capsys.readouterr()
-    rc = main(["eval", "--features", str(pipeline_dir / "features.csv"), "--report", str(report)]
-              + args)
-    assert rc == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    if args[0] == "--folds":
+        with pytest.raises(SystemExit) as info:
+            main(argv + args)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+    else:
+        assert main(argv + args) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
     assert not report.exists()
+
 
 def test_eval_binary_task(pipeline_dir, tmp_path):
     report = tmp_path / "binary.json"
@@ -281,7 +312,7 @@ def test_eval_binary_task(pipeline_dir, tmp_path):
                "--algos", "gnb", "--task", "binary:Parkinson", "--folds", "2",
                "--seed", "0", "--report", str(report)])
     assert rc == 0
-    doc = json.loads(report.read_text())
+    doc = json.loads(report.read_text(encoding="utf-8"))
     assert doc["reports"][0]["classes"] == ["Normal", "Parkinson"]
 
 
@@ -299,7 +330,7 @@ def test_train_and_predict(pipeline_dir, tmp_path):
                "--features", str(pipeline_dir / "features.csv"),
                "--out", str(predictions)])
     assert rc == 0
-    with open(predictions, newline="") as fh:
+    with open(predictions, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["source_id", "predicted", "score_Choreiform", "score_Diplegia",
                        "score_Hemiplegia", "score_Normal", "score_Parkinson"]
@@ -317,7 +348,7 @@ def test_predict_of_a_csv_without_rows(pipeline_dir, tmp_path):
     predictions = tmp_path / "p.csv"
     assert main(["predict", "--model", str(model_path), "--features", features,
                  "--out", str(predictions)]) == 0
-    with open(predictions, newline="") as fh:
+    with open(predictions, newline="", encoding="utf-8") as fh:
         assert [row[:2] for row in csv.reader(fh)] == [["source_id", "predicted"]]
     assert main(["train", "--features", features, "--algo", "gnb",
                  "--out", str(model_path)]) == 2
@@ -325,7 +356,7 @@ def test_predict_of_a_csv_without_rows(pipeline_dir, tmp_path):
 
 def test_exit_code_parse_error(tmp_path):
     bad = tmp_path / "bad.kp.jsonl"
-    bad.write_text("{nope\n")
+    bad.write_text("{nope\n", encoding="utf-8")
     assert main(["extract", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
     assert main(["extract", "--in", str(tmp_path / "missing.kp.jsonl"),
                  "--out", str(tmp_path / "o.csv")]) == 2
@@ -336,8 +367,8 @@ def test_extract_refuses_coordinates_too_large_for_finite_features(pipeline_dir,
     video and exits 2 instead of writing nan and inf cells."""
     src = next(iter((pipeline_dir / "corpus").glob("*.kp.jsonl")))
     huge = tmp_path / "huge.kp.jsonl"
-    with open(huge, "w") as fh:
-        for line in src.read_text().splitlines():
+    with open(huge, "w", encoding="utf-8") as fh:
+        for line in src.read_text(encoding="utf-8").splitlines():
             frame = json.loads(line)
             frame["kp"] = {name: [x * 1e160, y * 1e160, c] for name, (x, y, c)
                            in frame["kp"].items()}
@@ -392,7 +423,7 @@ def test_eval_reports_the_schema_of_the_csv(pipeline_dir, tmp_path):
     report = tmp_path / "report.json"
     assert main(["eval", "--features", features, "--algos", "gnb", "--folds", "2",
                  "--report", str(report)]) == 0
-    doc = json.loads(report.read_text())
+    doc = json.loads(report.read_text(encoding="utf-8"))
     assert (doc["norm_scope"], doc["std"]) == ("video", "sample")
 
 
@@ -415,9 +446,9 @@ def test_eval_deterministic_report_bytes(pipeline_dir, tmp_path):
 
 
 def _edited_features(pipeline_dir, tmp_path, edit):
-    rows = (pipeline_dir / "features.csv").read_text().splitlines()
+    rows = (pipeline_dir / "features.csv").read_text(encoding="utf-8").splitlines()
     path = tmp_path / "edited.csv"
-    path.write_text("\n".join(edit(rows)) + "\n")
+    path.write_text("\n".join(edit(rows)) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -459,9 +490,9 @@ def test_exit_code_malformed_model(pipeline_dir, tmp_path, capsys, edit, message
     features = str(pipeline_dir / "features.csv")
     model_path = tmp_path / "model.gaitmodel.json"
     assert main(["train", "--features", features, "--algo", "knn", "--out", str(model_path)]) == 0
-    doc = json.loads(model_path.read_text())
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
     edit(doc)
-    model_path.write_text(json.dumps(doc))
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     rc = main(["predict", "--model", str(model_path), "--features", features,
                "--out", str(tmp_path / "p.csv")])
@@ -471,7 +502,7 @@ def test_exit_code_malformed_model(pipeline_dir, tmp_path, capsys, edit, message
 
 def test_predict_refuses_a_deeply_nested_model(pipeline_dir, tmp_path, capsys):
     model_path = tmp_path / "deep.gaitmodel.json"
-    model_path.write_text("[" * 200_000 + "]" * 200_000)
+    model_path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
     capsys.readouterr()
     rc = main(["predict", "--model", str(model_path), "--features",
                str(pipeline_dir / "features.csv"), "--out", str(tmp_path / "p.csv")])
@@ -522,7 +553,7 @@ def test_exit_code_malformed_manifest(pipeline_dir, tmp_path, capsys, manifest, 
     corpus.mkdir()
     (corpus / src.name).write_bytes(src.read_bytes())
     sid = src.name.removesuffix(".kp.jsonl")
-    (corpus / "manifest.csv").write_text(manifest.format(sid=sid))
+    (corpus / "manifest.csv").write_text(manifest.format(sid=sid), encoding="utf-8")
     rc = main(["extract", "--in", str(corpus), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -597,11 +628,11 @@ def huge_value_features(tmp_path_factory):
     assert main(["synth", "--counts", "Normal=6,Parkinson=6", "--seed", "1", "--frames", "20",
                  "--out", str(root / "corpus")]) == 0
     assert main(["extract", "--in", str(root / "corpus"), "--out", str(features)]) == 0
-    with open(features, newline="") as fh:
+    with open(features, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     for row in rows[1:4]:
         row[5] = "1e308"
-    with open(huge, "w", newline="") as fh:
+    with open(huge, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     return features, huge
 
@@ -621,12 +652,12 @@ def test_predict_refuses_rows_whose_scores_overflow(huge_value_features, tmp_pat
     err = capsys.readouterr().err.splitlines()
     if algo in ("tree", "forest"):
         assert rc == 0 and err == []
-        with open(out, newline="") as fh:
+        with open(out, newline="", encoding="utf-8") as fh:
             assert all(math.isfinite(float(v)) for row in list(csv.reader(fh))[1:]
                        for v in row[2:])
     else:
         assert rc == 2
-        with open(huge, newline="") as fh:
+        with open(huge, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         what = "distances" if algo == "knn" else "class scores"
         hint = "is a value far outside the model's training range?"
@@ -635,7 +666,7 @@ def test_predict_refuses_rows_whose_scores_overflow(huge_value_features, tmp_pat
         # only the third data row is huge: the message names that row and its video
         rows[1][5], rows[2][5] = rows[4][5], rows[4][5]
         third = tmp_path / "third.csv"
-        with open(third, "w", newline="") as fh:
+        with open(third, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
         assert main(["predict", "--model", str(model), "--features", str(third),
                      "--out", str(out)]) == 2
@@ -676,7 +707,7 @@ def _run_python(code, *args, **env):
     env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, encoding="utf-8", timeout=120)
 
 
 def test_predict_writes_utf8_whatever_the_locale(huge_value_features, tmp_path):

@@ -12,9 +12,12 @@ from gaitlab.errors import (
 from gaitlab.ingest import (
     filter_valid,
     parse_keypoint_file,
+    save_keypoint_file,
     serialize_sequence,
 )
 from gaitlab.pose import KeypointId, PoseSequence
+
+from helpers import serialize_sequence_oracle
 
 ALL_NAMES = [k.json_name for k in KeypointId]
 
@@ -103,6 +106,73 @@ def test_fractional_timestamp_survives_parse_and_serialize():
     assert seq.t_ms == (33.7, 67)
     assert [json.loads(line)["t_ms"] for line in serialize_sequence(seq).splitlines()] == [33.7, 67]
     assert parse_keypoint_file(serialize_sequence(seq)) == seq
+
+
+def test_writer_keeps_negative_zero_apart_from_zero():
+    """Each distinct value is formatted once; -0.0 equals 0.0 but is written as -0.0."""
+    xy = np.zeros((2, 14, 2))
+    xy[0, :, 0] = -0.0
+    xy[1, 3] = [5e-324, -5e-324]
+    seq = PoseSequence(xy, np.full((2, 14), -0.0))
+    assert serialize_sequence(seq) == serialize_sequence_oracle(seq)
+    assert '"LeftEar": [-0.0, 0.0, -0.0]' in serialize_sequence(seq)
+    assert np.signbit(parse_keypoint_file(serialize_sequence(seq)).xy[0, :, 0]).all()
+
+
+def test_numpy_timestamps_are_written_as_plain_numbers():
+    seq = PoseSequence(np.ones((3, 14, 2)), t_ms=(np.int64(7), np.float64(0.5), np.float32(2.0)))
+    assert [json.loads(line)["t_ms"] for line in serialize_sequence(seq).splitlines()] == [
+        7, 0.5, 2.0]
+    assert parse_keypoint_file(serialize_sequence(seq)).t_ms == (7, 0.5, 2.0)
+
+
+def _edited(frame=1, joint=KeypointId.LEFT_WRIST, x=None, conf=None, t_ms=None, index=None):
+    """A 3-frame sequence with one value replaced."""
+    xy, confs = np.ones((3, 14, 2)), np.full((3, 14), 0.5)
+    stamps = [0, 33, 67]
+    if x is not None:
+        xy[frame, joint - 1, 0] = x
+    if conf is not None:
+        confs[frame, joint - 1] = conf
+    if t_ms is not None:
+        stamps[frame] = t_ms
+    return PoseSequence(xy, confs, index, t_ms=stamps)
+
+
+@pytest.mark.parametrize("seq, message", [
+    (_edited(x=np.inf), "frame 1: keypoint 'LeftWrist' has non-finite coordinates"),
+    (_edited(x=np.nan), "frame 1: keypoint 'LeftWrist' has non-finite coordinates"),
+    (_edited(conf=1.5), "frame 1: keypoint 'LeftWrist' has non-finite coordinates or a "
+                        "confidence outside [0, 1]"),
+    (_edited(conf=-0.1, index=np.array([4, 9, 12])), "frame 9: keypoint 'LeftWrist'"),
+    (_edited(t_ms=True), "frame 1: bad t_ms True"),
+    (_edited(t_ms=np.nan), "frame 1: bad t_ms nan"),
+    (_edited(t_ms=-np.inf), "frame 1: bad t_ms -inf"),
+    (_edited(t_ms="33"), "frame 1: bad t_ms '33'"),
+    (_edited(index=np.array([0, 1, 2**63], dtype=np.uint64)),
+     "frame index 9223372036854775808 is beyond the int64 range"),
+], ids=["inf-coordinate", "nan-coordinate", "confidence-above-1", "negative-confidence",
+        "bool-t_ms", "nan-t_ms", "inf-t_ms", "string-t_ms", "frame-beyond-int64"])
+def test_writer_refuses_what_the_reader_refuses(tmp_path, seq, message):
+    """A value parse_keypoint_file would refuse is a ValueError naming its frame,
+    raised before any file is written."""
+    with pytest.raises(ValueError) as exc:
+        serialize_sequence(seq)
+    assert str(exc.value).startswith(message)
+    path = tmp_path / "v.kp.jsonl"
+    with pytest.raises(ValueError):
+        save_keypoint_file(seq, path)
+    assert not path.exists()
+
+
+def test_writer_ignores_the_coordinates_of_an_absent_joint():
+    """A joint with a NaN confidence is absent: its coordinates are not written
+    and not checked, as the reader leaves them NaN."""
+    seq = _edited(x=np.inf, conf=np.nan)
+    back = parse_keypoint_file(serialize_sequence(seq))
+    assert np.isnan(back.conf[1, KeypointId.LEFT_WRIST - 1])
+    assert np.isnan(back.xy[1, KeypointId.LEFT_WRIST - 1]).all()
+
 
 def test_filter_valid_passthrough():
     rng = np.random.default_rng(2)

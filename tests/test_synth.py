@@ -156,13 +156,28 @@ def test_write_corpus_roundtrip(tmp_path):
         assert seq == regenerated[source_id]
 
 
+def corpus_digest(out_dir) -> str:
+    """sha256 over each written file's name and bytes, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def test_write_corpus_bytes_pinned(tmp_path):
     """The generator's exact output, covering jitter and both circumduction
     sides: any change to the written bytes has to update this digest."""
     write_corpus(tmp_path, {label: 2 for label in GaitLabel}, seed=11, n_frames=12)
-    digest = hashlib.sha256()
-    for path in sorted(tmp_path.iterdir()):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    assert digest.hexdigest() == (
+    assert corpus_digest(tmp_path) == (
         "1dffe289d4c7863e9ec34f3b1378a76e9110dc7111279559075ec85c6e833380")
+
+
+def test_default_corpus_bytes_pinned(tmp_path):
+    """The seed-42 default corpus (258 videos of 60 frames) that the benchmark
+    and the pinned eval report read, byte for byte: a float written with
+    another repr would parse back to the same value and pass every other check."""
+    written = write_corpus(tmp_path, seed=42)
+    assert len(written) == 258 and len(list(tmp_path.iterdir())) == 259
+    assert corpus_digest(tmp_path) == (
+        "45e69610c7c4b858ddd75c06b734b7acb99839d3da4403aabd42ee293a157908")

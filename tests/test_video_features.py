@@ -161,7 +161,7 @@ def test_csv_header_ends_with_the_schema_cell(tmp_path):
     fingerprint = schema_fingerprint("video")
     write_features_csv(FeatureTable.from_rows([(vf_from_vector(np.ones(226), "a", fingerprint),
                                                 None)]), path)
-    header, row = path.read_text().splitlines()
+    header, row = path.read_text(encoding="utf-8").splitlines()
     assert header.split(",")[:2] == ["source_id", "label"]
     assert header.split(",")[-1] == f"schema={fingerprint}"
     assert len(header.split(",")) == 229 and len(row.split(",")) == 228
@@ -221,7 +221,7 @@ def test_feature_table_rows_by_mask_and_index():
 
 def test_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
+    path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
     with pytest.raises(ParseError):
         read_features_csv(path)
 
@@ -258,6 +258,6 @@ def test_csv_rejects_non_finite_values(tmp_path, bad):
     path = tmp_path / "features.csv"
     write_features_csv(FeatureTable.from_rows([(vf_from_vector(np.ones(226), "a"),
                                                 GaitLabel.NORMAL)]), path)
-    path.write_text(path.read_text().replace("1.0", bad, 1))
+    path.write_text(path.read_text(encoding="utf-8").replace("1.0", bad, 1), encoding="utf-8")
     with pytest.raises(ParseError):
         read_features_csv(path)
