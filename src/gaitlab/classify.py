@@ -375,38 +375,78 @@ def logreg_loss_and_grad(W, b, X, y, l2=0.0):
     probs = softmax(X @ W.T + b)
     eps = 1e-300  # guard the log only; probs from softmax are positive anyway
     loss = -np.mean(np.log(probs[np.arange(n), y] + eps)) + 0.5 * l2 * np.sum(W**2)
-    return (loss, *_logreg_grad(probs, W, X, y, l2))
+    return (loss, *_logreg_grad(probs, W, X, np.eye(len(W))[y], l2))
 
 
-def _logreg_grad(probs, W, X, y, l2):
+def _logreg_grad(probs, W, X, T, l2):
     """(dW, db) of the loss above, from the softmax probabilities of X's rows
-    (overwritten)."""
-    n = X.shape[0]
+    (overwritten) and their one-hot targets T. Every array may carry a leading
+    fit axis: one fit's rows, weights and targets per slice, each slice giving
+    the bytes it gives alone."""
+    n = X.shape[-2]
     delta = probs
-    delta[np.arange(n), y] -= 1.0
-    return delta.T @ X / n + l2 * W, delta.sum(axis=0) / n
+    delta -= T  # p - 0.0 is p: the same bytes as p[i, y] -= 1
+    return delta.swapaxes(-1, -2) @ X / n + l2 * W, delta.sum(axis=-2) / n
 
 
-def _train_logreg(X, y, n_classes, hyper, seed):
-    scaler = _fit_standardizer(X)
-    Xs = _standardize(X, scaler)
-    n, d = Xs.shape
-    W = np.zeros((n_classes, d))
-    b = np.zeros(n_classes)
-    rng = np.random.default_rng(seed)
-    bs = hyper["batch_size"]
+def _train_logreg(rows, ys, n_classes, hyper, seed):
+    """(W, b) of one logreg per pair of standardized rows and class indices,
+    fit by minibatch SGD in lockstep.
+
+    Each fit permutes its rows once per epoch with its own default_rng(seed),
+    so it gives the same bytes alone or beside others. The fits sit in slots
+    ordered by row count, so at each minibatch start the slots whose batches
+    share a size are a run, and step as one (F, b, d) stack of views.
+    """
+    order = sorted(range(len(rows)), key=lambda f: len(rows[f]))  # slot -> fit
+    rows = [rows[f] for f in order]
+    targets = [np.eye(n_classes)[ys[f]] for f in order]
+    sizes = np.array([len(X) for X in rows])
+    F, n, d = len(rows), sizes[-1], N_VIDEO_FEATURES
+    Xp, Tp = np.empty((F, n, d)), np.empty((F, n, n_classes))  # each slot's rows, permuted
+    W, B = np.zeros((F, n_classes, d)), np.zeros((F, n_classes))
+    bs, lr, l2 = hyper["batch_size"], hyper["lr"], hyper["l2"]
+    steps = []  # one epoch's minibatches: views of a run of slots' rows, targets, W and b
+    for start in range(0, n, bs):
+        batch = np.minimum(sizes - start, bs)  # does not decrease over the slots
+        for b in sorted(set(batch[batch > 0].tolist())):  # np.unique imports numpy.ma, ~1 MB
+            lo, hi = np.searchsorted(batch, [b, b + 1])
+            steps.append((Xp[lo:hi, start:start + b], Tp[lo:hi, start:start + b],
+                          W[lo:hi], W[lo:hi].transpose(0, 2, 1), B[lo:hi], B[lo:hi, None]))
+    rngs = [np.random.default_rng(seed) for _ in rows]
     for _ in range(hyper["epochs"]):
-        perm = rng.permutation(n)
-        Xp, yp = Xs[perm], y[perm]  # minibatches below are views of these
-        for start in range(0, n, bs):
-            Xb, yb = Xp[start:start + bs], yp[start:start + bs]
-            dW, db = _logreg_grad(softmax(Xb @ W.T + b), W, Xb, yb, hyper["l2"])
-            W -= hyper["lr"] * dW
-            b -= hyper["lr"] * db
-    return {"W": W, "b": b, **scaler}
+        for k, rng in enumerate(rngs):
+            perm = rng.permutation(sizes[k])
+            np.take(rows[k], perm, axis=0, out=Xp[k, :sizes[k]])
+            np.take(targets[k], perm, axis=0, out=Tp[k, :sizes[k]])
+        for Xb, Tb, Wb, Wb_T, Bb, Bb_row in steps:
+            dW, db = _logreg_grad(softmax(Xb @ Wb_T + Bb_row), Wb, Xb, Tb, l2)
+            Wb -= lr * dW
+            Bb -= lr * db
+    return [(W[k], B[k]) for k in np.argsort(order)]
 
 
 # --- training -----------------------------------------------------------------
+
+
+def _training_rows(table: FeatureTable):
+    """(X, y, classes) of a training table, as _class_indices gives them; a
+    non-finite or unlabeled row raises ValueError."""
+    bad = np.flatnonzero(~np.isfinite(table.X).all(axis=1))
+    if len(bad):
+        raise ValueError(f"feature row {bad[0]} ({table.source_ids[bad[0]]!r}) is not finite")
+    return (table.X, *_class_indices(table))
+
+
+def _trained_model(algorithm, params, classes, hyper, fingerprint) -> TrainedModel:
+    """The model of a fit's parameters, which must pass the check a loaded model
+    passes, so train and load agree."""
+    try:
+        params = _checked_parameters(algorithm, params, len(classes))
+    except ValueError as exc:
+        raise ValueError(f"{algorithm} with {hyper} gave an invalid model: {exc}") from None
+    return TrainedModel(algorithm=algorithm, parameters=params, class_set=classes,
+                        schema_fingerprint=fingerprint, hyperparameters=hyper)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _checked_parameters refuses what overflows
@@ -415,14 +455,10 @@ def train(algorithm: str, table: FeatureTable, hyper: dict | None = None,
     """Fit one of the five algorithms on the rows of a labeled feature table."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    X = table.X
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-    if len(bad):
-        raise ValueError(f"feature row {bad[0]} ({table.source_ids[bad[0]]!r}) is not finite")
-    y, classes = _class_indices(table)
-    merged = dict(DEFAULT_HYPERS[algorithm])
-    if hyper:
-        merged.update(hyper)
+    if algorithm == "logreg":  # the lockstep trainer with one fit
+        return train_logregs([table], hyper, seed)[0]
+    X, y, classes = _training_rows(table)
+    merged = {**DEFAULT_HYPERS[algorithm], **(hyper or {})}
     _check_hypers(algorithm, merged, len(X))
     n_classes = len(classes)
 
@@ -437,27 +473,37 @@ def train(algorithm: str, table: FeatureTable, hyper: dict | None = None,
         params = _grow_trees(X, y, n_classes, merged["max_depth"], merged["min_samples_leaf"],
                              [(rng, rng.integers(0, len(X), size=len(X))) for rng in rngs],
                              max(1, int(math.sqrt(X.shape[1]))))
-    elif algorithm == "gnb":
+    else:  # gnb
         groups = [X[y == c] for c in range(n_classes)]
         params = {
             "means": np.array([Xc.mean(axis=0) for Xc in groups]),
             "vars": np.array([np.maximum(Xc.var(axis=0), merged["var_floor"]) for Xc in groups]),
             "log_priors": np.log([len(Xc) / len(X) for Xc in groups]),
         }
-    else:  # logreg
-        params = _train_logreg(X, y, n_classes, merged, seed)
+    return _trained_model(algorithm, params, classes, merged, table.fingerprint)
 
-    try:  # the check a loaded model passes, so train and load agree
-        params = _checked_parameters(algorithm, params, n_classes)
-    except ValueError as exc:
-        raise ValueError(f"{algorithm} with {merged} gave an invalid model: {exc}") from None
-    return TrainedModel(
-        algorithm=algorithm,
-        parameters=params,
-        class_set=classes,
-        schema_fingerprint=table.fingerprint,
-        hyperparameters=merged,
-    )
+
+@np.errstate(over="ignore", invalid="ignore")  # _checked_parameters refuses what overflows
+def train_logregs(tables, hyper: dict | None = None, seed: int = 0) -> list[TrainedModel]:
+    """train("logreg", table, hyper, seed) of each of the tables, the fits
+    stepping in lockstep; the tables must share one class set. Each table is
+    read once, in order, and only its standardized rows are kept. A failure
+    raises what train raises, the first table's first."""
+    fits = []  # (standardized rows, y, classes, scaler, fingerprint) per table
+    for table in tables:
+        X, y, classes = _training_rows(table)
+        scaler = _fit_standardizer(X)
+        fits.append((_standardize(X, scaler), y, classes, scaler, table.fingerprint))
+    merged = {**DEFAULT_HYPERS["logreg"], **(hyper or {})}
+    _check_hypers("logreg", merged, 0)  # the row count bounds only knn's k
+    class_sets = {classes for _, _, classes, _, _ in fits}
+    if len(class_sets) != 1:
+        raise ValueError(f"logreg fits in lockstep need one class set, got {len(class_sets)}")
+    [classes] = class_sets
+    weights = _train_logreg([fit[0] for fit in fits], [fit[1] for fit in fits], len(classes),
+                            merged, seed)
+    return [_trained_model("logreg", {"W": W, "b": b, **scaler}, classes, merged, fingerprint)
+            for (W, b), (_, _, _, scaler, fingerprint) in zip(weights, fits)]
 
 
 # --- prediction ---------------------------------------------------------------

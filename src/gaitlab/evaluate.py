@@ -95,29 +95,45 @@ def cross_validate(
     folds: int = DEFAULT_FOLDS,
     seed: int = 0,
 ) -> float:
-    """Mean of per-fold accuracies over a stratified k-fold of the table's rows."""
+    """Mean of per-fold accuracies over a stratified k-fold of the table's rows.
+    The logreg folds are fit in lockstep, each giving the model train gives."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
+    if not len(table):
+        raise ValueError("cannot cross-validate an empty table")
     table.class_indices(GaitLabel)  # refuse unlabeled rows before any fit
     assignment = _stratified_folds(table.labels, folds, seed)
-    accuracies = []
-    for f in range(folds):
-        model = classify.train(algorithm, table[assignment != f], seed=seed)
-        accuracies.append(_accuracy(confusion_matrix(model, table[assignment == f])))
-    return float(np.mean(accuracies))
+    parts = (table[assignment != f] for f in range(folds))
+    # _stratified_folds leaves each class >= folds rows, so every training part
+    # holds every class: the one class set that logreg's lockstep fits need.
+    if algorithm == "logreg":
+        models = classify.train_logregs(parts, seed=seed)
+    else:  # fold by fold, so the first fold to fail is the one reported
+        models = (classify.train(algorithm, part, seed=seed) for part in parts)
+    return float(np.mean([_accuracy(confusion_matrix(model, table[assignment == f]))
+                          for f, model in enumerate(models)]))
+
+
+def _task_labels(task: str) -> tuple[GaitLabel, ...]:
+    """The labels a task compares: all five for 'multi', the concerned
+    abnormality and Normal for 'binary:<Label>'."""
+    if task == "multi":
+        return tuple(GaitLabel)
+    if task.startswith("binary:"):
+        label = GaitLabel.from_name(task.split(":", 1)[1])
+        if label is GaitLabel.NORMAL:
+            raise ValueError(f"task {task!r} compares Normal with itself")
+        return label, GaitLabel.NORMAL
+    raise ValueError(f"unknown task {task!r}")
 
 
 def task_rows(task: str, labels) -> np.ndarray:
     """Row mask of a task: 'multi' keeps every row, 'binary:<Label>' the rows
     of the concerned abnormality and of Normal."""
+    keep = _task_labels(task)
     if task == "multi":
         return np.ones(len(labels), dtype=bool)
-    if task.startswith("binary:"):
-        keep = {GaitLabel.from_name(task.split(":", 1)[1]), GaitLabel.NORMAL}
-        if len(keep) == 1:
-            raise ValueError(f"task {task!r} compares Normal with itself")
-        return np.array([label in keep for label in labels], dtype=bool)
-    raise ValueError(f"unknown task {task!r}")
+    return np.array([label in keep for label in labels], dtype=bool)
 
 
 def run_task(
@@ -130,8 +146,8 @@ def run_task(
 ):
     """One EvalReport per algorithm, fit on the task's rows of ``train_rows``
     (a boolean mask) and tested on its other rows; failures are collected, not fatal.
-    An unlabeled training row or more folds than its smallest class holds is
-    refused once, before any algorithm runs.
+    A task without training or test rows, an unlabeled training row or more
+    folds than its smallest class holds is refused once, before any algorithm runs.
 
     Returns (reports, errors) where errors maps algorithm -> exception.
     """
@@ -139,6 +155,10 @@ def run_task(
         raise ValueError("folds must be >= 2")
     rows = task_rows(task, table.labels)
     train, test = table[rows & train_rows], table[rows & ~train_rows]
+    for part, name in ((train, "training"), (test, "test")):
+        if not len(part):
+            raise ValueError(f"task {task!r} has no {name} rows of its labels "
+                             f"({', '.join(label.value for label in _task_labels(task))})")
     train.class_indices(GaitLabel)
     _stratified_folds(train.labels, folds, seed)
     reports, errors = [], {}

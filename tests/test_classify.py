@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from gaitlab.classify import (
     save_model,
     scores,
     train,
+    train_logregs,
 )
 from gaitlab.cli import main
 from gaitlab.errors import InsufficientDataError, SchemaMismatch
@@ -325,6 +327,38 @@ def test_logreg_gradient_matches_finite_differences():
         assert db[j] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
 
 
+def test_stacked_logreg_gradient_matches_finite_differences():
+    """The gradient over a leading fit axis, as lockstep training takes it: each
+    slice is the gradient of its own fit's loss, with the bytes of a 2-D call."""
+    rng = np.random.default_rng(8)
+    F, n, d, c = 2, 10, 5, 3
+    X = rng.normal(size=(F, n, d))
+    y = rng.integers(0, c, size=(F, n))
+    W = rng.normal(scale=0.5, size=(F, c, d))
+    b = rng.normal(scale=0.5, size=(F, c))
+    l2 = 1e-4
+    probs = classify.softmax(X @ W.transpose(0, 2, 1) + b[:, None])
+    dW, db = classify._logreg_grad(probs, W, X, np.eye(c)[y], l2)
+    h = 1e-5
+    for f in range(F):
+        _, dW_f, db_f = logreg_loss_and_grad(W[f], b[f], X[f], y[f], l2)
+        assert dW[f].tobytes() == dW_f.tobytes() and db[f].tobytes() == db_f.tobytes()
+
+        def loss(Wf, bf):
+            return logreg_loss_and_grad(Wf, bf, X[f], y[f], l2)[0]
+
+        for idx in np.ndindex(c, d):
+            step = np.zeros((c, d))
+            step[idx] = h
+            numeric = (loss(W[f] + step, b[f]) - loss(W[f] - step, b[f])) / (2 * h)
+            assert dW[f][idx] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
+        for j in range(c):
+            step = np.zeros(c)
+            step[j] = h
+            numeric = (loss(W[f], b[f] + step) - loss(W[f], b[f] - step)) / (2 * h)
+            assert db[f][j] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
+
+
 def test_tree_memorizes_consistent_data():
     rng = np.random.default_rng(9)
     items = random_items(rng, n=40, n_classes=4)
@@ -414,6 +448,52 @@ def test_logreg_model_bytes_pinned(corpus_table, hyper, digest):
     update these digests."""
     model = train("logreg", corpus_table, hyper=hyper, seed=0)
     assert hashlib.sha256(model.to_json().encode()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def ragged_tables(corpus_table):
+    """Four tables of 57, 50, 60 and 53 rows, every class in each: their last
+    minibatches differ in size, and they are not in order of size."""
+    rng = np.random.default_rng(21)
+    return [corpus_table[np.sort(rng.permutation(len(corpus_table))[:n])]
+            for n in (57, 50, 60, 53)]
+
+
+@pytest.mark.parametrize("hyper", [
+    {"epochs": 5, "batch_size": 1},
+    {"epochs": 20, "batch_size": 7},
+    {"epochs": 20},  # batch_size 16
+    {"epochs": 20, "batch_size": 64},  # one batch larger than every table
+    {"epochs": 0},
+    {"epochs": 20, "l2": 0.0},
+], ids=["batch-1", "batch-7", "batch-16", "batch-64", "no-epochs", "no-l2"])
+def test_lockstep_logreg_equals_one_fit_at_a_time(ragged_tables, hyper):
+    """Fits stepped in lockstep give, byte for byte, the models of one train
+    call per table."""
+    assert {len(set(t.labels)) for t in ragged_tables} == {5}
+    alone = [train("logreg", table, hyper=hyper, seed=3).to_json() for table in ragged_tables]
+    together = [model.to_json() for model in train_logregs(ragged_tables, hyper=hyper, seed=3)]
+    assert together == alone
+    assert len(set(alone)) == 4
+
+
+def test_lockstep_logreg_refuses_tables_of_different_class_sets(corpus_table):
+    two = corpus_table[np.isin(corpus_table.labels, [GaitLabel.NORMAL, GaitLabel.PARKINSON])]
+    with pytest.raises(ValueError, match="^logreg fits in lockstep need one class set, got 2$"):
+        train_logregs([corpus_table, two])
+
+
+def test_diverging_lockstep_fit_is_refused_without_a_warning(ragged_tables):
+    """lr=1e6 overflows the class scores: the lockstep fit raises train's
+    ValueError, with no numpy RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as lockstep:
+            train_logregs(ragged_tables[:2], hyper={"lr": 1e6})
+        with pytest.raises(ValueError) as alone:
+            train("logreg", ragged_tables[0], hyper={"lr": 1e6})
+    assert str(lockstep.value) == str(alone.value)
+    assert str(alone.value).startswith("logreg with {") and "non-finite values" in str(alone.value)
 
 
 def test_model_json_roundtrip(tmp_path):

@@ -316,6 +316,47 @@ def test_eval_binary_task(pipeline_dir, tmp_path):
     assert doc["reports"][0]["classes"] == ["Normal", "Parkinson"]
 
 
+def _features_of(pipeline_dir, tmp_path, labels):
+    """The module's features CSV cut to the rows of some labels."""
+    lines = (pipeline_dir / "features.csv").read_text(encoding="utf-8").splitlines(True)
+    kept = tmp_path / "kept.csv"
+    kept.write_text(lines[0] + "".join(line for line in lines[1:]
+                                       if line.split(",")[1] in labels), encoding="utf-8")
+    return kept
+
+
+def test_eval_refuses_a_task_without_rows_once(pipeline_dir, tmp_path, capsys, monkeypatch):
+    """A task whose labels the CSV does not hold is an argument error, named
+    once, before any algorithm fits a model."""
+    def no_fit(*args, **kwargs):
+        raise AssertionError("eval fit a model")
+
+    monkeypatch.setattr(classify, "train", no_fit)
+    monkeypatch.setattr(classify, "train_logregs", no_fit)
+    features = _features_of(pipeline_dir, tmp_path, {"Choreiform", "Diplegia"})
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = main(["eval", "--features", str(features), "--task", "binary:Parkinson",
+               "--folds", "2", "--report", str(report)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: task 'binary:Parkinson' has no training rows of its labels (Parkinson, Normal)"]
+    assert not report.exists()
+
+
+def test_eval_reports_a_failed_lockstep_fold(pipeline_dir, tmp_path, capsys):
+    """A binary task on a CSV without Normal rows has one class: its logreg
+    folds, fit in lockstep, fail with train's message, named once."""
+    features = _features_of(pipeline_dir, tmp_path, {"Parkinson", "Diplegia"})
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = main(["eval", "--features", str(features), "--task", "binary:Parkinson",
+               "--algos", "logreg", "--folds", "2", "--report", str(report)])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == ["logreg: need at least 2 classes, got 1"]
+    assert not report.exists()
+
+
 def test_train_and_predict(pipeline_dir, tmp_path):
     model_path = tmp_path / "model.gaitmodel.json"
     rc = main(["train", "--features", str(pipeline_dir / "features.csv"),

@@ -7,6 +7,8 @@ from gaitlab import classify
 from gaitlab.errors import InsufficientDataError
 from gaitlab.evaluate import (
     EvalReport,
+    _accuracy,
+    _stratified_folds,
     best_report,
     confusion_matrix,
     cross_validate,
@@ -138,18 +140,45 @@ def test_cross_validate_deterministic():
     assert a == b
 
 
-def test_cross_validate_names_an_unlabeled_row_before_any_fit(monkeypatch):
+def _forbid_fits(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fit")
+
+    monkeypatch.setattr(classify, "train", no_fit)
+    monkeypatch.setattr(classify, "train_logregs", no_fit)
+
+
+@pytest.mark.parametrize("algorithm", ["knn", "logreg"])
+def test_cross_validate_names_an_unlabeled_row_before_any_fit(monkeypatch, algorithm):
     rng = np.random.default_rng(5)
     items = make_separable_items(rng, n_per_class=12)
     items[7] = (items[7][0], None)
-
-    def no_fit(*args, **kwargs):
-        raise AssertionError("cross_validate fit a model")
-
-    monkeypatch.setattr(classify, "train", no_fit)
+    _forbid_fits(monkeypatch)
     with pytest.raises(ValueError, match="^feature row 7 \\('Normal_7'\\) has no label; "
                                          "expected one of Choreiform, .*, Parkinson$"):
-        cross_validate("knn", FeatureTable.from_rows(items), folds=2, seed=0)
+        cross_validate(algorithm, FeatureTable.from_rows(items), folds=2, seed=0)
+
+
+def test_cross_validate_refuses_an_empty_table(monkeypatch):
+    table = FeatureTable.from_rows(make_separable_items(np.random.default_rng(5), 4))
+    _forbid_fits(monkeypatch)
+    with pytest.raises(ValueError, match="^cannot cross-validate an empty table$"):
+        cross_validate("logreg", table[np.zeros(len(table), dtype=bool)], folds=2)
+
+
+def test_logreg_cross_validation_is_the_mean_of_per_fold_fits():
+    """Folds of 11, 13 and 9 rows per class are ragged: the lockstep logreg CV
+    equals one train and one confusion matrix per fold."""
+    table = FeatureTable.from_rows(dummy_items(
+        {GaitLabel.NORMAL: 11, GaitLabel.PARKINSON: 13, GaitLabel.DIPLEGIA: 9},
+        np.random.default_rng(9)))
+    assignment = _stratified_folds(table.labels, 3, seed=4)
+    assert len({int((assignment != f).sum()) for f in range(3)}) == 3
+    accuracies = [_accuracy(confusion_matrix(
+        classify.train("logreg", table[assignment != f], seed=4), table[assignment == f]))
+        for f in range(3)]
+    assert len(set(accuracies)) > 1
+    assert cross_validate("logreg", table, folds=3, seed=4) == float(np.mean(accuracies))
 
 
 def test_confusion_matrix_names_a_row_of_another_class():
@@ -207,6 +236,24 @@ def test_run_task_isolates_failures(small_dataset):
                                folds=2, seed=0)
     assert len(reports) == 1 and reports[0].algorithm == "gnb"
     assert "no-such-algo" in errors
+
+
+def test_run_task_refuses_a_task_without_training_rows_before_any_fit(monkeypatch):
+    table = FeatureTable.from_rows(dummy_items({GaitLabel.CHOREIFORM: 6, GaitLabel.DIPLEGIA: 6}))
+    _forbid_fits(monkeypatch)
+    with pytest.raises(ValueError, match="^task 'binary:Parkinson' has no training rows of "
+                                         "its labels \\(Parkinson, Normal\\)$"):
+        run_task("binary:Parkinson", ["knn", "logreg"], table,
+                 stratified_split(table.labels, seed=0), folds=2)
+
+
+def test_run_task_refuses_a_task_without_test_rows_before_any_fit(small_dataset, monkeypatch):
+    table, _ = small_dataset
+    _forbid_fits(monkeypatch)
+    with pytest.raises(ValueError, match="^task 'multi' has no test rows of its labels "
+                                         "\\(Choreiform, Diplegia, Hemiplegia, Normal, "
+                                         "Parkinson\\)$"):
+        run_task("multi", ["knn", "logreg"], table, np.ones(len(table), dtype=bool), folds=2)
 
 
 def test_confusion_row_sums_match_class_counts(small_dataset):
