@@ -6,7 +6,7 @@ portion, and reports test accuracy plus the confusion matrix of the best
 model. Also runs one binary screening task (Parkinson vs Normal).
 """
 
-from gaitlab import FeatureTable, featurize_sequence, generate_corpus, stratified_split
+from gaitlab import FeatureTable, featurize_sequence, generate_corpus
 from gaitlab.classify import ALGORITHMS
 from gaitlab.evaluate import best_report, render_text_table, run_task
 
@@ -15,13 +15,13 @@ def main():
     print("generating 258-video corpus (seed 42)...")
     corpus = generate_corpus(seed=42)
     table = FeatureTable.from_rows([(featurize_sequence(seq), label) for seq, label in corpus])
-    train_rows = stratified_split(table.labels, seed=0)
-    print(f"  {train_rows.sum()} train / {(~train_rows).sum()} test videos")
     print()
 
     print("multi-class task (5 gait classes):")
-    reports, errors = run_task("multi", list(ALGORITHMS), table, train_rows, folds=5, seed=0)
+    reports, errors = run_task("multi", list(ALGORITHMS), table, folds=5, seed=0)
     assert not errors, errors
+    tested = sum(map(sum, reports[0].confusion))
+    print(f"  {len(table) - tested} train / {tested} test videos")
     print(render_text_table(reports))
     print()
 
@@ -35,8 +35,7 @@ def main():
     print()
 
     print("binary screening task (Parkinson vs Normal):")
-    reports, errors = run_task("binary:Parkinson", ["knn", "logreg"], table, train_rows,
-                               folds=5, seed=0)
+    reports, errors = run_task("binary:Parkinson", ["knn", "logreg"], table, folds=5, seed=0)
     assert not errors, errors
     print(render_text_table(reports))
 

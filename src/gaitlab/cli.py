@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import classify, evaluate, ingest, synth
-from .errors import GaitLabError, ParseError
+from .errors import GaitLabError, InsufficientDataError, ParseError
 from .pose import GaitLabel
 from .frame_features import NORM_SCOPES
 from .video_features import (STD_MODES, FeatureTable, featurize_sequence, read_features_csv,
@@ -117,6 +117,10 @@ def _labeled_rows(args) -> FeatureTable:
 def cmd_train(args) -> int:
     table = _labeled_rows(args)
     table = table[evaluate.task_rows(args.task, table.labels)]
+    if not len(table):
+        labels = ", ".join(label.value for label in evaluate.task_labels(args.task))
+        raise InsufficientDataError(f"task {args.task!r} has no rows of its labels ({labels}) "
+                                    f"in {args.features}")
     model = classify.train(args.algo, table, seed=args.seed)
     classify.save_model(model, args.out)
     print(f"trained {args.algo} on {len(table)} videos -> {args.out}")
@@ -125,15 +129,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     table = _labeled_rows(args)
-    train_rows = evaluate.stratified_split(table.labels, seed=args.seed)
     algorithms = list(classify.ALGORITHMS) if args.algos == "all" else args.algos.split(",")
     for i, a in enumerate(algorithms):
         if a not in classify.ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")
         if a in algorithms[:i]:
             raise ValueError(f"algorithm {a!r} is listed twice")
-    reports, errors = evaluate.run_task(args.task, algorithms, table, train_rows,
-                                        folds=args.folds, seed=args.seed)
+    reports, errors = evaluate.run_task(args.task, algorithms, table, folds=args.folds,
+                                        seed=args.seed)
     for algorithm, exc in errors.items():  # name the algorithm once, if its message does not
         message = str(exc)
         print(message if message.startswith(algorithm) else f"{algorithm}: {message}",

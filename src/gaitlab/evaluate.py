@@ -56,11 +56,6 @@ def _class_ranks(labels, seed: int):
 def stratified_split(labels, seed: int = 0) -> np.ndarray:
     """Boolean training mask: a per-class seeded shuffle, then floor(3n/4) of
     each class to train and the rest to test."""
-    labels = list(labels)
-    for label in GaitLabel:
-        if 0 < labels.count(label) < 4:
-            raise InsufficientDataError(f"class {label.value} has only "
-                                        f"{labels.count(label)} items, need at least 4")
     rank, size = _class_ranks(labels, seed)
     return rank < (3 * size) // 4
 
@@ -114,7 +109,7 @@ def cross_validate(
                           for f, model in enumerate(models)]))
 
 
-def _task_labels(task: str) -> tuple[GaitLabel, ...]:
+def task_labels(task: str) -> tuple[GaitLabel, ...]:
     """The labels a task compares: all five for 'multi', the concerned
     abnormality and Normal for 'binary:<Label>'."""
     if task == "multi":
@@ -130,36 +125,36 @@ def _task_labels(task: str) -> tuple[GaitLabel, ...]:
 def task_rows(task: str, labels) -> np.ndarray:
     """Row mask of a task: 'multi' keeps every row, 'binary:<Label>' the rows
     of the concerned abnormality and of Normal."""
-    keep = _task_labels(task)
+    keep = task_labels(task)
     if task == "multi":
         return np.ones(len(labels), dtype=bool)
     return np.array([label in keep for label in labels], dtype=bool)
 
 
-def run_task(
-    task: str,
-    algorithms,
-    table: FeatureTable,
-    train_rows: np.ndarray,
-    folds: int = DEFAULT_FOLDS,
-    seed: int = 0,
-):
-    """One EvalReport per algorithm, fit on the task's rows of ``train_rows``
-    (a boolean mask) and tested on its other rows; failures are collected, not fatal.
-    A task without training or test rows, an unlabeled training row or more
-    folds than its smallest class holds is refused once, before any algorithm runs.
+def run_task(task: str, algorithms, table: FeatureTable, folds: int = DEFAULT_FOLDS,
+             seed: int = 0):
+    """One EvalReport per algorithm, fit on the task's rows that
+    ``stratified_split(table.labels, seed)`` (drawn over every row) puts in
+    training and tested on its other rows; failures are collected, not fatal.
+    A task without rows of its labels, an unlabeled row, a class of fewer than 4
+    rows or more folds than its smallest training class holds is refused once,
+    before any algorithm runs.
 
     Returns (reports, errors) where errors maps algorithm -> exception.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
     rows = task_rows(task, table.labels)
+    if not rows.any():  # a task without rows has no training rows
+        raise ValueError(f"task {task!r} has no training rows of its labels "
+                         f"({', '.join(label.value for label in task_labels(task))})")
+    sizes = np.bincount(table[rows].class_indices(GaitLabel), minlength=len(GaitLabel))
+    for label, size in zip(GaitLabel, sizes):
+        if 0 < size < 4:  # at 4 or more a class has training and test rows
+            raise InsufficientDataError(f"class {label.value} has only {size} items, "
+                                        "need at least 4")
+    train_rows = stratified_split(table.labels, seed)
     train, test = table[rows & train_rows], table[rows & ~train_rows]
-    for part, name in ((train, "training"), (test, "test")):
-        if not len(part):
-            raise ValueError(f"task {task!r} has no {name} rows of its labels "
-                             f"({', '.join(label.value for label in _task_labels(task))})")
-    train.class_indices(GaitLabel)
     _stratified_folds(train.labels, folds, seed)
     reports, errors = [], {}
     for algorithm in algorithms:

@@ -233,11 +233,9 @@ def test_criterion_5_classifier_oracles():
 
 def test_criterion_6_end_to_end_benchmark(corpus_table):
     start = time.perf_counter()
-    train_rows = evaluate.stratified_split(corpus_table.labels, seed=SPLIT_SEED)
     candidates = ["knn", "logreg"]
 
-    reports, errors = evaluate.run_task("multi", candidates, corpus_table, train_rows,
-                                        seed=SPLIT_SEED)
+    reports, errors = evaluate.run_task("multi", candidates, corpus_table, seed=SPLIT_SEED)
     assert not errors
     multi_best = max(r.test_accuracy for r in reports)
 
@@ -245,7 +243,7 @@ def test_criterion_6_end_to_end_benchmark(corpus_table):
     for label in (GaitLabel.CHOREIFORM, GaitLabel.DIPLEGIA,
                   GaitLabel.HEMIPLEGIA, GaitLabel.PARKINSON):
         reports, errors = evaluate.run_task(f"binary:{label.value}", candidates,
-                                            corpus_table, train_rows, seed=SPLIT_SEED)
+                                            corpus_table, seed=SPLIT_SEED)
         assert not errors
         binary_best[label.value] = max(r.test_accuracy for r in reports)
 

@@ -316,12 +316,17 @@ def test_eval_binary_task(pipeline_dir, tmp_path):
     assert doc["reports"][0]["classes"] == ["Normal", "Parkinson"]
 
 
-def _features_of(pipeline_dir, tmp_path, labels):
-    """The module's features CSV cut to the rows of some labels."""
+def _features_of(pipeline_dir, tmp_path, counts):
+    """The module's features CSV cut to the first ``counts[label]`` rows of each label."""
     lines = (pipeline_dir / "features.csv").read_text(encoding="utf-8").splitlines(True)
+    left, body = dict(counts), []
+    for line in lines[1:]:
+        label = line.split(",")[1]
+        if left.get(label, 0):
+            left[label] -= 1
+            body.append(line)
     kept = tmp_path / "kept.csv"
-    kept.write_text(lines[0] + "".join(line for line in lines[1:]
-                                       if line.split(",")[1] in labels), encoding="utf-8")
+    kept.write_text(lines[0] + "".join(body), encoding="utf-8")
     return kept
 
 
@@ -333,7 +338,7 @@ def test_eval_refuses_a_task_without_rows_once(pipeline_dir, tmp_path, capsys, m
 
     monkeypatch.setattr(classify, "train", no_fit)
     monkeypatch.setattr(classify, "train_logregs", no_fit)
-    features = _features_of(pipeline_dir, tmp_path, {"Choreiform", "Diplegia"})
+    features = _features_of(pipeline_dir, tmp_path, {"Choreiform": 6, "Diplegia": 6})
     report = tmp_path / "report.json"
     capsys.readouterr()
     rc = main(["eval", "--features", str(features), "--task", "binary:Parkinson",
@@ -344,10 +349,66 @@ def test_eval_refuses_a_task_without_rows_once(pipeline_dir, tmp_path, capsys, m
     assert not report.exists()
 
 
+def test_eval_binary_task_ignores_a_tiny_class_it_does_not_use(pipeline_dir, tmp_path, capsys):
+    """3 Choreiform rows are too few for the multi-class task, which refuses
+    them, but the Parkinson task never uses them."""
+    features = _features_of(pipeline_dir, tmp_path,
+                            {"Choreiform": 3, "Parkinson": 6, "Normal": 6})
+    report = tmp_path / "report.json"
+    argv = ["eval", "--features", str(features), "--algos", "gnb", "--folds", "2",
+            "--report", str(report)]
+    assert main(argv + ["--task", "binary:Parkinson"]) == 0
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert [r["classes"] for r in doc["reports"]] == [["Normal", "Parkinson"]]
+    report.unlink()
+    capsys.readouterr()
+    assert main(argv + ["--task", "multi"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: class Choreiform has only 3 items, need at least 4"]
+    assert not report.exists()
+
+
+# On a file with a class of 1-3 rows, argument errors come before the class-size
+# refusal, and a class the task does not use is not counted.
+@pytest.mark.parametrize("counts, args, code, message", [
+    ({"Choreiform": 3, "Parkinson": 6, "Normal": 6}, ["--algos", "knn,svm"], 2,
+     "error: unknown algorithm 'svm'"),
+    ({"Choreiform": 3, "Parkinson": 6, "Normal": 6}, ["--task", "pairwise"], 2,
+     "error: unknown task 'pairwise'"),
+    ({"Choreiform": 3, "Parkinson": 6, "Normal": 6}, ["--task", "binary:Normal"], 2,
+     "error: task 'binary:Normal' compares Normal with itself"),
+    ({"Choreiform": 3, "Diplegia": 6}, ["--task", "binary:Parkinson"], 2,
+     "error: task 'binary:Parkinson' has no training rows of its labels (Parkinson, Normal)"),
+    ({"Choreiform": 3, "Parkinson": 6, "Normal": 6}, ["--task", "binary:Parkinson"], 3,
+     "error: 5 folds requested but smallest class has 4 items"),
+], ids=["unknown-algorithm", "unknown-task", "normal-against-normal", "task-without-rows",
+        "folds-of-the-task"])
+def test_eval_on_a_file_with_a_tiny_class(pipeline_dir, tmp_path, capsys, counts, args, code,
+                                          message):
+    features = _features_of(pipeline_dir, tmp_path, counts)
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["eval", "--features", str(features), "--report", str(report)] + args) == code
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not report.exists()
+
+
+def test_train_names_a_task_without_rows(pipeline_dir, tmp_path, capsys):
+    features = _features_of(pipeline_dir, tmp_path, {"Choreiform": 6, "Diplegia": 6})
+    model = tmp_path / "m.gaitmodel.json"
+    capsys.readouterr()
+    assert main(["train", "--features", str(features), "--task", "binary:Parkinson",
+                 "--algo", "gnb", "--out", str(model)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: task 'binary:Parkinson' has no rows of its labels (Parkinson, Normal) "
+        f"in {features}"]
+    assert not model.exists()
+
+
 def test_eval_reports_a_failed_lockstep_fold(pipeline_dir, tmp_path, capsys):
     """A binary task on a CSV without Normal rows has one class: its logreg
     folds, fit in lockstep, fail with train's message, named once."""
-    features = _features_of(pipeline_dir, tmp_path, {"Parkinson", "Diplegia"})
+    features = _features_of(pipeline_dir, tmp_path, {"Parkinson": 6, "Diplegia": 6})
     report = tmp_path / "report.json"
     capsys.readouterr()
     rc = main(["eval", "--features", str(features), "--task", "binary:Parkinson",

@@ -1,9 +1,10 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gaitlab import classify
+from gaitlab import classify, evaluate
 from gaitlab.errors import InsufficientDataError
 from gaitlab.evaluate import (
     EvalReport,
@@ -74,10 +75,13 @@ def test_split_minimum_class():
     assert train[GaitLabel.NORMAL] == 3 and test[GaitLabel.NORMAL] == 1
 
 
-def test_split_rejects_tiny_class():
-    with pytest.raises(InsufficientDataError,
-                       match="class Normal has only 3 items, need at least 4"):
-        stratified_split(dummy_labels({GaitLabel.NORMAL: 3, GaitLabel.PARKINSON: 8}))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_split_of_a_tiny_class_is_mask_arithmetic(n):
+    """The split itself refuses no class size: n items give floor(3n/4) to train."""
+    labels = dummy_labels({GaitLabel.NORMAL: n, GaitLabel.PARKINSON: 8})
+    train, test = split_counts(labels, stratified_split(labels, seed=2))
+    assert train[GaitLabel.NORMAL] == (3 * n) // 4 and test[GaitLabel.NORMAL] == n - (3 * n) // 4
+    assert train[GaitLabel.PARKINSON] == 6
 
 
 def test_split_deterministic_and_seed_sensitive():
@@ -204,36 +208,33 @@ def test_task_rows_binary_filters():
 
 @pytest.fixture(scope="module")
 def small_dataset():
-    """A small corpus's feature table and its training-row mask."""
+    """A small corpus's feature table, 8 videos of each class."""
     corpus = generate_corpus({label: 8 for label in GaitLabel}, seed=11, n_frames=24)
-    table = FeatureTable.from_rows([(featurize_sequence(seq), label) for seq, label in corpus])
-    return table, stratified_split(table.labels, seed=0)
+    return FeatureTable.from_rows([(featurize_sequence(seq), label) for seq, label in corpus])
 
 
 def test_run_task_multiclass_shapes(small_dataset):
-    reports, errors = run_task("multi", ["gnb", "tree"], *small_dataset, folds=2, seed=0)
+    reports, errors = run_task("multi", ["gnb", "tree"], small_dataset, folds=2, seed=0)
     assert not errors
     assert len(reports) == 2
     for r in reports:
         assert len(r.confusion) == 5 and all(len(row) == 5 for row in r.confusion)
         total = sum(sum(row) for row in r.confusion)
         trace = sum(r.confusion[i][i] for i in range(5))
-        assert total == (~small_dataset[1]).sum()
+        assert total == (~stratified_split(small_dataset.labels, seed=0)).sum()
         assert r.test_accuracy == trace / total
         assert 0.0 <= r.cv_accuracy <= 1.0
 
 
 def test_run_task_binary_reduces_classes(small_dataset):
-    reports, errors = run_task("binary:Hemiplegia", ["gnb"], *small_dataset,
-                               folds=2, seed=0)
+    reports, errors = run_task("binary:Hemiplegia", ["gnb"], small_dataset, folds=2, seed=0)
     assert not errors
     assert reports[0].classes == (GaitLabel.HEMIPLEGIA, GaitLabel.NORMAL)
     assert len(reports[0].confusion) == 2
 
 
 def test_run_task_isolates_failures(small_dataset):
-    reports, errors = run_task("multi", ["gnb", "no-such-algo"], *small_dataset,
-                               folds=2, seed=0)
+    reports, errors = run_task("multi", ["gnb", "no-such-algo"], small_dataset, folds=2, seed=0)
     assert len(reports) == 1 and reports[0].algorithm == "gnb"
     assert "no-such-algo" in errors
 
@@ -243,23 +244,71 @@ def test_run_task_refuses_a_task_without_training_rows_before_any_fit(monkeypatc
     _forbid_fits(monkeypatch)
     with pytest.raises(ValueError, match="^task 'binary:Parkinson' has no training rows of "
                                          "its labels \\(Parkinson, Normal\\)$"):
-        run_task("binary:Parkinson", ["knn", "logreg"], table,
-                 stratified_split(table.labels, seed=0), folds=2)
+        run_task("binary:Parkinson", ["knn", "logreg"], table, folds=2)
 
 
-def test_run_task_refuses_a_task_without_test_rows_before_any_fit(small_dataset, monkeypatch):
-    table, _ = small_dataset
+@pytest.mark.parametrize("task", ["multi", "binary:Parkinson"])
+def test_run_task_refuses_a_tiny_class_of_the_task_before_any_fit(monkeypatch, task):
+    table = FeatureTable.from_rows(dummy_items({GaitLabel.NORMAL: 3, GaitLabel.PARKINSON: 8}))
     _forbid_fits(monkeypatch)
-    with pytest.raises(ValueError, match="^task 'multi' has no test rows of its labels "
-                                         "\\(Choreiform, Diplegia, Hemiplegia, Normal, "
-                                         "Parkinson\\)$"):
-        run_task("multi", ["knn", "logreg"], table, np.ones(len(table), dtype=bool), folds=2)
+    with pytest.raises(InsufficientDataError,
+                       match="^class Normal has only 3 items, need at least 4$"):
+        run_task(task, ["knn", "logreg"], table, folds=2)
+
+
+def test_run_task_ignores_a_tiny_class_outside_the_task():
+    table = FeatureTable.from_rows(dummy_items(
+        {GaitLabel.CHOREIFORM: 3, GaitLabel.NORMAL: 8, GaitLabel.PARKINSON: 8}))
+    reports, errors = run_task("binary:Parkinson", ["gnb"], table, folds=2)
+    assert not errors
+    assert reports[0].classes == (GaitLabel.NORMAL, GaitLabel.PARKINSON)
+    assert sum(map(sum, reports[0].confusion)) == 4  # 2 test rows of each class
+
+
+def _unlabeled_first(table):
+    """The table with its first row's label removed."""
+    return replace(table, labels=np.array([None, *table.labels[1:]], dtype=object))
+
+
+def test_run_task_refuses_an_unlabeled_task_row_before_any_fit(small_dataset, monkeypatch):
+    _forbid_fits(monkeypatch)
+    with pytest.raises(ValueError, match=f"^feature row 0 \\('{small_dataset.source_ids[0]}'\\) "
+                                         "has no label; expected one of Choreiform, .*, "
+                                         "Parkinson$"):
+        run_task("multi", ["gnb", "knn"], _unlabeled_first(small_dataset), folds=2)
+
+
+def test_binary_task_ignores_an_unlabeled_row(small_dataset):
+    """An unlabeled row is not among a binary task's rows, and it draws no place
+    in the split, so the reports are those of the table without it."""
+    assert small_dataset.labels[0] is GaitLabel.CHOREIFORM
+    assert (run_task("binary:Parkinson", ["gnb", "tree"], _unlabeled_first(small_dataset), folds=2)
+            == run_task("binary:Parkinson", ["gnb", "tree"], small_dataset[1:], folds=2))
+
+
+def test_binary_task_splits_its_rows_as_the_whole_table_does(small_dataset, monkeypatch):
+    """A binary task trains on its rows of stratified_split(table.labels, seed)
+    and tests on the rest; a split of its rows alone would differ."""
+    fitted, tested = [], []
+    train, confusion = classify.train, evaluate.confusion_matrix
+    monkeypatch.setattr(classify, "train", lambda algo, table, **kw: fitted.append(table)
+                        or train(algo, table, **kw))
+    monkeypatch.setattr(evaluate, "confusion_matrix", lambda model, table: tested.append(table)
+                        or confusion(model, table))
+    reports, errors = run_task("binary:Parkinson", ["gnb"], small_dataset, folds=2, seed=5)
+    assert reports and not errors
+    rows = task_rows("binary:Parkinson", small_dataset.labels)
+    train_rows = stratified_split(small_dataset.labels, seed=5)
+    assert fitted[-1].source_ids == small_dataset[rows & train_rows].source_ids
+    assert tested[-1].source_ids == small_dataset[rows & ~train_rows].source_ids
+    assert (stratified_split(small_dataset.labels[rows], seed=5) != train_rows[rows]).any()
 
 
 def test_confusion_row_sums_match_class_counts(small_dataset):
     from gaitlab import classify
 
-    table, train_rows = small_dataset
+    table = small_dataset
+    train_rows = stratified_split(table.labels, seed=0)
     model = classify.train("gnb", table[train_rows])
     test = table[~train_rows]
     classes = model.class_set
