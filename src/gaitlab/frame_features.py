@@ -57,6 +57,12 @@ _MID_A, _MID_B = (_points(_MIDPOINTS, c) for c in (0, 1))
 _POINT, _END_A, _END_B = (_points(_LINES, c) for c in (1, 2, 3))
 _PAIR_I, _PAIR_J = np.triu_indices(14, k=1)  # lexicographic (i, j), i < j
 
+# every difference of two points that the features use, as _PLUS - _MINUS
+# over the joints and midpoints: the 6 defining lines (end to end), the 6
+# straightness offsets (end to point) and the 91 pairs
+_PLUS = np.concatenate([_END_B, _POINT, _PAIR_I])
+_MINUS = np.concatenate([_END_A, _END_A, _PAIR_J])
+
 # every defining line, in the order the first degeneracy of a frame is reported
 _LINE_NAMES = tuple(row[0] for row in _LINES)
 
@@ -70,10 +76,11 @@ FEATURE_NAMES: tuple[str, ...] = (
 NORM_SCOPES = ("frame", "video")
 
 
-def _point_line(p, a, d):
-    """(distance from p to the line through a along d, |d|) over (..., 2) points."""
-    length = np.hypot(d[..., 0], d[..., 1])
-    cross = d[..., 0] * (p[..., 1] - a[..., 1]) - d[..., 1] * (p[..., 0] - a[..., 0])
+def _point_line(ox, oy, dx, dy):
+    """(distance of the offset (ox, oy) from the line through 0 along (dx, dy), |d|),
+    given as x and y planes."""
+    length = np.hypot(dx, dy)
+    cross = dx * oy - dy * ox
     with np.errstate(divide="ignore", invalid="ignore"):  # degenerate lines are reported by length
         return np.abs(cross) / length, length
 
@@ -89,7 +96,8 @@ def point_line_distance(p, a, b):
     """
     p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
     with np.errstate(over="ignore", invalid="ignore"):
-        distance, length = _point_line(p, a, b - a)
+        o, d = p - a, b - a
+        distance, length = _point_line(o[..., 0], o[..., 1], d[..., 0], d[..., 1])
     if (length < EPS).any():
         raise DegenerateLine("line endpoints")
     if not np.isfinite(distance).all():
@@ -103,18 +111,19 @@ def _geometry(xy):
     order, 14 centroid distances, 91 pairwise distances)."""
     with np.errstate(over="ignore", invalid="ignore"):  # extract_sequence refuses what overflows
         mid = (xy[..., _MID_A, :] + xy[..., _MID_B, :]) / 2.0
-        points = np.concatenate([xy, mid], axis=-2)
-        a = points[..., _END_A, :]
-        d = points[..., _END_B, :] - a  # every defining line, end to end
-        straight, lengths = _point_line(points[..., _POINT, :], a, d)
-        u, v = d[..., [0, 1], :], d[..., [3, 2], :]  # left/right hand, right/left leg lines
-        cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-        dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
-        angle = np.arctan2(np.abs(cross), dot)  # in [0, pi]
+        planes = np.moveaxis(np.concatenate([xy, mid], axis=-2), -1, 0)  # x and y, (2, ..., 18)
+        dx, dy = np.take(planes, _PLUS, axis=-1) - np.take(planes, _MINUS, axis=-1)  # (2, ..., 103)
+        straight, lengths = _point_line(dx[..., 6:12], dy[..., 6:12], dx[..., :6], dy[..., :6])
+        ux, uy = dx[..., :2], dy[..., :2]  # left/right hand lines
+        vx, vy = dx[..., 3:1:-1], dy[..., 3:1:-1]  # right/left leg lines
+        angle = np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy)  # in [0, pi]
         folded = np.minimum(angle, np.pi - angle)  # lines have no direction
         lines = np.concatenate([straight[..., :4], folded, straight[..., 4:]], axis=-1)
-        central = np.linalg.norm(xy - xy.mean(axis=-2, keepdims=True), axis=-1)
-        mutual = np.linalg.norm(xy[..., _PAIR_I, :] - xy[..., _PAIR_J, :], axis=-1)
+        # |v| as np.linalg.norm computes it on 2-vectors, from x and y planes
+        cx, cy = np.moveaxis(xy - xy.mean(axis=-2, keepdims=True), -1, 0)
+        central = np.sqrt(cx * cx + cy * cy)
+        mx, my = dx[..., 12:], dy[..., 12:]
+        mutual = np.sqrt(mx * mx + my * my)
     return lines, lengths, central, mutual
 
 

@@ -17,6 +17,8 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, count, cycle, repeat
+from operator import is_not
 from pathlib import Path
 from typing import Union
 
@@ -54,30 +56,45 @@ def _first_bad_joint(xy: np.ndarray, conf: np.ndarray, named: np.ndarray):
     return tuple(bad[0]) if bad.size else None
 
 
-def _keypoint_row(kp: dict, line_no: int) -> tuple[list, list]:
-    """One line's 14 [x, y, conf] triples, flattened, and which joints it names."""
-    row, named = [], []
-    for name in _NAMES:
-        value = kp.get(name, _ABSENT)
-        if value is not _ABSENT and (type(value) is not list or len(value) != 3):
-            raise MalformedLine(line_no, f"keypoint {name!r} is not an [x, y, conf] triple")
-        row += value
-        named.append(value is not _ABSENT)
-    if not set(map(type, row)) <= _NUMBER_TYPES:
-        raise MalformedLine(line_no, "keypoint values must be numbers")
-    return list(map(float, row)), named
+def _columns(lines: list):
+    """(frame indices, stamps, (n, 14, 3) values, (n, 14) named mask) of the
+    non-blank lines, each decoded once and then checked one field at a time
+    over all of them, or None when there are none or one would be refused.
+    Iteration stays in C: map, set and the itertools."""
+    try:
+        objs = list(map(json.loads, filter(str.strip, lines)))
+    except (ValueError, RecursionError):
+        return None
+    if not objs or set(map(type, objs)) != {dict}:
+        return None
+    frames = list(map(dict.get, objs, repeat("frame")))  # None where a line has no frame
+    if (set(map(type, frames)) != {int} or min(frames) < 0 or max(frames) > _MAX_FRAME_INDEX
+            or len(set(frames)) != len(frames)):
+        return None
+    stamps = list(map(dict.get, objs, repeat("t_ms")))
+    kps = list(map(dict.get, objs, repeat("kp"), repeat({})))
+    if not all(map(_valid_stamp, stamps)) or set(map(type, kps)) != {dict}:
+        return None
+    triples = list(map(dict.get, chain.from_iterable(map(repeat, kps, repeat(14))),
+                       cycle(_NAMES), repeat(_ABSENT)))  # the 14 joints of each line, in order
+    if set(map(type, triples)) != {list} or set(map(len, triples)) != {3}:
+        return None
+    named = np.fromiter(map(is_not, triples, repeat(_ABSENT)), bool, len(triples)).reshape(-1, 14)
+    numbers = list(chain.from_iterable(triples))
+    if not set(map(type, numbers)) <= _NUMBER_TYPES:
+        return None
+    try:
+        values = np.array(numbers, dtype=float)
+    except OverflowError:
+        return None
+    return frames, stamps, values.reshape(-1, 14, 3), named
 
 
-def parse_keypoint_file(data: Union[bytes, str], source_id: str = "") -> PoseSequence:
-    """Parse JSONL keypoint data into a PoseSequence (frames sorted by index)."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"keypoint data is not UTF-8: {exc}") from None
-    line_nos, indices, stamps, rows, named = [], [], [], [], []
+def _raise_first_refusal(lines: list, source_id: str) -> None:
+    """Walk the lines in order and raise the error of the first one refused,
+    or that there are no lines."""
     seen = set()
-    for line_no, line in enumerate(data.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -98,24 +115,46 @@ def parse_keypoint_file(data: Union[bytes, str], source_id: str = "") -> PoseSeq
         kp = obj.get("kp", {})
         if not isinstance(kp, dict):
             raise MalformedLine(line_no, "'kp' must be an object")
+        row = []
+        for name in _NAMES:
+            value = kp.get(name, _ABSENT)
+            if type(value) is not list or len(value) != 3:
+                raise MalformedLine(line_no, f"keypoint {name!r} is not an [x, y, conf] triple")
+            row += value
+        if not set(map(type, row)) <= _NUMBER_TYPES:
+            raise MalformedLine(line_no, "keypoint values must be numbers")
         try:
-            row, row_named = _keypoint_row(kp, line_no)
+            list(map(float, row))
         except OverflowError:
             raise MalformedLine(line_no, "keypoint value beyond the float range") from None
-        line_nos.append(line_no)
-        indices.append(idx)
-        stamps.append(t_ms)
-        rows.append(row)
-        named.append(row_named)
-    if not indices:
+    if not seen:
         raise ParseError(f"no frames parsed from input {source_id!r}")
+    raise AssertionError("the column checks refused lines that every line check passes")
 
-    frame_index = np.array(indices, dtype=np.int64)
+
+def parse_keypoint_file(data: Union[bytes, str], source_id: str = "") -> PoseSequence:
+    """Parse JSONL keypoint data into a PoseSequence (frames sorted by index).
+
+    A line ends only at "\\n". The file is checked field by field; when a
+    check fails, the lines are walked in order to raise the first refused
+    line's error."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"keypoint data is not UTF-8: {exc}") from None
+    lines = data.split("\n")
+    columns = _columns(lines)
+    if columns is None:
+        _raise_first_refusal(lines, source_id)
+    frames, stamps, values, named = columns
+
+    frame_index = np.array(frames, dtype=np.int64)
     order = np.argsort(frame_index)
-    values = np.array(rows).reshape(-1, 14, 3)
     xy, conf = values[..., :2], values[..., 2]
-    bad = _first_bad_joint(xy, conf, np.array(named))
+    bad = _first_bad_joint(xy, conf, named)
     if bad:
+        line_nos = list(compress(count(1), map(str.strip, lines)))
         raise MalformedLine(line_nos[bad[0]], f"keypoint {_NAMES[bad[1]]!r}: non-finite "
                                               "coordinates or confidence outside [0, 1]")
     return PoseSequence(xy[order], conf[order], frame_index[order],

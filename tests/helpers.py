@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from gaitlab import frame_features as ff
+from gaitlab.errors import DuplicateFrame, MalformedLine, ParseError
 from gaitlab.pose import GaitLabel, KeypointId, PoseSequence
 from gaitlab.classify import scores
 from gaitlab.video_features import FeatureTable, VideoFeatures, schema_fingerprint
@@ -54,6 +56,90 @@ def serialize_sequence_oracle(seq):
                      if not math.isnan(c)}
         lines.append(json.dumps(obj))
     return "\n".join(lines) + "\n"
+
+
+def parse_keypoint_file_oracle(data, source_id=""):
+    """parse_keypoint_file as one walk over the lines, checking and converting
+    each line in turn: the parser that the column checks replaced."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"keypoint data is not UTF-8: {exc}") from None
+    names = [k.json_name for k in KeypointId]
+    absent = [math.nan] * 3
+    line_nos, indices, stamps, rows, named = [], [], [], [], []
+    for line_no, line in enumerate(data.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedLine(line_no, str(exc)) from None
+        if not isinstance(obj, dict) or "frame" not in obj:
+            raise MalformedLine(line_no, "missing 'frame' field")
+        idx = obj["frame"]
+        if type(idx) is not int or not 0 <= idx <= 2**63 - 1:
+            raise MalformedLine(line_no, f"bad frame index {idx!r}")
+        if idx in indices:
+            raise DuplicateFrame(idx)
+        t_ms = obj.get("t_ms")
+        if not (t_ms is None or type(t_ms) is int
+                or (type(t_ms) is float and math.isfinite(t_ms))):
+            raise MalformedLine(line_no, f"bad t_ms {t_ms!r}")
+        kp = obj.get("kp", {})
+        if not isinstance(kp, dict):
+            raise MalformedLine(line_no, "'kp' must be an object")
+        row = []
+        for name in names:
+            value = kp.get(name, absent)
+            if type(value) is not list or len(value) != 3:
+                raise MalformedLine(line_no, f"keypoint {name!r} is not an [x, y, conf] triple")
+            row += value
+        if any(type(v) not in (int, float) for v in row):
+            raise MalformedLine(line_no, "keypoint values must be numbers")
+        try:
+            rows.append([float(v) for v in row])
+        except OverflowError:
+            raise MalformedLine(line_no, "keypoint value beyond the float range") from None
+        line_nos.append(line_no)
+        indices.append(idx)
+        stamps.append(t_ms)
+        named.append([name in kp for name in names])
+    if not indices:
+        raise ParseError(f"no frames parsed from input {source_id!r}")
+    for t, (row, row_named) in enumerate(zip(rows, named)):
+        for j, name in enumerate(names):
+            x, y, c = row[3 * j:3 * j + 3]
+            if row_named[j] and not (math.isfinite(x) and math.isfinite(y) and 0.0 <= c <= 1.0):
+                raise MalformedLine(line_nos[t], f"keypoint {name!r}: non-finite "
+                                                 "coordinates or confidence outside [0, 1]")
+    order = sorted(range(len(indices)), key=indices.__getitem__)
+    values = np.array([rows[i] for i in order]).reshape(-1, 14, 3)
+    return PoseSequence(values[..., :2], values[..., 2], np.array(sorted(indices), dtype=np.int64),
+                        tuple(stamps[i] for i in order), source_id)
+
+
+def geometry_oracle(xy):
+    """frame_features._geometry computed point by point on (..., 2) vectors:
+    each difference by its own subtraction, each norm by np.linalg.norm."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mid = (xy[..., ff._MID_A, :] + xy[..., ff._MID_B, :]) / 2.0
+        points = np.concatenate([xy, mid], axis=-2)
+        p, a = points[..., ff._POINT, :], points[..., ff._END_A, :]
+        d = points[..., ff._END_B, :] - a  # every defining line, end to end
+        lengths = np.hypot(d[..., 0], d[..., 1])
+        cross = d[..., 0] * (p[..., 1] - a[..., 1]) - d[..., 1] * (p[..., 0] - a[..., 0])
+        straight = np.abs(cross) / lengths
+        u, v = d[..., [0, 1], :], d[..., [3, 2], :]  # left/right hand, right/left leg lines
+        cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+        dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+        angle = np.arctan2(np.abs(cross), dot)
+        folded = np.minimum(angle, np.pi - angle)
+        lines = np.concatenate([straight[..., :4], folded, straight[..., 4:]], axis=-1)
+        central = np.linalg.norm(xy - xy.mean(axis=-2, keepdims=True), axis=-1)
+        mutual = np.linalg.norm(xy[..., ff._PAIR_I, :] - xy[..., ff._PAIR_J, :], axis=-1)
+    return lines, lengths, central, mutual
 
 
 # --- slope-intercept oracles (independent of the cross-product code path) ----

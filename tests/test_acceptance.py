@@ -265,6 +265,14 @@ def test_criterion_6_end_to_end_benchmark(corpus_table):
                    f"permuted control {control:.3f}, {elapsed:.1f}s)")
 
 
+def test_corpus_feature_bytes(corpus_table):
+    """The seed-42 corpus's 258 x 226 feature matrix, pinned by the sha256 of
+    its bytes as computed before the frame geometry came from one difference
+    matrix, so that every feature kept its bits."""
+    digest = hashlib.sha256(corpus_table.X.tobytes()).hexdigest()
+    assert digest == "783da7dd5bd2cf233ad426a9b0aa6babc98b702dd268e35cfaf293616cb70a51"
+
+
 # Tree growth's exact output on the full-size corpus: sha256 of the tree and
 # forest model JSONs for training seeds 0 and 42, computed when trees were still
 # grown one at a time, so growing them in lockstep changed no model.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from gaitlab import frame_features as ff
 from gaitlab.errors import DegenerateLine, DegeneratePose, ParseError
 from gaitlab.frame_features import (
     EPS,
@@ -27,6 +28,7 @@ from helpers import (
     US,
     bs_direct_oracle,
     distance_maxima_oracle,
+    geometry_oracle,
     line_lengths_oracle,
     random_frame,
     sequence_from_coords,
@@ -466,6 +468,37 @@ def test_kernel_rows_match_single_pose_features():
         assert feats[t] == pytest.approx(extract_frame_features(xy[t]), rel=1e-12, abs=1e-12)
     for pose, row in zip(xy, feats):
         assert np.cos(row[HL]) == pytest.approx(hand_leg_cosines_oracle(pose), abs=1e-12)
+
+
+def assert_geometry_bits(xy):
+    for got, want in zip(ff._geometry(xy), geometry_oracle(xy)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e3, 1e150, 1e300])
+def test_geometry_matches_the_point_by_point_oracle_bit_for_bit(scale):
+    """The plane-wise differences and x/y norms keep the bits of the
+    point-by-point arithmetic, signed zeros included."""
+    xy = np.random.default_rng(7).uniform(-1.0, 1.0, (40, 14, 2)) * scale
+    xy[1, 3] = xy[1, 2]  # coincident joints
+    xy[2] = xy[2, 0]  # all joints coincide
+    xy[3, :, 0] = -0.0
+    xy[4] = 0.0
+    xy[5, ::2] = -0.0
+    xy[7, ::2], xy[7, 1::2] = -0.0, 0.0  # -0.0 joints against +0.0 joints
+    assert np.isfinite(xy).all()
+    assert_geometry_bits(xy)
+    assert_geometry_bits(xy[6])  # a single (14, 2) pose
+
+
+def test_geometry_of_points_beyond_the_float_range_matches_the_oracle():
+    """Where a midpoint overflows or a joint is infinite, the measurements
+    still keep the oracle's bits."""
+    xy = np.random.default_rng(8).uniform(0.0, 320.0, (4, 14, 2))
+    xy[1, [K.LEFT_EAR - 1, K.RIGHT_EAR - 1]] = 1.7e308
+    xy[2, K.LEFT_WRIST - 1, 1] = -np.inf
+    assert_geometry_bits(xy)
+    assert_geometry_bits(xy[1])
 
 
 def hand_leg_cosines_oracle(pose):

@@ -74,6 +74,40 @@ def test_bad_triple_is_malformed():
         parse_keypoint_file(json.dumps(obj))
 
 
+# every character other than "\n" at which str.splitlines breaks a line
+SEPARATORS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=lambda sep: f"U+{ord(sep):04X}")
+def test_a_line_ends_only_at_newline(sep):
+    """As the only break between two lines, any other line break leaves one
+    line, which is not valid JSON."""
+    with pytest.raises(MalformedLine, match="line 1: Extra data") as exc:
+        parse_keypoint_file(line_for(0) + sep + line_for(1))
+    assert exc.value.line_no == 1
+
+
+@pytest.mark.parametrize("sep", ["\x85", "\u2028", "\u2029"],
+                         ids=lambda sep: f"U+{ord(sep):04X}")
+def test_a_raw_line_separator_inside_a_string_stays_in_its_line(sep):
+    obj = json.loads(line_for(0))
+    obj["note"] = f"a{sep}b"
+    text = json.dumps(obj, ensure_ascii=False)
+    assert sep in text
+    seq = parse_keypoint_file((text + "\n" + line_for(1)).encode())
+    assert seq == parse_keypoint_file(line_for(0) + "\n" + line_for(1))
+
+
+def test_crlf_line_ends_parse():
+    """A "\\r" before "\\n", or anywhere between tokens, is JSON whitespace."""
+    lines = [line_for(0).replace(", ", ",\r "), "", line_for(1), "{not json"]
+    assert parse_keypoint_file("\r\n".join(lines[:3]) + "\r\n") == parse_keypoint_file(
+        "\n".join([line_for(0), line_for(1)]))
+    with pytest.raises(MalformedLine) as exc:
+        parse_keypoint_file("\r\n".join(lines))
+    assert exc.value.line_no == 4
+
+
 def test_empty_input():
     with pytest.raises(ParseError, match="no frames parsed from input ''"):
         parse_keypoint_file("")

@@ -1,18 +1,20 @@
 """Fuzz tests: any input to parse_keypoint_file either parses or raises
-ParseError, and serialize_sequence writes json.dumps's bytes, which parse back."""
+ParseError, the column checks agree with the line-by-line parser, and
+serialize_sequence writes json.dumps's bytes, which parse back."""
 
 import json
 import math
+from random import Random
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, seed, settings
 from hypothesis import strategies as st
 
 from gaitlab.errors import ParseError
 from gaitlab.ingest import parse_keypoint_file, serialize_sequence
 from gaitlab.pose import KeypointId, PoseSequence
 
-from helpers import serialize_sequence_oracle
+from helpers import parse_keypoint_file_oracle, serialize_sequence_oracle
 
 NAMES = [k.json_name for k in KeypointId]
 
@@ -47,6 +49,115 @@ def test_any_bytes(data):
 @given(st.lists(lines, min_size=1, max_size=4))
 def test_json_shaped_lines(objs):
     parses_or_raises_parse_error("\n".join(json.dumps(obj) for obj in objs).encode())
+
+
+# values that some check refuses, or that sit at the edge of one: bools,
+# integers beyond 2**53, 2**64 and the float range, NaN and Infinity
+# literals, non-numbers and confidences outside [0, 1]
+EDGE_NUMBERS = st.sampled_from([True, False, None, "1", [], math.nan, math.inf, -math.inf,
+                                2**53 + 1, 2**64 + 1, 10**309, -(10**309), 1.5, -0.5, -0.0])
+EDGE_FRAMES = st.sampled_from([-1, -(2**63), 2**63, 2**63 - 1, True, False, None, 1.0, "0"])
+EDGE_STAMPS = st.sampled_from([None, math.nan, math.inf, True, False, "1", 1.5, 10**309, [1]])
+EDGE_JOINTS = st.sampled_from([None, [1, 2], [1, 2, 3, 4], {"x": 1}, 5, "ab"])
+EDGE_KPS = st.sampled_from([None, [], 1, "kp"])
+EDGE_LINES = st.sampled_from(["[]", "3", '"kp"', "null", "{not json", '{"frame": 1',
+                              "[" * 5000 + "]" * 5000, '{"kp": {}}'])
+BLANKS = st.sampled_from(["", "  ", "\r", "\t"])
+
+
+@st.composite
+def keypoint_files(draw):
+    """The text of a .kp.jsonl file: lines naming all, some or none of the
+    joints, with frames that may repeat or come out of order and optional
+    stamps; then up to two edge cases (a field replaced or dropped, or a line
+    that is not a frame object) and blank lines, all in a shuffled order."""
+    n = draw(st.integers(0, 4))
+    frames = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n, unique=draw(st.booleans())))
+    objs = []
+    for frame in frames:
+        obj = {"frame": frame}
+        if draw(st.booleans()):
+            obj["t_ms"] = draw(st.one_of(st.integers(), st.floats(allow_nan=False,
+                                                                  allow_infinity=False)))
+        kind = draw(st.sampled_from(["all", "some", "none"]))
+        names = {"all": NAMES, "none": [],
+                 "some": draw(st.lists(st.sampled_from(NAMES + ["Nose"]), unique=True))}[kind]
+        kp = {name: [draw(st.floats(-1e3, 1e3)), draw(st.integers(-10**20, 10**20)),
+                     draw(st.floats(0.0, 1.0))] for name in names}
+        if kind != "none" or draw(st.booleans()):
+            obj["kp"] = kp
+        objs.append(obj)
+    texts = []
+    for _ in range(draw(st.integers(0, 2)) if objs else 0):
+        obj = draw(st.sampled_from(objs))
+        field = draw(st.sampled_from(["frame", "no frame", "t_ms", "kp", "no kp", "joint",
+                                      "number", "number", "number", "line", "line"]))
+        if field == "frame":
+            obj["frame"] = draw(EDGE_FRAMES)
+        elif field.startswith("no "):
+            obj.pop(field[3:], None)
+        elif field == "t_ms":
+            obj["t_ms"] = draw(EDGE_STAMPS)
+        elif field == "kp":
+            obj["kp"] = draw(EDGE_KPS)
+        elif field in ("joint", "number") and isinstance(obj.get("kp", {}), dict):
+            kp, name = obj.setdefault("kp", {}), draw(st.sampled_from(NAMES))
+            if field == "joint":
+                kp[name] = draw(EDGE_JOINTS)
+            else:
+                kp[name] = list(kp[name]) if type(kp.get(name)) is list else [0.0, 0.0, 1.0]
+                kp[name][draw(st.integers(0, len(kp[name]) - 1))] = draw(EDGE_NUMBERS)
+        elif field == "line":
+            texts.append(draw(EDGE_LINES))
+    texts += [json.dumps(obj) for obj in objs] + draw(st.lists(BLANKS, max_size=2))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(draw(st.permutations(texts)))
+
+
+def outcome(parse, data):
+    """A parser's PoseSequence, or the type and message of its ParseError."""
+    try:
+        return parse(data)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(keypoint_files())
+def test_column_checks_agree_with_the_line_walk(data):
+    assert outcome(parse_keypoint_file, data) == outcome(parse_keypoint_file_oracle, data)
+
+
+# a fragment of each refusal's message, from JSON errors to the array check
+REFUSALS = ("no frames parsed", "Expecting", "maximum recursion", "missing 'frame' field",
+            "bad frame index", "duplicate frame index", "bad t_ms", "'kp' must be an object",
+            "is not an [x, y, conf] triple", "keypoint values must be numbers",
+            "beyond the float range", "non-finite coordinates")
+
+
+def test_keypoint_files_reach_every_outcome():
+    """The files above are accepted with and without absent joints, and each
+    kind of refusal occurs. Hypothesis mixes literals of the code under test
+    into its draws, so a fixed seed's examples move with any edit of gaitlab:
+    an outcome that one run of examples misses is searched for on its own."""
+    def kinds(data):
+        result = outcome(parse_keypoint_file_oracle, data)
+        if isinstance(result, PoseSequence):
+            return {"some absent" if np.isnan(result.conf).any() else "all named"}
+        return {reason for reason in REFUSALS if reason in result[1]}
+
+    seen = set()
+
+    @seed(0)
+    @settings(max_examples=400, database=None, deadline=None)
+    @given(keypoint_files())
+    def record(data):
+        seen.update(kinds(data))
+
+    record()
+    search = settings(max_examples=5000, database=None, deadline=None, phases=[Phase.generate])
+    for kind in {"all named", "some absent", *REFUSALS} - seen:
+        find(keypoint_files(), lambda data: kind in kinds(data), settings=search,
+             random=Random(0))
 
 
 # floats whose shortest repr takes each of its forms: signed zero, the
