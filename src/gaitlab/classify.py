@@ -199,23 +199,6 @@ def _standardize(X: np.ndarray, p: dict) -> np.ndarray:
 # --- dataset plumbing ---------------------------------------------------------
 
 
-def _class_indices(table: FeatureTable):
-    """(y, classes): the classes of the table's labels in GaitLabel order, and
-    each row's index among them; an unlabeled row raises ValueError."""
-    if not len(table):
-        raise InsufficientDataError("empty training set")
-    present = set(table.labels)
-    classes = tuple(label for label in GaitLabel if label in present)
-    y = table.class_indices(classes)
-    if len(classes) < 2:
-        raise InsufficientDataError(f"need at least 2 classes, got {len(classes)}")
-    counts = np.bincount(y, minlength=len(classes))
-    if counts.min() < 2:
-        small = classes[int(counts.argmin())]
-        raise InsufficientDataError(f"class {small.value} has fewer than 2 examples")
-    return y, classes
-
-
 def _check_hypers(algorithm: str, hyper: dict, n_train: int) -> None:
     """Refuse unknown hyperparameter names and values that would give NaN
     scores or silently wrong votes."""
@@ -430,12 +413,24 @@ def _train_logreg(rows, ys, n_classes, hyper, seed):
 
 
 def _training_rows(table: FeatureTable):
-    """(X, y, classes) of a training table, as _class_indices gives them; a
-    non-finite or unlabeled row raises ValueError."""
+    """(X, y, classes): the rows, each row's index in classes, and the classes of
+    the labels in GaitLabel order. A non-finite or unlabeled row raises ValueError,
+    too few rows or classes InsufficientDataError."""
     bad = np.flatnonzero(~np.isfinite(table.X).all(axis=1))
     if len(bad):
         raise ValueError(f"feature row {bad[0]} ({table.source_ids[bad[0]]!r}) is not finite")
-    return (table.X, *_class_indices(table))
+    if not len(table):
+        raise InsufficientDataError("empty training set")
+    present = set(table.labels)
+    classes = tuple(label for label in GaitLabel if label in present)
+    y = table.class_indices(classes)
+    if len(classes) < 2:
+        raise InsufficientDataError(f"need at least 2 classes, got {len(classes)}")
+    counts = np.bincount(y, minlength=len(classes))
+    if counts.min() < 2:
+        small = classes[int(counts.argmin())]
+        raise InsufficientDataError(f"class {small.value} has fewer than 2 examples")
+    return table.X, y, classes
 
 
 def _trained_model(algorithm, params, classes, hyper, fingerprint) -> TrainedModel:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import classify, evaluate, ingest, synth
-from .errors import GaitLabError, InsufficientDataError, ParseError
+from .errors import GaitLabError, ParseError
 from .pose import GaitLabel
 from .frame_features import NORM_SCOPES
 from .video_features import (STD_MODES, FeatureTable, featurize_sequence, read_features_csv,
@@ -117,10 +117,6 @@ def _labeled_rows(args) -> FeatureTable:
 def cmd_train(args) -> int:
     table = _labeled_rows(args)
     table = table[evaluate.task_rows(args.task, table.labels)]
-    if not len(table):
-        labels = ", ".join(label.value for label in evaluate.task_labels(args.task))
-        raise InsufficientDataError(f"task {args.task!r} has no rows of its labels ({labels}) "
-                                    f"in {args.features}")
     model = classify.train(args.algo, table, seed=args.seed)
     classify.save_model(model, args.out)
     print(f"trained {args.algo} on {len(table)} videos -> {args.out}")

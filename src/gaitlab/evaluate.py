@@ -109,26 +109,27 @@ def cross_validate(
                           for f, model in enumerate(models)]))
 
 
-def task_labels(task: str) -> tuple[GaitLabel, ...]:
-    """The labels a task compares: all five for 'multi', the concerned
-    abnormality and Normal for 'binary:<Label>'."""
+def task_rows(task: str, labels) -> np.ndarray:
+    """Row mask of a task: 'multi' keeps every row, 'binary:<Label>' the rows
+    of the concerned abnormality and of Normal. An unknown task or
+    'binary:Normal' raises ValueError, and a task whose rows hold fewer than 2
+    of its labels raises InsufficientDataError."""
     if task == "multi":
-        return tuple(GaitLabel)
-    if task.startswith("binary:"):
+        keep = tuple(GaitLabel)
+    elif task.startswith("binary:"):
         label = GaitLabel.from_name(task.split(":", 1)[1])
         if label is GaitLabel.NORMAL:
             raise ValueError(f"task {task!r} compares Normal with itself")
-        return label, GaitLabel.NORMAL
-    raise ValueError(f"unknown task {task!r}")
-
-
-def task_rows(task: str, labels) -> np.ndarray:
-    """Row mask of a task: 'multi' keeps every row, 'binary:<Label>' the rows
-    of the concerned abnormality and of Normal."""
-    keep = task_labels(task)
-    if task == "multi":
-        return np.ones(len(labels), dtype=bool)
-    return np.array([label in keep for label in labels], dtype=bool)
+        keep = label, GaitLabel.NORMAL
+    else:
+        raise ValueError(f"unknown task {task!r}")
+    present = set(labels)
+    found = [label.value for label in keep if label in present]
+    if len(found) < 2:
+        raise InsufficientDataError(f"task {task!r} needs rows of at least 2 of its labels "
+                                    f"({', '.join(label.value for label in keep)}), "
+                                    f"found {', '.join(found) or 'none'}")
+    return np.array([task == "multi" or label in keep for label in labels], dtype=bool)
 
 
 def run_task(task: str, algorithms, table: FeatureTable, folds: int = DEFAULT_FOLDS,
@@ -136,18 +137,15 @@ def run_task(task: str, algorithms, table: FeatureTable, folds: int = DEFAULT_FO
     """One EvalReport per algorithm, fit on the task's rows that
     ``stratified_split(table.labels, seed)`` (drawn over every row) puts in
     training and tested on its other rows; failures are collected, not fatal.
-    A task without rows of its labels, an unlabeled row, a class of fewer than 4
-    rows or more folds than its smallest training class holds is refused once,
-    before any algorithm runs.
+    A task whose rows hold fewer than 2 of its labels, an unlabeled row, a class
+    of fewer than 4 rows or more folds than its smallest training class holds is
+    refused once, before any algorithm runs.
 
     Returns (reports, errors) where errors maps algorithm -> exception.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
     rows = task_rows(task, table.labels)
-    if not rows.any():  # a task without rows has no training rows
-        raise ValueError(f"task {task!r} has no training rows of its labels "
-                         f"({', '.join(label.value for label in task_labels(task))})")
     sizes = np.bincount(table[rows].class_indices(GaitLabel), minlength=len(GaitLabel))
     for label, size in zip(GaitLabel, sizes):
         if 0 < size < 4:  # at 4 or more a class has training and test rows

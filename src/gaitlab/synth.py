@@ -213,7 +213,7 @@ def read_manifest(path) -> dict[str, GaitLabel]:
     the file and line."""
     labels = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # also after a byte order mark
             reader = csv.DictReader(fh)
             if not {"source_id", "label"} <= set(reader.fieldnames or ()):
                 raise ParseError(f"{path} line 1: the header needs source_id and label columns")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from gaitlab import frame_features as ff
-from gaitlab.errors import DuplicateFrame, MalformedLine, ParseError
+from gaitlab.errors import DuplicateFrame, InsufficientDataError, MalformedLine, ParseError
 from gaitlab.pose import GaitLabel, KeypointId, PoseSequence
 from gaitlab.classify import scores
 from gaitlab.video_features import FeatureTable, VideoFeatures, schema_fingerprint
@@ -226,6 +226,31 @@ def make_separable_items(rng, n_per_class=10, labels=(GaitLabel.NORMAL, GaitLabe
             vec = center + rng.normal(0.0, 0.1, size=226)
             items.append((vf_from_vector(vec, f"{label.value}_{i}"), label))
     return items
+
+
+def task_rows_oracle(task, labels):
+    """evaluate.task_rows in plain Python: (mask, None) for a usable task, or
+    (None, (error type, message)) for a refused one."""
+    order = ["Choreiform", "Diplegia", "Hemiplegia", "Normal", "Parkinson"]
+    if task == "multi":
+        keep = order
+    elif task.startswith("binary:"):
+        name = task[len("binary:"):]
+        matches = [value for value in order if value.lower() == name.strip().lower()]
+        if not matches:
+            return None, (ValueError, f"unknown gait label {name!r}")
+        if matches[0] == "Normal":
+            return None, (ValueError, f"task {task!r} compares Normal with itself")
+        keep = [matches[0], "Normal"]
+    else:
+        return None, (ValueError, f"unknown task {task!r}")
+    values = [None if label is None else label.value for label in labels]
+    found = [value for value in keep if values.count(value) > 0]
+    if len(found) < 2:
+        return None, (InsufficientDataError,
+                      f"task {task!r} needs rows of at least 2 of its labels "
+                      f"({', '.join(keep)}), found {', '.join(found) if found else 'none'}")
+    return [task == "multi" or value in keep for value in values], None
 
 
 def tree_leaf_oracle(params, root, x):

@@ -215,6 +215,17 @@ def test_extract_names_manifest_and_file_disagreements(pipeline_dir, tmp_path, c
     assert "manifest.csv" not in capsys.readouterr().err
 
 
+def test_extract_reads_a_manifest_after_a_byte_order_mark(pipeline_dir, tmp_path):
+    """A manifest saved as "CSV UTF-8" by a spreadsheet starts with EF BB BF; it
+    gives the features CSV byte for byte."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline_dir / "corpus", corpus)
+    manifest = corpus / "manifest.csv"
+    manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+    assert main(["extract", "--in", str(corpus), "--out", str(tmp_path / "o.csv")]) == 0
+    assert (tmp_path / "o.csv").read_bytes() == (pipeline_dir / "features.csv").read_bytes()
+
+
 def test_eval_writes_report(pipeline_dir, tmp_path):
     report = tmp_path / "report.json"
     rc = main(["eval", "--features", str(pipeline_dir / "features.csv"),
@@ -331,7 +342,7 @@ def _features_of(pipeline_dir, tmp_path, counts):
 
 
 def test_eval_refuses_a_task_without_rows_once(pipeline_dir, tmp_path, capsys, monkeypatch):
-    """A task whose labels the CSV does not hold is an argument error, named
+    """A task whose labels the CSV does not hold is too little data, named
     once, before any algorithm fits a model."""
     def no_fit(*args, **kwargs):
         raise AssertionError("eval fit a model")
@@ -343,9 +354,10 @@ def test_eval_refuses_a_task_without_rows_once(pipeline_dir, tmp_path, capsys, m
     capsys.readouterr()
     rc = main(["eval", "--features", str(features), "--task", "binary:Parkinson",
                "--folds", "2", "--report", str(report)])
-    assert rc == 2
+    assert rc == 3
     assert capsys.readouterr().err.splitlines() == [
-        "error: task 'binary:Parkinson' has no training rows of its labels (Parkinson, Normal)"]
+        "error: task 'binary:Parkinson' needs rows of at least 2 of its labels "
+        "(Parkinson, Normal), found none"]
     assert not report.exists()
 
 
@@ -377,8 +389,9 @@ def test_eval_binary_task_ignores_a_tiny_class_it_does_not_use(pipeline_dir, tmp
      "error: unknown task 'pairwise'"),
     ({"Choreiform": 3, "Parkinson": 6, "Normal": 6}, ["--task", "binary:Normal"], 2,
      "error: task 'binary:Normal' compares Normal with itself"),
-    ({"Choreiform": 3, "Diplegia": 6}, ["--task", "binary:Parkinson"], 2,
-     "error: task 'binary:Parkinson' has no training rows of its labels (Parkinson, Normal)"),
+    ({"Choreiform": 3, "Diplegia": 6}, ["--task", "binary:Parkinson"], 3,
+     "error: task 'binary:Parkinson' needs rows of at least 2 of its labels "
+     "(Parkinson, Normal), found none"),
     ({"Choreiform": 3, "Parkinson": 6, "Normal": 6}, ["--task", "binary:Parkinson"], 3,
      "error: 5 folds requested but smallest class has 4 items"),
 ], ids=["unknown-algorithm", "unknown-task", "normal-against-normal", "task-without-rows",
@@ -400,22 +413,40 @@ def test_train_names_a_task_without_rows(pipeline_dir, tmp_path, capsys):
     assert main(["train", "--features", str(features), "--task", "binary:Parkinson",
                  "--algo", "gnb", "--out", str(model)]) == 3
     assert capsys.readouterr().err.splitlines() == [
-        f"error: task 'binary:Parkinson' has no rows of its labels (Parkinson, Normal) "
-        f"in {features}"]
+        "error: task 'binary:Parkinson' needs rows of at least 2 of its labels "
+        "(Parkinson, Normal), found none"]
     assert not model.exists()
 
 
 def test_eval_reports_a_failed_lockstep_fold(pipeline_dir, tmp_path, capsys):
-    """A binary task on a CSV without Normal rows has one class: its logreg
-    folds, fit in lockstep, fail with train's message, named once."""
+    """A binary task on a CSV without Normal rows has one class: it is refused
+    once, before its logreg folds are fit in lockstep (test_evaluate holds a
+    failed lockstep fit to train's message)."""
     features = _features_of(pipeline_dir, tmp_path, {"Parkinson": 6, "Diplegia": 6})
     report = tmp_path / "report.json"
     capsys.readouterr()
     rc = main(["eval", "--features", str(features), "--task", "binary:Parkinson",
                "--algos", "logreg", "--folds", "2", "--report", str(report)])
     assert rc == 3
-    assert capsys.readouterr().err.splitlines() == ["logreg: need at least 2 classes, got 1"]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: task 'binary:Parkinson' needs rows of at least 2 of its labels "
+        "(Parkinson, Normal), found Parkinson"]
     assert not report.exists()
+
+
+def test_train_and_eval_refuse_a_one_class_task_with_one_line(pipeline_dir, tmp_path, capsys):
+    """Both commands resolve the task in one place, so they exit 3 with the
+    same single line, not one line per algorithm."""
+    features = _features_of(pipeline_dir, tmp_path, {"Parkinson": 6, "Diplegia": 6})
+    expected = ["error: task 'binary:Parkinson' needs rows of at least 2 of its labels "
+                "(Parkinson, Normal), found Parkinson"]
+    capsys.readouterr()
+    assert main(["eval", "--features", str(features), "--task", "binary:Parkinson",
+                 "--folds", "2", "--report", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == expected
+    assert main(["train", "--features", str(features), "--task", "binary:Parkinson",
+                 "--algo", "knn", "--out", str(tmp_path / "m.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == expected
 
 
 def test_train_and_predict(pipeline_dir, tmp_path):

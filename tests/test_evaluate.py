@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitlab import classify, evaluate
 from gaitlab.errors import InsufficientDataError
@@ -23,7 +25,7 @@ from gaitlab.pose import GaitLabel
 from gaitlab.synth import generate_corpus
 from gaitlab.video_features import FeatureTable, featurize_sequence
 
-from helpers import make_separable_items, vf_from_vector
+from helpers import make_separable_items, task_rows_oracle, vf_from_vector
 
 PAPER_COUNTS = {
     GaitLabel.CHOREIFORM: 51,
@@ -170,6 +172,20 @@ def test_cross_validate_refuses_an_empty_table(monkeypatch):
         cross_validate("logreg", table[np.zeros(len(table), dtype=bool)], folds=2)
 
 
+def test_cross_validate_reports_a_failed_lockstep_fit(monkeypatch):
+    """One class in every fold: the lockstep logreg fits fail with train's
+    message, raised by train_logregs, and no other fit runs."""
+    table = FeatureTable.from_rows(dummy_items({GaitLabel.PARKINSON: 6}))
+    calls = []
+    train_logregs = classify.train_logregs
+    _forbid_fits(monkeypatch)
+    monkeypatch.setattr(classify, "train_logregs",
+                        lambda *args, **kw: calls.append(args) or train_logregs(*args, **kw))
+    with pytest.raises(InsufficientDataError, match="^need at least 2 classes, got 1$"):
+        cross_validate("logreg", table, folds=2)
+    assert len(calls) == 1
+
+
 def test_logreg_cross_validation_is_the_mean_of_per_fold_fits():
     """Folds of 11, 13 and 9 rows per class are ragged: the lockstep logreg CV
     equals one train and one confusion matrix per fold."""
@@ -204,6 +220,25 @@ def test_task_rows_binary_filters():
         task_rows("pairwise", labels)
     with pytest.raises(ValueError, match="compares Normal with itself"):
         task_rows("binary:Normal", labels)
+
+
+TASKS = ["multi", *(f"binary:{label.value}" for label in GaitLabel), "binary:walking",
+         "pairwise"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(st.sampled_from([*GaitLabel, None]), max_size=12),
+       task=st.sampled_from(TASKS))
+def test_task_rows_matches_its_oracle(labels, task):
+    """The mask of a usable task, and the type and message of a refused one."""
+    mask, refusal = task_rows_oracle(task, labels)
+    labels = np.array(labels, dtype=object)
+    if refusal is None:
+        assert task_rows(task, labels).tolist() == mask
+    else:
+        with pytest.raises(Exception) as info:
+            task_rows(task, labels)
+        assert (type(info.value), str(info.value)) == refusal
 
 
 @pytest.fixture(scope="module")
@@ -242,8 +277,9 @@ def test_run_task_isolates_failures(small_dataset):
 def test_run_task_refuses_a_task_without_training_rows_before_any_fit(monkeypatch):
     table = FeatureTable.from_rows(dummy_items({GaitLabel.CHOREIFORM: 6, GaitLabel.DIPLEGIA: 6}))
     _forbid_fits(monkeypatch)
-    with pytest.raises(ValueError, match="^task 'binary:Parkinson' has no training rows of "
-                                         "its labels \\(Parkinson, Normal\\)$"):
+    with pytest.raises(InsufficientDataError,
+                       match="^task 'binary:Parkinson' needs rows of at least 2 of its labels "
+                             "\\(Parkinson, Normal\\), found none$"):
         run_task("binary:Parkinson", ["knn", "logreg"], table, folds=2)
 
 
