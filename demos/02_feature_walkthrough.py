@@ -22,6 +22,7 @@ from gaitlab import (
     default_params,
     extract_frame_features,
     extract_sequence,
+    featurize_sequence,
     generate,
     point_line_distance,
 )
@@ -45,11 +46,11 @@ def main():
     print()
 
     feats, _ = extract_sequence(seq)
-    video = aggregate(feats, source_id=seq.source_id)
-    print(f"video vector: {video.x.shape[0]} dims "
+    row = aggregate(feats)
+    print(f"video vector: {row.shape[0]} dims "
           f"({len(FEATURE_NAMES)} means + {len(FEATURE_NAMES)} stds) "
           f"from {len(feats)} frames")
-    print(f"schema fingerprint: {video.schema_fingerprint}")
+    print(f"schema fingerprint: {featurize_sequence(seq).schema_fingerprint}")
     print()
     print("Translating or rotating the pose leaves every feature unchanged;")
     print("scaling leaves angles and normalized distances unchanged.")

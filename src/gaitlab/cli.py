@@ -57,8 +57,6 @@ def _keypoint_files(in_path: Path) -> list[Path]:
         if not files:
             raise FileNotFoundError(f"no .kp.jsonl files in {in_path}")
         return files
-    if not in_path.exists():
-        raise FileNotFoundError(str(in_path))
     return [in_path]
 
 

@@ -63,13 +63,10 @@ class VideoFeatures:
         return view
 
 
-def aggregate(
-    features,
-    source_id: str = "",
-    norm_scope: str = "frame",
-    std_mode: str = "population",
-) -> VideoFeatures:
-    """Mean and std over the (n, 113) frame features; order is [all means, then all stds]."""
+def aggregate(features, std_mode: str = "population") -> np.ndarray:
+    """Mean and std over the (n, 113) frame features: the (226,) row [all means, then all stds]."""
+    if std_mode not in STD_MODES:
+        raise ValueError(f"bad std_mode {std_mode!r}")
     if len(features) < 2:
         raise InsufficientDataError(f"need at least 2 frames to aggregate, got {len(features)}")
     matrix = np.asarray(features, dtype=float)
@@ -77,9 +74,8 @@ def aggregate(
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         x = np.concatenate([matrix.mean(axis=0), matrix.std(axis=0, ddof=ddof)])
     if not np.isfinite(x).all():
-        raise ParseError(f"{source_id!r} has non-finite video features; "
-                         "are its coordinates too large?")
-    return VideoFeatures(x, source_id, schema_fingerprint(norm_scope, std_mode))
+        raise ParseError("non-finite video features; are the coordinates too large?")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,9 +129,11 @@ def featurize_sequence(
     norm_scope: str = "frame",
     std_mode: str = "population",
 ) -> VideoFeatures:
-    """Extract + aggregate in one step, skipping geometrically degenerate frames."""
+    """Extract + aggregate in one step, skipping geometrically degenerate frames;
+    the one place a computed row is stamped with the schema it was computed by."""
     feats, _ = extract_sequence(seq, norm_scope=norm_scope, skip_degenerate=True)
-    return aggregate(feats, source_id=seq.source_id, norm_scope=norm_scope, std_mode=std_mode)
+    return VideoFeatures(aggregate(feats, std_mode), seq.source_id,
+                         schema_fingerprint(norm_scope, std_mode))
 
 
 # --- CSV interface: source_id,label,mu1..mu113,sd1..sd113,schema=<fingerprint> ---

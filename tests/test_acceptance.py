@@ -56,12 +56,12 @@ def test_criterion_1_dimension_fidelity():
     start = time.perf_counter()
     seq = generate(default_params(GaitLabel.DIPLEGIA, seed=1), "dims")
     feats, failed = ffmod.extract_sequence(seq)
-    video = aggregate(feats, seq.source_id)
+    row = aggregate(feats)
     elapsed = time.perf_counter() - start
     ok = (
         failed == 0
         and feats.shape == (len(seq), 113)
-        and video.vector().shape == (226,)
+        and row.shape == (226,)
         and elapsed < 1.0
     )
     _report(1, ok, f"(113 frame dims, 226 video dims, {elapsed:.2f}s)")

@@ -487,12 +487,15 @@ def test_predict_of_a_csv_without_rows(pipeline_dir, tmp_path):
                  "--out", str(model_path)]) == 2
 
 
-def test_exit_code_parse_error(tmp_path):
+def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.kp.jsonl"
     bad.write_text("{nope\n", encoding="utf-8")
     assert main(["extract", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
-    assert main(["extract", "--in", str(tmp_path / "missing.kp.jsonl"),
-                 "--out", str(tmp_path / "o.csv")]) == 2
+    capsys.readouterr()
+    missing = tmp_path / "missing.kp.jsonl"
+    assert main(["extract", "--in", str(missing), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [Errno 2] No such file or directory: '{missing}'"]
 
 
 def test_extract_refuses_coordinates_too_large_for_finite_features(pipeline_dir, tmp_path, capsys):

@@ -91,7 +91,7 @@ def keypoint_files(draw):
     for _ in range(draw(st.integers(0, 2)) if objs else 0):
         obj = draw(st.sampled_from(objs))
         field = draw(st.sampled_from(["frame", "no frame", "t_ms", "kp", "no kp", "joint",
-                                      "number", "number", "number", "line", "line"]))
+                                      "number", "number", "number", "line", "line", "nesting"]))
         if field == "frame":
             obj["frame"] = draw(EDGE_FRAMES)
         elif field.startswith("no "):
@@ -109,6 +109,8 @@ def keypoint_files(draw):
                 kp[name][draw(st.integers(0, len(kp[name]) - 1))] = draw(EDGE_NUMBERS)
         elif field == "line":
             texts.append(draw(EDGE_LINES))
+        elif field == "nesting":  # EDGE_LINES' deep line again: seeded runs rarely drew it there
+            texts.append("[" * 5000 + "]" * 5000)
     texts += [json.dumps(obj) for obj in objs] + draw(st.lists(BLANKS, max_size=2))
     return draw(st.sampled_from(["\n", "\r\n"])).join(draw(st.permutations(texts)))
 

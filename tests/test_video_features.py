@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaitlab.errors import InsufficientDataError, ParseError, SchemaMismatch
-from gaitlab.frame_features import extract_frame_features
+from gaitlab.frame_features import extract_frame_features, extract_sequence
 from gaitlab.pose import GaitLabel
 from gaitlab.video_features import (
     FeatureTable,
@@ -23,37 +23,41 @@ def ff_constant(value, frame_index=0):
 
 
 def test_identical_frames_zero_std():
-    vf = aggregate([ff_constant(2.5, i) for i in range(4)], "v")
-    assert vf.x[:113] == pytest.approx(np.full(113, 2.5))
-    assert vf.x[113:] == pytest.approx(np.zeros(113))
+    row = aggregate([ff_constant(2.5, i) for i in range(4)])
+    assert row[:113] == pytest.approx(np.full(113, 2.5))
+    assert row[113:] == pytest.approx(np.zeros(113))
 
 
 def test_two_frame_population_std():
     # values {1, 3} per dimension: mean 2, population std 1
-    vf = aggregate([ff_constant(1.0, 0), ff_constant(3.0, 1)], "v")
-    assert vf.x[:113] == pytest.approx(np.full(113, 2.0))
-    assert vf.x[113:] == pytest.approx(np.ones(113))
+    row = aggregate([ff_constant(1.0, 0), ff_constant(3.0, 1)])
+    assert row[:113] == pytest.approx(np.full(113, 2.0))
+    assert row[113:] == pytest.approx(np.ones(113))
 
 
 def test_sample_std_mode():
-    vf = aggregate([ff_constant(1.0, 0), ff_constant(3.0, 1)], "v", std_mode="sample")
-    assert vf.x[113:] == pytest.approx(np.full(113, np.sqrt(2.0)))
-    assert vf.schema_fingerprint != schema_fingerprint()
+    row = aggregate([ff_constant(1.0, 0), ff_constant(3.0, 1)], std_mode="sample")
+    assert row[113:] == pytest.approx(np.full(113, np.sqrt(2.0)))
+    seq = generate(default_params(GaitLabel.NORMAL, seed=1), "clip")
+    assert featurize_sequence(seq, std_mode="sample").schema_fingerprint != schema_fingerprint()
+
+
+def test_unknown_std_mode_is_refused():
+    with pytest.raises(ValueError, match="bad std_mode 'bogus'"):
+        aggregate([ff_constant(1.0, 0), ff_constant(3.0, 1)], std_mode="bogus")
 
 
 def test_output_dimension_226():
     rng = np.random.default_rng(0)
     feats = [extract_frame_features(random_frame(rng)) for i in range(5)]
-    vf = aggregate(feats, "v")
-    assert vf.vector().shape == (226,)
+    assert aggregate(feats).shape == (226,)
 
 
 def test_mean_std_against_numpy_oracle():
     rng = np.random.default_rng(1)
     feats = [extract_frame_features(random_frame(rng)) for i in range(7)]
     matrix = np.stack(feats)
-    vf = aggregate(feats, "v")
-    assert vf.vector() == pytest.approx(
+    assert aggregate(feats) == pytest.approx(
         np.concatenate([matrix.mean(axis=0), matrix.std(axis=0)]))
 
 
@@ -68,23 +72,23 @@ def test_vector_cannot_change_the_row():
 
 def test_too_few_frames():
     with pytest.raises(InsufficientDataError, match="need at least 2 frames to aggregate, got 1"):
-        aggregate([ff_constant(1.0)], "v")
+        aggregate([ff_constant(1.0)])
 
 
 def test_permutation_invariance():
     rng = np.random.default_rng(2)
     feats = [extract_frame_features(random_frame(rng)) for i in range(6)]
-    base = aggregate(feats, "v").vector()
+    base = aggregate(feats)
     shuffled = [feats[i] for i in rng.permutation(6)]
-    assert aggregate(shuffled, "v").vector() == pytest.approx(base)
+    assert aggregate(shuffled) == pytest.approx(base)
 
 
 def test_replication_invariance():
     rng = np.random.default_rng(3)
     feats = [extract_frame_features(random_frame(rng)) for i in range(4)]
-    base = aggregate(feats, "v").vector()
+    base = aggregate(feats)
     for k in (2, 3):
-        assert aggregate(feats * k, "v").vector() == pytest.approx(base)
+        assert aggregate(feats * k) == pytest.approx(base)
 
 
 def test_featurize_sequence():
@@ -101,8 +105,8 @@ def test_non_finite_video_features_raise_parse_error():
     huge = sequence_from_coords(base.xy * 1e160, source_id="huge")
     with pytest.raises(ParseError, match="'huge'"):
         featurize_sequence(huge)
-    with pytest.raises(ParseError, match="'v'"):
-        aggregate([ff_constant(1.0), ff_constant(np.inf)], "v")
+    with pytest.raises(ParseError, match="non-finite video features"):
+        aggregate([ff_constant(1.0), ff_constant(np.inf)])
     assert np.isfinite(featurize_sequence(base).vector()).all()
 
 
@@ -124,9 +128,16 @@ def test_fingerprint_depends_on_config():
 ])
 def test_fingerprints_pinned(norm_scope, std_mode, fingerprint):
     """The four schema fingerprints that feature CSVs and models carry; a change
-    to the feature names or their order has to move these."""
+    to the feature names or their order has to move these. featurize_sequence
+    stamps the row that config computes with that config's fingerprint."""
     assert schema_fingerprint(norm_scope, std_mode) == fingerprint
     assert schema_config(fingerprint) == (norm_scope, std_mode)
+    seq = generate(default_params(GaitLabel.PARKINSON, seed=2), "clip")
+    row = featurize_sequence(seq, norm_scope, std_mode)
+    feats, _ = extract_sequence(seq, norm_scope=norm_scope)
+    assert row.x.tobytes() == aggregate(feats, std_mode).tobytes()
+    assert row.schema_fingerprint == fingerprint
+    assert schema_config(row.schema_fingerprint) == (norm_scope, std_mode)
 
 
 def test_schema_config_inverts_the_fingerprint():
