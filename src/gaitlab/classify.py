@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -67,6 +67,12 @@ class TrainedModel:
     class_set: tuple[GaitLabel, ...]
     schema_fingerprint: str
     hyperparameters: dict
+    # what scoring derives from the parameters alone, built once per model;
+    # never serialized or compared
+    scoring: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "scoring", _scoring_arrays(self.algorithm, self.parameters))
 
     def __eq__(self, other):
         # parameters are arrays, so compare the documents they serialize to
@@ -323,21 +329,45 @@ def _grow_trees(X, y, n_classes, max_depth, min_leaf, roots, max_features=None) 
             "right": right + shift, "probs": probs, "roots": starts}
 
 
-def _leaves(p: dict, X: np.ndarray) -> np.ndarray:
+def _scoring_arrays(algorithm: str, p: dict) -> dict:
+    """The arrays scores() derives from a model's parameters alone.
+
+    Trees: an (m, 2) child table, [left, right] of an inner node and the
+    node itself twice for a leaf; the feature indices with a leaf's -1 made
+    0; the depth of the deepest leaf; and the forest's vote (first argmax)
+    of each node. gnb: the log(2 pi var) term of its log-likelihood."""
+    if algorithm == "gnb":
+        with np.errstate(over="ignore"):  # an infinite term gives a refused score
+            return {"log_2pi_vars": np.log(2.0 * math.pi * p["vars"])}
+    if algorithm not in ("tree", "forest"):
+        return {}
+    inner = p["feature"] >= 0
+    m = len(inner)
+    child = np.where(inner[:, None], np.stack([p["left"], p["right"]], axis=1),
+                     np.arange(m)[:, None])
+    depth, level = 0, p["roots"]
+    while inner[level].any():  # children come after their parent, so this ends
+        # each node once, however many parents name it
+        level = np.flatnonzero(np.bincount(child[level[inner[level]]].ravel(), minlength=m))
+        depth += 1
+    return {"child": child, "feature": np.maximum(p["feature"], 0), "depth": depth,
+            "vote": p["probs"].argmax(axis=1)}
+
+
+def _leaves(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """(n, n_trees) leaf reached by every (row, tree) pair.
 
-    All pairs move down one level per step, so a forest takes at most its
-    depth + 1 steps.
+    All pairs move down one level per step, in exactly the forest's depth
+    steps; a leaf's child is itself. Rows must be finite, so > is the
+    complement of <=: a value equal to the threshold goes left.
     """
+    s, threshold = model.scoring, model.parameters["threshold"]
     rows = np.arange(len(X))[:, None]
-    node = np.repeat(p["roots"][None, :], len(X), axis=0)
-    while True:
-        feature = p["feature"][node]
-        inner = feature >= 0
-        if not inner.any():
-            return node
-        go_left = X[rows, feature] <= p["threshold"][node]
-        node = np.where(inner, np.where(go_left, p["left"][node], p["right"][node]), node)
+    node = np.repeat(model.parameters["roots"][None, :], len(X), axis=0)
+    for _ in range(s["depth"]):
+        right = X[rows, s["feature"][node]] > threshold[node]
+        node = s["child"][node, right.astype(np.intp)]  # an index, 0 or 1, not a mask
+    return node
 
 
 # --- logistic regression ------------------------------------------------------
@@ -520,13 +550,13 @@ def scores(model: TrainedModel, X: np.ndarray, fingerprint: str) -> np.ndarray:
     p = model.parameters
     n_classes = len(model.class_set)
     if model.algorithm == "tree":
-        return p["probs"][_leaves(p, X)[:, 0]]
+        return p["probs"][_leaves(model, X)[:, 0]]
     if model.algorithm == "forest":
-        return _vote_shares(p["probs"].argmax(axis=1)[_leaves(p, X)], n_classes)
+        return _vote_shares(model.scoring["vote"][_leaves(model, X)], n_classes)
     with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses what overflows
         if model.algorithm == "gnb":
             logp = p["log_priors"] - 0.5 * (
-                np.log(2.0 * math.pi * p["vars"]) + (X[:, None, :] - p["means"]) ** 2 / p["vars"]
+                model.scoring["log_2pi_vars"] + (X[:, None, :] - p["means"]) ** 2 / p["vars"]
             ).sum(axis=2)
             return softmax(_finite(logp, "class scores"))
         Xs = _standardize(X, p)

@@ -34,6 +34,7 @@ _NAMES = tuple(k.json_name for k in KEYPOINT_ORDER)
 _ABSENT = [math.nan] * 3  # an absent joint's [x, y, conf]; also the lookup default marking it
 _NUMBER_TYPES = {int, float}  # bool is not among them: JSON true/false are not numbers
 _MAX_FRAME_INDEX = np.iinfo(np.int64).max
+_SCAN = json.JSONDecoder().scan_once  # the scanner json.loads calls, C where built
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,26 @@ def _first_bad_joint(xy: np.ndarray, conf: np.ndarray, named: np.ndarray):
     return tuple(bad[0]) if bad.size else None
 
 
+def _decode(line: str):
+    """json.loads(line) by one call of the scanner it wraps: the same value,
+    or a ValueError where json.loads refuses the line."""
+    text = line.strip(" \t\n\r")  # the whitespace json.loads skips around a value
+    try:
+        value, end = _SCAN(text, 0)
+    except StopIteration:  # no JSON value starts the line; map() would end at it
+        raise ValueError("no JSON value") from None
+    if end != len(text):
+        raise ValueError("extra data after the JSON value")
+    return value
+
+
 def _columns(lines: list):
     """(frame indices, stamps, (n, 14, 3) values, (n, 14) named mask) of the
     non-blank lines, each decoded once and then checked one field at a time
     over all of them, or None when there are none or one would be refused.
     Iteration stays in C: map, set and the itertools."""
     try:
-        objs = list(map(json.loads, filter(str.strip, lines)))
+        objs = list(map(_decode, filter(str.strip, lines)))
     except (ValueError, RecursionError):
         return None
     if not objs or set(map(type, objs)) != {dict}:

@@ -308,6 +308,16 @@ def forest_vote_oracle(model, x):
     return votes
 
 
+def tree_scores_oracle(model, X):
+    """scores() of a tree or forest model, each row walked down each tree in
+    plain Python: the leaf's class frequencies for a tree, and for a forest
+    the share of its trees whose leaf class (first argmax) each class is."""
+    roots = model.parameters["roots"]
+    if model.algorithm == "tree":
+        return np.array([tree_leaf_oracle(model.parameters, roots[0], x) for x in X])
+    return np.array([[v / len(roots) for v in forest_vote_oracle(model, x)] for x in X])
+
+
 def knn_brute_force_oracle(items, query: VideoFeatures, k: int) -> GaitLabel:
     """Exhaustive O(N*d) kNN scan in plain Python, used to validate predict().
 

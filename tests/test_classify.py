@@ -35,6 +35,7 @@ from helpers import (
     make_separable_items,
     predicted_labels,
     tree_leaf_oracle,
+    tree_scores_oracle,
     vf_from_vector,
 )
 
@@ -158,6 +159,59 @@ def test_tree_sends_a_value_equal_to_the_threshold_left():
     expected = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
     assert scores(model, X, schema_fingerprint()).tolist() == expected
     assert tree_leaf_oracle(model.parameters, 0, X[0]) == [1.0, 0.0]
+
+
+def test_a_tree_whose_nodes_share_children_loads_and_scores():
+    """A loaded document may link two parents, or both sides, to one node;
+    such a 60-level chain has 2**60 root-to-leaf paths but 61 nodes."""
+    m = 61
+    nodes = {"feature": [0] * (m - 1) + [-1], "threshold": list(map(float, range(m))),
+             "left": list(range(1, m)) + [-1], "right": list(range(1, m)) + [-1],
+             "probs": [[0.5, 0.5]] * (m - 1) + [[0.0, 1.0]], "roots": [0]}
+    doc = {"format": "gaitmodel", "version": 2, "algorithm": "tree",
+           "classes": ["Normal", "Parkinson"], "schema_fingerprint": schema_fingerprint(),
+           "hyperparameters": DEFAULT_HYPERS["tree"], "parameters": nodes}
+    model = TrainedModel.from_json(json.dumps(doc))
+    X = np.zeros((2, 226))
+    X[1, 0] = 100.0
+    assert scores(model, X, schema_fingerprint()).tolist() == tree_scores_oracle(model, X).tolist()
+
+
+def _tree_depths(p):
+    """The depth of the deepest leaf of each tree of flat node arrays."""
+    def depth(node):
+        if p["feature"][node] < 0:
+            return 0
+        return 1 + max(depth(p["left"][node]), depth(p["right"][node]))
+    return [depth(root) for root in p["roots"]]
+
+
+@pytest.mark.parametrize("algorithm, hyper", [
+    ("tree", {"max_depth": 0}),  # one leaf: the walk takes no step
+    ("forest", {"n_trees": 12, "max_depth": None, "min_samples_leaf": 1}),
+])
+@pytest.mark.parametrize("reload", [False, True], ids=["trained", "reloaded"])
+def test_tree_walk_matches_the_plain_python_walk(algorithm, hyper, reload):
+    """Batched and single-row scores equal the node-by-node walk of every
+    tree, with trees of different depths and rows sitting on thresholds."""
+    rng = np.random.default_rng(22)
+    items = random_items(rng, n=40, n_classes=3)
+    model = train(algorithm, FeatureTable.from_rows(items), hyper=hyper, seed=3)
+    trained = model
+    if reload:
+        model = TrainedModel.from_json(model.to_json())
+    p = model.parameters
+    depths = set(_tree_depths(p))
+    assert (depths == {0}) if algorithm == "tree" else (len(depths) > 1)
+    X = np.vstack([FeatureTable.from_rows(items).X[:20], rng.normal(size=(10, 226))])
+    inner = np.flatnonzero(p["feature"] >= 0)
+    for row, node in zip(X[20:], inner):  # a value equal to a threshold goes left
+        row[p["feature"][node]] = p["threshold"][node]
+    batch = scores(model, X, schema_fingerprint())
+    assert batch.tobytes() == tree_scores_oracle(model, X).tobytes()
+    assert batch.tobytes() == scores(trained, X, schema_fingerprint()).tobytes()
+    for i, row in enumerate(X):
+        assert scores(model, row[None, :], schema_fingerprint())[0].tobytes() == batch[i].tobytes()
 
 
 @st.composite

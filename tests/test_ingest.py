@@ -68,6 +68,14 @@ def test_malformed_line_reports_number():
     assert exc.value.line_no == 2
 
 
+@pytest.mark.parametrize("middle", ["]", "x"])
+def test_a_line_that_starts_no_json_value_is_refused_by_its_number(middle):
+    """Not one frame from the lines before it: the line's own refusal."""
+    with pytest.raises(MalformedLine, match="line 2: Expecting value") as exc:
+        parse_keypoint_file("\n".join([line_for(0), middle, line_for(2)]))
+    assert exc.value.line_no == 2
+
+
 def test_bad_triple_is_malformed():
     obj = {"frame": 0, "kp": {"LeftEar": [1, 2]}}
     with pytest.raises(MalformedLine):

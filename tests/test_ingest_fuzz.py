@@ -7,11 +7,12 @@ import math
 from random import Random
 
 import numpy as np
+import pytest
 from hypothesis import Phase, find, given, seed, settings
 from hypothesis import strategies as st
 
 from gaitlab.errors import ParseError
-from gaitlab.ingest import parse_keypoint_file, serialize_sequence
+from gaitlab.ingest import _decode, parse_keypoint_file, serialize_sequence
 from gaitlab.pose import KeypointId, PoseSequence
 
 from helpers import parse_keypoint_file_oracle, serialize_sequence_oracle
@@ -127,6 +128,33 @@ def outcome(parse, data):
 @given(keypoint_files())
 def test_column_checks_agree_with_the_line_walk(data):
     assert outcome(parse_keypoint_file, data) == outcome(parse_keypoint_file_oracle, data)
+
+
+def decoded(decode, line):
+    """The repr of a line's value (NaN included), or which error refused it."""
+    try:
+        return repr(decode(line))
+    except RecursionError:
+        return "too deep"
+    except ValueError:
+        return "refused"
+
+
+@settings(max_examples=300, deadline=None)
+@given(keypoint_files())
+def test_line_decode_agrees_with_json_loads(data):
+    for line in filter(str.strip, data.split("\n")):
+        assert decoded(_decode, line) == decoded(json.loads, line)
+
+
+@pytest.mark.parametrize("line", [
+    "\ufeff{}", "{} {}", "\x0c{}", "\xa0{}", "NaN", "[" * 5000 + "]" * 5000, "]", "x",
+    " \t{\"frame\": 1}\r ", "-0.0",
+])
+def test_line_decode_agrees_with_json_loads_at_the_edges(line):
+    """A byte order mark, trailing data, whitespace json.loads does not skip,
+    a NaN literal, nesting too deep, and lines that start no JSON value."""
+    assert decoded(_decode, line) == decoded(json.loads, line)
 
 
 # a fragment of each refusal's message, from JSON errors to the array check
