@@ -153,16 +153,17 @@ def _checked_parameters(algorithm: str, raw: dict, n_classes: int) -> dict:
             raise ValueError(f"parameter {name!r} holds non-positive values")
     if algorithm == "knn" and ((params["y"] < 0) | (params["y"] >= n_classes)).any():
         raise ValueError("knn labels are outside the model's classes")
-    if "roots" in params:
-        _check_nodes(params)
     if algorithm == "tree" and len(params["roots"]) != 1:
         raise ValueError("a tree model has exactly one root")
+    if "roots" in params:
+        _check_nodes(params)
     return params
 
 
 def _check_nodes(p: dict) -> None:
-    """Every walk from a root must end in a leaf: each inner node's children
-    come after it (preorder), so a walk can neither loop nor leave the arrays."""
+    """The node arrays must hold whole trees: each inner node's children come
+    after it (preorder), so a walk can neither loop nor leave the arrays, and
+    every node is linked exactly once, as a root or as one side of one parent."""
     m = len(p["feature"])
     if m == 0 or len(p["roots"]) == 0:
         raise ValueError("tree model has no nodes or no roots")
@@ -176,6 +177,12 @@ def _check_nodes(p: dict) -> None:
             raise ValueError(f"tree node {side} child index out of range")
     if ((p["roots"] < 0) | (p["roots"] >= m)).any():
         raise ValueError("tree root index out of range")
+    links = np.bincount(np.concatenate([p["roots"], p["left"][inner], p["right"][inner]]),
+                        minlength=m)
+    if (links != 1).any():
+        node = int(np.argmax(links != 1))
+        raise ValueError(f"tree node {node} is linked {links[node]} times; every node must "
+                         "be a root or a child of one parent, once")
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -332,42 +339,58 @@ def _grow_trees(X, y, n_classes, max_depth, min_leaf, roots, max_features=None) 
 def _scoring_arrays(algorithm: str, p: dict) -> dict:
     """The arrays scores() derives from a model's parameters alone.
 
-    Trees: an (m, 2) child table, [left, right] of an inner node and the
-    node itself twice for a leaf; the feature indices with a leaf's -1 made
-    0; the depth of the deepest leaf; and the forest's vote (first argmax)
-    of each node. gnb: the log(2 pi var) term of its log-likelihood."""
+    Trees: a (2, m) child table, the left and the right child of an inner
+    node and the node itself twice for a leaf; the feature indices with a
+    leaf's -1 made 0; the depth of the deepest leaf; and the forest's vote
+    (first argmax) of each node. knn: the squared norm of each training row.
+    gnb: the log(2 pi var) term of its log-likelihood."""
     if algorithm == "gnb":
         with np.errstate(over="ignore"):  # an infinite term gives a refused score
             return {"log_2pi_vars": np.log(2.0 * math.pi * p["vars"])}
+    if algorithm == "knn":
+        with np.errstate(over="ignore"):  # an infinite norm makes its row a candidate
+            return {"sq_norms": (p["X"] * p["X"]).sum(axis=1)}
     if algorithm not in ("tree", "forest"):
         return {}
     inner = p["feature"] >= 0
     m = len(inner)
-    child = np.where(inner[:, None], np.stack([p["left"], p["right"]], axis=1),
-                     np.arange(m)[:, None])
+    child = np.where(inner, np.stack([p["left"], p["right"]]), np.arange(m))
     depth, level = 0, p["roots"]
-    while inner[level].any():  # children come after their parent, so this ends
-        # each node once, however many parents name it
-        level = np.flatnonzero(np.bincount(child[level[inner[level]]].ravel(), minlength=m))
+    while inner[level].any():  # each node has one parent, so no level repeats a node
+        level = child[:, level[inner[level]]].ravel()
         depth += 1
     return {"child": child, "feature": np.maximum(p["feature"], 0), "depth": depth,
             "vote": p["probs"].argmax(axis=1)}
 
 
+_LEAF_TABLE_CELLS = 1 << 18  # cells of the next-node table of one block of rows
+
+
 def _leaves(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """(n, n_trees) leaf reached by every (row, tree) pair.
 
-    All pairs move down one level per step, in exactly the forest's depth
-    steps; a leaf's child is itself. Rows must be finite, so > is the
-    complement of <=: a value equal to the threshold goes left.
+    A block of rows makes every node's decision in one compare, as the
+    (rows, m) next-node table child[x[feature] > threshold, node], of at most
+    _LEAF_TABLE_CELLS cells. All pairs then move down one level per step, in
+    exactly the forest's depth steps, each step one gather from the table; a
+    leaf's child is itself. Rows must be finite, so > is the complement of
+    <=: a value equal to the threshold goes left.
     """
-    s, threshold = model.scoring, model.parameters["threshold"]
-    rows = np.arange(len(X))[:, None]
-    node = np.repeat(model.parameters["roots"][None, :], len(X), axis=0)
-    for _ in range(s["depth"]):
-        right = X[rows, s["feature"][node]] > threshold[node]
-        node = s["child"][node, right.astype(np.intp)]  # an index, 0 or 1, not a mask
-    return node
+    s, threshold, roots = model.scoring, model.parameters["threshold"], model.parameters["roots"]
+    m = len(threshold)
+    block = max(1, _LEAF_TABLE_CELLS // m)
+    leaves = np.empty((len(X), len(roots)), dtype=np.intp)
+    for start in range(0, len(X), block):
+        rows = X[start:start + block]
+        offsets = np.arange(0, len(rows) * m, m)[:, None]  # where each row's table starts
+        table = np.where(rows[:, s["feature"]] > threshold, s["child"][1], s["child"][0])
+        table += offsets
+        table = table.ravel()
+        node = roots + offsets
+        for _ in range(s["depth"]):
+            node = table[node]
+        leaves[start:start + block] = node - offsets
+    return leaves
 
 
 # --- logistic regression ------------------------------------------------------
@@ -561,16 +584,78 @@ def scores(model: TrainedModel, X: np.ndarray, fingerprint: str) -> np.ndarray:
             return softmax(_finite(logp, "class scores"))
         Xs = _standardize(X, p)
         if model.algorithm == "knn":
-            # One query at a time, so no (n, n_train, d) difference array is made.
-            # The distance keeps this form: the GEMM form rounds differently and
-            # would reorder near-ties; the stable sort gives distance ties to the lower index.
-            dist = np.array([np.sqrt(((p["X"] - xs) ** 2).sum(axis=1)) for xs in Xs])
-            nearest = np.argsort(_finite(dist.reshape(len(X), len(p["X"])), "distances"), axis=1,
-                                 kind="stable")[:, :model.hyperparameters["k"]]
-            return _vote_shares(p["y"][nearest], n_classes)
+            return _vote_shares(p["y"][_nearest(model, Xs)], n_classes)
         # logreg: W @ xs row by row, since the batched Xs @ W.T rounds differently
         logits = np.array([p["W"] @ xs for xs in Xs]).reshape(len(X), n_classes) + p["b"]
         return softmax(_finite(logits, "class scores"))
+
+
+# Slack of the bound on a squared knn distance, relative to ||x||^2 + ||q||^2
+# and absolute, and the bound from which a row's exact distance may overflow.
+_KNN_REL = 8 * (N_VIDEO_FEATURES + 4) * 2.0**-53
+_KNN_ABS = 8 * (N_VIDEO_FEATURES + 4) * 2.0**-1074
+_KNN_LIMIT = 2.0**1000
+
+
+def _nearest(model: TrainedModel, Xs: np.ndarray) -> np.ndarray:
+    """(n, k) indices of the k nearest training rows of each standardized row,
+    by d = sqrt(((X - xs) ** 2).sum(axis=1)) and its stable argsort (distance
+    ties go to the lower index); UnscorableRow names the first row with a
+    non-finite d.
+
+    Each query bounds every squared distance from one GEMM, then computes d
+    exactly only for the candidate rows the bound cannot rule out.
+
+    The bound. Let n = 226, u = 2**-53 and gamma_n = n u / (1 - n u). For a
+    training row x and a query q let A = ||x||^2, B = ||q||^2 and
+    D = ||x - q||^2 exactly, and S the computed ((x - q) ** 2).sum(). A
+    computed dot product of n terms is off by at most gamma_n times the sum of
+    its terms' magnitudes, in any summation order and with or without FMA
+    (Higham 2002, ch. 3). So N = ||x||^2 (built once per model), Nq = ||q||^2
+    and P = x.q satisfy |N - A| <= gamma_n A, |Nq - B| <= gamma_n B and
+    |P - x.q| <= gamma_n (A + B) / 2, and G = (N + Nq) - 2P adds two roundings
+    of at most 2u (1 + gamma_n)(A + B) each: |G - D| <= (2 gamma_n + 4u)(A + B)
+    to first order. S rounds each difference and square and sums n
+    nonnegative terms, so |S - D| <= gamma_{n+2} D <= 2 gamma_{n+2} (A + B).
+    Together |S - G| <= (4n + 8) u (A + B) to first order. E = _KNN_REL (N + Nq)
+    is twice that, which covers the second-order terms, N + Nq in place of
+    A + B and the rounding of E and of G +- E. An underflowing product is off
+    by at most 2**-1075 more (a subnormal sum or difference is exact), 5n of
+    them in all, which _KNN_ABS covers. Hence lo = G - E <= S <= G + E = hi
+    whenever N, Nq and P are finite, which they are when no partial sum
+    overflowed.
+
+    The candidates. sqrt rounds monotonically, so sqrt(lo) <= d <= sqrt(hi).
+    Let t be the k-th smallest sqrt(hi) of a query. A row with sqrt(lo) > t
+    has k rows whose d <= t is strictly below its own, so they precede it
+    whatever their indices, and it is not among the k nearest. Every other
+    row is a candidate: this comparison is made after sqrt, so rows whose
+    different S tie after sqrt are kept. The candidates' exact d, in index
+    order, through the stable argsort give the k nearest in the order of the
+    full computation.
+
+    Overflow. A row whose hi is not below _KNN_LIMIT (an infinite or NaN hi
+    included) is always a candidate. Any other row has D <= hi < 2**1000, so
+    no step of its exact d overflows. So every non-finite d is among the
+    candidates', and the first query row with one raises.
+    """
+    X, N = model.parameters["X"], model.scoring["sq_norms"]
+    k = model.hyperparameters["k"]
+    M = N + (Xs * Xs).sum(axis=1)[:, None]
+    G = M - 2.0 * (Xs @ X.T)
+    E = M * _KNN_REL + _KNN_ABS
+    hi = G + E
+    bounded = hi < _KNN_LIMIT
+    t = np.sqrt(np.partition(np.where(bounded, hi, np.inf), k - 1, axis=1)[:, k - 1:k])
+    candidates = (np.sqrt(np.maximum(G - E, 0.0)) <= t) | ~bounded
+    nearest = np.empty((len(Xs), k), dtype=np.intp)
+    for i, xs in enumerate(Xs):
+        rows = np.flatnonzero(candidates[i])
+        dist = np.sqrt(((X[rows] - xs) ** 2).sum(axis=1))
+        if not np.isfinite(dist).all():
+            raise UnscorableRow(i, "distances")
+        nearest[i] = rows[np.argsort(dist, kind="stable")[:k]]
+    return nearest
 
 
 class UnscorableRow(ValueError):

@@ -110,7 +110,7 @@ def _geometry(xy):
     (8 line values in feature order, 6 defining-line lengths in _LINE_NAMES
     order, 14 centroid distances, 91 pairwise distances)."""
     with np.errstate(over="ignore", invalid="ignore"):  # extract_sequence refuses what overflows
-        mid = (xy[..., _MID_A, :] + xy[..., _MID_B, :]) / 2.0
+        mid = (np.take(xy, _MID_A, axis=-2) + np.take(xy, _MID_B, axis=-2)) / 2.0
         planes = np.moveaxis(np.concatenate([xy, mid], axis=-2), -1, 0)  # x and y, (2, ..., 18)
         dx, dy = np.take(planes, _PLUS, axis=-1) - np.take(planes, _MINUS, axis=-1)  # (2, ..., 103)
         straight, lengths = _point_line(dx[..., 6:12], dy[..., 6:12], dx[..., :6], dy[..., :6])
@@ -162,11 +162,11 @@ def extract_sequence(
         raise DegeneratePose(frame_index=frame_index)
 
     keep = ~degenerate
-    cd_top, md_top = cd_top[keep], md_top[keep]
     if norm_scope == "video" and keep.any():
-        cd_top, md_top = cd_top.max(), md_top.max()
-    with np.errstate(over="ignore", invalid="ignore"):
-        features = np.hstack([lines[keep], cd[keep] / cd_top, md[keep] / md_top])
+        cd_top, md_top = cd_top[keep].max(), md_top[keep].max()
+    # every frame is normalized, then the degenerate ones are dropped at once
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        features = np.hstack([lines, cd / cd_top, md / md_top])[keep]
     if not np.isfinite(features).all():
         t = np.argmin(np.isfinite(features).all(axis=1))
         raise ParseError(f"{seq.source_id!r} frame {seq.frame_index[keep][t]} has non-finite "

@@ -70,9 +70,13 @@ def aggregate(features, std_mode: str = "population") -> np.ndarray:
     if len(features) < 2:
         raise InsufficientDataError(f"need at least 2 frames to aggregate, got {len(features)}")
     matrix = np.asarray(features, dtype=float)
-    ddof = 0 if std_mode == "population" else 1
+    n, ddof = len(matrix), 0 if std_mode == "population" else 1
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        x = np.concatenate([matrix.mean(axis=0), matrix.std(axis=0, ddof=ddof)])
+        # np.mean's and np.std's own arithmetic, the mean computed once
+        mean = matrix.sum(axis=0) / n
+        deviation = matrix - mean
+        deviation *= deviation
+        x = np.concatenate([mean, np.sqrt(deviation.sum(axis=0) / (n - ddof))])
     if not np.isfinite(x).all():
         raise ParseError("non-finite video features; are the coordinates too large?")
     return x

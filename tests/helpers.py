@@ -8,7 +8,7 @@ import numpy as np
 from gaitlab import frame_features as ff
 from gaitlab.errors import DuplicateFrame, InsufficientDataError, MalformedLine, ParseError
 from gaitlab.pose import GaitLabel, KeypointId, PoseSequence
-from gaitlab.classify import scores
+from gaitlab.classify import UnscorableRow, scores
 from gaitlab.video_features import FeatureTable, VideoFeatures, schema_fingerprint
 
 # vector layout of the 113-dim frame features
@@ -355,3 +355,19 @@ def knn_brute_force_oracle(items, query: VideoFeatures, k: int) -> GaitLabel:
     for _, i in scored[:k]:
         votes[labels[i]] += 1
     return max(classes, key=lambda c: (votes[c], -classes.index(c)))
+
+
+def knn_scores_oracle(model, X):
+    """scores() of a knn model by every training row's distance in full, one
+    query at a time, and the stable argsort: the form the bound-and-refine
+    search replaced. A row with a non-finite distance raises UnscorableRow."""
+    p, k = model.parameters, model.hyperparameters["k"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xs = (np.asarray(X, dtype=float) - p["mean"]) / p["std"]
+        dist = np.array([np.sqrt(((p["X"] - xs) ** 2).sum(axis=1)) for xs in Xs])
+    dist = dist.reshape(len(Xs), len(p["X"]))
+    finite = np.isfinite(dist).all(axis=1)
+    if not finite.all():
+        raise UnscorableRow(int(np.argmin(finite)), "distances")
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return (p["y"][nearest][:, :, None] == np.arange(len(model.class_set))).mean(axis=1)

@@ -14,6 +14,7 @@ from gaitlab.classify import (
     ALGORITHMS,
     DEFAULT_HYPERS,
     TrainedModel,
+    UnscorableRow,
     load_model,
     logreg_loss_and_grad,
     predict,
@@ -32,6 +33,7 @@ from helpers import (
     best_split_oracle,
     forest_vote_oracle,
     knn_brute_force_oracle,
+    knn_scores_oracle,
     make_separable_items,
     predicted_labels,
     tree_leaf_oracle,
@@ -115,6 +117,120 @@ def test_knn_oracle_majority_and_ties():
     assert knn_brute_force_oracle(items, mid, 1) is GaitLabel.NORMAL
 
 
+def _knn_model(X, y, k):
+    """A 3-class knn model of training rows X as given: mean 0 and std 1."""
+    X = np.asarray(X, dtype=float)
+    doc = {"format": "gaitmodel", "version": 2, "algorithm": "knn",
+           "classes": ["Normal", "Parkinson", "Diplegia"], "schema_fingerprint": schema_fingerprint(),
+           "hyperparameters": {"k": k},
+           "parameters": {"X": X.tolist(), "y": np.asarray(y).tolist(), "mean": [0.0] * 226, "std": [1.0] * 226}}
+    model = TrainedModel.from_json(json.dumps(doc))
+    assert model.parameters["X"].tobytes() == X.tobytes()
+    return model
+
+
+def _assert_knn_scores_are_the_oracles(model, Q):
+    """scores() of the rows Q, as a batch and one by one, equal
+    knn_scores_oracle byte for byte, or both refuse the same row alike."""
+    try:
+        expected = knn_scores_oracle(model, Q)
+    except UnscorableRow as exc:
+        with pytest.raises(UnscorableRow) as info:
+            scores(model, Q, schema_fingerprint())
+        assert (info.value.row, str(info.value)) == (exc.row, str(exc))
+        return
+    assert scores(model, Q, schema_fingerprint()).tobytes() == expected.tobytes()
+    for i, q in enumerate(Q):
+        assert scores(model, q[None, :], schema_fingerprint()).tobytes() == expected[i].tobytes()
+
+
+@st.composite
+def _knn_cases(draw):
+    """(training rows, labels, k, queries): up to 14 random rows over 1 to 226
+    nonzero columns, continuous or quantized (many equal distances), the last
+    ones copies of the first, at one magnitude from 1e-160 (squares underflow)
+    to 1e150; queries are rows a + w (b - a), and k runs from 1 to n."""
+    n = draw(st.integers(1, 14))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.zeros((n, 226))
+    active = draw(st.integers(1, 226))
+    X[:, :active] = rng.normal(size=(n, active))
+    step = draw(st.sampled_from([None, 1.0, 0.5]))
+    if step is not None:
+        X = np.round(X / step) * step
+    copies = draw(st.integers(0, n // 2))
+    X[n - copies:] = X[:copies]
+    picks = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.sampled_from([0.0, 0.5, 1.0, 3.0, -0.25])),
+                          min_size=1, max_size=6))
+    Q = np.array([X[a] + w * (X[b] - X[a]) for a, b, w in picks])
+    # a magnitude at which squares are subnormal is drawn as often as any other
+    scale = 10.0 ** draw(st.one_of(st.integers(-160, 150), st.integers(-160, -154)))
+    return X * scale, rng.integers(0, 3, size=n), k, Q * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_knn_cases())
+def test_knn_scores_equal_the_full_distance_oracle(case):
+    X, y, k, Q = case
+    _assert_knn_scores_are_the_oracles(_knn_model(X, y, k), Q)
+
+
+def _unit_rows(n, scale=1.0):
+    return scale * np.eye(n, 226)
+
+
+@pytest.mark.parametrize("case", ["k=n", "equidistant", "one ulp apart", "tie after sqrt",
+                                  "subnormal squares", "overflow in row 0", "overflow in row 1",
+                                  "no rows"])
+def test_knn_bound_edge_cases_equal_the_oracle(case):
+    y = [0, 1, 2, 1, 0, 2, 2, 1, 0, 1]
+    Q = np.zeros((2, 226))
+    Q[1, 3] = 0.25
+    if case == "k=n":
+        model = _knn_model(np.random.default_rng(5).normal(size=(10, 226)), y, 10)
+    elif case == "equidistant":  # every row at distance 3 from the first query
+        model = _knn_model(_unit_rows(10, 3.0), y, 4)
+    elif case in ("one ulp apart", "tie after sqrt"):
+        # ||x0||^2 is 1 + 2**-51, whose root is one ulp above 1, or 1 + 2**-52,
+        # whose root is 1: row 0 is behind row 1 or ties with it after sqrt
+        X = np.vstack([_unit_rows(2), _unit_rows(10, 2.0)[2:]])
+        if case == "one ulp apart":
+            X[0, 0] = np.nextafter(1.0, 2.0)
+        else:
+            X[0, 1] = 2.0**-26
+        model = _knn_model(X, y, 1)
+        dist = np.sqrt((X[:2] ** 2).sum(axis=1))
+        if case == "one ulp apart":
+            assert dist[0] == np.nextafter(dist[1], 2.0)
+        else:
+            assert (X[0] ** 2).sum() != (X[1] ** 2).sum() and dist[0] == dist[1]
+        nearest = 1 if case == "one ulp apart" else 0
+        assert scores(model, Q[:1], schema_fingerprint())[0].tolist() == np.eye(3)[y[nearest]].tolist()
+    elif case == "subnormal squares":  # each square is 0 or a few subnormal steps
+        X = np.zeros((4, 226))
+        X[:, 0] = [-2e-162, -0.25e-162, 1.75e-162, 0.25e-162]
+        model = _knn_model(X, y[:4], 1)
+        Q[:, 0] = [-0.75e-162, 0.5e-162]
+        Q[1, 3] = 0.0
+    elif case.startswith("overflow"):
+        # row 2's distance overflows: from either query with 1e200, from the
+        # second only with 1e154, whose square is finite and 1.5 times it not
+        X = _unit_rows(10, 0.5)
+        X[2, 0] = 1e200 if case.endswith("0") else 1e154
+        Q[1, 0] = -0.5e154
+        model = _knn_model(X, y, 3)
+        with pytest.raises(UnscorableRow, match=f"^feature row {case[-1]} gives non-finite "
+                                                "distances"):
+            scores(model, Q, schema_fingerprint())
+    else:
+        model = _knn_model(_unit_rows(10), y, 5)
+        Q = np.empty((0, 226))
+        assert scores(model, Q, schema_fingerprint()).shape == (0, 3)
+    _assert_knn_scores_are_the_oracles(model, Q)
+
+
 def test_logreg_zero_weights_uniform_scores():
     d = 226
     model = TrainedModel(
@@ -147,13 +263,16 @@ def test_forest_prediction_is_tree_majority_vote():
         assert scores[expected] == pytest.approx(votes.max() / votes.sum())
 
 
+def _tree_doc(nodes):
+    return {"format": "gaitmodel", "version": 2, "algorithm": "tree",
+            "classes": ["Normal", "Parkinson"], "schema_fingerprint": schema_fingerprint(),
+            "hyperparameters": DEFAULT_HYPERS["tree"], "parameters": nodes}
+
+
 def test_tree_sends_a_value_equal_to_the_threshold_left():
     nodes = {"feature": [4, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
              "right": [2, -1, -1], "probs": [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]], "roots": [0]}
-    doc = {"format": "gaitmodel", "version": 2, "algorithm": "tree",
-           "classes": ["Normal", "Parkinson"], "schema_fingerprint": schema_fingerprint(),
-           "hyperparameters": DEFAULT_HYPERS["tree"], "parameters": nodes}
-    model = TrainedModel.from_json(json.dumps(doc))
+    model = TrainedModel.from_json(json.dumps(_tree_doc(nodes)))
     X = np.zeros((3, 226))
     X[:, 4] = [0.5, np.nextafter(0.5, 1.0), -3.0]
     expected = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
@@ -161,20 +280,70 @@ def test_tree_sends_a_value_equal_to_the_threshold_left():
     assert tree_leaf_oracle(model.parameters, 0, X[0]) == [1.0, 0.0]
 
 
-def test_a_tree_whose_nodes_share_children_loads_and_scores():
-    """A loaded document may link two parents, or both sides, to one node;
-    such a 60-level chain has 2**60 root-to-leaf paths but 61 nodes."""
+def test_a_tree_whose_nodes_share_children_is_refused(tmp_path, capsys):
+    """A 60-level chain whose every node links both sides to the next one has
+    2**60 root-to-leaf paths but 61 nodes: node 1 has two links, so loading
+    refuses it, and predict exits 2 naming the model file and the node."""
     m = 61
     nodes = {"feature": [0] * (m - 1) + [-1], "threshold": list(map(float, range(m))),
              "left": list(range(1, m)) + [-1], "right": list(range(1, m)) + [-1],
              "probs": [[0.5, 0.5]] * (m - 1) + [[0.0, 1.0]], "roots": [0]}
-    doc = {"format": "gaitmodel", "version": 2, "algorithm": "tree",
-           "classes": ["Normal", "Parkinson"], "schema_fingerprint": schema_fingerprint(),
-           "hyperparameters": DEFAULT_HYPERS["tree"], "parameters": nodes}
-    model = TrainedModel.from_json(json.dumps(doc))
-    X = np.zeros((2, 226))
-    X[1, 0] = 100.0
-    assert scores(model, X, schema_fingerprint()).tolist() == tree_scores_oracle(model, X).tolist()
+    with pytest.raises(ValueError, match="^tree node 1 is linked 2 times"):
+        TrainedModel.from_json(json.dumps(_tree_doc(nodes)))
+    path = tmp_path / "chain.gaitmodel.json"
+    path.write_text(json.dumps(_tree_doc(nodes)), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(path), "--features", str(tmp_path / "none.csv"),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert f"model file {path}: tree node 1 is linked 2 times" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm, links, node, times", [
+    ("forest", {"right": [4, -1, -1, 5, -1, -1, -1], "roots": [0, 2, 3, 6]}, 4, 2),  # 2 parents
+    ("forest", {"left": [1, -1, -1, 4, -1, -1, -1], "right": [2, -1, -1, 4, -1, -1, -1]}, 4, 2),
+    ("forest", {"roots": [0, 2, 3, 6]}, 2, 2),  # a root and a child
+    ("forest", {"roots": [0, 3]}, 6, 0),  # no link at all
+    ("tree", {"roots": [0]}, 3, 0),
+])
+def test_a_node_linked_other_than_once_is_refused(algorithm, links, node, times):
+    """Three trees: node 0 splits into leaves 1 and 2, node 3 into leaves 4
+    and 5, and node 6 is a leaf alone; each edit links one node twice (to two
+    parents, to both sides of one, or as a root and a child) or not at all."""
+    nodes = {"feature": [4, -1, -1, 7, -1, -1, -1], "threshold": [0.5, 0, 0, 1.5, 0, 0, 0],
+             "left": [1, -1, -1, 4, -1, -1, -1], "right": [2, -1, -1, 5, -1, -1, -1],
+             "probs": [[0.5, 0.5], [1, 0], [0, 1], [0.5, 0.5], [1, 0], [0, 1], [1, 0]],
+             "roots": [0, 3, 6]}
+    doc = {**_tree_doc({**nodes, **links}), "algorithm": algorithm,
+           "hyperparameters": DEFAULT_HYPERS[algorithm]}
+    with pytest.raises(ValueError, match=f"^tree node {node} is linked {times} times"):
+        TrainedModel.from_json(json.dumps(doc))
+    TrainedModel.from_json(json.dumps({**doc, "algorithm": "forest",  # the unedited trees
+                                       "hyperparameters": DEFAULT_HYPERS["forest"],
+                                       "parameters": nodes}))
+
+
+@pytest.mark.parametrize("algorithm, hyper", [
+    ("tree", {"max_depth": None, "min_samples_leaf": 1}),
+    ("forest", {"n_trees": 100, "max_depth": None, "min_samples_leaf": 1}),
+])
+def test_tree_walk_spans_row_blocks(algorithm, hyper):
+    """A batch a few rows longer than one block of the next-node table scores
+    as its rows do one by one and as the plain-Python walk, trained or
+    reloaded; rows on either side of the block boundary sit on thresholds."""
+    rng = np.random.default_rng(23)
+    model = train(algorithm, FeatureTable.from_rows(random_items(rng, n=60, n_classes=3)),
+                  hyper=hyper, seed=5)
+    p = model.parameters
+    block = classify._LEAF_TABLE_CELLS // len(p["threshold"])
+    X = rng.normal(size=(block + 5, 226))
+    for row, node in zip(range(block - 3, block + 3), np.flatnonzero(p["feature"] >= 0)):
+        X[row, p["feature"][node]] = p["threshold"][node]
+    expected = tree_scores_oracle(model, X)
+    for scored in (model, TrainedModel.from_json(model.to_json())):
+        assert scores(scored, X, schema_fingerprint()).tobytes() == expected.tobytes()
+    single = [scores(model, row[None, :], schema_fingerprint()) for row in X]
+    assert np.vstack(single).tobytes() == expected.tobytes()
 
 
 def _tree_depths(p):

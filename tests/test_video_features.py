@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitlab.errors import InsufficientDataError, ParseError, SchemaMismatch
 from gaitlab.frame_features import extract_frame_features, extract_sequence
 from gaitlab.pose import GaitLabel
 from gaitlab.video_features import (
+    STD_MODES,
     FeatureTable,
     aggregate,
     featurize_sequence,
@@ -53,12 +56,20 @@ def test_output_dimension_226():
     assert aggregate(feats).shape == (226,)
 
 
-def test_mean_std_against_numpy_oracle():
-    rng = np.random.default_rng(1)
-    feats = [extract_frame_features(random_frame(rng)) for i in range(7)]
-    matrix = np.stack(feats)
-    assert aggregate(feats) == pytest.approx(
-        np.concatenate([matrix.mean(axis=0), matrix.std(axis=0)]))
+@settings(max_examples=200, deadline=None)
+@given(frames=st.integers(2, 90), scale=st.integers(-150, 150), offset=st.integers(-3, 3),
+       constant=st.lists(st.integers(0, 112), max_size=40), seed=st.integers(0, 2**32 - 1))
+def test_mean_std_against_numpy_oracle(frames, scale, offset, constant, seed):
+    """aggregate's row is np.mean's and np.std's, byte for byte, in both std
+    modes: random frames at magnitudes 1e-150 to 1e150, columns offset far
+    from 0 (so the deviations cancel), and constant columns."""
+    rng = np.random.default_rng(seed)
+    matrix = (rng.normal(size=(frames, 113)) + 10.0 ** offset * rng.normal(size=113)) * 10.0**scale
+    matrix[:, constant] = matrix[0, constant]
+    for std_mode, ddof in zip(STD_MODES, (0, 1)):
+        expected = np.concatenate([matrix.mean(axis=0), matrix.std(axis=0, ddof=ddof)])
+        assert aggregate(matrix, std_mode).tobytes() == expected.tobytes()
+        assert aggregate(list(matrix), std_mode).tobytes() == expected.tobytes()
 
 
 def test_vector_cannot_change_the_row():
