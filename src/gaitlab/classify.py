@@ -72,7 +72,8 @@ class TrainedModel:
     scoring: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "scoring", _scoring_arrays(self.algorithm, self.parameters))
+        object.__setattr__(self, "scoring", _scoring_arrays(self.algorithm, self.parameters,
+                                                            len(self.class_set)))
 
     def __eq__(self, other):
         # parameters are arrays, so compare the documents they serialize to
@@ -336,21 +337,23 @@ def _grow_trees(X, y, n_classes, max_depth, min_leaf, roots, max_features=None) 
             "right": right + shift, "probs": probs, "roots": starts}
 
 
-def _scoring_arrays(algorithm: str, p: dict) -> dict:
+def _scoring_arrays(algorithm: str, p: dict, n_classes: int) -> dict:
     """The arrays scores() derives from a model's parameters alone.
 
-    Trees: a (2, m) child table, the left and the right child of an inner
-    node and the node itself twice for a leaf; the feature indices with a
-    leaf's -1 made 0; the depth of the deepest leaf; and the forest's vote
-    (first argmax) of each node. knn: the squared norm of each training row.
+    knn, tree and forest: rows, the score row of each voter: a training
+    row's one-hot class, a tree node's class frequencies (probs itself) or a
+    forest node's one-hot class (first argmax). knn: the squared norm of each
+    training row. Trees: a (2, m) child table, the left and the right child
+    of an inner node and the node itself twice for a leaf; the feature
+    indices with a leaf's -1 made 0; and the depth of the deepest leaf.
     gnb: the log(2 pi var) term of its log-likelihood."""
     if algorithm == "gnb":
         with np.errstate(over="ignore"):  # an infinite term gives a refused score
             return {"log_2pi_vars": np.log(2.0 * math.pi * p["vars"])}
     if algorithm == "knn":
         with np.errstate(over="ignore"):  # an infinite norm makes its row a candidate
-            return {"sq_norms": (p["X"] * p["X"]).sum(axis=1)}
-    if algorithm not in ("tree", "forest"):
+            return {"sq_norms": (p["X"] * p["X"]).sum(axis=1), "rows": np.eye(n_classes)[p["y"]]}
+    if algorithm == "logreg":
         return {}
     inner = p["feature"] >= 0
     m = len(inner)
@@ -359,8 +362,8 @@ def _scoring_arrays(algorithm: str, p: dict) -> dict:
     while inner[level].any():  # each node has one parent, so no level repeats a node
         level = child[:, level[inner[level]]].ravel()
         depth += 1
-    return {"child": child, "feature": np.maximum(p["feature"], 0), "depth": depth,
-            "vote": p["probs"].argmax(axis=1)}
+    rows = p["probs"] if algorithm == "tree" else np.eye(n_classes)[p["probs"].argmax(axis=1)]
+    return {"child": child, "feature": np.maximum(p["feature"], 0), "depth": depth, "rows": rows}
 
 
 _LEAF_TABLE_CELLS = 1 << 18  # cells of the next-node table of one block of rows
@@ -561,8 +564,10 @@ def scores(model: TrainedModel, X: np.ndarray, fingerprint: str) -> np.ndarray:
     """(n, n_classes) class scores of the rows of X (n, 226); each row sums to 1.
 
     ``fingerprint`` is the feature schema of X's rows; a model refuses another.
-    A row whose knn distances or gnb or logreg class scores overflow raises
-    UnscorableRow, a ValueError; trees only compare values."""
+    knn, tree and forest average the score rows of a row's voters: its k
+    nearest training rows, or the leaf it reaches in each tree. gnb and logreg
+    take the softmax of its logits. A row whose knn distances or logits
+    overflow raises UnscorableRow, a ValueError; trees only compare values."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != N_VIDEO_FEATURES:
         raise ValueError(f"expected an (n, {N_VIDEO_FEATURES}) feature matrix, got {X.shape}")
@@ -570,24 +575,22 @@ def scores(model: TrainedModel, X: np.ndarray, fingerprint: str) -> np.ndarray:
         raise SchemaMismatch(model.schema_fingerprint, fingerprint)
     if not np.isfinite(X).all():
         raise ValueError("the feature matrix holds non-finite values")
-    p = model.parameters
-    n_classes = len(model.class_set)
-    if model.algorithm == "tree":
-        return p["probs"][_leaves(model, X)[:, 0]]
-    if model.algorithm == "forest":
-        return _vote_shares(model.scoring["vote"][_leaves(model, X)], n_classes)
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses what overflows
+    p, s = model.parameters, model.scoring
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by its row
+        if "rows" in s:  # a sum of one-hot rows is an exact count, and a tree's x / 1 is x
+            voters = (_nearest(model, _standardize(X, p)) if model.algorithm == "knn"
+                      else _leaves(model, X))
+            return s["rows"][voters].sum(axis=1) / voters.shape[1]
         if model.algorithm == "gnb":
-            logp = p["log_priors"] - 0.5 * (
-                model.scoring["log_2pi_vars"] + (X[:, None, :] - p["means"]) ** 2 / p["vars"]
-            ).sum(axis=2)
-            return softmax(_finite(logp, "class scores"))
-        Xs = _standardize(X, p)
-        if model.algorithm == "knn":
-            return _vote_shares(p["y"][_nearest(model, Xs)], n_classes)
-        # logreg: W @ xs row by row, since the batched Xs @ W.T rounds differently
-        logits = np.array([p["W"] @ xs for xs in Xs]).reshape(len(X), n_classes) + p["b"]
-        return softmax(_finite(logits, "class scores"))
+            logits = p["log_priors"] - 0.5 * (
+                s["log_2pi_vars"] + (X[:, None, :] - p["means"]) ** 2 / p["vars"]).sum(axis=2)
+        else:  # logreg: each slice is the matrix-vector W @ xs of its row alone, so a
+            # row has the same bytes in any batch; one Xs @ W.T GEMM rounds otherwise
+            logits = (p["W"] @ _standardize(X, p)[:, :, None])[:, :, 0] + p["b"]
+        finite = np.isfinite(logits).all(axis=1)
+        if not finite.all():
+            raise UnscorableRow(int(np.argmin(finite)), "class scores")
+        return softmax(logits)
 
 
 # Slack of the bound on a squared knn distance, relative to ||x||^2 + ||q||^2
@@ -664,19 +667,6 @@ class UnscorableRow(ValueError):
         self.row = row
         self.reason = f"non-finite {what}; is a value far outside the model's training range?"
         super().__init__(f"feature row {row} gives {self.reason}")
-
-
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    """``values`` (n, m) unchanged when finite; else UnscorableRow naming its first other row."""
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise UnscorableRow(int(np.argmin(finite)), what)
-    return values
-
-
-def _vote_shares(votes: np.ndarray, n_classes: int) -> np.ndarray:
-    """(n, n_classes) share of each row's votes (n, voters) that go to each class."""
-    return (votes[:, :, None] == np.arange(n_classes)).mean(axis=1)
 
 
 def predict(model: TrainedModel, features: VideoFeatures):

@@ -8,7 +8,7 @@ import numpy as np
 from gaitlab import frame_features as ff
 from gaitlab.errors import DuplicateFrame, InsufficientDataError, MalformedLine, ParseError
 from gaitlab.pose import GaitLabel, KeypointId, PoseSequence
-from gaitlab.classify import UnscorableRow, scores
+from gaitlab.classify import UnscorableRow, scores, softmax
 from gaitlab.video_features import FeatureTable, VideoFeatures, schema_fingerprint
 
 # vector layout of the 113-dim frame features
@@ -371,3 +371,17 @@ def knn_scores_oracle(model, X):
         raise UnscorableRow(int(np.argmin(finite)), "distances")
     nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
     return (p["y"][nearest][:, :, None] == np.arange(len(model.class_set))).mean(axis=1)
+
+
+def logreg_scores_oracle(model, X):
+    """scores() of a logreg model one row at a time: the 1-D W @ xs + b of
+    each z-scored row, then softmax, the form the stacked product replaced.
+    A row with a non-finite logit raises UnscorableRow."""
+    p = model.parameters
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xs = (np.asarray(X, dtype=float) - p["mean"]) / p["std"]
+        logits = np.array([p["W"] @ xs + p["b"] for xs in Xs]).reshape(len(Xs), len(p["b"]))
+    finite = np.isfinite(logits).all(axis=1)
+    if not finite.all():
+        raise UnscorableRow(int(np.argmin(finite)), "class scores")
+    return softmax(logits)

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -34,6 +35,7 @@ from helpers import (
     forest_vote_oracle,
     knn_brute_force_oracle,
     knn_scores_oracle,
+    logreg_scores_oracle,
     make_separable_items,
     predicted_labels,
     tree_leaf_oracle,
@@ -129,11 +131,11 @@ def _knn_model(X, y, k):
     return model
 
 
-def _assert_knn_scores_are_the_oracles(model, Q):
-    """scores() of the rows Q, as a batch and one by one, equal
-    knn_scores_oracle byte for byte, or both refuse the same row alike."""
+def _assert_scores_are_the_oracles(oracle, model, Q):
+    """scores() of the rows Q, as a batch and one by one, equal the oracle's
+    byte for byte, or both refuse the same row alike."""
     try:
-        expected = knn_scores_oracle(model, Q)
+        expected = oracle(model, Q)
     except UnscorableRow as exc:
         with pytest.raises(UnscorableRow) as info:
             scores(model, Q, schema_fingerprint())
@@ -174,7 +176,7 @@ def _knn_cases(draw):
 @given(case=_knn_cases())
 def test_knn_scores_equal_the_full_distance_oracle(case):
     X, y, k, Q = case
-    _assert_knn_scores_are_the_oracles(_knn_model(X, y, k), Q)
+    _assert_scores_are_the_oracles(knn_scores_oracle, _knn_model(X, y, k), Q)
 
 
 def _unit_rows(n, scale=1.0):
@@ -228,7 +230,73 @@ def test_knn_bound_edge_cases_equal_the_oracle(case):
         model = _knn_model(_unit_rows(10), y, 5)
         Q = np.empty((0, 226))
         assert scores(model, Q, schema_fingerprint()).shape == (0, 3)
-    _assert_knn_scores_are_the_oracles(model, Q)
+    _assert_scores_are_the_oracles(knn_scores_oracle, model, Q)
+
+
+def _logreg_model(W, b, mean, std):
+    """A logreg model of the given weights, bias and standardizer, one class per row of W."""
+    classes = tuple(GaitLabel)[:len(W)]
+    model = TrainedModel.from_json(json.dumps({
+        "format": "gaitmodel", "version": 2, "algorithm": "logreg",
+        "classes": [c.value for c in classes], "schema_fingerprint": schema_fingerprint(),
+        "hyperparameters": DEFAULT_HYPERS["logreg"],
+        "parameters": {"W": W.tolist(), "b": b.tolist(), "mean": mean.tolist(),
+                       "std": std.tolist()}}))
+    assert model.parameters["W"].tobytes() == W.tobytes()
+    return model
+
+
+@st.composite
+def _logreg_cases(draw):
+    """(model, rows): 2 to 5 classes of random weights, bias and standardizer,
+    each at its own magnitude, and 0 to 70 rows, each at one magnitude
+    from 1e-150 to 1e150; tiny std and huge weights make some logits overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.integers(2, 5))
+    n = draw(st.integers(0, 70))
+
+    def magnitude(low, high, size=None):
+        return 10.0 ** rng.integers(low, high + 1, size=size)
+
+    W = rng.normal(size=(c, 226)) * magnitude(-150, 150)
+    b = rng.normal(size=c) * magnitude(-150, 150)
+    mean = rng.normal(size=226) * draw(st.sampled_from([0.0, 1.0, 1e100]))
+    std = rng.uniform(0.5, 2.0, size=226) * magnitude(-160, 10)
+    X = rng.normal(size=(n, 226)) * magnitude(-150, 150, size=(n, 1))
+    return _logreg_model(W, b, mean, std), X
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_logreg_cases())
+def test_logreg_scores_equal_the_row_by_row_oracle(case):
+    """The stacked W @ Xs[:, :, None] gives each row the bytes of its own 1-D
+    W @ xs; a BLAS build whose stacked product rounds otherwise fails here."""
+    model, X = case
+    _assert_scores_are_the_oracles(logreg_scores_oracle, model, X)
+
+
+@pytest.mark.parametrize("case, refused", [("unit", None), ("overflow in row 0", 0),
+                                           ("overflow in row 1", 1), ("inf minus inf", 2),
+                                           ("no rows", None)])
+def test_logreg_scores_edge_cases_equal_the_oracle(case, refused):
+    rng = np.random.default_rng(7)
+    W, b = rng.normal(size=(3, 226)), rng.normal(size=3)
+    X = rng.normal(size=(4, 226))
+    std = np.ones(226)
+    if case.startswith("overflow"):  # 1e300 / 1e-10 standardizes to inf
+        std[5] = 1e-10
+        X[int(case[-1]):, 5] = 1e300
+    elif case == "inf minus inf":  # two terms overflow with opposite signs: a NaN logit
+        W[:, :2] = 1e200
+        X[2, :2] = [1e200, -1e200]
+    elif case == "no rows":
+        X = X[:0]
+    model = _logreg_model(W, b, np.zeros(226), std)
+    if refused is not None:
+        with pytest.raises(UnscorableRow, match=f"^feature row {refused} gives non-finite "
+                                                "class scores"):
+            scores(model, X, schema_fingerprint())
+    _assert_scores_are_the_oracles(logreg_scores_oracle, model, X)
 
 
 def test_logreg_zero_weights_uniform_scores():
@@ -760,9 +828,9 @@ def _set(path, value):
     return edit
 
 
-def _drop(key):
+def _drop(key, section="parameters"):
     def edit(doc):
-        del doc["parameters"][key]
+        del doc[section][key]
     return edit
 
 
@@ -795,10 +863,16 @@ def _drop(key):
     ("forest", _set(["parameters", "feature", 0], 226), "feature index"),
     ("forest", _set(["parameters", "roots", 0], -1), "root index"),
     ("tree", _set(["parameters", "roots"], [0, 0]), "one root"),
+    ("gnb", _set(["format"], "gaitmodel-csv"), "not a recognized gaitmodel document"),
+    ("gnb", _set(["classes"], [0, 1, 2]), "classes must be label names"),
+    ("logreg", _set(["parameters", "b"], [[0.0, 0.0, 0.0]]), "'b' has 2 axes, expected 1"),
+    ("forest", _set(["parameters", "roots"], []), "no nodes or no roots"),
+    ("knn", _drop("k", "hyperparameters"), "missing hyperparameter 'k'"),
+    ("gnb", lambda doc: [doc], "not a recognized gaitmodel document"),
 ])
 def test_from_json_refuses_malformed_models(models, algorithm, edit, message):
     doc = json.loads(models[algorithm].to_json())
-    edit(doc)
+    doc = edit(doc) or doc  # an edit changes doc in place or returns another document
     with pytest.raises(ValueError, match=message):
         TrainedModel.from_json(json.dumps(doc))
 
@@ -861,6 +935,20 @@ def test_scores_refuse_another_schema_and_non_finite_features(models):
             scores(model, X, model.schema_fingerprint)
         with pytest.raises(ValueError, match="non-finite"):
             predict(model, vf_from_vector(X[1], "q"))
+
+
+@pytest.mark.parametrize("shape", [(226,), (2, 225), (1, 2, 226)])
+def test_scores_refuse_a_matrix_that_is_not_n_by_226(models, shape):
+    model = models["knn"]
+    with pytest.raises(ValueError, match=rf"^expected an \(n, 226\) feature matrix, got "
+                                         rf"{re.escape(str(shape))}$"):
+        scores(model, np.zeros(shape), model.schema_fingerprint)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_train_refuses_an_empty_table(algorithm):
+    with pytest.raises(InsufficientDataError, match="^empty training set$"):
+        train(algorithm, FeatureTable.from_rows([]))
 
 
 @pytest.mark.parametrize("algorithm, value, what", [

@@ -215,6 +215,33 @@ def test_extract_names_manifest_and_file_disagreements(pipeline_dir, tmp_path, c
     assert "manifest.csv" not in capsys.readouterr().err
 
 
+def test_extract_refuses_a_directory_without_keypoint_files(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["extract", "--in", str(tmp_path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"error: no .kp.jsonl files in {tmp_path}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_extract_names_the_frames_it_drops(pipeline_dir, tmp_path, capsys):
+    """A video with invalid frames gets one stderr line counting them, and its
+    row is still written, from the frames that remain."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline_dir / "corpus", corpus)
+    clip = corpus / "normal_000.kp.jsonl"
+    data = clip.read_bytes()
+    for index in (3, 7):  # an unknown name leaves the joint absent, so the frame invalid
+        data = _edit_line(data, index, b'"LeftEar"', b'"LeftEars"')
+    clip.write_bytes(data)
+    capsys.readouterr()
+    assert main(["extract", "--in", str(corpus), "--out", str(tmp_path / "o.csv")]) == 0
+    assert capsys.readouterr().err == "normal_000: dropped 2/24 frames\n"
+    written = (tmp_path / "o.csv").read_text(encoding="utf-8").splitlines()
+    pinned = (pipeline_dir / "features.csv").read_text(encoding="utf-8").splitlines()
+    changed = [(a, b) for a, b in zip(written, pinned) if a != b]
+    assert len(written) == len(pinned) and len(changed) == 1
+    assert changed[0][0].startswith("normal_000,Normal,")
+
+
 def test_extract_reads_a_manifest_after_a_byte_order_mark(pipeline_dir, tmp_path):
     """A manifest saved as "CSV UTF-8" by a spreadsheet starts with EF BB BF; it
     gives the features CSV byte for byte."""
@@ -682,14 +709,18 @@ def test_exit_code_unreadable_features_csv(pipeline_dir, tmp_path, capsys, edit)
     ("id,label\n{sid},Normal\n", "line 1"),
     ("source_id,label\n{sid}\n", "line 2"),
     ("source_id,label\n{sid},Normal\n{sid},Parkinson\n", "line 3: duplicate source_id"),
-], ids=["no-source_id-column", "short-row", "duplicate-source_id"])
+    ("source_id,label\n{sid},Limping\n", "line 2: unknown gait label 'Limping'"),
+    ("source_id,label\n{sid},Norm\udce9al\n", "is not a readable manifest"),
+], ids=["no-source_id-column", "short-row", "duplicate-source_id", "unknown-label", "not-utf8"])
 def test_exit_code_malformed_manifest(pipeline_dir, tmp_path, capsys, manifest, message):
     src = next(iter((pipeline_dir / "corpus").glob("*.kp.jsonl")))
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / src.name).write_bytes(src.read_bytes())
     sid = src.name.removesuffix(".kp.jsonl")
-    (corpus / "manifest.csv").write_text(manifest.format(sid=sid), encoding="utf-8")
+    # surrogateescape writes the lone surrogate \udce9 as the byte e9, which is not UTF-8
+    (corpus / "manifest.csv").write_bytes(manifest.format(sid=sid).encode("utf-8",
+                                                                          "surrogateescape"))
     rc = main(["extract", "--in", str(corpus), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     err = capsys.readouterr().err

@@ -135,6 +135,8 @@ def test_fold_count_bounds():
         cross_validate("gnb", table, folds=4, seed=0)
     with pytest.raises(ValueError):
         cross_validate("gnb", table, folds=1, seed=0)
+    with pytest.raises(ValueError, match="^folds must be >= 2$"):
+        run_task("multi", ["gnb"], table, folds=1)
 
 
 def test_cross_validate_deterministic():
@@ -373,3 +375,4 @@ def test_reports_render_and_serialize():
     doc = reports_to_json(reports, {"seed": 0})
     assert reports_to_json(reports, {"seed": 0}) == doc  # byte-stable
     assert '"best_algorithm": "b"' in doc
+    assert render_text_table([]) == "(no successful reports)\n"

@@ -95,6 +95,12 @@ def test_overflowing_coordinates_raise_parse_error_naming_source_and_frame():
     assert np.isfinite(extract_sequence(sequence_from_coords(xy[:5]))[0]).all()
 
 
+def test_extract_sequence_refuses_an_unknown_norm_scope():
+    seq = generate(default_params(GaitLabel.NORMAL, seed=1), "clip")
+    with pytest.raises(ValueError, match="norm_scope must be 'frame' or 'video', got 'clip'"):
+        extract_sequence(seq, norm_scope="clip")
+
+
 # --- limb straightness ----------------------------------------------------------
 
 

@@ -58,6 +58,27 @@ def test_sequence_ordering_enforced():
         PoseSequence(np.zeros((0, 14, 2)))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"conf": np.ones((3, 14))}, "one entry per frame"),
+    ({"frame_index": [0, 1, 2]}, "one entry per frame"),
+    ({"t_ms": [0.0]}, "one entry per frame"),
+    ({"frame_index": [-1, 0]}, "frame_index must hold integers >= 0"),
+])
+def test_sequence_refuses_per_frame_fields_that_disagree_with_xy(fields, message):
+    with pytest.raises(ValueError, match=message):
+        PoseSequence(np.zeros((2, 14, 2)), **fields)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"min_valid_frames": 0}, r"min_valid_frames must be >= 1"),
+    ({"min_confidence": 1.5}, r"min_confidence must be in \[0, 1\]"),
+])
+def test_filter_valid_refuses_bad_thresholds(kwargs, message):
+    seq = sequence_from_coords(np.arange(28.0).reshape(1, 14, 2))
+    with pytest.raises(ValueError, match=message):
+        filter_valid(seq, **kwargs)
+
+
 def test_frame_is_valid_all_present():
     seq = sequence_from_coords(np.arange(28).reshape(1, 14, 2), confidence=0.9)
     assert frame_is_valid(seq, 0.5) is True

@@ -50,6 +50,15 @@ def test_unknown_std_mode_is_refused():
         aggregate([ff_constant(1.0, 0), ff_constant(3.0, 1)], std_mode="bogus")
 
 
+@pytest.mark.parametrize("config, message", [
+    (("clip", "population"), "bad norm_scope 'clip'"),
+    (("frame", "unbiased"), "bad std_mode 'unbiased'"),
+])
+def test_schema_fingerprint_refuses_an_unknown_config(config, message):
+    with pytest.raises(ValueError, match=message):
+        schema_fingerprint(*config)
+
+
 def test_output_dimension_226():
     rng = np.random.default_rng(0)
     feats = [extract_frame_features(random_frame(rng)) for i in range(5)]
