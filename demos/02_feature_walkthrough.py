@@ -18,26 +18,32 @@ import numpy as np
 from gaitlab import (
     FEATURE_NAMES,
     GaitLabel,
+    KeypointId,
+    PoseSequence,
     aggregate,
     default_params,
-    extract_frame_features,
     extract_sequence,
     featurize_sequence,
     generate,
-    point_line_distance,
 )
 
 
 def main():
-    # the building block: perpendicular distance from a point to a line
-    d = point_line_distance(p=(2.0, 3.0), a=(0.0, 0.0), b=(4.0, 0.0))
-    print(f"distance from (2,3) to the x-axis: {d}")
-    d = point_line_distance(p=(5.0, 3.0), a=(2.0, 0.0), b=(2.0, 10.0))
-    print(f"distance from (5,3) to the vertical line x=2: {d}")
+    # the building block: perpendicular distance from a point to a line. ls1 is
+    # the left elbow's distance from the line through the left shoulder and wrist.
+    seq = generate(default_params(GaitLabel.NORMAL, seed=0), "pose")
+    xy = seq.xy[:1].copy()  # one frame, (1, 14, 2)
+    for joint, point in ((KeypointId.LEFT_SHOULDER, (2.0, 0.0)),
+                         (KeypointId.LEFT_WRIST, (2.0, 10.0)),
+                         (KeypointId.LEFT_ELBOW, (5.0, 3.0))):
+        xy[0, joint - 1] = point
+    feats, _ = extract_sequence(PoseSequence(xy))
+    print(f"ls1 of elbow (5,3), shoulder (2,0), wrist (2,10): {feats[0][0]} "
+          "(its distance from the vertical line x=2)")
     print()
 
     seq = generate(default_params(GaitLabel.PARKINSON, seed=0), "walkthrough")
-    vec = extract_frame_features(seq.xy[0])  # the first frame's (14, 2) coordinates
+    vec = extract_sequence(seq)[0][0]  # the first frame's 113 features
     print(f"one frame -> {vec.shape[0]} features")
     for name, value in zip(FEATURE_NAMES[:8], vec[:8]):
         print(f"  {name:4s} = {value:8.4f}")

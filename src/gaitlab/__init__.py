@@ -9,12 +9,7 @@ from .ingest import (
     save_keypoint_file,
     serialize_sequence,
 )
-from .frame_features import (
-    FEATURE_NAMES,
-    extract_frame_features,
-    extract_sequence,
-    point_line_distance,
-)
+from .frame_features import FEATURE_NAMES, extract_sequence
 from .video_features import (
     FeatureTable,
     VideoFeatures,

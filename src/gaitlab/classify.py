@@ -405,23 +405,12 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def logreg_loss_and_grad(W, b, X, y, l2=0.0):
-    """Mean cross-entropy + 0.5*l2*||W||^2 and its analytic gradient.
-
-    W: (c, d), b: (c,), X: (n, d), y: (n,) class indices.
-    """
-    n = X.shape[0]
-    probs = softmax(X @ W.T + b)
-    eps = 1e-300  # guard the log only; probs from softmax are positive anyway
-    loss = -np.mean(np.log(probs[np.arange(n), y] + eps)) + 0.5 * l2 * np.sum(W**2)
-    return (loss, *_logreg_grad(probs, W, X, np.eye(len(W))[y], l2))
-
-
 def _logreg_grad(probs, W, X, T, l2):
-    """(dW, db) of the loss above, from the softmax probabilities of X's rows
-    (overwritten) and their one-hot targets T. Every array may carry a leading
-    fit axis: one fit's rows, weights and targets per slice, each slice giving
-    the bytes it gives alone."""
+    """(dW, db) of the loss mean cross-entropy + 0.5*l2*||W||^2 of the logits
+    X @ W.T + b, from the softmax probabilities of X's rows (overwritten) and
+    their one-hot targets T. Every array may carry a leading fit axis: one
+    fit's rows, weights and targets per slice, each slice giving the bytes it
+    gives alone."""
     n = X.shape[-2]
     delta = probs
     delta -= T  # p - 0.0 is p: the same bytes as p[i, y] -= 1

@@ -37,22 +37,16 @@ class DuplicateFrame(ParseError):
 
 
 class DegenerateLine(ParseError):
-    def __init__(self, what, frame_index=None):
+    def __init__(self, what, frame_index):
         self.what = what
         self.frame_index = frame_index
-        msg = f"degenerate line: coincident endpoints for {what}"
-        if frame_index is not None:
-            msg += f" (frame {frame_index})"
-        super().__init__(msg)
+        super().__init__(f"degenerate line: coincident endpoints for {what} (frame {frame_index})")
 
 
 class DegeneratePose(ParseError):
-    def __init__(self, frame_index=None):
+    def __init__(self, frame_index):
         self.frame_index = frame_index
-        msg = "degenerate pose: all keypoints coincide"
-        if frame_index is not None:
-            msg += f" (frame {frame_index})"
-        super().__init__(msg)
+        super().__init__(f"degenerate pose: all keypoints coincide (frame {frame_index})")
 
 
 class InsufficientDataError(GaitLabError):

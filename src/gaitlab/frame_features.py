@@ -76,44 +76,19 @@ FEATURE_NAMES: tuple[str, ...] = (
 NORM_SCOPES = ("frame", "video")
 
 
-def _point_line(ox, oy, dx, dy):
-    """(distance of the offset (ox, oy) from the line through 0 along (dx, dy), |d|),
-    given as x and y planes."""
-    length = np.hypot(dx, dy)
-    cross = dx * oy - dy * ox
-    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate lines are reported by length
-        return np.abs(cross) / length, length
-
-
-def point_line_distance(p, a, b):
-    """Euclidean distance from point p to the infinite line through a and b.
-
-    Cross-product form |(b-a) x (p-a)| / ||b-a||: agrees with the
-    slope-intercept distance formula wherever the slope is defined and also
-    handles vertical lines. Points are (..., 2) arrays and broadcast. Raises
-    DegenerateLine when a and b are closer than EPS, and ValueError when a
-    distance is not finite (non-finite input, or coordinates that overflow).
-    """
-    p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
-    with np.errstate(over="ignore", invalid="ignore"):
-        o, d = p - a, b - a
-        distance, length = _point_line(o[..., 0], o[..., 1], d[..., 0], d[..., 1])
-    if (length < EPS).any():
-        raise DegenerateLine("line endpoints")
-    if not np.isfinite(distance).all():
-        raise ValueError("point-line distance is not finite")
-    return distance
-
-
 def _geometry(xy):
     """Every unnormalized measurement of (..., 14, 2) poses in one pass:
     (8 line values in feature order, 6 defining-line lengths in _LINE_NAMES
     order, 14 centroid distances, 91 pairwise distances)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # extract_sequence refuses what overflows
+    # extract_sequence refuses what overflows and reports short lines by their length
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mid = (np.take(xy, _MID_A, axis=-2) + np.take(xy, _MID_B, axis=-2)) / 2.0
         planes = np.moveaxis(np.concatenate([xy, mid], axis=-2), -1, 0)  # x and y, (2, ..., 18)
         dx, dy = np.take(planes, _PLUS, axis=-1) - np.take(planes, _MINUS, axis=-1)  # (2, ..., 103)
-        straight, lengths = _point_line(dx[..., 6:12], dy[..., 6:12], dx[..., :6], dy[..., :6])
+        # each point's distance from its line: |line x offset| / |line|
+        lengths = np.hypot(dx[..., :6], dy[..., :6])
+        cross = dx[..., :6] * dy[..., 6:12] - dy[..., :6] * dx[..., 6:12]
+        straight = np.abs(cross) / lengths
         ux, uy = dx[..., :2], dy[..., :2]  # left/right hand lines
         vx, vy = dx[..., 3:1:-1], dy[..., 3:1:-1]  # right/left leg lines
         angle = np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy)  # in [0, pi]
@@ -172,10 +147,3 @@ def extract_sequence(
         raise ParseError(f"{seq.source_id!r} frame {seq.frame_index[keep][t]} has non-finite "
                          "features; are its coordinates too large?")
     return features, int(degenerate.sum())
-
-
-def extract_frame_features(xy) -> np.ndarray:
-    """The 113 features of one complete (14, 2) pose; raises its first degeneracy."""
-    features, _ = extract_sequence(PoseSequence(np.asarray(xy, dtype=float)[None]),
-                                   skip_degenerate=False)
-    return features[0]

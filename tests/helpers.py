@@ -31,6 +31,29 @@ def random_frame(rng, lo=0.0, hi=320.0):
     return rng.uniform(lo, hi, size=(14, 2))
 
 
+def extract_frame_features(xy):
+    """The 113 features of one complete (14, 2) pose, as extract_sequence
+    computes them for a one-frame sequence; raises its first degeneracy."""
+    features, _ = ff.extract_sequence(sequence_from_coords([xy]), skip_degenerate=False)
+    return features[0]
+
+
+def coords_with(overrides):
+    """Generic pose with selected joints overridden; all joints distinct."""
+    base = np.column_stack([np.linspace(0, 130, 14), np.linspace(0, 260, 14) % 97])
+    xy = base.copy()
+    for k, point in overrides.items():
+        xy[k - 1] = point
+    return xy
+
+
+def left_arm_pose(p, a, b):
+    """(14, 2) coordinates of a pose whose left shoulder is a, left wrist b and
+    left elbow p: its ls1 is p's distance from the line through a and b."""
+    return coords_with({KeypointId.LEFT_SHOULDER: a, KeypointId.LEFT_WRIST: b,
+                        KeypointId.LEFT_ELBOW: p})
+
+
 def vf_from_vector(vec, source_id="v", fingerprint=None):
     return VideoFeatures(np.asarray(vec, dtype=float).reshape(226), source_id,
                          fingerprint or schema_fingerprint())
@@ -381,7 +404,15 @@ def logreg_scores_oracle(model, X):
     with np.errstate(over="ignore", invalid="ignore"):
         Xs = (np.asarray(X, dtype=float) - p["mean"]) / p["std"]
         logits = np.array([p["W"] @ xs + p["b"] for xs in Xs]).reshape(len(Xs), len(p["b"]))
-    finite = np.isfinite(logits).all(axis=1)
-    if not finite.all():
-        raise UnscorableRow(int(np.argmin(finite)), "class scores")
-    return softmax(logits)
+        finite = np.isfinite(logits).all(axis=1)
+        if not finite.all():
+            raise UnscorableRow(int(np.argmin(finite)), "class scores")
+        return softmax(logits)
+
+
+def logreg_loss(W, b, X, y, l2):
+    """Mean cross-entropy of the softmax of X @ W.T + b at class indices y,
+    plus 0.5*l2*||W||^2: the loss that classify._logreg_grad differentiates."""
+    probs = softmax(X @ W.T + b)
+    eps = 1e-300  # guard the log only; probs from softmax are positive anyway
+    return -np.mean(np.log(probs[np.arange(len(X)), y] + eps)) + 0.5 * l2 * np.sum(W**2)

@@ -29,8 +29,12 @@ from helpers import (
     MD,
     US,
     bs_direct_oracle,
+    extract_frame_features,
     forest_vote_oracle,
     knn_brute_force_oracle,
+    left_arm_pose,
+    logreg_loss,
+    sequence_from_coords,
     slope_distance_oracle,
     us_direct_oracle,
     vf_from_vector,
@@ -70,9 +74,8 @@ def test_criterion_1_dimension_fidelity():
 def test_criterion_2_geometry_oracles():
     start = time.perf_counter()
     rng = np.random.default_rng(2)
-    checked = 0
-    worst = 0.0
-    while checked < 1000:
+    frames = []
+    while len(frames) < 1000:
         xy = rng.uniform(0, 320, (14, 2))
         # the slope-form oracles need non-vertical defining lines
         sl = xy[KeypointId.LEFT_SHOULDER - 1]
@@ -83,19 +86,23 @@ def test_criterion_2_geometry_oracles():
             continue
         if abs(xy[2, 0] + xy[3, 0] - xy[12, 0] - xy[13, 0]) < 0.05:
             continue
-        el = xy[KeypointId.LEFT_ELBOW - 1]
-        ff = ffmod.extract_frame_features(xy)
+        frames.append(xy)
+    feats, _ = ffmod.extract_sequence(sequence_from_coords(frames), skip_degenerate=False)
+    worst = 0.0
+    for xy, ff in zip(frames, feats):
+        sl, wl, el = (xy[k - 1] for k in (KeypointId.LEFT_SHOULDER, KeypointId.LEFT_WRIST,
+                                          KeypointId.LEFT_ELBOW))
         pairs = (
-            (ffmod.point_line_distance(el, sl, wl), slope_distance_oracle(el, sl, wl)),
+            (ff[LS][0], slope_distance_oracle(el, sl, wl)),
             (ff[US], us_direct_oracle(xy)),
             (ff[BS], bs_direct_oracle(xy)),
         )
         for got, expected in pairs:
             worst = max(worst, abs(got - expected) / max(abs(expected), 1e-9))
-        checked += 1
     # vertical lines: slope form undefined, analytic distance known
-    vertical_ok = ffmod.point_line_distance((5, 3), (2, 0), (2, 10)) == pytest.approx(3.0)
-    vertical_ok &= ffmod.point_line_distance((-4, 7), (1, -5), (1, 9)) == pytest.approx(5.0)
+    vertical = [left_arm_pose((5, 3), (2, 0), (2, 10)), left_arm_pose((-4, 7), (1, -5), (1, 9))]
+    ls1, _ = ffmod.extract_sequence(sequence_from_coords(vertical), skip_degenerate=False)
+    vertical_ok = ls1[:, 0].tolist() == pytest.approx([3.0, 5.0])
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and vertical_ok and elapsed < 5.0
     _report(2, ok, f"(1000 frames, worst rel err {worst:.2e}, {elapsed:.2f}s)")
@@ -107,20 +114,20 @@ def test_criterion_3_invariance_suite():
     ok = True
     for _ in range(200):
         xy = rng.uniform(0, 320, (14, 2))
-        base = ffmod.extract_frame_features(xy)
+        base = extract_frame_features(xy)
 
         shift = rng.uniform(-400, 400, 2)
-        shifted = ffmod.extract_frame_features(xy + shift)
+        shifted = extract_frame_features(xy + shift)
         ok &= bool(np.allclose(shifted, base, atol=1e-9, rtol=0))
 
         theta = rng.uniform(0, 2 * math.pi)
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
-        rotated = ffmod.extract_frame_features(xy @ rot.T)
+        rotated = extract_frame_features(xy @ rot.T)
         ok &= bool(np.allclose(rotated, base, rtol=1e-6, atol=1e-9))
 
         s = float(rng.uniform(0.2, 5.0))
-        scaled = ffmod.extract_frame_features(xy * s)
+        scaled = extract_frame_features(xy * s)
         ok &= bool(np.allclose(scaled[CD], base[CD], rtol=1e-6))
         ok &= bool(np.allclose(scaled[MD], base[MD], rtol=1e-6))
         ok &= bool(np.allclose(scaled[HL], base[HL], rtol=1e-6))
@@ -192,22 +199,20 @@ def test_criterion_5_classifier_oracles():
     y = rng.integers(0, c, size=n)
     W = rng.normal(scale=0.5, size=(c, d))
     b = rng.normal(scale=0.5, size=c)
-    _, dW, db = classify.logreg_loss_and_grad(W, b, X, y, 1e-4)
+    dW, db = classify._logreg_grad(classify.softmax(X @ W.T + b), W, X, np.eye(c)[y], 1e-4)
     h = 1e-5
     for idx in np.ndindex(c, d):
         Wp, Wm = W.copy(), W.copy()
         Wp[idx] += h
         Wm[idx] -= h
-        numeric = (classify.logreg_loss_and_grad(Wp, b, X, y, 1e-4)[0]
-                   - classify.logreg_loss_and_grad(Wm, b, X, y, 1e-4)[0]) / (2 * h)
+        numeric = (logreg_loss(Wp, b, X, y, 1e-4) - logreg_loss(Wm, b, X, y, 1e-4)) / (2 * h)
         if abs(dW[idx] - numeric) > 1e-4 * max(abs(numeric), 1e-8):
             ok = False
     for j in range(c):
         bp, bm = b.copy(), b.copy()
         bp[j] += h
         bm[j] -= h
-        numeric = (classify.logreg_loss_and_grad(W, bp, X, y, 1e-4)[0]
-                   - classify.logreg_loss_and_grad(W, bm, X, y, 1e-4)[0]) / (2 * h)
+        numeric = (logreg_loss(W, bp, X, y, 1e-4) - logreg_loss(W, bm, X, y, 1e-4)) / (2 * h)
         if abs(db[j] - numeric) > 1e-4 * max(abs(numeric), 1e-8):
             ok = False
 

@@ -17,7 +17,6 @@ from gaitlab.classify import (
     TrainedModel,
     UnscorableRow,
     load_model,
-    logreg_loss_and_grad,
     predict,
     save_model,
     scores,
@@ -35,6 +34,7 @@ from helpers import (
     forest_vote_oracle,
     knn_brute_force_oracle,
     knn_scores_oracle,
+    logreg_loss,
     logreg_scores_oracle,
     make_separable_items,
     predicted_labels,
@@ -277,7 +277,7 @@ def test_logreg_scores_equal_the_row_by_row_oracle(case):
 
 @pytest.mark.parametrize("case, refused", [("unit", None), ("overflow in row 0", 0),
                                            ("overflow in row 1", 1), ("inf minus inf", 2),
-                                           ("no rows", None)])
+                                           ("no rows", None), ("logits of 1e308 and -1e308", None)])
 def test_logreg_scores_edge_cases_equal_the_oracle(case, refused):
     rng = np.random.default_rng(7)
     W, b = rng.normal(size=(3, 226)), rng.normal(size=3)
@@ -291,11 +291,16 @@ def test_logreg_scores_edge_cases_equal_the_oracle(case, refused):
         X[2, :2] = [1e200, -1e200]
     elif case == "no rows":
         X = X[:0]
+    elif case.startswith("logits"):  # finite, but their difference overflows in softmax
+        W, b, X = np.zeros((2, 226)), np.zeros(2), np.zeros((1, 226))
+        W[:, 0], X[0, 0] = [1e308, -1e308], 1.0
     model = _logreg_model(W, b, np.zeros(226), std)
     if refused is not None:
         with pytest.raises(UnscorableRow, match=f"^feature row {refused} gives non-finite "
                                                 "class scores"):
             scores(model, X, schema_fingerprint())
+    elif case.startswith("logits"):
+        assert scores(model, X, schema_fingerprint()).tolist() == [[1.0, 0.0]]
     _assert_scores_are_the_oracles(logreg_scores_oracle, model, X)
 
 
@@ -600,21 +605,19 @@ def test_logreg_gradient_matches_finite_differences():
     W = rng.normal(scale=0.5, size=(c, d))
     b = rng.normal(scale=0.5, size=c)
     l2 = 1e-4
-    _, dW, db = logreg_loss_and_grad(W, b, X, y, l2)
+    dW, db = classify._logreg_grad(classify.softmax(X @ W.T + b), W, X, np.eye(c)[y], l2)
     h = 1e-5
     for idx in np.ndindex(c, d):
         Wp, Wm = W.copy(), W.copy()
         Wp[idx] += h
         Wm[idx] -= h
-        numeric = (logreg_loss_and_grad(Wp, b, X, y, l2)[0]
-                   - logreg_loss_and_grad(Wm, b, X, y, l2)[0]) / (2 * h)
+        numeric = (logreg_loss(Wp, b, X, y, l2) - logreg_loss(Wm, b, X, y, l2)) / (2 * h)
         assert dW[idx] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
     for j in range(c):
         bp, bm = b.copy(), b.copy()
         bp[j] += h
         bm[j] -= h
-        numeric = (logreg_loss_and_grad(W, bp, X, y, l2)[0]
-                   - logreg_loss_and_grad(W, bm, X, y, l2)[0]) / (2 * h)
+        numeric = (logreg_loss(W, bp, X, y, l2) - logreg_loss(W, bm, X, y, l2)) / (2 * h)
         assert db[j] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
 
 
@@ -632,11 +635,12 @@ def test_stacked_logreg_gradient_matches_finite_differences():
     dW, db = classify._logreg_grad(probs, W, X, np.eye(c)[y], l2)
     h = 1e-5
     for f in range(F):
-        _, dW_f, db_f = logreg_loss_and_grad(W[f], b[f], X[f], y[f], l2)
+        probs_f = classify.softmax(X[f] @ W[f].T + b[f])
+        dW_f, db_f = classify._logreg_grad(probs_f, W[f], X[f], np.eye(c)[y[f]], l2)
         assert dW[f].tobytes() == dW_f.tobytes() and db[f].tobytes() == db_f.tobytes()
 
         def loss(Wf, bf):
-            return logreg_loss_and_grad(Wf, bf, X[f], y[f], l2)[0]
+            return logreg_loss(Wf, bf, X[f], y[f], l2)
 
         for idx in np.ndindex(c, d):
             step = np.zeros((c, d))

@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 
 from gaitlab import frame_features as ff
 from gaitlab.errors import DegenerateLine, DegeneratePose, ParseError
-from gaitlab.frame_features import (
-    EPS,
-    FEATURE_NAMES,
-    NORM_SCOPES,
-    extract_frame_features,
-    extract_sequence,
-    point_line_distance,
-)
+from gaitlab.frame_features import EPS, FEATURE_NAMES, NORM_SCOPES, extract_sequence
 from gaitlab.pose import KeypointId
 from gaitlab.synth import default_params, generate
 from gaitlab.pose import GaitLabel
@@ -27,8 +20,11 @@ from helpers import (
     MD,
     US,
     bs_direct_oracle,
+    coords_with,
     distance_maxima_oracle,
+    extract_frame_features,
     geometry_oracle,
+    left_arm_pose,
     line_lengths_oracle,
     random_frame,
     sequence_from_coords,
@@ -39,45 +35,58 @@ from helpers import (
 K = KeypointId
 
 
-# --- point-line distance ------------------------------------------------------
+# --- point-line distance, read as the ls1 of a pose ----------------------------
+# left_arm_pose(p, a, b) puts the left shoulder at a, the left wrist at b and
+# the left elbow at p, so its ls1 is p's distance from the line through a and b
+
+
+def ls1(*poses):
+    """ls1 of each pose, as extract_sequence computes it."""
+    feats, _ = extract_sequence(sequence_from_coords(poses), skip_degenerate=False)
+    return feats[:, 0]
 
 
 def test_point_line_distance_horizontal():
-    assert point_line_distance((1, 1), (0, 0), (2, 0)) == pytest.approx(1.0)
+    assert ls1(left_arm_pose((1, 1), (0, 0), (2, 0)))[0] == pytest.approx(1.0)
 
 
 def test_point_line_distance_on_segment():
-    assert point_line_distance((1, 0), (0, 0), (2, 0)) == 0.0
+    assert ls1(left_arm_pose((1, 0), (0, 0), (2, 0)))[0] == 0.0
 
 
 def test_point_line_distance_vertical_line():
     # slope-intercept form is undefined here; the cross-product form is not
-    assert point_line_distance((5, 3), (2, 0), (2, 10)) == pytest.approx(3.0)
+    assert ls1(left_arm_pose((5, 3), (2, 0), (2, 10)))[0] == 3.0
 
 
 def test_point_line_distance_degenerate():
-    with pytest.raises(DegenerateLine):
-        point_line_distance((1, 1), (3, 3), (3, 3))
+    with pytest.raises(DegenerateLine) as exc:
+        ls1(left_arm_pose((1, 1), (3, 3), (3, 3)))
+    assert exc.value.what == "left-hand"
 
 
 def test_point_line_distance_matches_slope_oracle():
     rng = np.random.default_rng(3)
+    cases = []
     for _ in range(200):
         a, b, p = rng.uniform(0, 320, (3, 2))
         if abs(a[0] - b[0]) < 0.05:
             continue  # slope form undefined/ill-conditioned
-        expected = slope_distance_oracle(p, a, b)
-        assert point_line_distance(p, a, b) == pytest.approx(expected, rel=1e-6, abs=1e-9)
+        cases.append((p, a, b))
+    got = ls1(*(left_arm_pose(p, a, b) for p, a, b in cases))
+    expected = [slope_distance_oracle(p, a, b) for p, a, b in cases]
+    assert got.tolist() == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
 
-@pytest.mark.parametrize("p, a, b", [
-    ((1e160, 3e160), (0, 0), (4e160, 1e160)),  # finite, but the cross product overflows
-    ((1, 1), (0, 0), (np.nan, 2)),
-    ((1, np.inf), (0, 0), (2, 0)),
+@pytest.mark.parametrize("p, a, b, error, message", [
+    # finite, but the cross product overflows
+    ((1e160, 3e160), (0, 0), (4e160, 1e160), ParseError, "frame 0 has non-finite features"),
+    ((1, 1), (0, 0), (np.nan, 2), ValueError, "frame 0 is missing keypoints"),
+    ((1, np.inf), (0, 0), (2, 0), ParseError, "frame 0 has non-finite features"),
 ], ids=["overflow", "nan", "inf"])
-def test_point_line_distance_refuses_non_finite_results(p, a, b):
-    with pytest.raises(ValueError, match="not finite"):
-        point_line_distance(p, a, b)
+def test_point_line_distance_refuses_non_finite_results(p, a, b, error, message):
+    with pytest.raises(error, match=message):
+        ls1(left_arm_pose(p, a, b))
 
 
 def test_overflowing_coordinates_raise_parse_error_naming_source_and_frame():
@@ -102,15 +111,6 @@ def test_extract_sequence_refuses_an_unknown_norm_scope():
 
 
 # --- limb straightness ----------------------------------------------------------
-
-
-def coords_with(overrides):
-    """Generic pose with selected joints overridden; all joints distinct."""
-    base = np.column_stack([np.linspace(0, 130, 14), np.linspace(0, 260, 14) % 97])
-    xy = base.copy()
-    for k, point in overrides.items():
-        xy[k - 1] = point
-    return xy
 
 
 def test_limb_straightness_straight_arm():

@@ -8,7 +8,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import Phase, find, given, seed, settings
+from hypothesis import Phase, example, find, given, seed, settings
 from hypothesis import strategies as st
 
 from gaitlab.errors import ParseError
@@ -116,6 +116,34 @@ def keypoint_files(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(draw(st.permutations(texts)))
 
 
+# one file per outcome kind: accepted with every joint named, accepted with
+# one named, then each refusal in REFUSALS' order
+_JOINT = NAMES[0]
+OUTCOME_FILES = [
+    json.dumps({"frame": 0, "kp": {name: [1.0, 2.0, 0.5] for name in NAMES}}),
+    json.dumps({"frame": 0, "kp": {_JOINT: [1.0, 2.0, 0.5]}}),
+    "\n",
+    "{not json",
+    "[" * 5000 + "]" * 5000,
+    json.dumps({"kp": {}}),
+    json.dumps({"frame": -1}),
+    json.dumps({"frame": 0}) + "\n" + json.dumps({"frame": 0}),
+    json.dumps({"frame": 0, "t_ms": "1"}),
+    json.dumps({"frame": 0, "kp": 1}),
+    json.dumps({"frame": 0, "kp": {_JOINT: [1.0, 2.0]}}),
+    json.dumps({"frame": 0, "kp": {_JOINT: [1.0, 2.0, "0.5"]}}),
+    json.dumps({"frame": 0, "kp": {_JOINT: [10**309, 2.0, 0.5]}}),
+    json.dumps({"frame": 0, "kp": {_JOINT: [1.0, 2.0, 1.5]}}),
+]
+
+
+def with_outcome_files(test):
+    """A hypothesis test that also runs each of OUTCOME_FILES as an explicit example."""
+    for text in OUTCOME_FILES:
+        test = example(text)(test)
+    return test
+
+
 def outcome(parse, data):
     """A parser's PoseSequence, or the type and message of its ParseError."""
     try:
@@ -124,6 +152,7 @@ def outcome(parse, data):
         return type(exc), str(exc)
 
 
+@with_outcome_files
 @settings(max_examples=500, deadline=None)
 @given(keypoint_files())
 def test_column_checks_agree_with_the_line_walk(data):
@@ -168,7 +197,8 @@ def test_keypoint_files_reach_every_outcome():
     """The files above are accepted with and without absent joints, and each
     kind of refusal occurs. Hypothesis mixes literals of the code under test
     into its draws, so a fixed seed's examples move with any edit of gaitlab:
-    an outcome that one run of examples misses is searched for on its own."""
+    OUTCOME_FILES gives the seeded pass one file of each kind, and an outcome
+    that the pass still misses is searched for on its own."""
     def kinds(data):
         result = outcome(parse_keypoint_file_oracle, data)
         if isinstance(result, PoseSequence):
@@ -177,6 +207,7 @@ def test_keypoint_files_reach_every_outcome():
 
     seen = set()
 
+    @with_outcome_files
     @seed(0)
     @settings(max_examples=400, database=None, deadline=None)
     @given(keypoint_files())

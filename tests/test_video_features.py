@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitlab.errors import InsufficientDataError, ParseError, SchemaMismatch
-from gaitlab.frame_features import extract_frame_features, extract_sequence
+from gaitlab.frame_features import extract_sequence
 from gaitlab.pose import GaitLabel
 from gaitlab.video_features import (
     STD_MODES,
@@ -18,7 +18,7 @@ from gaitlab.video_features import (
 )
 from gaitlab.synth import default_params, generate
 
-from helpers import random_frame, sequence_from_coords, vf_from_vector
+from helpers import extract_frame_features, random_frame, sequence_from_coords, vf_from_vector
 
 
 def ff_constant(value, frame_index=0):
