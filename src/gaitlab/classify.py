@@ -7,9 +7,12 @@ their inputs internally; trees and naive Bayes work on raw features.
 
 All tie-breaking is explicit so that retraining is bit-for-bit reproducible:
 distance ties go to the lower training index, vote/score ties to the earlier
-class in class_set order. A model's parameters are numpy arrays; a tree is
-stored as flat node arrays. Models serialize to a versioned JSON document that
-embeds the feature schema fingerprint; prediction refuses mismatched inputs.
+class in class_set order, and split ties (compared by an exact integer form of
+the weighted Gini) to the lower feature index, then the lower threshold.
+train_logregs fits several logregs in lockstep, each giving the model train
+gives. A model's parameters are numpy arrays; a tree is stored as flat node
+arrays. Models serialize to a versioned JSON document that embeds the feature
+schema fingerprint; prediction refuses mismatched inputs.
 """
 
 from __future__ import annotations
@@ -255,32 +258,62 @@ def _rank_keys(X, y, n_classes):
 
 
 def _best_splits(keys, values, n_classes, nodes, min_leaf):
-    """(feature, threshold) of the lowest weighted Gini of each (rows, candidate
-    columns) node over the fit's _rank_keys, or None where no split leaves
-    min_leaf rows on each side; ties go to the lowest feature index, then the
-    lowest threshold. Nodes have as many columns, padded with keys' last row."""
-    n = np.array([len(rows) for rows, _ in nodes])[:, None, None]  # (K, 1, 1)
+    """(feature, threshold) of the lowest weighted Gini of each (rows, class
+    counts, candidate columns) node over the fit's _rank_keys, or None where no
+    split leaves min_leaf rows on each side; ties go to the lowest feature
+    index, then the lowest threshold. Nodes have as many columns, padded with
+    keys' last row.
+
+    The criterion is exact. A split of a node of n rows into ln left and rn
+    right rows, with class counts l_c and r_c, has weighted Gini
+    (n - L / ln - R / rn) / n for L = sum l_c^2 and R = sum r_c^2, so the lowest
+    Gini is the highest Q = (L rn + R ln) / (ln rn). L, R and the products are
+    exact integers, the numerator at most n ln rn <= n**3 / 4, and Q is one
+    correctly rounded division, so equal ratios give equal floats. Up to
+    n = 2048 rows unequal ratios give unequal floats too: two ratios with
+    denominators q, q' <= n**2 / 4 <= 2**20 differ by at least 1 / (q q') >=
+    2**-40, and floats up to Q <= n <= 2**11 are spaced by at most 2**-41. A
+    larger node still searches (below 2**21 rows n**3 fits an int64); two of its
+    ratios closer than a float's spacing compare equal, and the tie rule picks
+    between them.
+    """
+    n = np.array([len(rows) for rows, _, _ in nodes])[:, None, None]  # (K, 1, 1)
     rows = np.full((len(nodes), n.max()), len(keys) - 1)  # (K, N)
-    for k, (r, _) in enumerate(nodes):
+    for k, (r, _, _) in enumerate(nodes):
         rows[k, :len(r)] = r
-    features = np.array([f for _, f in nodes])  # (K, f)
+    totals = np.zeros((len(nodes), n_classes + 1), np.int64)  # a padding row's class counts 0
+    totals[:, :-1] = [t for _, t, _ in nodes]
+    features = np.array([f for _, _, f in nodes])  # (K, f)
     # Sorted keys order each column by value and a tie by class; a valid split
     # lies between two ranks, so its prefix class counts do not see tie order.
     rank, ys = np.divmod(np.sort(keys[rows[:, None, :], features[:, :, None]]), n_classes + 1)
-    ln = np.arange(1, rows.shape[1], dtype=float)  # split after position i-1 -> left size i
+    # occ: each row's count of its own class up to it. One cumsum counts every class
+    # at once in b-bit fields of an int64 word (a count is at most N < 2**b); a node
+    # too long for one word per class set takes one word per group of classes. A
+    # row of another word, or padding, adds 0 to the word and reads 0 from it.
+    b = rows.shape[1].bit_length()
+    per_word = 63 // b
+    cls = np.arange(n_classes + 1)  # the classes, then padding
+    slot = b * (cls % per_word)  # the lowest bit of a class's count in its word
+    occ = 0
+    for w in range(-(-n_classes // per_word)):
+        mine = (cls // per_word == w) & (cls < n_classes)
+        packed = np.cumsum(np.take(np.where(mine, 1 << slot, 0), ys), axis=2)
+        occ = occ + ((packed >> np.take(np.where(mine, slot, 63), ys)) & ((1 << b) - 1))
+    left = np.cumsum(2 * occ - 1, axis=2)[..., :-1]  # L: a count m becoming m + 1 adds 2m + 1
+    # R = sum (T_c - l_c)^2 = sum T_c^2 - 2 sum T_c l_c + L for the node's class totals
+    # T, so L rn + R ln = n L + ln (sum T_c^2 - 2 sum T_c l_c), the last a prefix sum
+    # of each row's class total
+    at_class = np.take(totals, ys + np.arange(0, totals.size, n_classes + 1)[:, None, None])
+    ln = np.arange(1, rows.shape[1])  # split after position i-1 -> left size i
     rn = n - ln  # <= 0 only where a node is padded, so the division below clamps it to 1
-    # Squared class shares summed class by class from 0.0, as over a class axis but
-    # holding no (c, K, f, N) array; integer counts give the same shares as floats.
-    cum = np.empty(ys.shape, np.int32)  # prefix counts of one class
-    left_sq = right_sq = 0.0
-    for c in range(n_classes):
-        np.cumsum(ys == c, axis=2, dtype=np.int32, out=cum)
-        left_sq += (cum[..., :-1] / ln) ** 2  # in place from the second class on
-        right_sq += ((cum[..., -1:] - cum[..., :-1]) / np.maximum(rn, 1.0)) ** 2
-    valid = (rank[..., :-1] < rank[..., 1:]) & (ln >= min_leaf) & (rn >= min_leaf)
-    weighted = np.where(valid, (ln * (1.0 - left_sq) + rn * (1.0 - right_sq)) / n, np.inf)
-    # each node's first minimum in row-major order: the lowest feature, then threshold
-    best, at = np.divmod(weighted.reshape(len(nodes), -1).argmin(axis=1), rows.shape[1] - 1)
+    numerator = n * left + ln * ((totals * totals).sum(axis=1)[:, None, None]
+                                 - 2 * np.cumsum(at_class, axis=2)[..., :-1])
+    valid = (rank[..., :-1] < rank[..., 1:]) & ((ln >= min_leaf) & (rn >= min_leaf))
+    q = numerator / (ln * np.maximum(rn, 1))
+    q *= valid  # a valid Q is at least L / ln >= 1, an invalid one becomes 0
+    # each node's first maximum in row-major order: the lowest feature, then threshold
+    best, at = np.divmod(q.reshape(len(nodes), -1).argmax(axis=1), rows.shape[1] - 1)
     return [(int(features[k, j]), float((values[rank[k, j, i], features[k, j]]  # midpoint
                                          + values[rank[k, j, i + 1], features[k, j]]) / 2.0))
             if valid[k, j, i] else None for k, (j, i) in enumerate(zip(best, at))]
@@ -317,12 +350,12 @@ def _grow_trees(X, y, n_classes, max_depth, min_leaf, roots, max_features=None) 
                     features = np.arange(d) if rng is None else np.sort(
                         rng.choice(d, size=max_features, replace=False))
                     pending.append((nodes, stack, len(nodes) - 1, depth))
-                    searches.append((rows, features))
+                    searches.append((rows, counts, features))
                     break
             if not searches:
                 break
             splits = _best_splits(keys, values, n_classes, searches, min_leaf)
-            for (nodes, stack, index, depth), (rows, _), best in zip(pending, searches, splits):
+            for (nodes, stack, index, depth), (rows, _, _), best in zip(pending, searches, splits):
                 if best is not None:
                     nodes[index][:2] = best
                     mask = X[rows, best[0]] <= best[1]

@@ -10,6 +10,7 @@ accuracy.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 
@@ -89,24 +90,28 @@ def cross_validate(
     table: FeatureTable,
     folds: int = DEFAULT_FOLDS,
     seed: int = 0,
-) -> float:
-    """Mean of per-fold accuracies over a stratified k-fold of the table's rows.
-    The logreg folds are fit in lockstep, each giving the model train gives."""
+) -> tuple[list[float], classify.TrainedModel]:
+    """(accuracies, model): each fold's accuracy over a stratified k-fold of the
+    table's rows, and the model train gives on the whole table. The k + 1 logreg
+    fits step in lockstep, each giving the model train gives; any other
+    algorithm fits fold by fold and then the whole table, so the first fit to
+    fail is the one reported."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if not len(table):
         raise ValueError("cannot cross-validate an empty table")
     table.class_indices(GaitLabel)  # refuse unlabeled rows before any fit
     assignment = _stratified_folds(table.labels, folds, seed)
-    parts = (table[assignment != f] for f in range(folds))
+    parts = itertools.chain((table[assignment != f] for f in range(folds)), [table])
     # _stratified_folds leaves each class >= folds rows, so every training part
     # holds every class: the one class set that logreg's lockstep fits need.
     if algorithm == "logreg":
-        models = classify.train_logregs(parts, seed=seed)
-    else:  # fold by fold, so the first fold to fail is the one reported
+        models = iter(classify.train_logregs(parts, seed=seed))
+    else:
         models = (classify.train(algorithm, part, seed=seed) for part in parts)
-    return float(np.mean([_accuracy(confusion_matrix(model, table[assignment == f]))
-                          for f, model in enumerate(models)]))
+    accuracies = [_accuracy(confusion_matrix(model, table[assignment == f]))
+                  for f, model in zip(range(folds), models)]  # stops before the final model
+    return accuracies, next(models)
 
 
 def task_rows(task: str, labels) -> np.ndarray:
@@ -157,14 +162,13 @@ def run_task(task: str, algorithms, table: FeatureTable, folds: int = DEFAULT_FO
     reports, errors = [], {}
     for algorithm in algorithms:
         try:
-            cv = cross_validate(algorithm, train, folds=folds, seed=seed)
-            model = classify.train(algorithm, train, seed=seed)
+            accuracies, model = cross_validate(algorithm, train, folds=folds, seed=seed)
             confusion = confusion_matrix(model, test)
             reports.append(
                 EvalReport(
                     task=task,
                     algorithm=algorithm,
-                    cv_accuracy=cv,
+                    cv_accuracy=float(np.mean(accuracies)),
                     test_accuracy=_accuracy(confusion),
                     confusion=confusion,
                     classes=model.class_set,

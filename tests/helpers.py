@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -294,11 +295,11 @@ def best_split_oracle(X, y, n_classes, features, min_leaf):
     Python; None when no split leaves min_leaf rows on each side.
 
     A split puts the rows with x[f] <= threshold on the left, at the midpoint
-    of two adjacent distinct values. The Gini arithmetic is the production
-    one (squared class shares summed class by class from 0.0), so the weighted
-    Gini values agree bit for bit. Scanning features in order and thresholds
-    upward, keeping only a strictly lower value, gives the tie rules: the
-    lowest feature index, then the lowest threshold.
+    of two adjacent distinct values. The weighted Gini is an exact
+    ``Fraction``, so two splits tie only when their Gini values are equal.
+    Scanning features in order and thresholds upward, keeping only a strictly
+    lower value, gives the tie rules: the lowest feature index, then the
+    lowest threshold.
     """
     n = len(y)
     best = None
@@ -309,13 +310,9 @@ def best_split_oracle(X, y, n_classes, features, min_leaf):
             right = [int(c) for row, c in zip(X, y) if float(row[f]) > low]
             if len(left) < min_leaf or len(right) < min_leaf:
                 continue
-            impurity = []
-            for side in (left, right):
-                sum_sq = 0.0
-                for c in range(n_classes):
-                    share = side.count(c) / float(len(side))
-                    sum_sq += share * share
-                impurity.append(1.0 - sum_sq)
+            impurity = [1 - sum(Fraction(side.count(c), len(side)) ** 2
+                                for c in range(n_classes))
+                        for side in (left, right)]
             weighted = (len(left) * impurity[0] + len(right) * impurity[1]) / n
             if best is None or weighted < best[2]:
                 best = (int(f), (low + high) / 2.0, weighted)

@@ -4,6 +4,7 @@ import json
 import re
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -486,8 +487,11 @@ def split_batches(draw):
 
 
 def batch_splits(X, y, n_classes, nodes, min_leaf):
-    """classify._best_splits of the nodes, over the rank keys the grower builds from X."""
-    return classify._best_splits(*classify._rank_keys(X, y, n_classes), n_classes, nodes,
+    """classify._best_splits of the (rows, columns) nodes, over the rank keys and
+    with the class counts the grower builds from X and y."""
+    searches = [(rows, np.bincount(y[rows], minlength=n_classes), features)
+                for rows, features in nodes]
+    return classify._best_splits(*classify._rank_keys(X, y, n_classes), n_classes, searches,
                                  min_leaf)
 
 
@@ -560,6 +564,37 @@ def test_best_split_of_a_node_does_not_depend_on_its_batch(batch):
     alone = [batch_splits(X, y, n_classes, [node], min_leaf)[0] for node in nodes]
     assert batch_splits(*batch) == alone
     assert batch_splits(X, y, n_classes, nodes[::-1], min_leaf) == alone[::-1]
+
+
+def test_best_split_breaks_an_exact_gini_tie_by_the_lowest_feature():
+    """12 rows of classes 6/3/3: feature 1 splits 3 rows of class 0 from
+    3/3/3, feature 2 splits 3/3/0 from 3/0/3, both of weighted Gini exactly
+    1/2; squared shares summed in floats round the two apart."""
+    y = np.array([0] * 6 + [1] * 3 + [2] * 3)
+    X = np.zeros((12, 3))  # feature 0 is constant: no split
+    X[3:, 1] = 1.0
+    X[[3, 4, 5, 9, 10, 11], 2] = 1.0
+    nodes = [(np.arange(12), np.arange(3))]
+    gini = [best_split_oracle(X, y, 3, [f], 1)[2] for f in (1, 2)]
+    assert gini == [Fraction(1, 2)] * 2
+    assert best_split_oracle(X, y, 3, range(3), 1)[:2] == (1, 0.5)
+    assert batch_splits(X, y, 3, nodes, 1) == [(1, 0.5)]
+
+
+def test_best_split_of_a_node_too_long_for_one_packed_word():
+    """A node of 4,100 rows needs 13 bits per class count, so its 5 classes
+    do not fit one 63-bit word: the search still runs, and every node of the
+    batch gets the exact oracle's split."""
+    rng = np.random.default_rng(11)
+    X = rng.integers(0, 4, size=(4100, 3)).astype(float)
+    y = rng.integers(0, 5, size=4100)
+    y[X[:, 2] == 0] = 4  # feature 2 isolates most of class 4
+    nodes = [(np.arange(4100), np.arange(3)), (np.arange(0, 4100, 2), np.arange(3))]
+    assert 63 // (4100).bit_length() < 5
+    expected = [best_split_oracle(X[rows], y[rows], 5, features, 1)[:2]
+                for rows, features in nodes]
+    assert expected[0][0] == 2
+    assert batch_splits(X, y, 5, nodes, 1) == expected
 
 
 def test_split_cases_have_gini_ties_across_features():

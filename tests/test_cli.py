@@ -287,11 +287,13 @@ def test_eval_refuses_bad_algorithm_lists(pipeline_dir, tmp_path, capsys, algos,
 ])
 def test_eval_prints_each_failure_once(pipeline_dir, tmp_path, capsys, monkeypatch, algos,
                                        failing):
-    """When every algorithm fails, stderr holds one line per algorithm and nothing more."""
-    def cannot_fit(algorithm, *args, **kwargs):
+    """When every algorithm fails, stderr holds one line per algorithm and nothing more.
+    logreg fits through train_logregs, every other algorithm through train."""
+    def cannot_fit(*args, **kwargs):
         raise InsufficientDataError("too little data to fit")
 
     monkeypatch.setattr(classify, "train", cannot_fit)
+    monkeypatch.setattr(classify, "train_logregs", cannot_fit)
     report = tmp_path / "report.json"
     capsys.readouterr()
     rc = main(["eval", "--features", str(pipeline_dir / "features.csv"), "--algos", algos,

@@ -121,15 +121,16 @@ def test_split_is_by_position_not_source_id():
 def test_cross_validate_separable_is_perfect():
     rng = np.random.default_rng(1)
     table = FeatureTable.from_rows(make_separable_items(rng, n_per_class=12))
-    assert cross_validate("knn", table, folds=5, seed=0) == 1.0
-    assert cross_validate("gnb", table, folds=5, seed=0) == 1.0
+    assert cross_validate("knn", table, folds=5, seed=0)[0] == [1.0] * 5
+    assert cross_validate("gnb", table, folds=5, seed=0)[0] == [1.0] * 5
 
 
 def test_fold_count_bounds():
     rng = np.random.default_rng(2)
     # smallest class has 3 items
     table = FeatureTable.from_rows(make_separable_items(rng, n_per_class=3))
-    assert cross_validate("gnb", table, folds=3, seed=0) >= 0.0
+    accuracies, _ = cross_validate("gnb", table, folds=3, seed=0)
+    assert len(accuracies) == 3 and min(accuracies) >= 0.0
     with pytest.raises(InsufficientDataError,
                        match="4 folds requested but smallest class has 3 items"):
         cross_validate("gnb", table, folds=4, seed=0)
@@ -145,7 +146,7 @@ def test_cross_validate_deterministic():
     table = FeatureTable.from_rows(items)
     a = cross_validate("tree", table, folds=5, seed=4)
     b = cross_validate("tree", table, folds=5, seed=4)
-    assert a == b
+    assert a[0] == b[0] and a[1] == b[1]
 
 
 def _forbid_fits(monkeypatch):
@@ -190,7 +191,7 @@ def test_cross_validate_reports_a_failed_lockstep_fit(monkeypatch):
 
 def test_logreg_cross_validation_is_the_mean_of_per_fold_fits():
     """Folds of 11, 13 and 9 rows per class are ragged: the lockstep logreg CV
-    equals one train and one confusion matrix per fold."""
+    gives one train and one confusion matrix per fold."""
     table = FeatureTable.from_rows(dummy_items(
         {GaitLabel.NORMAL: 11, GaitLabel.PARKINSON: 13, GaitLabel.DIPLEGIA: 9},
         np.random.default_rng(9)))
@@ -200,7 +201,41 @@ def test_logreg_cross_validation_is_the_mean_of_per_fold_fits():
         classify.train("logreg", table[assignment != f], seed=4), table[assignment == f]))
         for f in range(3)]
     assert len(set(accuracies)) > 1
-    assert cross_validate("logreg", table, folds=3, seed=4) == float(np.mean(accuracies))
+    assert cross_validate("logreg", table, folds=3, seed=4)[0] == accuracies
+
+
+@pytest.mark.parametrize("algorithm", classify.ALGORITHMS)
+def test_cross_validate_returns_the_model_train_gives(algorithm):
+    """The model trained beside the folds is train's model of the whole table;
+    logreg's is the last of its lockstep fits."""
+    table = FeatureTable.from_rows(dummy_items(
+        {GaitLabel.NORMAL: 11, GaitLabel.PARKINSON: 13, GaitLabel.DIPLEGIA: 9},
+        np.random.default_rng(9)))
+    _, model = cross_validate(algorithm, table, folds=3, seed=4)
+    assert model.to_json() == classify.train(algorithm, table, seed=4).to_json()
+
+
+def test_report_cv_accuracy_is_the_mean_of_the_fold_accuracies(monkeypatch):
+    """run_task calls cross_validate through the module, once per algorithm,
+    and reports the mean of the fold accuracies it returns, bit for bit."""
+    table = FeatureTable.from_rows(dummy_items(
+        {GaitLabel.NORMAL: 15, GaitLabel.PARKINSON: 17, GaitLabel.DIPLEGIA: 13},
+        np.random.default_rng(10)))
+    returned = {}
+    cross_validate = evaluate.cross_validate
+
+    def recording(algorithm, *args, **kwargs):
+        returned[algorithm] = cross_validate(algorithm, *args, **kwargs)
+        return returned[algorithm]
+
+    monkeypatch.setattr(evaluate, "cross_validate", recording)
+    reports, errors = run_task("multi", classify.ALGORITHMS, table, folds=3, seed=2)
+    assert not errors and set(returned) == set(classify.ALGORITHMS)
+    for report in reports:
+        accuracies, model = returned[report.algorithm]
+        assert len(accuracies) == 3
+        assert report.cv_accuracy == float(np.mean(accuracies))
+        assert report.classes == model.class_set
 
 
 def test_confusion_matrix_names_a_row_of_another_class():
