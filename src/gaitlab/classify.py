@@ -245,40 +245,46 @@ _GROUP = 10  # trees grown in lockstep; a larger group pads more rows and holds 
 
 
 def _rank_keys(X, y, n_classes):
-    """Per fit: keys (n + 1, d) = rank * (n_classes + 1) + class, a rank being the
-    count of lower values in its column (-0.0 ties 0.0), padded by a row of rank n
-    and class n_classes; values[rank, j] is column j's value of that rank."""
+    """Per fit: int32 keys (d, n + 1) = rank << b | class, b = n_classes.bit_length(),
+    a rank being the count of lower values in its column (-0.0 ties 0.0), each
+    column padded by rank n and class n_classes (keys fit an int32 for
+    n < 2**(31 - b)); values[rank, j] is column j's value of that rank."""
     n, d = X.shape
     order = np.argsort(X, axis=0)
     values = np.take_along_axis(X, order, axis=0)
     starts = np.vstack([np.ones((1, d), bool), values[1:] > values[:-1]]) * np.arange(n)[:, None]
-    ranks = np.full((n + 1, d), n)
-    np.put_along_axis(ranks[:n], order, np.maximum.accumulate(starts, axis=0), axis=0)
-    return ranks * (n_classes + 1) + np.append(y, n_classes)[:, None], values
+    ranks = np.full((d, n + 1), n, np.int32)
+    np.put_along_axis(ranks.T[:n], order, np.maximum.accumulate(starts, axis=0), axis=0)
+    return ranks << n_classes.bit_length() | np.append(y, n_classes).astype(np.int32), values
 
 
 def _best_splits(keys, values, n_classes, nodes, min_leaf):
-    """(feature, threshold) of the lowest weighted Gini of each (rows, class
-    counts, candidate columns) node over the fit's _rank_keys, or None where no
-    split leaves min_leaf rows on each side; ties go to the lowest feature
-    index, then the lowest threshold. Nodes have as many columns, padded with
-    keys' last row.
+    """(feature, threshold, left class counts) of the lowest weighted Gini of
+    each (rows, class counts, candidate columns) node over the fit's
+    _rank_keys, or None where no split leaves min_leaf rows on each side; ties
+    go to the lowest feature index, then the lowest threshold. Nodes have as
+    many columns, padded with each column's last key. The threshold is the
+    midpoint of the two values, or the lower one where rounding or overflow
+    puts the midpoint outside [lower, upper).
 
     The criterion is exact. A split of a node of n rows into ln left and rn
     right rows, with class counts l_c and r_c, has weighted Gini
     (n - L / ln - R / rn) / n for L = sum l_c^2 and R = sum r_c^2, so the lowest
-    Gini is the highest Q = (L rn + R ln) / (ln rn). L, R and the products are
-    exact integers, the numerator at most n ln rn <= n**3 / 4, and Q is one
-    correctly rounded division, so equal ratios give equal floats. Up to
-    n = 2048 rows unequal ratios give unequal floats too: two ratios with
-    denominators q, q' <= n**2 / 4 <= 2**20 differ by at least 1 / (q q') >=
-    2**-40, and floats up to Q <= n <= 2**11 are spaced by at most 2**-41. A
-    larger node still searches (below 2**21 rows n**3 fits an int64); two of its
-    ratios closer than a float's spacing compare equal, and the tie rule picks
-    between them.
+    Gini is the highest Q = (L rn + R ln) / (ln rn). With C and S the prefix
+    sums of each row's own-class count so far and of its class total T_c,
+    L = 2 C - ln and Q / 2 = (n C + ln (P - S)) / (ln rn) for the integer
+    P = sum T_c (T_c - 1) / 2: an exact integer numerator of at most n**3 / 8
+    and one correctly rounded division, so equal ratios give equal floats (a
+    float halves exactly: Q / 2 ranks and ties as Q does). Up to n = 2048 rows
+    unequal ratios give unequal floats too: two ratios with denominators
+    q, q' <= n**2 / 4 <= 2**20 differ by at least 1 / (q q') >= 2**-40, and
+    floats up to Q / 2 <= n / 2 <= 2**10 are spaced by at most 2**-42. A larger
+    node still searches (below 2**21 rows its integers fit an int64); two of
+    its ratios closer than a float's spacing compare equal, and the tie rule
+    picks between them.
     """
     n = np.array([len(rows) for rows, _, _ in nodes])[:, None, None]  # (K, 1, 1)
-    rows = np.full((len(nodes), n.max()), len(keys) - 1)  # (K, N)
+    rows = np.full((len(nodes), n.max()), keys.shape[1] - 1)  # (K, N)
     for k, (r, _, _) in enumerate(nodes):
         rows[k, :len(r)] = r
     totals = np.zeros((len(nodes), n_classes + 1), np.int64)  # a padding row's class counts 0
@@ -286,7 +292,9 @@ def _best_splits(keys, values, n_classes, nodes, min_leaf):
     features = np.array([f for _, _, f in nodes])  # (K, f)
     # Sorted keys order each column by value and a tie by class; a valid split
     # lies between two ranks, so its prefix class counts do not see tie order.
-    rank, ys = np.divmod(np.sort(keys[rows[:, None, :], features[:, :, None]]), n_classes + 1)
+    cb = n_classes.bit_length()  # a key's class bits, _rank_keys' b
+    s = np.sort(np.take(keys, features[:, :, None] * keys.shape[1] + rows[:, None, :]))
+    ys = (s & ((1 << cb) - 1)).astype(np.intp)  # (K, f, N) classes, n_classes for padding
     # occ: each row's count of its own class up to it. One cumsum counts every class
     # at once in b-bit fields of an int64 word (a count is at most N < 2**b); a node
     # too long for one word per class set takes one word per group of classes. A
@@ -295,54 +303,64 @@ def _best_splits(keys, values, n_classes, nodes, min_leaf):
     per_word = 63 // b
     cls = np.arange(n_classes + 1)  # the classes, then padding
     slot = b * (cls % per_word)  # the lowest bit of a class's count in its word
-    occ = 0
+    occ, words = 0, []  # the words are kept: they hold each split's left class counts
     for w in range(-(-n_classes // per_word)):
         mine = (cls // per_word == w) & (cls < n_classes)
-        packed = np.cumsum(np.take(np.where(mine, 1 << slot, 0), ys), axis=2)
-        occ = occ + ((packed >> np.take(np.where(mine, slot, 63), ys)) & ((1 << b) - 1))
-    left = np.cumsum(2 * occ - 1, axis=2)[..., :-1]  # L: a count m becoming m + 1 adds 2m + 1
-    # R = sum (T_c - l_c)^2 = sum T_c^2 - 2 sum T_c l_c + L for the node's class totals
-    # T, so L rn + R ln = n L + ln (sum T_c^2 - 2 sum T_c l_c), the last a prefix sum
-    # of each row's class total
-    at_class = np.take(totals, ys + np.arange(0, totals.size, n_classes + 1)[:, None, None])
+        words.append(np.cumsum(np.take(np.where(mine, 1 << slot, 0), ys), axis=2))
+        occ = occ + ((words[-1] >> np.take(np.where(mine, slot, 63), ys)) & ((1 << b) - 1))
+    # C and S, the prefix sums of occ and of each row's class total T_c
+    total = np.take(totals, ys + np.arange(0, totals.size, n_classes + 1)[:, None, None])
+    if rows.shape[1] < 1 << 16:  # C < 2**31 and S < 2**32 share one word, C << 32 | S
+        occ <<= 32
+        occ |= total
+        sums = np.cumsum(occ, axis=2, out=occ)[..., :-1]
+        own, total = sums >> 32, np.bitwise_and(sums, 0xFFFFFFFF, out=total[..., :-1])
+    else:
+        own, total = (np.cumsum(a, axis=2)[..., :-1] for a in (occ, total))
     ln = np.arange(1, rows.shape[1])  # split after position i-1 -> left size i
-    rn = n - ln  # <= 0 only where a node is padded, so the division below clamps it to 1
-    numerator = n * left + ln * ((totals * totals).sum(axis=1)[:, None, None]
-                                 - 2 * np.cumsum(at_class, axis=2)[..., :-1])
-    valid = (rank[..., :-1] < rank[..., 1:]) & ((ln >= min_leaf) & (rn >= min_leaf))
-    q = numerator / (ln * np.maximum(rn, 1))
-    q *= valid  # a valid Q is at least L / ln >= 1, an invalid one becomes 0
+    rn = n - ln  # <= 0 only where a node is padded
+    own *= n  # the numerator n C + ln (P - S), in place
+    own -= np.multiply(total, ln, out=total)
+    own += ln * ((totals * (totals - 1)).sum(axis=1)[:, None, None] // 2)
+    q = own / np.where((ln >= min_leaf) & (rn >= min_leaf), ln * rn, np.inf)
+    q *= (s[..., 1:] ^ s[..., :-1]) >= 1 << cb  # a valid Q / 2 is at least 1/2, others 0
     # each node's first maximum in row-major order: the lowest feature, then threshold
-    best, at = np.divmod(q.reshape(len(nodes), -1).argmax(axis=1), rows.shape[1] - 1)
-    return [(int(features[k, j]), float((values[rank[k, j, i], features[k, j]]  # midpoint
-                                         + values[rank[k, j, i + 1], features[k, j]]) / 2.0))
-            if valid[k, j, i] else None for k, (j, i) in enumerate(zip(best, at))]
+    j, i = np.divmod(q.reshape(len(nodes), -1).argmax(axis=1), rows.shape[1] - 1)
+    k = np.arange(len(nodes))
+    f = features[k, j]
+    low, high = values[s[k, j, i] >> cb, f], values[s[k, j, i + 1] >> cb, f]
+    mid = (low + high) / 2.0
+    threshold = np.where((low <= mid) & (mid < high), mid, low)
+    left = (np.stack([word[k, j, i] for word in words])[cls[:-1] // per_word]
+            >> slot[:-1, None]) & ((1 << b) - 1)  # (n_classes, K)
+    return [(int(f[k]), float(threshold[k]), left[:, k]) if q[k, j[k], i[k]] > 0 else None
+            for k in range(len(nodes))]
 
 
 def _grow_trees(X, y, n_classes, max_depth, min_leaf, roots, max_features=None) -> dict:
     """Flat node arrays of one tree per (generator, root row indices) pair.
 
-    A node is [feature, threshold, left, right, class frequencies], with -1
-    for a leaf's feature and links. A tree grows in preorder from its stack of
-    (rows, depth, parent slot), drawing max_features candidate columns per
-    node from its own generator (all columns when it has none), so it is the
-    same tree alone or in a group. _GROUP trees grow in lockstep: each pops
+    A node is [feature, threshold, left, right, class counts], with -1 for a
+    leaf's feature and links. A tree grows in preorder from its stack of (rows,
+    class counts, depth, parent slot), drawing max_features candidate columns
+    per node from its own generator (all columns when it has none), so it is
+    the same tree alone or in a group. _GROUP trees grow in lockstep: each pops
     nodes until one needs a split search, and one _best_splits call serves
-    them all.
+    them all and gives each split's left class counts.
     """
     d = X.shape[1]
     keys, values = _rank_keys(X, y, n_classes)
-    trees = [([], [(rows, 0, None)], rng) for rng, rows in roots]  # (nodes, stack, generator)
+    trees = [([], [(rows, np.bincount(y[rows], minlength=n_classes), 0, None)], rng)
+             for rng, rows in roots]  # (nodes, stack, generator)
     for g in range(0, len(trees), _GROUP):
         while True:
-            pending, searches = [], []  # (nodes, stack, index, depth) and (rows, columns)
+            pending, searches = [], []  # (nodes, stack, index, depth) and (rows, counts, columns)
             for nodes, stack, rng in trees[g:g + _GROUP]:
                 while stack:
-                    rows, depth, slot = stack.pop()
+                    rows, counts, depth, slot = stack.pop()
                     if slot:  # (parent index, 2 for its left link or 3 for its right)
                         nodes[slot[0]][slot[1]] = len(nodes)
-                    counts = np.bincount(y[rows], minlength=n_classes)
-                    nodes.append([-1, 0.0, -1, -1, counts / counts.sum()])
+                    nodes.append([-1, 0.0, -1, -1, counts])
                     pure = counts.max() == len(rows)
                     deep = max_depth is not None and depth >= max_depth
                     if pure or deep or len(rows) < 2 * min_leaf:
@@ -355,19 +373,21 @@ def _grow_trees(X, y, n_classes, max_depth, min_leaf, roots, max_features=None) 
             if not searches:
                 break
             splits = _best_splits(keys, values, n_classes, searches, min_leaf)
-            for (nodes, stack, index, depth), (rows, _, _), best in zip(pending, searches, splits):
+            for (nodes, stack, index, depth), (rows, counts, _), best in zip(
+                    pending, searches, splits):
                 if best is not None:
-                    nodes[index][:2] = best
+                    nodes[index][:2] = best[:2]
                     mask = X[rows, best[0]] <= best[1]
-                    stack += [(rows[~mask], depth + 1, (index, 3)),
-                              (rows[mask], depth + 1, (index, 2))]
+                    stack += [(rows[~mask], counts - best[2], depth + 1, (index, 3)),
+                              (rows[mask], best[2], depth + 1, (index, 2))]
     sizes = [len(nodes) for nodes, _, _ in trees]
-    feature, threshold, left, right, probs = map(
+    feature, threshold, left, right, counts = map(
         np.array, zip(*[node for nodes, _, _ in trees for node in nodes]))
     starts = np.cumsum([0] + sizes[:-1])
     shift = np.where(feature >= 0, np.repeat(starts, sizes), 0)  # tree links -> array indices
     return {"feature": feature, "threshold": threshold, "left": left + shift,
-            "right": right + shift, "probs": probs, "roots": starts}
+            "right": right + shift, "probs": counts / counts.sum(axis=1, keepdims=True),
+            "roots": starts}
 
 
 def _scoring_arrays(algorithm: str, p: dict, n_classes: int) -> dict:

@@ -295,7 +295,8 @@ def best_split_oracle(X, y, n_classes, features, min_leaf):
     Python; None when no split leaves min_leaf rows on each side.
 
     A split puts the rows with x[f] <= threshold on the left, at the midpoint
-    of two adjacent distinct values. The weighted Gini is an exact
+    of two adjacent distinct values, or at the lower value where the midpoint
+    rounds onto the upper one or overflows. The weighted Gini is an exact
     ``Fraction``, so two splits tie only when their Gini values are equal.
     Scanning features in order and thresholds upward, keeping only a strictly
     lower value, gives the tie rules: the lowest feature index, then the
@@ -315,7 +316,8 @@ def best_split_oracle(X, y, n_classes, features, min_leaf):
                         for side in (left, right)]
             weighted = (len(left) * impurity[0] + len(right) * impurity[1]) / n
             if best is None or weighted < best[2]:
-                best = (int(f), (low + high) / 2.0, weighted)
+                mid = (low + high) / 2.0
+                best = (int(f), mid if low <= mid < high else low, weighted)
     return best
 
 

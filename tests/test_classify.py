@@ -488,11 +488,25 @@ def split_batches(draw):
 
 def batch_splits(X, y, n_classes, nodes, min_leaf):
     """classify._best_splits of the (rows, columns) nodes, over the rank keys and
-    with the class counts the grower builds from X and y."""
+    with the class counts the grower builds from X and y; a split is (feature,
+    threshold, left class counts as a tuple)."""
     searches = [(rows, np.bincount(y[rows], minlength=n_classes), features)
                 for rows, features in nodes]
-    return classify._best_splits(*classify._rank_keys(X, y, n_classes), n_classes, searches,
-                                 min_leaf)
+    splits = classify._best_splits(*classify._rank_keys(X, y, n_classes), n_classes, searches,
+                                   min_leaf)
+    return [None if split is None else (*split[:2], tuple(split[2].tolist()))
+            for split in splits]
+
+
+def oracle_split(X, y, n_classes, rows, features, min_leaf):
+    """best_split_oracle's (feature, threshold) of the node's rows, with the
+    np.bincount of the classes of its rows at or below that threshold; None
+    where the oracle finds no split."""
+    best = best_split_oracle(X[rows], y[rows], n_classes, features, min_leaf)
+    if best is None:
+        return None
+    below = y[rows][X[rows, best[0]] <= best[1]]
+    return (*best[:2], tuple(np.bincount(below, minlength=n_classes).tolist()))
 
 
 @st.composite
@@ -515,12 +529,16 @@ def test_rank_keys_order_rows_by_value(case):
     """In each column, two rows' keys order as their values do (equal values,
     -0.0 and 0.0 too, by class) and equal values share a rank, which counts
     the lower values; each key holds its row's class, the padding key tops
-    every real key, and the rank's value in the lookup is the row's value."""
+    every real key, and the rank's value in the lookup is the row's value.
+    Keys are int32, one row per column."""
     X, y, n_classes = case
     n, d = X.shape
     keys, values = classify._rank_keys(X, y, n_classes)
-    assert keys.shape == (n + 1, d) and values.shape == (n, d)
-    rank, cls = np.divmod(keys, n_classes + 1)
+    assert keys.dtype == np.int32
+    assert keys.shape == (d, n + 1) and values.shape == (n, d)
+    keys = keys.T
+    b = n_classes.bit_length()
+    rank, cls = keys >> b, keys & ((1 << b) - 1)
     assert (cls[:n] == y[:, None]).all() and (cls[n] == n_classes).all()
     assert (keys[n] > keys[:n]).all()
     for j in range(d):
@@ -537,11 +555,11 @@ def test_rank_keys_order_rows_by_value(case):
 @given(batch=split_batches())
 def test_best_split_matches_the_oracle(batch):
     """Every node of a batch, including one with no valid split, gets the
-    plain-Python oracle's split of its own rows."""
+    plain-Python oracle's split of its own rows, and the class counts of its
+    rows at or below the oracle's threshold."""
     X, y, n_classes, nodes, min_leaf = batch
     for (rows, features), split in zip(nodes, batch_splits(*batch)):
-        expected = best_split_oracle(X[rows], y[rows], n_classes, features, min_leaf)
-        assert split == (None if expected is None else expected[:2])
+        assert split == oracle_split(X, y, n_classes, rows, features, min_leaf)
 
 
 @settings(max_examples=200, deadline=None)
@@ -578,23 +596,66 @@ def test_best_split_breaks_an_exact_gini_tie_by_the_lowest_feature():
     gini = [best_split_oracle(X, y, 3, [f], 1)[2] for f in (1, 2)]
     assert gini == [Fraction(1, 2)] * 2
     assert best_split_oracle(X, y, 3, range(3), 1)[:2] == (1, 0.5)
-    assert batch_splits(X, y, 3, nodes, 1) == [(1, 0.5)]
+    assert batch_splits(X, y, 3, nodes, 1) == [(1, 0.5, (3, 0, 0))]
 
 
 def test_best_split_of_a_node_too_long_for_one_packed_word():
     """A node of 4,100 rows needs 13 bits per class count, so its 5 classes
     do not fit one 63-bit word: the search still runs, and every node of the
-    batch gets the exact oracle's split."""
+    batch gets the exact oracle's split and left class counts."""
     rng = np.random.default_rng(11)
     X = rng.integers(0, 4, size=(4100, 3)).astype(float)
     y = rng.integers(0, 5, size=4100)
     y[X[:, 2] == 0] = 4  # feature 2 isolates most of class 4
     nodes = [(np.arange(4100), np.arange(3)), (np.arange(0, 4100, 2), np.arange(3))]
     assert 63 // (4100).bit_length() < 5
-    expected = [best_split_oracle(X[rows], y[rows], 5, features, 1)[:2]
-                for rows, features in nodes]
+    expected = [oracle_split(X, y, 5, rows, features, 1) for rows, features in nodes]
     assert expected[0][0] == 2
     assert batch_splits(X, y, 5, nodes, 1) == expected
+
+
+def test_best_split_of_a_node_too_long_for_one_shared_prefix_word():
+    """A batch padded to 70,000 rows is past 65,535, so the prefix sums of the
+    own-class counts (C) and of the class totals (S) take an int64 word each,
+    and at 17 bits per class count the 5 classes take two words. At feature
+    1's lowest boundary S passes 2**32 while C stays below 2**31, so one
+    shared word C << 32 | S would carry S into C there and score that split
+    far too high: every node of the batch still gets the exact oracle's split
+    (the lone class-4 rows of feature 0) and left class counts."""
+    rng = np.random.default_rng(5)
+    y = np.zeros(70000, int)
+    y[:2000] = 4
+    y[2000:2300] = [1, 2, 3] * 100
+    X = rng.integers(1, 4, size=(70000, 2)).astype(float)
+    X[:2000, 0] = 0.0  # feature 0 isolates class 4
+    X[rng.choice(np.flatnonzero(y == 0), size=64500, replace=False), 1] = 0.0
+    nodes = [(np.arange(70000), np.arange(2)), (np.arange(0, 70000, 3), np.arange(2))]
+    assert 63 // (70000).bit_length() < 5
+    left = np.bincount(y[X[:, 1] == 0.0], minlength=5)  # (64500, 0, 0, 0, 0)
+    assert (left * (left + 1) // 2).sum() < 2**31 <= 2**32 <= (np.bincount(y) * left).sum()
+    expected = [oracle_split(X, y, 5, rows, features, 1) for rows, features in nodes]
+    assert expected[0] == (0, 0.5, (0, 0, 0, 0, 2000))
+    assert batch_splits(X, y, 5, nodes, 1) == expected
+
+
+def test_a_midpoint_that_rounds_onto_the_upper_value_gives_way_to_the_lower():
+    """Between two adjacent floats the midpoint can round onto the upper one,
+    and between two huge ones overflow: the threshold is then the lower value,
+    so the rows at or below it are the left side the search scored, and the
+    tree ends in two pure leaves rather than regrowing its root down to empty
+    ones."""
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    y = np.array([0, 1, 0, 1, 1])
+    for low, high in [(a, b), (1e308, 1.5e308)]:
+        X = np.array([[low], [high], [low], [high], [high]])
+        assert best_split_oracle(X, y, 2, [0], 1)[:2] == (0, low)
+        with np.errstate(over="ignore"):  # as train() sets it
+            assert batch_splits(X, y, 2, [(np.arange(5), np.arange(1))], 1) == [(0, low, (2, 0))]
+            tree = classify._grow_trees(X, y, 2, 4, 1, [(None, np.arange(5))])
+        assert tree["threshold"][0] == low
+        assert tree["probs"].tolist() == [[0.4, 0.6], [1.0, 0.0], [0.0, 1.0]]
 
 
 def test_split_cases_have_gini_ties_across_features():
