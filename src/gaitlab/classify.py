@@ -510,24 +510,30 @@ def _train_logreg(rows, ys, n_classes, hyper, seed):
 # --- training -----------------------------------------------------------------
 
 
-def _training_rows(table: FeatureTable):
-    """(X, y, classes): the rows, each row's index in classes, and the classes of
-    the labels in GaitLabel order. A non-finite or unlabeled row raises ValueError,
-    too few rows or classes InsufficientDataError."""
-    bad = np.flatnonzero(~np.isfinite(table.X).all(axis=1))
-    if len(bad):
-        raise ValueError(f"feature row {bad[0]} ({table.source_ids[bad[0]]!r}) is not finite")
-    if not len(table):
-        raise InsufficientDataError("empty training set")
+def class_sizes(table: FeatureTable, least: int):
+    """(y, classes, sizes): each row's index in classes, the classes of the labels
+    in GaitLabel order and their row counts. The one refusal of too little data: an
+    unlabeled row raises ValueError, fewer than 2 classes or a class of fewer than
+    ``least`` rows InsufficientDataError, naming the smallest class."""
     present = set(table.labels)
     classes = tuple(label for label in GaitLabel if label in present)
     y = table.class_indices(classes)
     if len(classes) < 2:
         raise InsufficientDataError(f"need at least 2 classes, got {len(classes)}")
-    counts = np.bincount(y, minlength=len(classes))
-    if counts.min() < 2:
-        small = classes[int(counts.argmin())]
-        raise InsufficientDataError(f"class {small.value} has fewer than 2 examples")
+    sizes = np.bincount(y, minlength=len(classes))
+    if sizes.min() < least:
+        raise InsufficientDataError(f"class {classes[int(sizes.argmin())].value} has only "
+                                    f"{sizes.min()} items, need at least {least}")
+    return y, classes, sizes
+
+
+def _training_rows(table: FeatureTable):
+    """(X, y, classes): the rows to fit and class_sizes(table, 2)'s y and classes;
+    a non-finite row raises ValueError."""
+    bad = np.flatnonzero(~np.isfinite(table.X).all(axis=1))
+    if len(bad):
+        raise ValueError(f"feature row {bad[0]} ({table.source_ids[bad[0]]!r}) is not finite")
+    y, classes, _ = class_sizes(table, 2)
     return table.X, y, classes
 
 

@@ -63,11 +63,15 @@ def stratified_split(labels, seed: int = 0) -> np.ndarray:
 
 def _stratified_folds(labels, folds: int, seed: int) -> np.ndarray:
     """Fold index per item: per-class shuffle then round-robin assignment."""
-    rank, size = _class_ranks(labels, seed)
-    if folds > size.min():
-        raise InsufficientDataError(f"{folds} folds requested but smallest class has "
-                                    f"{size.min()} items")
-    return rank % folds
+    return _class_ranks(labels, seed)[0] % folds
+
+
+def _least_per_class(folds: int) -> int:
+    """Rows m a class needs for k-fold CV: k for a test row in every fold, and 4 at 2
+    folds for 2 training rows in each (m - ceil(m/k) >= 2). k < 2 raises ValueError."""
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+    return 4 if folds == 2 else folds
 
 
 def confusion_matrix(model, table: FeatureTable) -> tuple:
@@ -95,16 +99,12 @@ def cross_validate(
     table's rows, and the model train gives on the whole table. The k + 1 logreg
     fits step in lockstep, each giving the model train gives; any other
     algorithm fits fold by fold and then the whole table, so the first fit to
-    fail is the one reported."""
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    if not len(table):
-        raise ValueError("cannot cross-validate an empty table")
-    table.class_indices(GaitLabel)  # refuse unlabeled rows before any fit
+    fail is the one reported. Before any fit, classify.class_sizes refuses too
+    little data: a class needs 4 rows at 2 folds and k at k >= 3."""
+    classify.class_sizes(table, _least_per_class(folds))
     assignment = _stratified_folds(table.labels, folds, seed)
     parts = itertools.chain((table[assignment != f] for f in range(folds)), [table])
-    # _stratified_folds leaves each class >= folds rows, so every training part
-    # holds every class: the one class set that logreg's lockstep fits need.
+    # every training part holds 2+ rows of every class: the class set lockstep needs
     if algorithm == "logreg":
         models = iter(classify.train_logregs(parts, seed=seed))
     else:
@@ -142,23 +142,17 @@ def run_task(task: str, algorithms, table: FeatureTable, folds: int = DEFAULT_FO
     """One EvalReport per algorithm, fit on the task's rows that
     ``stratified_split(table.labels, seed)`` (drawn over every row) puts in
     training and tested on its other rows; failures are collected, not fatal.
-    A task whose rows hold fewer than 2 of its labels, an unlabeled row, a class
-    of fewer than 4 rows or more folds than its smallest training class holds is
-    refused once, before any algorithm runs.
+    A task whose rows hold fewer than 2 of its labels, an unlabeled row or too
+    few rows for cross_validate in a class's floor(3n/4) is refused once, before
+    any fit: a class needs 6 rows at 2 folds and ceil(4k/3) at k >= 3.
 
     Returns (reports, errors) where errors maps algorithm -> exception.
     """
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
+    least = _least_per_class(folds)
     rows = task_rows(task, table.labels)
-    sizes = np.bincount(table[rows].class_indices(GaitLabel), minlength=len(GaitLabel))
-    for label, size in zip(GaitLabel, sizes):
-        if 0 < size < 4:  # at 4 or more a class has training and test rows
-            raise InsufficientDataError(f"class {label.value} has only {size} items, "
-                                        "need at least 4")
+    classify.class_sizes(table[rows], -(-4 * least // 3))  # floor(3n/4) >= least
     train_rows = stratified_split(table.labels, seed)
     train, test = table[rows & train_rows], table[rows & ~train_rows]
-    _stratified_folds(train.labels, folds, seed)
     reports, errors = [], {}
     for algorithm in algorithms:
         try:

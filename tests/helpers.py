@@ -277,6 +277,26 @@ def task_rows_oracle(task, labels):
     return [task == "multi" or value in keep for value in values], None
 
 
+def fold_refusal_oracle(sizes, folds, split):
+    """The too-little-data line of evaluate.run_task (split=True) or
+    cross_validate (split=False) for a table with ``sizes[label]`` rows of
+    each of two or more labels, in GaitLabel order, in plain Python; None for a
+    usable table. A class of n rows keeps floor(3n/4) to train under split,
+    then deals them round-robin to the folds; it is too small when some fold
+    has no test row of it or leaves fewer than 2 training rows of it. The line
+    names the smallest class, and the least class size is the first usable n."""
+    def usable(n):
+        kept = 3 * n // 4 if split else n
+        test = [len(range(f, kept, folds)) for f in range(folds)]
+        return all(t > 0 and kept - t >= 2 for t in test)
+
+    if all(usable(n) for n in sizes.values()):
+        return None
+    least = next(n for n in range(1, 10 * folds) if usable(n))
+    smallest = min(sizes, key=lambda label: sizes[label])
+    return f"class {smallest.value} has only {sizes[smallest]} items, need at least {least}"
+
+
 def tree_leaf_oracle(params, root, x):
     """Class frequencies at the leaf that one tree of a flat node-array model
     (``feature``, ``threshold``, ``left``, ``right``, ``probs``) sends x to,

@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from gaitlab import classify
+from gaitlab import classify, evaluate
 from gaitlab.cli import main
 from gaitlab.classify import load_model
 from gaitlab.errors import InsufficientDataError
 from gaitlab.pose import GaitLabel
 from gaitlab.synth import write_corpus
+from gaitlab.video_features import FeatureTable, read_features_csv
 
 SMALL_COUNTS = "Choreiform=6,Diplegia=6,Hemiplegia=6,Normal=6,Parkinson=6"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -304,11 +305,14 @@ def test_eval_prints_each_failure_once(pipeline_dir, tmp_path, capsys, monkeypat
     assert not report.exists()
 
 
-@pytest.mark.parametrize("folds", ["5", "99999999999999999999"])
+@pytest.mark.parametrize("folds, least", [("5", 7), ("99999999999999999999",
+                                                   133333333333333333332)],
+                         ids=["5", "99999999999999999999"])
 def test_eval_refuses_more_folds_than_the_smallest_class_once(pipeline_dir, tmp_path, capsys,
-                                                              monkeypatch, folds):
-    """Each class has 4 training rows, too few for 5 folds: eval says so once,
-    with exit 3, before any algorithm fits a model."""
+                                                              monkeypatch, folds, least):
+    """Each class has 6 rows, so 4 training rows, too few for 5 folds: a class
+    needs ceil(4k/3) rows for k folds. eval says so once, with exit 3, before
+    any algorithm fits a model."""
     def no_fit(*args, **kwargs):
         raise AssertionError("eval fit a model")
 
@@ -319,7 +323,7 @@ def test_eval_refuses_more_folds_than_the_smallest_class_once(pipeline_dir, tmp_
                "--report", str(report)])
     assert rc == 3
     assert capsys.readouterr().err.splitlines() == [
-        f"error: {folds} folds requested but smallest class has 4 items"]
+        f"error: class Choreiform has only 6 items, need at least {least}"]
     assert not report.exists()
 
 
@@ -405,7 +409,7 @@ def test_eval_binary_task_ignores_a_tiny_class_it_does_not_use(pipeline_dir, tmp
     capsys.readouterr()
     assert main(argv + ["--task", "multi"]) == 3
     assert capsys.readouterr().err.splitlines() == [
-        "error: class Choreiform has only 3 items, need at least 4"]
+        "error: class Choreiform has only 3 items, need at least 6"]
     assert not report.exists()
 
 
@@ -422,7 +426,7 @@ def test_eval_binary_task_ignores_a_tiny_class_it_does_not_use(pipeline_dir, tmp
      "error: task 'binary:Parkinson' needs rows of at least 2 of its labels "
      "(Parkinson, Normal), found none"),
     ({"Choreiform": 3, "Parkinson": 6, "Normal": 6}, ["--task", "binary:Parkinson"], 3,
-     "error: 5 folds requested but smallest class has 4 items"),
+     "error: class Normal has only 6 items, need at least 7"),
 ], ids=["unknown-algorithm", "unknown-task", "normal-against-normal", "task-without-rows",
         "folds-of-the-task"])
 def test_eval_on_a_file_with_a_tiny_class(pipeline_dir, tmp_path, capsys, counts, args, code,
@@ -445,6 +449,91 @@ def test_train_names_a_task_without_rows(pipeline_dir, tmp_path, capsys):
         "error: task 'binary:Parkinson' needs rows of at least 2 of its labels "
         "(Parkinson, Normal), found none"]
     assert not model.exists()
+
+
+# Every refusal of too little data for the evaluation protocol, through the CLI
+# (argv, exit code and stderr line) and the library (keyword arguments besides
+# the table, exception type and message): the rows of each label in the CSV,
+# the entry point, its arguments, and what it gives.
+_REFUSALS = {
+    "eval-2-folds-4-rows": ({"Normal": 4, "Parkinson": 4}, "eval", ["--folds", "2"], 3,
+                            "error: class Normal has only 4 items, need at least 6"),
+    "eval-3-folds-3-rows": ({"Choreiform": 3, "Normal": 6, "Parkinson": 6}, "eval",
+                            ["--folds", "3"], 3,
+                            "error: class Choreiform has only 3 items, need at least 4"),
+    "eval-5-folds-6-rows": ({"Normal": 6, "Parkinson": 6}, "eval", [], 3,
+                            "error: class Normal has only 6 items, need at least 7"),
+    "eval-binary-4-folds": ({"Choreiform": 1, "Normal": 6, "Parkinson": 5}, "eval",
+                            ["--task", "binary:Parkinson", "--folds", "4"], 3,
+                            "error: class Parkinson has only 5 items, need at least 6"),
+    "eval-task-without-rows": ({"Choreiform": 6, "Diplegia": 6}, "eval",
+                               ["--task", "binary:Parkinson"], 3,
+                               "error: task 'binary:Parkinson' needs rows of at least 2 of "
+                               "its labels (Parkinson, Normal), found none"),
+    "train-1-row": ({"Normal": 1, "Parkinson": 4}, "train", ["--algo", "knn"], 3,
+                    "error: class Normal has only 1 items, need at least 2"),
+    "train-binary-1-row": ({"Choreiform": 1, "Normal": 1, "Parkinson": 4}, "train",
+                           ["--algo", "logreg", "--task", "binary:Parkinson"], 3,
+                           "error: class Normal has only 1 items, need at least 2"),
+    "train-1-class": ({"Parkinson": 4}, "train", ["--algo", "tree"], 3,
+                      "error: task 'multi' needs rows of at least 2 of its labels (Choreiform, "
+                      "Diplegia, Hemiplegia, Normal, Parkinson), found Parkinson"),
+    "library-train-1-row": ({"Normal": 1, "Parkinson": 4}, classify.train,
+                            {"algorithm": "gnb"}, InsufficientDataError,
+                            "class Normal has only 1 items, need at least 2"),
+    "library-train-empty": ({}, classify.train, {"algorithm": "forest"},
+                            InsufficientDataError, "need at least 2 classes, got 0"),
+    "cross-validate-2-folds-3-rows": ({"Normal": 3, "Parkinson": 4}, evaluate.cross_validate,
+                                      {"algorithm": "logreg", "folds": 2},
+                                      InsufficientDataError,
+                                      "class Normal has only 3 items, need at least 4"),
+    "cross-validate-4-folds-3-rows": ({"Normal": 4, "Parkinson": 3}, evaluate.cross_validate,
+                                      {"algorithm": "knn", "folds": 4}, InsufficientDataError,
+                                      "class Parkinson has only 3 items, need at least 4"),
+    "cross-validate-1-class": ({"Parkinson": 6}, evaluate.cross_validate,
+                               {"algorithm": "logreg", "folds": 2}, InsufficientDataError,
+                               "need at least 2 classes, got 1"),
+    "cross-validate-empty": ({}, evaluate.cross_validate, {"algorithm": "logreg", "folds": 2},
+                             InsufficientDataError, "need at least 2 classes, got 0"),
+    "cross-validate-1-fold": ({"Normal": 4, "Parkinson": 4}, evaluate.cross_validate,
+                              {"algorithm": "gnb", "folds": 1}, ValueError,
+                              "folds must be >= 2"),
+    "run-task-2-folds-4-rows": ({"Normal": 4, "Parkinson": 4}, evaluate.run_task,
+                                {"task": "multi", "algorithms": classify.ALGORITHMS,
+                                 "folds": 2}, InsufficientDataError,
+                                "class Normal has only 4 items, need at least 6"),
+    "run-task-binary-3-folds": ({"Choreiform": 6, "Normal": 3, "Parkinson": 6},
+                                evaluate.run_task,
+                                {"task": "binary:Parkinson", "algorithms": ["gnb"], "folds": 3},
+                                InsufficientDataError,
+                                "class Normal has only 3 items, need at least 4"),
+    "run-task-1-fold": ({"Normal": 6, "Parkinson": 6}, evaluate.run_task,
+                        {"task": "multi", "algorithms": ["gnb"], "folds": 1}, ValueError,
+                        "folds must be >= 2"),
+}
+
+
+@pytest.mark.parametrize("counts, entry, args, outcome, line", _REFUSALS.values(),
+                         ids=_REFUSALS)
+def test_too_little_data_is_refused_by_one_rule_before_any_fit(
+        pipeline_dir, tmp_path, capsys, monkeypatch, counts, entry, args, outcome, line):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fit")
+
+    monkeypatch.setattr(classify, "_check_hypers", no_fit)  # the first step of every fit
+    features = _features_of(pipeline_dir, tmp_path, counts)
+    if entry in ("eval", "train"):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([entry, "--features", str(features),
+                     "--report" if entry == "eval" else "--out", str(out)] + args) == outcome
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+    else:
+        table = FeatureTable.from_rows(read_features_csv(features))
+        with pytest.raises(outcome) as info:
+            entry(table=table, **args)
+        assert type(info.value) is outcome and str(info.value) == line
 
 
 def test_eval_reports_a_failed_lockstep_fold(pipeline_dir, tmp_path, capsys):
