@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientDataError, SchemaMismatch
+from .errors import GaitLabError, InsufficientDataError, SchemaMismatch
 from .pose import GaitLabel
 from .video_features import N_VIDEO_FEATURES, FeatureTable, VideoFeatures
 
@@ -715,6 +715,8 @@ class UnscorableRow(ValueError):
         self.row = row
         self.reason = f"non-finite {what}; is a value far outside the model's training range?"
         super().__init__(f"feature row {row} gives {self.reason}")
+
+    __reduce__ = GaitLabError.__reduce__
 
 
 def predict(model: TrainedModel, features: VideoFeatures):

@@ -7,12 +7,14 @@ Exit code 0 on success; a failure exits with its error's ``exit_code``
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import math
 import sys
 from pathlib import Path
 
-from . import classify, evaluate, ingest, synth
+from . import classify, evaluate, ingest, parallel, synth
 from .errors import GaitLabError, ParseError
 from .pose import GaitLabel
 from .frame_features import NORM_SCOPES
@@ -60,24 +62,40 @@ def _keypoint_files(in_path: Path) -> list[Path]:
     return [in_path]
 
 
+EXTRACT_CHUNK = 8  # files a worker process takes at a time
+
+
+def _featurize_file(path: Path, min_conf: float, min_frames: int, norm_scope: str, std: str):
+    """cmd_extract's job for one file: (VideoFeatures, IngestReport), or the
+    error that refused the file, returned so that the files before it are
+    reported first, and named by the file, keeping its type and exit code."""
+    try:
+        seq, report = ingest.filter_valid(ingest.load_keypoint_file(path), min_conf, min_frames)
+        return featurize_sequence(seq, norm_scope=norm_scope, std_mode=std), report
+    except Exception as exc:
+        if isinstance(exc, GaitLabError):
+            exc.args = (f"{path}: {exc}",)
+        return exc
+
+
 def cmd_extract(args) -> int:
     in_path = Path(args.in_path)
     files = _keypoint_files(in_path)
     manifest = in_path / "manifest.csv" if in_path.is_dir() else None
     labels = synth.read_manifest(manifest) if manifest and manifest.exists() else None
+    job = functools.partial(_featurize_file, min_conf=args.min_conf, min_frames=args.min_frames,
+                            norm_scope=args.norm_scope, std=args.std)
     rows = []
-    for path in files:
-        try:
-            seq = ingest.load_keypoint_file(path)
-            seq, report = ingest.filter_valid(seq, args.min_conf, args.min_frames)
-            vf = featurize_sequence(seq, norm_scope=args.norm_scope, std_mode=args.std)
-        except GaitLabError as exc:  # name the file, keeping the type and so the exit code
-            exc.args = (f"{path}: {exc}",)
-            raise
-        rows.append((vf, None if labels is None else labels.get(seq.source_id)))
-        if report.dropped_frames:
-            print(f"{seq.source_id}: dropped {report.dropped_frames}/"
-                  f"{report.total_frames} frames", file=sys.stderr)
+    # closing the map on a refusal cancels the files not yet started
+    with contextlib.closing(parallel.ordered_map(job, files, EXTRACT_CHUNK)) as results:
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+            vf, report = result
+            rows.append((vf, None if labels is None else labels.get(vf.source_id)))
+            if report.dropped_frames:
+                print(f"{vf.source_id}: dropped {report.dropped_frames}/"
+                      f"{report.total_frames} frames", file=sys.stderr)
     if labels is not None:  # a manifest and the files should name the same videos
         found = {vf.source_id for vf, _ in rows}
         for source_id in labels:

@@ -10,10 +10,18 @@ code the CLI gives it:
 A subclass exists only for the attributes its callers read.
 """
 
+import copyreg
+
 
 class GaitLabError(Exception):
     """Base class for all gaitlab errors; raise one of the three bases below."""
     exit_code: int
+
+    def __reduce__(self):
+        """Pickle as ``args`` and attributes, calling no ``__init__``: a
+        subclass's takes fields, not the message, so the default round trip
+        fails or doubles the message. A worker process's error needs this."""
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ParseError(GaitLabError):

@@ -10,13 +10,14 @@ accuracy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import classify
+from . import classify, parallel
 from .errors import InsufficientDataError
 from .pose import GaitLabel
 from .video_features import FeatureTable
@@ -144,7 +145,9 @@ def run_task(task: str, algorithms, table: FeatureTable, folds: int = DEFAULT_FO
     training and tested on its other rows; failures are collected, not fatal.
     A task whose rows hold fewer than 2 of its labels, an unlabeled row or too
     few rows for cross_validate in a class's floor(3n/4) is refused once, before
-    any fit: a class needs 6 rows at 2 folds and ceil(4k/3) at k >= 3.
+    any fit: a class needs 6 rows at 2 folds and ceil(4k/3) at k >= 3. The
+    algorithms run side by side in worker processes where parallel.ordered_map
+    finds 2 or more usable CPUs.
 
     Returns (reports, errors) where errors maps algorithm -> exception.
     """
@@ -153,26 +156,28 @@ def run_task(task: str, algorithms, table: FeatureTable, folds: int = DEFAULT_FO
     classify.class_sizes(table[rows], -(-4 * least // 3))  # floor(3n/4) >= least
     train_rows = stratified_split(table.labels, seed)
     train, test = table[rows & train_rows], table[rows & ~train_rows]
+    job = functools.partial(_evaluate, task=task, train=train, test=test, folds=folds, seed=seed)
     reports, errors = [], {}
-    for algorithm in algorithms:
-        try:
-            accuracies, model = cross_validate(algorithm, train, folds=folds, seed=seed)
-            confusion = confusion_matrix(model, test)
-            reports.append(
-                EvalReport(
-                    task=task,
-                    algorithm=algorithm,
-                    cv_accuracy=float(np.mean(accuracies)),
-                    test_accuracy=_accuracy(confusion),
-                    confusion=confusion,
-                    classes=model.class_set,
-                    fold_count=folds,
-                    seed=seed,
-                )
-            )
-        except Exception as exc:  # keep evaluating the other algorithms
-            errors[algorithm] = exc
+    for algorithm, outcome in zip(algorithms, parallel.ordered_map(job, algorithms)):
+        if isinstance(outcome, EvalReport):
+            reports.append(outcome)
+        else:
+            errors[algorithm] = outcome
     return reports, errors
+
+
+def _evaluate(algorithm: str, task: str, train: FeatureTable, test: FeatureTable, folds: int,
+              seed: int):
+    """run_task's job for one algorithm: its EvalReport, or the exception that
+    stopped it, returned so that the other algorithms go on."""
+    try:
+        accuracies, model = cross_validate(algorithm, train, folds=folds, seed=seed)
+        confusion = confusion_matrix(model, test)
+        return EvalReport(task=task, algorithm=algorithm, cv_accuracy=float(np.mean(accuracies)),
+                          test_accuracy=_accuracy(confusion), confusion=confusion,
+                          classes=model.class_set, fold_count=folds, seed=seed)
+    except Exception as exc:
+        return exc
 
 
 def best_report(reports) -> EvalReport:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gaitlab import classify, evaluate
+from gaitlab import classify, evaluate, parallel
 from gaitlab.cli import main
 from gaitlab.classify import load_model
 from gaitlab.errors import InsufficientDataError
@@ -172,19 +173,24 @@ def _edit_line(data, index, old, new):
      "need at least 2 frames to aggregate, got 1"),
 ], ids=["no-frame-field", "too-few-valid-frames", "not-utf8", "duplicate-frame",
         "one-frame"])
-def test_extract_names_the_refused_file(pipeline_dir, tmp_path, capsys, edit, flags, code,
-                                        message):
+def test_extract_names_the_refused_file(pipeline_dir, tmp_path, capsys, monkeypatch, edit, flags,
+                                        code, message):
     """A refused keypoint file in a directory is named in the one error line,
-    which keeps its exit code, and no CSV is written."""
-    corpus = tmp_path / "corpus"
-    shutil.copytree(pipeline_dir / "corpus", corpus)
-    refused = sorted(corpus.glob("*.kp.jsonl"))[4]
-    refused.write_bytes(edit(refused.read_bytes()))
-    capsys.readouterr()
-    assert main(["extract", "--in", str(corpus), "--out", str(tmp_path / "o.csv"), *flags]) == code
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
-    assert len(errors) == 1 and errors[0].startswith(f"error: {refused}: {message}")
-    assert not (tmp_path / "o.csv").exists()
+    which keeps its exit code, and no CSV is written. Worker processes run the
+    files 8 to a chunk; the refused file is the first of the 30, the fifth (in
+    the middle of its chunk) and the last, and each is named, not its chunk's
+    first file."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    for position in 0, 4, 29:
+        corpus, out = tmp_path / f"corpus-{position}", tmp_path / f"o-{position}.csv"
+        shutil.copytree(pipeline_dir / "corpus", corpus)
+        refused = sorted(corpus.glob("*.kp.jsonl"))[position]
+        refused.write_bytes(edit(refused.read_bytes()))
+        capsys.readouterr()
+        assert main(["extract", "--in", str(corpus), "--out", str(out), *flags]) == code
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {refused}: {message}")
+        assert not out.exists()
 
 
 def test_extract_names_manifest_and_file_disagreements(pipeline_dir, tmp_path, capsys):
@@ -1008,3 +1014,68 @@ print(sorted(name for name in sys.modules if name.split(".")[0] in {_DEV_ONLY!r}
     result = _run_python(code, tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def _run_on(cpus, monkeypatch, capsys, argv, out):
+    """(exit code, stdout, stderr, output bytes or None) of one run with
+    ``cpus`` usable CPUs: 1 runs in this process, 2 in forked workers. No
+    worker process outlives the run."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main([str(a) for a in argv])
+    stdout, stderr = capsys.readouterr()
+    assert multiprocessing.active_children() == []
+    return code, stdout, stderr, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["written", "refused"])
+def test_extract_gives_the_same_bytes_in_one_process_and_in_workers(pipeline_dir, tmp_path,
+                                                                    capsys, monkeypatch, refused):
+    """Dropped-frame lines of two files in one worker's chunk, a manifest row
+    without a file, and a refused file after them in that chunk: the CSV, both
+    streams and the exit code are the same on the serial and the pool path."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline_dir / "corpus", corpus)
+    files = sorted(corpus.glob("*.kp.jsonl"))
+    for path in files[1], files[5]:
+        path.write_bytes(_edit_line(path.read_bytes(), 3, b'"LeftEar"', b'"LeftEars"'))
+    if refused:
+        files[6].write_bytes(_edit_line(files[6].read_bytes(), 2, b'"frame"', b'"frames"'))
+    files[9].unlink()
+    out = tmp_path / "o.csv"
+    argv = ["extract", "--in", corpus, "--out", out]
+    serial = _run_on(1, monkeypatch, capsys, argv, out)
+    assert _run_on(2, monkeypatch, capsys, argv, out) == serial
+    code, _, stderr, written = serial
+    dropped = [f"{path.name.split('.')[0]}: dropped 1/24 frames" for path in (files[1], files[5])]
+    if refused:
+        assert code == 2 and written is None
+        assert stderr.splitlines() == dropped + [
+            f"error: {files[6]}: malformed keypoint line 3: missing 'frame' field"]
+    else:
+        assert code == 0 and len(written.splitlines()) == 30
+        assert stderr.splitlines() == dropped + [
+            f"{files[9].name.split('.')[0]}: in manifest.csv but has no keypoint file"]
+
+
+@pytest.mark.parametrize("case", ["five-algorithms", "knn-fails"])
+def test_eval_gives_the_same_bytes_in_one_process_and_in_workers(pipeline_dir, tmp_path, capsys,
+                                                                 monkeypatch, case):
+    """The report, both streams and the exit code are the same on the serial
+    and the pool path, also when one algorithm fails: knn's k=5 exceeds the 4
+    training rows of a class of 4 at 3 folds."""
+    features = pipeline_dir / "features.csv"
+    if case == "knn-fails":
+        corpus, features = tmp_path / "c", tmp_path / "f.csv"
+        assert main(["synth", "--counts", "Normal=4,Parkinson=4", "--frames", "12",
+                     "--out", str(corpus)]) == 0
+        assert main(["extract", "--in", str(corpus), "--out", str(features)]) == 0
+    report = tmp_path / "report.json"
+    argv = ["eval", "--features", features, "--folds", "3", "--report", report]
+    serial = _run_on(1, monkeypatch, capsys, argv, report)
+    assert _run_on(2, monkeypatch, capsys, argv, report) == serial
+    code, _, stderr, written = serial
+    assert code == 0 and len(json.loads(written)["reports"]) == 4 + (case == "five-algorithms")
+    assert stderr.splitlines() == ([] if case == "five-algorithms"
+                                   else ["knn: k=5 exceeds the 4 training rows"])

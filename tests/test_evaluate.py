@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitlab import classify, evaluate
+from gaitlab import classify, evaluate, parallel
 from gaitlab.errors import InsufficientDataError
 from gaitlab.evaluate import (
     EvalReport,
@@ -220,7 +220,9 @@ def test_cross_validate_returns_the_model_train_gives(algorithm):
 
 def test_report_cv_accuracy_is_the_mean_of_the_fold_accuracies(monkeypatch):
     """run_task calls cross_validate through the module, once per algorithm,
-    and reports the mean of the fold accuracies it returns, bit for bit."""
+    and reports the mean of the fold accuracies it returns, bit for bit. The
+    calls are recorded in this process, so the algorithms run in it, not in
+    worker processes."""
     table = FeatureTable.from_rows(dummy_items(
         {GaitLabel.NORMAL: 15, GaitLabel.PARKINSON: 17, GaitLabel.DIPLEGIA: 13},
         np.random.default_rng(10)))
@@ -232,6 +234,7 @@ def test_report_cv_accuracy_is_the_mean_of_the_fold_accuracies(monkeypatch):
         return returned[algorithm]
 
     monkeypatch.setattr(evaluate, "cross_validate", recording)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     reports, errors = run_task("multi", classify.ALGORITHMS, table, folds=3, seed=2)
     assert not errors and set(returned) == set(classify.ALGORITHMS)
     for report in reports:
@@ -346,8 +349,11 @@ def test_class_size_refusals_match_the_oracle(monkeypatch, folds):
     """Two classes of every size from 1 to 12: run_task and cross_validate
     refuse exactly the tables fold_refusal_oracle refuses, with its line, and
     gnb and logreg fit every table they accept without an error. Logreg runs 2
-    epochs, not 200: what a fit refuses does not hang on the epoch count."""
+    epochs, not 200: what a fit refuses does not hang on the epoch count. The
+    run_task calls run in this process: on tables this small, starting worker
+    processes for each would take longer than the fits (about 6 s in all)."""
     monkeypatch.setitem(classify.DEFAULT_HYPERS["logreg"], "epochs", 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     rng = np.random.default_rng(folds)
     for normal, parkinson in itertools.product(range(1, 13), repeat=2):
         sizes = {GaitLabel.NORMAL: normal, GaitLabel.PARKINSON: parkinson}
