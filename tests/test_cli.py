@@ -1079,3 +1079,138 @@ def test_eval_gives_the_same_bytes_in_one_process_and_in_workers(pipeline_dir, t
     assert code == 0 and len(json.loads(written)["reports"]) == 4 + (case == "five-algorithms")
     assert stderr.splitlines() == ([] if case == "five-algorithms"
                                    else ["knn: k=5 exceeds the 4 training rows"])
+
+
+def _huge_coordinates(data):
+    """Every keypoint's x and y times 1e160: finite, but the features overflow."""
+    frames = [json.loads(line) for line in data.splitlines()]
+    for frame in frames:
+        frame["kp"] = {name: [x * 1e160, y * 1e160, c] for name, (x, y, c) in frame["kp"].items()}
+    return "".join(json.dumps(frame) + "\n" for frame in frames).encode("utf-8")
+
+
+def _with_cell(index, value):
+    """A features CSV edit that sets one cell of the first data row."""
+    def edit(rows):
+        cells = rows[1].split(",")
+        cells[index] = value
+        return [rows[0], ",".join(cells)] + rows[2:]
+    return edit
+
+
+def _unlabeled(rows):
+    return rows[:1] + [",".join([row.split(",")[0], ""] + row.split(",")[2:]) for row in rows[1:]]
+
+
+def _first_id_twice(rows):
+    return rows[:2] + [rows[1].split(",")[0] + rows[2][rows[2].index(","):]] + rows[3:]
+
+
+_KEYPOINT_REFUSALS = {
+    "malformed-line": (lambda data: _edit_line(data, 2, b'"frame"', b'"frames"'), [], 2,
+                       "{path}: malformed keypoint line 3: missing 'frame' field"),
+    "duplicate-frame": (lambda data: data.splitlines(keepends=True)[0] + data, [], 2,
+                        "{path}: duplicate frame index 0"),
+    "not-utf8": (lambda data: b"\xff" + data, [], 2,
+                 "{path}: keypoint data is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                 "in position 0: invalid start byte"),
+    "too-few-valid-frames": (lambda data: b"".join(data.splitlines(keepends=True)[:4]), [], 3,
+                             "{path}: only 4 valid frames, need at least 10"),
+    "one-frame": (lambda data: data.splitlines(keepends=True)[0], ["--min-frames", "1"], 3,
+                  "{path}: need at least 2 frames to aggregate, got 1"),
+    "features-overflow": (_huge_coordinates, [], 2,
+                          "{path}: '{sid}' frame 0 has non-finite features; are its "
+                          "coordinates too large?"),
+}
+_MANIFEST_REFUSALS = {
+    "no-source_id-column": ("id,label\n{sid},Normal\n",
+                            "{path} line 1: the header needs source_id and label columns"),
+    "short-row": ("source_id,label\n{sid}\n", "{path} line 2: row has too few cells"),
+    "duplicate-source_id": ("source_id,label\n{sid},Normal\n{sid},Parkinson\n",
+                            "{path} line 3: duplicate source_id '{sid}'"),
+    "unknown-label": ("source_id,label\n{sid},Limping\n",
+                      "{path} line 2: unknown gait label 'Limping'"),
+    "not-utf8": ("source_id,label\n{sid},Norm\udce9al\n",
+                 "{path} is not a readable manifest: 'utf-8' codec can't decode byte 0xe9 in "
+                 "position {position}: invalid continuation byte"),
+}
+_CSV_REFUSALS = {
+    "no-schema-cell": (lambda rows: [rows[0][:rows[0].rindex(",")]] + rows[1:], 2,
+                       "{path} has no gaitlab feature CSV header with a known schema= cell; "
+                       "re-run `gaitlab extract` to write one"),
+    "cell-count": (lambda rows: [rows[0], rows[1][:rows[1].rindex(",")]] + rows[2:], 2,
+                   "{path} line 2: 227 cells, expected 228"),
+    "not-a-number": (_with_cell(5, "x"), 2, "{path} line 2: could not convert string to "
+                                            "float: 'x'"),
+    "non-finite": (_with_cell(5, "nan"), 2, "{path} line 2: non-finite feature value for '{sid}'"),
+    "oversized-field": (lambda rows: rows[:1] + [rows[1].replace(",", "," + "1" * 200_000, 1)]
+                        + rows[2:], 2,
+                        "{path} is not a readable feature CSV: field larger than field limit "
+                        "(131072)"),
+}
+_LABELED_ROW_REFUSALS = {
+    "no-labeled-rows": (_unlabeled, 2, "no labeled rows in {path}"),
+    "duplicate-source_id": (_first_id_twice, 2, "duplicate source_id '{sid}' in {path}"),
+}
+_PLACED_REFUSALS = (
+    [pytest.param("extract-keypoints", *case, id=f"extract-{name}")
+     for name, case in _KEYPOINT_REFUSALS.items()]
+    + [pytest.param("extract-manifest", manifest, [], 2, line, id=f"manifest-{name}")
+       for name, (manifest, line) in _MANIFEST_REFUSALS.items()]
+    + [pytest.param(command, edit, [], code, line, id=f"{command}-{name}")
+       for command in ("train", "predict") for name, (edit, code, line) in _CSV_REFUSALS.items()]
+    + [pytest.param(command, edit, [], code, line, id=f"{command}-{name}")
+       for command in ("train", "eval")
+       for name, (edit, code, line) in _LABELED_ROW_REFUSALS.items()]
+    + [pytest.param("predict-overflow", algo, [], 2,
+                    "{path} data row 1 ('{sid}') gives non-finite {what}; is a value far outside "
+                    "the model's training range?", id=f"predict-overflow-{algo}")
+       for algo in ("knn", "gnb", "logreg")]
+)
+
+
+@pytest.mark.parametrize("command, edit, flags, code, line", _PLACED_REFUSALS)
+def test_each_refusal_with_a_place_is_one_pinned_line(pipeline_dir, huge_value_features,
+                                                       tmp_path, capsys, command, edit, flags,
+                                                       code, line):
+    """Every refusal that names its file, line or video gives exactly this one
+    stderr line and exit code, and writes no output."""
+    src = sorted((pipeline_dir / "corpus").glob("*.kp.jsonl"))[0]
+    sid = src.name.removesuffix(".kp.jsonl")
+    out, model = tmp_path / "out", tmp_path / "m.json"
+    fields = {}
+    if command == "extract-keypoints":
+        path = tmp_path / src.name
+        path.write_bytes(edit(src.read_bytes()))
+        argv = ["extract", "--in", path, "--out", out, *flags]
+    elif command == "extract-manifest":
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(src, corpus)
+        path = corpus / "manifest.csv"
+        # surrogateescape writes the lone surrogate \udce9 as the byte e9, which is not UTF-8
+        path.write_bytes(edit.format(sid=sid).encode("utf-8", "surrogateescape"))
+        fields["position"] = path.read_bytes().find(b"\xe9")
+        argv = ["extract", "--in", corpus, "--out", out]
+    else:
+        features = pipeline_dir / "features.csv"
+        if command == "predict-overflow":
+            features, path = huge_value_features
+            fields["what"] = "distances" if edit == "knn" else "class scores"
+        else:
+            path = Path(_edited_features(pipeline_dir, tmp_path, edit))
+        sid = path.read_text(encoding="utf-8").splitlines()[1].split(",")[0]
+        algo = edit if command == "predict-overflow" else "gnb"
+        if command.startswith("predict"):
+            assert main(["train", "--features", str(features), "--algo", algo,
+                         "--out", str(model)]) == 0
+            argv = ["predict", "--model", model, "--features", path, "--out", out]
+        elif command == "train":
+            argv = ["train", "--features", path, "--algo", algo, "--out", out]
+        else:
+            argv = ["eval", "--features", path, "--algos", algo, "--folds", "2", "--report", out]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == code
+    expected = "error: " + line.format(path=path, sid=sid, **fields)
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert not out.exists()
