@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GaitLabError, InsufficientDataError, SchemaMismatch
+from .errors import InsufficientDataError, ParseError, SchemaMismatch
 from .pose import GaitLabel
 from .video_features import N_VIDEO_FEATURES, FeatureTable, VideoFeatures
 
@@ -521,9 +521,9 @@ def class_sizes(table: FeatureTable, least: int):
     if len(classes) < 2:
         raise InsufficientDataError(f"need at least 2 classes, got {len(classes)}")
     sizes = np.bincount(y, minlength=len(classes))
-    if sizes.min() < least:
+    if (n := int(sizes.min())) < least:
         raise InsufficientDataError(f"class {classes[int(sizes.argmin())].value} has only "
-                                    f"{sizes.min()} items, need at least {least}")
+                                    f"{n} item{'s' * (n != 1)}, need at least {least}")
     return y, classes, sizes
 
 
@@ -709,14 +709,12 @@ def _nearest(model: TrainedModel, Xs: np.ndarray) -> np.ndarray:
     return nearest
 
 
-class UnscorableRow(ValueError):
-    """Feature row ``row`` gives ``reason``: non-finite knn distances or class scores."""
+class UnscorableRow(ParseError, ValueError):
+    """Feature row ``row`` gives non-finite knn distances or class scores."""
     def __init__(self, row: int, what: str):
         self.row = row
-        self.reason = f"non-finite {what}; is a value far outside the model's training range?"
-        super().__init__(f"feature row {row} gives {self.reason}")
-
-    __reduce__ = GaitLabError.__reduce__
+        super().__init__(f"feature row {row} gives non-finite {what}; is a value far outside "
+                         "the model's training range?")
 
 
 def predict(model: TrainedModel, features: VideoFeatures):

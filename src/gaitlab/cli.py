@@ -68,13 +68,13 @@ EXTRACT_CHUNK = 8  # files a worker process takes at a time
 def _featurize_file(path: Path, min_conf: float, min_frames: int, norm_scope: str, std: str):
     """cmd_extract's job for one file: (VideoFeatures, IngestReport), or the
     error that refused the file, returned so that the files before it are
-    reported first, and named by the file, keeping its type and exit code."""
+    reported first; a gaitlab error gets the file as its path."""
     try:
         seq, report = ingest.filter_valid(ingest.load_keypoint_file(path), min_conf, min_frames)
         return featurize_sequence(seq, norm_scope=norm_scope, std_mode=std), report
     except Exception as exc:
         if isinstance(exc, GaitLabError):
-            exc.args = (f"{path}: {exc}",)
+            exc.path = path
         return exc
 
 
@@ -111,8 +111,7 @@ def cmd_extract(args) -> int:
 
 def cmd_synth(args) -> int:
     counts = None if args.counts is None else _parse_counts(args.counts)
-    written = synth.write_corpus(args.out, counts=counts, seed=args.seed,
-                                 n_frames=args.frames)
+    written = synth.write_corpus(args.out, counts=counts, seed=args.seed, n_frames=args.frames)
     print(f"wrote {len(written)} sequences to {args.out}")
     return 0
 
@@ -121,11 +120,11 @@ def _labeled_rows(args) -> FeatureTable:
     table = FeatureTable.from_rows([(vf, label) for vf, label in read_features_csv(args.features)
                                     if label is not None])
     if not len(table):
-        raise ParseError(f"no labeled rows in {args.features}")
+        raise ParseError("no labeled rows", path=args.features)
     seen = set()
     for source_id in table.source_ids:
         if source_id in seen:
-            raise ParseError(f"duplicate source_id {source_id!r} in {args.features}")
+            raise ParseError(f"duplicate source_id {source_id!r}", path=args.features)
         seen.add(source_id)
     return table
 
@@ -174,9 +173,9 @@ def cmd_predict(args) -> int:
     table = FeatureTable.from_rows(read_features_csv(args.features))
     try:
         scores = classify.scores(model, table.X, table.fingerprint)
-    except classify.UnscorableRow as exc:  # name the file and video, as the CSV reader does
-        raise ParseError(f"{args.features} data row {exc.row + 1} "
-                         f"({table.source_ids[exc.row]!r}) gives {exc.reason}") from None
+    except classify.UnscorableRow as exc:
+        exc.path, exc.source_id = args.features, table.source_ids[exc.row]
+        raise
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source_id", "predicted"]

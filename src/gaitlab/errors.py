@@ -7,7 +7,10 @@ code the CLI gives it:
   InsufficientDataError.exit_code = 3  -- too little data
   SchemaMismatch.exit_code = 4         -- feature schema disagreement
 
-A subclass exists only for the attributes its callers read.
+A subclass exists only for the attributes its callers read. Any error may
+also carry the place of the input it refused, set by the raiser or by a caller
+that knows it: ``path``, ``line`` (1-based) and ``source_id``. ``str()`` writes
+the known parts before the message: ``<path> line <line> ('<source_id>'): <message>``.
 """
 
 import copyreg
@@ -17,10 +20,18 @@ class GaitLabError(Exception):
     """Base class for all gaitlab errors; raise one of the three bases below."""
     exit_code: int
 
+    def __init__(self, *args, path=None, line=None, source_id=None):
+        super().__init__(*args)
+        self.path, self.line, self.source_id = path, line, source_id  # the refused input's place
+
+    def __str__(self):
+        place = (self.path, self.line and f"line {self.line}",
+                 self.source_id is not None and f"({self.source_id!r})")
+        return ": ".join(filter(None, (" ".join(str(p) for p in place if p), super().__str__())))
+
     def __reduce__(self):
-        """Pickle as ``args`` and attributes, calling no ``__init__``: a
-        subclass's takes fields, not the message, so the default round trip
-        fails or doubles the message. A worker process's error needs this."""
+        """Pickle as ``args`` and attributes and unpickle calling no ``__init__``,
+        as a subclass's takes fields, not the message: a worker's error needs this."""
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
@@ -30,12 +41,7 @@ class ParseError(GaitLabError):
 
 
 class MalformedLine(ParseError):
-    def __init__(self, line_no, reason=""):
-        self.line_no = line_no
-        msg = f"malformed keypoint line {line_no}"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
+    """A keypoint line that does not parse; ``line`` is its number."""
 
 
 class DuplicateFrame(ParseError):

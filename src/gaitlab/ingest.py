@@ -111,36 +111,36 @@ def _raise_first_refusal(lines: list, source_id: str) -> None:
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
+        try:  # a refused field raises ValueError, given the line number below
             obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # bad JSON, overlong integer, deep nesting
-            raise MalformedLine(line_no, str(exc)) from None
-        if not isinstance(obj, dict) or "frame" not in obj:
-            raise MalformedLine(line_no, "missing 'frame' field")
-        idx = obj["frame"]
-        if type(idx) is not int or not 0 <= idx <= _MAX_FRAME_INDEX:
-            raise MalformedLine(line_no, f"bad frame index {idx!r}")
-        if idx in seen:
-            raise DuplicateFrame(idx)
-        seen.add(idx)
-        t_ms = obj.get("t_ms")
-        if not _valid_stamp(t_ms):
-            raise MalformedLine(line_no, f"bad t_ms {t_ms!r}")
-        kp = obj.get("kp", {})
-        if not isinstance(kp, dict):
-            raise MalformedLine(line_no, "'kp' must be an object")
-        row = []
-        for name in _NAMES:
-            value = kp.get(name, _ABSENT)
-            if type(value) is not list or len(value) != 3:
-                raise MalformedLine(line_no, f"keypoint {name!r} is not an [x, y, conf] triple")
-            row += value
-        if not set(map(type, row)) <= _NUMBER_TYPES:
-            raise MalformedLine(line_no, "keypoint values must be numbers")
-        try:
-            list(map(float, row))
-        except OverflowError:
-            raise MalformedLine(line_no, "keypoint value beyond the float range") from None
+            if not isinstance(obj, dict) or "frame" not in obj:
+                raise ValueError("missing 'frame' field")
+            idx = obj["frame"]
+            if type(idx) is not int or not 0 <= idx <= _MAX_FRAME_INDEX:
+                raise ValueError(f"bad frame index {idx!r}")
+            if idx in seen:
+                raise DuplicateFrame(idx)
+            seen.add(idx)
+            t_ms = obj.get("t_ms")
+            if not _valid_stamp(t_ms):
+                raise ValueError(f"bad t_ms {t_ms!r}")
+            kp = obj.get("kp", {})
+            if not isinstance(kp, dict):
+                raise ValueError("'kp' must be an object")
+            row = []
+            for name in _NAMES:
+                value = kp.get(name, _ABSENT)
+                if type(value) is not list or len(value) != 3:
+                    raise ValueError(f"keypoint {name!r} is not an [x, y, conf] triple")
+                row += value
+            if not set(map(type, row)) <= _NUMBER_TYPES:
+                raise ValueError("keypoint values must be numbers")
+            try:
+                list(map(float, row))
+            except OverflowError:
+                raise ValueError("keypoint value beyond the float range") from None
+        except (ValueError, RecursionError) as exc:  # also bad JSON, overlong integer, deep nesting
+            raise MalformedLine(str(exc), line=line_no) from None
     if not seen:
         raise ParseError(f"no frames parsed from input {source_id!r}")
     raise AssertionError("the column checks refused lines that every line check passes")
@@ -169,8 +169,8 @@ def parse_keypoint_file(data: Union[bytes, str], source_id: str = "") -> PoseSeq
     bad = _first_bad_joint(xy, conf, named)
     if bad:
         line_nos = list(compress(count(1), map(str.strip, lines)))
-        raise MalformedLine(line_nos[bad[0]], f"keypoint {_NAMES[bad[1]]!r}: non-finite "
-                                              "coordinates or confidence outside [0, 1]")
+        raise MalformedLine(f"keypoint {_NAMES[bad[1]]!r}: non-finite coordinates or "
+                            "confidence outside [0, 1]", line=line_nos[bad[0]])
     return PoseSequence(xy[order], conf[order], frame_index[order],
                         tuple(stamps[i] for i in order), source_id)
 

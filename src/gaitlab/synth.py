@@ -209,24 +209,22 @@ def read_manifest(path) -> dict[str, GaitLabel]:
     """source_id -> label mapping from a corpus manifest.csv.
 
     A missing column, a short row, a repeated source_id, an unknown label,
-    non-UTF-8 bytes or a defect the csv module finds raise ParseError naming
-    the file and line."""
+    non-UTF-8 bytes or a csv module defect raise ParseError at its path and line."""
     labels = {}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # also after a byte order mark
             reader = csv.DictReader(fh)
             if not {"source_id", "label"} <= set(reader.fieldnames or ()):
-                raise ParseError(f"{path} line 1: the header needs source_id and label columns")
+                raise ParseError("the header needs source_id and label columns", path=path, line=1)
             for row in reader:
-                where = f"{path} line {reader.line_num}"
-                if row["source_id"] is None or row["label"] is None:
-                    raise ParseError(f"{where}: row has too few cells")
-                if row["source_id"] in labels:
-                    raise ParseError(f"{where}: duplicate source_id {row['source_id']!r}")
                 try:
+                    if row["source_id"] is None or row["label"] is None:
+                        raise ValueError("row has too few cells")
+                    if row["source_id"] in labels:
+                        raise ValueError(f"duplicate source_id {row['source_id']!r}")
                     labels[row["source_id"]] = GaitLabel.from_name(row["label"])
                 except ValueError as exc:
-                    raise ParseError(f"{where}: {exc}") from None
+                    raise ParseError(str(exc), path=path, line=reader.line_num) from None
     except (csv.Error, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path} is not a readable manifest: {exc}") from None
+        raise ParseError(f"not a readable manifest: {exc}", path=path) from None
     return labels

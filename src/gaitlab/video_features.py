@@ -174,20 +174,19 @@ def read_features_csv(path) -> list[tuple[VideoFeatures, Optional[GaitLabel]]]:
             *names, schema = next(reader, None) or [""]
             fingerprint = schema.removeprefix("schema=")
             if names != _CSV_HEADER or fingerprint == schema or schema_config(fingerprint) is None:
-                raise ParseError(f"{path} has no gaitlab feature CSV header with a known "
-                                 f"schema= cell; re-run `gaitlab extract` to write one")
+                raise ParseError("no gaitlab feature CSV header with a known schema= cell; "
+                                 "re-run `gaitlab extract` to write one", path=path)
             for row in reader:
-                where = f"{path} line {reader.line_num}"
-                if len(row) != len(_CSV_HEADER):
-                    raise ParseError(f"{where}: {len(row)} cells, expected {len(_CSV_HEADER)}")
                 try:
+                    if len(row) != len(_CSV_HEADER):
+                        raise ValueError(f"{len(row)} cells, expected {len(_CSV_HEADER)}")
                     label = GaitLabel.from_name(row[1]) if row[1] else None
                     values = np.array([float(v) for v in row[2:]])
+                    if not np.isfinite(values).all():
+                        raise ValueError(f"non-finite feature value for {row[0]!r}")
                 except ValueError as exc:
-                    raise ParseError(f"{where}: {exc}") from None
-                if not np.isfinite(values).all():
-                    raise ParseError(f"{where}: non-finite feature value for {row[0]!r}")
+                    raise ParseError(str(exc), path=path, line=reader.line_num) from None
                 rows.append((VideoFeatures(values, row[0], fingerprint), label))
     except (csv.Error, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path} is not a readable feature CSV: {exc}") from None
+        raise ParseError(f"not a readable feature CSV: {exc}", path=path) from None
     return rows

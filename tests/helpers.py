@@ -99,33 +99,34 @@ def parse_keypoint_file_oracle(data, source_id=""):
         try:
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:
-            raise MalformedLine(line_no, str(exc)) from None
+            raise MalformedLine(str(exc), line=line_no) from None
         if not isinstance(obj, dict) or "frame" not in obj:
-            raise MalformedLine(line_no, "missing 'frame' field")
+            raise MalformedLine("missing 'frame' field", line=line_no)
         idx = obj["frame"]
         if type(idx) is not int or not 0 <= idx <= 2**63 - 1:
-            raise MalformedLine(line_no, f"bad frame index {idx!r}")
+            raise MalformedLine(f"bad frame index {idx!r}", line=line_no)
         if idx in indices:
             raise DuplicateFrame(idx)
         t_ms = obj.get("t_ms")
         if not (t_ms is None or type(t_ms) is int
                 or (type(t_ms) is float and math.isfinite(t_ms))):
-            raise MalformedLine(line_no, f"bad t_ms {t_ms!r}")
+            raise MalformedLine(f"bad t_ms {t_ms!r}", line=line_no)
         kp = obj.get("kp", {})
         if not isinstance(kp, dict):
-            raise MalformedLine(line_no, "'kp' must be an object")
+            raise MalformedLine("'kp' must be an object", line=line_no)
         row = []
         for name in names:
             value = kp.get(name, absent)
             if type(value) is not list or len(value) != 3:
-                raise MalformedLine(line_no, f"keypoint {name!r} is not an [x, y, conf] triple")
+                raise MalformedLine(f"keypoint {name!r} is not an [x, y, conf] triple",
+                                    line=line_no)
             row += value
         if any(type(v) not in (int, float) for v in row):
-            raise MalformedLine(line_no, "keypoint values must be numbers")
+            raise MalformedLine("keypoint values must be numbers", line=line_no)
         try:
             rows.append([float(v) for v in row])
         except OverflowError:
-            raise MalformedLine(line_no, "keypoint value beyond the float range") from None
+            raise MalformedLine("keypoint value beyond the float range", line=line_no) from None
         line_nos.append(line_no)
         indices.append(idx)
         stamps.append(t_ms)
@@ -136,8 +137,8 @@ def parse_keypoint_file_oracle(data, source_id=""):
         for j, name in enumerate(names):
             x, y, c = row[3 * j:3 * j + 3]
             if row_named[j] and not (math.isfinite(x) and math.isfinite(y) and 0.0 <= c <= 1.0):
-                raise MalformedLine(line_nos[t], f"keypoint {name!r}: non-finite "
-                                                 "coordinates or confidence outside [0, 1]")
+                raise MalformedLine(f"keypoint {name!r}: non-finite coordinates or "
+                                    "confidence outside [0, 1]", line=line_nos[t])
     order = sorted(range(len(indices)), key=indices.__getitem__)
     values = np.array([rows[i] for i in order]).reshape(-1, 14, 3)
     return PoseSequence(values[..., :2], values[..., 2], np.array(sorted(indices), dtype=np.int64),
@@ -294,7 +295,8 @@ def fold_refusal_oracle(sizes, folds, split):
         return None
     least = next(n for n in range(1, 10 * folds) if usable(n))
     smallest = min(sizes, key=lambda label: sizes[label])
-    return f"class {smallest.value} has only {sizes[smallest]} items, need at least {least}"
+    items = "item" if sizes[smallest] == 1 else "items"
+    return f"class {smallest.value} has only {sizes[smallest]} {items}, need at least {least}"
 
 
 def tree_leaf_oracle(params, root, x):

@@ -82,7 +82,7 @@ def test_tiny_class_is_insufficient():
     items = make_separable_items(rng, n_per_class=5)
     items.append((vf_from_vector(rng.normal(size=226), "lone"), GaitLabel.DIPLEGIA))
     with pytest.raises(InsufficientDataError,
-                       match="^class Diplegia has only 1 items, need at least 2$"):
+                       match="^class Diplegia has only 1 item, need at least 2$"):
         train("gnb", FeatureTable.from_rows(items))
 
 

@@ -164,13 +164,13 @@ def _edit_line(data, index, old, new):
 
 @pytest.mark.parametrize("edit, flags, code, message", [
     (lambda data: _edit_line(data, 2, b'"frame"', b'"frames"'), [], 2,
-     "malformed keypoint line 3: missing 'frame' field"),
+     " line 3: missing 'frame' field"),
     (lambda data: b"".join(data.splitlines(keepends=True)[:4]), [], 3,
-     "only 4 valid frames, need at least 10"),
-    (lambda data: b"\xff" + data, [], 2, "keypoint data is not UTF-8: "),
-    (lambda data: data.splitlines(keepends=True)[0] + data, [], 2, "duplicate frame index 0"),
+     ": only 4 valid frames, need at least 10"),
+    (lambda data: b"\xff" + data, [], 2, ": keypoint data is not UTF-8: "),
+    (lambda data: data.splitlines(keepends=True)[0] + data, [], 2, ": duplicate frame index 0"),
     (lambda data: data.splitlines(keepends=True)[0], ["--min-frames", "1"], 3,
-     "need at least 2 frames to aggregate, got 1"),
+     ": need at least 2 frames to aggregate, got 1"),
 ], ids=["no-frame-field", "too-few-valid-frames", "not-utf8", "duplicate-frame",
         "one-frame"])
 def test_extract_names_the_refused_file(pipeline_dir, tmp_path, capsys, monkeypatch, edit, flags,
@@ -189,7 +189,7 @@ def test_extract_names_the_refused_file(pipeline_dir, tmp_path, capsys, monkeypa
         capsys.readouterr()
         assert main(["extract", "--in", str(corpus), "--out", str(out), *flags]) == code
         errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
-        assert len(errors) == 1 and errors[0].startswith(f"error: {refused}: {message}")
+        assert len(errors) == 1 and errors[0].startswith(f"error: {refused}{message}")
         assert not out.exists()
 
 
@@ -477,16 +477,16 @@ _REFUSALS = {
                                "error: task 'binary:Parkinson' needs rows of at least 2 of "
                                "its labels (Parkinson, Normal), found none"),
     "train-1-row": ({"Normal": 1, "Parkinson": 4}, "train", ["--algo", "knn"], 3,
-                    "error: class Normal has only 1 items, need at least 2"),
+                    "error: class Normal has only 1 item, need at least 2"),
     "train-binary-1-row": ({"Choreiform": 1, "Normal": 1, "Parkinson": 4}, "train",
                            ["--algo", "logreg", "--task", "binary:Parkinson"], 3,
-                           "error: class Normal has only 1 items, need at least 2"),
+                           "error: class Normal has only 1 item, need at least 2"),
     "train-1-class": ({"Parkinson": 4}, "train", ["--algo", "tree"], 3,
                       "error: task 'multi' needs rows of at least 2 of its labels (Choreiform, "
                       "Diplegia, Hemiplegia, Normal, Parkinson), found Parkinson"),
     "library-train-1-row": ({"Normal": 1, "Parkinson": 4}, classify.train,
                             {"algorithm": "gnb"}, InsufficientDataError,
-                            "class Normal has only 1 items, need at least 2"),
+                            "class Normal has only 1 item, need at least 2"),
     "library-train-empty": ({}, classify.train, {"algorithm": "forest"},
                             InsufficientDataError, "need at least 2 classes, got 0"),
     "cross-validate-2-folds-3-rows": ({"Normal": 3, "Parkinson": 4}, evaluate.cross_validate,
@@ -807,7 +807,7 @@ def test_exit_code_unreadable_features_csv(pipeline_dir, tmp_path, capsys, edit)
     ("source_id,label\n{sid}\n", "line 2"),
     ("source_id,label\n{sid},Normal\n{sid},Parkinson\n", "line 3: duplicate source_id"),
     ("source_id,label\n{sid},Limping\n", "line 2: unknown gait label 'Limping'"),
-    ("source_id,label\n{sid},Norm\udce9al\n", "is not a readable manifest"),
+    ("source_id,label\n{sid},Norm\udce9al\n", "manifest.csv: not a readable manifest"),
 ], ids=["no-source_id-column", "short-row", "duplicate-source_id", "unknown-label", "not-utf8"])
 def test_exit_code_malformed_manifest(pipeline_dir, tmp_path, capsys, manifest, message):
     src = next(iter((pipeline_dir / "corpus").glob("*.kp.jsonl")))
@@ -925,7 +925,8 @@ def test_predict_refuses_rows_whose_scores_overflow(huge_value_features, tmp_pat
             rows = list(csv.reader(fh))
         what = "distances" if algo == "knn" else "class scores"
         hint = "is a value far outside the model's training range?"
-        assert err == [f"error: {huge} data row 1 ({rows[1][0]!r}) gives non-finite {what}; {hint}"]
+        assert err == [f"error: {huge} ({rows[1][0]!r}): feature row 0 gives non-finite {what}; "
+                       f"{hint}"]
         assert not out.exists()
         # only the third data row is huge: the message names that row and its video
         rows[1][5], rows[2][5] = rows[4][5], rows[4][5]
@@ -935,7 +936,7 @@ def test_predict_refuses_rows_whose_scores_overflow(huge_value_features, tmp_pat
         assert main(["predict", "--model", str(model), "--features", str(third),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {third} data row 3 ({rows[3][0]!r}) gives non-finite {what}; {hint}"]
+            f"error: {third} ({rows[3][0]!r}): feature row 2 gives non-finite {what}; {hint}"]
 
 
 def test_eval_names_the_algorithm_of_a_hyperparameter_error_once(huge_value_features,
@@ -1052,7 +1053,7 @@ def test_extract_gives_the_same_bytes_in_one_process_and_in_workers(pipeline_dir
     if refused:
         assert code == 2 and written is None
         assert stderr.splitlines() == dropped + [
-            f"error: {files[6]}: malformed keypoint line 3: missing 'frame' field"]
+            f"error: {files[6]} line 3: missing 'frame' field"]
     else:
         assert code == 0 and len(written.splitlines()) == 30
         assert stderr.splitlines() == dropped + [
@@ -1108,7 +1109,7 @@ def _first_id_twice(rows):
 
 _KEYPOINT_REFUSALS = {
     "malformed-line": (lambda data: _edit_line(data, 2, b'"frame"', b'"frames"'), [], 2,
-                       "{path}: malformed keypoint line 3: missing 'frame' field"),
+                       "{path} line 3: missing 'frame' field"),
     "duplicate-frame": (lambda data: data.splitlines(keepends=True)[0] + data, [], 2,
                         "{path}: duplicate frame index 0"),
     "not-utf8": (lambda data: b"\xff" + data, [], 2,
@@ -1131,12 +1132,12 @@ _MANIFEST_REFUSALS = {
     "unknown-label": ("source_id,label\n{sid},Limping\n",
                       "{path} line 2: unknown gait label 'Limping'"),
     "not-utf8": ("source_id,label\n{sid},Norm\udce9al\n",
-                 "{path} is not a readable manifest: 'utf-8' codec can't decode byte 0xe9 in "
+                 "{path}: not a readable manifest: 'utf-8' codec can't decode byte 0xe9 in "
                  "position {position}: invalid continuation byte"),
 }
 _CSV_REFUSALS = {
     "no-schema-cell": (lambda rows: [rows[0][:rows[0].rindex(",")]] + rows[1:], 2,
-                       "{path} has no gaitlab feature CSV header with a known schema= cell; "
+                       "{path}: no gaitlab feature CSV header with a known schema= cell; "
                        "re-run `gaitlab extract` to write one"),
     "cell-count": (lambda rows: [rows[0], rows[1][:rows[1].rindex(",")]] + rows[2:], 2,
                    "{path} line 2: 227 cells, expected 228"),
@@ -1145,12 +1146,12 @@ _CSV_REFUSALS = {
     "non-finite": (_with_cell(5, "nan"), 2, "{path} line 2: non-finite feature value for '{sid}'"),
     "oversized-field": (lambda rows: rows[:1] + [rows[1].replace(",", "," + "1" * 200_000, 1)]
                         + rows[2:], 2,
-                        "{path} is not a readable feature CSV: field larger than field limit "
+                        "{path}: not a readable feature CSV: field larger than field limit "
                         "(131072)"),
 }
 _LABELED_ROW_REFUSALS = {
-    "no-labeled-rows": (_unlabeled, 2, "no labeled rows in {path}"),
-    "duplicate-source_id": (_first_id_twice, 2, "duplicate source_id '{sid}' in {path}"),
+    "no-labeled-rows": (_unlabeled, 2, "{path}: no labeled rows"),
+    "duplicate-source_id": (_first_id_twice, 2, "{path}: duplicate source_id '{sid}'"),
 }
 _PLACED_REFUSALS = (
     [pytest.param("extract-keypoints", *case, id=f"extract-{name}")
@@ -1163,8 +1164,8 @@ _PLACED_REFUSALS = (
        for command in ("train", "eval")
        for name, (edit, code, line) in _LABELED_ROW_REFUSALS.items()]
     + [pytest.param("predict-overflow", algo, [], 2,
-                    "{path} data row 1 ('{sid}') gives non-finite {what}; is a value far outside "
-                    "the model's training range?", id=f"predict-overflow-{algo}")
+                    "{path} ('{sid}'): feature row 0 gives non-finite {what}; is a value far "
+                    "outside the model's training range?", id=f"predict-overflow-{algo}")
        for algo in ("knn", "gnb", "logreg")]
 )
 

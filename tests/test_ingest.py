@@ -65,7 +65,7 @@ def test_malformed_line_reports_number():
     data = "\n".join([line_for(0), "{not json"])
     with pytest.raises(MalformedLine) as exc:
         parse_keypoint_file(data)
-    assert exc.value.line_no == 2
+    assert exc.value.line == 2
 
 
 @pytest.mark.parametrize("middle", ["]", "x"])
@@ -73,7 +73,7 @@ def test_a_line_that_starts_no_json_value_is_refused_by_its_number(middle):
     """Not one frame from the lines before it: the line's own refusal."""
     with pytest.raises(MalformedLine, match="line 2: Expecting value") as exc:
         parse_keypoint_file("\n".join([line_for(0), middle, line_for(2)]))
-    assert exc.value.line_no == 2
+    assert exc.value.line == 2
 
 
 def test_bad_triple_is_malformed():
@@ -92,7 +92,7 @@ def test_a_line_ends_only_at_newline(sep):
     line, which is not valid JSON."""
     with pytest.raises(MalformedLine, match="line 1: Extra data") as exc:
         parse_keypoint_file(line_for(0) + sep + line_for(1))
-    assert exc.value.line_no == 1
+    assert exc.value.line == 1
 
 
 @pytest.mark.parametrize("sep", ["\x85", "\u2028", "\u2029"],
@@ -113,7 +113,7 @@ def test_crlf_line_ends_parse():
         "\n".join([line_for(0), line_for(1)]))
     with pytest.raises(MalformedLine) as exc:
         parse_keypoint_file("\r\n".join(lines))
-    assert exc.value.line_no == 4
+    assert exc.value.line == 4
 
 
 def test_empty_input():
@@ -268,7 +268,7 @@ def test_filter_valid_preserves_order_and_is_idempotent():
 def test_non_numbers_are_malformed(obj):
     with pytest.raises(MalformedLine) as exc:
         parse_keypoint_file(line_for(0) + "\n" + json.dumps(obj))
-    assert exc.value.line_no == 2
+    assert exc.value.line == 2
 
 
 @pytest.mark.parametrize("text", ["1e999", "-1e999", "NaN", "Infinity",
@@ -277,7 +277,7 @@ def test_out_of_range_values_are_malformed(text):
     line = '{"frame": 1, "kp": {"RightAnkle": [%s, 0, 0.5]}}' % text
     with pytest.raises(MalformedLine) as exc:
         parse_keypoint_file(line_for(0) + "\n" + line)
-    assert exc.value.line_no == 2
+    assert exc.value.line == 2
 
 
 def test_non_utf8_bytes_are_a_parse_error():

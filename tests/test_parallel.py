@@ -20,7 +20,7 @@ def _square_and_pid(x):
 
 def _refuse_three(x):
     if x == 3:
-        raise errors.MalformedLine(x, "refused")
+        raise errors.MalformedLine("refused", line=x)
     return x
 
 
@@ -68,7 +68,7 @@ def test_ordered_map_raises_a_job_error_in_item_order(cpus, n):
     assert [next(results) for _ in range(3)] == [0, 1, 2]
     with pytest.raises(errors.MalformedLine) as info:
         next(results)
-    assert str(info.value) == "malformed keypoint line 3: refused" and info.value.line_no == 3
+    assert str(info.value) == "line 3: refused" and info.value.line == 3
     assert multiprocessing.active_children() == []
 
 
@@ -119,8 +119,10 @@ def test_import_gaitlab_does_not_import_multiprocessing():
 PICKLED_ERRORS = {
     "ParseError": lambda: errors.ParseError("bad input"),
     "InsufficientDataError": lambda: errors.InsufficientDataError("too few rows"),
-    "MalformedLine": lambda: errors.MalformedLine(3, "x"),
-    "MalformedLine-no-reason": lambda: errors.MalformedLine(7),
+    "ParseError-placed": lambda: errors.ParseError("227 cells, expected 228", path="f.csv",
+                                                    line=4),
+    "MalformedLine": lambda: errors.MalformedLine("x", line=3),
+    "MalformedLine-no-reason": lambda: errors.MalformedLine(line=7),
     "DuplicateFrame": lambda: errors.DuplicateFrame(2),
     "DegenerateLine": lambda: errors.DegenerateLine("left-leg", 4),
     "DegeneratePose": lambda: errors.DegeneratePose(5),
@@ -134,10 +136,14 @@ PICKLED_ERRORS = {
 @pytest.mark.parametrize("named", [False, True], ids=["as-raised", "named-by-file"])
 def test_errors_survive_pickling(make, named):
     """The type, message, exit code and every attribute survive a pickle round
-    trip, also after a caller rewrote the message to name a file."""
+    trip, also after a caller set the place fields, as the CLI does: the file,
+    and for a row that cannot be scored its video."""
     error = make()
     if named:
-        error.args = (f"corpus/a.kp.jsonl: {error}",)
+        error.path = Path("corpus/a.kp.jsonl")
+        if isinstance(error, classify.UnscorableRow):
+            error.source_id = "normal_003"
+        assert str(error).startswith(str(error.path))
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is type(error) and copy.args == error.args and str(copy) == str(error)
     assert vars(copy) == vars(error)
