@@ -195,11 +195,11 @@ def save_model(model: TrainedModel, path) -> None:
 
 def load_model(path) -> TrainedModel:
     """Read a model file; a file that is not a valid model document raises
-    ValueError naming it."""
+    ParseError at its path."""
     try:
         return TrainedModel.from_json(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # also a decoding or JSON syntax error
-        raise ValueError(f"model file {path}: {exc}") from None
+        raise ParseError(str(exc), path=path) from None
 
 
 # --- standardization ---------------------------------------------------------

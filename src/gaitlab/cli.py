@@ -62,9 +62,6 @@ def _keypoint_files(in_path: Path) -> list[Path]:
     return [in_path]
 
 
-EXTRACT_CHUNK = 8  # files a worker process takes at a time
-
-
 def _featurize_file(path: Path, min_conf: float, min_frames: int, norm_scope: str, std: str):
     """cmd_extract's job for one file: (VideoFeatures, IngestReport), or the
     error that refused the file, returned so that the files before it are
@@ -87,7 +84,7 @@ def cmd_extract(args) -> int:
                             norm_scope=args.norm_scope, std=args.std)
     rows = []
     # closing the map on a refusal cancels the files not yet started
-    with contextlib.closing(parallel.ordered_map(job, files, EXTRACT_CHUNK)) as results:
+    with contextlib.closing(parallel.ordered_map(job, files, parallel.FILE_CHUNK)) as results:
         for result in results:
             if isinstance(result, Exception):
                 raise result

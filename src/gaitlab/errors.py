@@ -45,9 +45,9 @@ class MalformedLine(ParseError):
 
 
 class DuplicateFrame(ParseError):
-    def __init__(self, frame_index):
+    def __init__(self, frame_index, line=None):
         self.frame_index = frame_index
-        super().__init__(f"duplicate frame index {frame_index}")
+        super().__init__(f"duplicate frame index {frame_index}", line=line)
 
 
 class DegenerateLine(ParseError):

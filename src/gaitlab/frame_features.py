@@ -144,6 +144,6 @@ def extract_sequence(
         features = np.hstack([lines, cd / cd_top, md / md_top])[keep]
     if not np.isfinite(features).all():
         t = np.argmin(np.isfinite(features).all(axis=1))
-        raise ParseError(f"{seq.source_id!r} frame {seq.frame_index[keep][t]} has non-finite "
-                         "features; are its coordinates too large?")
+        raise ParseError(f"frame {seq.frame_index[keep][t]} has non-finite features; are its "
+                         "coordinates too large?", source_id=seq.source_id)
     return features, int(degenerate.sum())

@@ -119,7 +119,7 @@ def _raise_first_refusal(lines: list, source_id: str) -> None:
             if type(idx) is not int or not 0 <= idx <= _MAX_FRAME_INDEX:
                 raise ValueError(f"bad frame index {idx!r}")
             if idx in seen:
-                raise DuplicateFrame(idx)
+                raise DuplicateFrame(idx, line=line_no)
             seen.add(idx)
             t_ms = obj.get("t_ms")
             if not _valid_stamp(t_ms):

@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 import threading
 
+FILE_CHUNK = 8  # files a worker process takes at a time in extract and synth
+
 
 def usable_cpus() -> int:
     """CPUs this process may run on; 1 where that is unknown (no

@@ -14,13 +14,16 @@ Circumduction and jitter amplitudes are expressed in torso-widths
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .errors import ParseError
 from .ingest import save_keypoint_file
 from .pose import GaitLabel, KeypointId, PoseSequence
@@ -182,6 +185,18 @@ def generate_corpus(
             for source_id, label, params in _corpus_params(counts, seed, n_frames)]
 
 
+def _write_sequence(out_dir: Path, item):
+    """write_corpus's job for one (source_id, label, params) item: generate
+    its sequence and save it as ``<source_id>.kp.jsonl``. Returns None, or the
+    OSError that refused the file, returned so that the files before it in its
+    chunk still get their manifest rows."""
+    source_id, _, params = item
+    try:
+        save_keypoint_file(generate(params, source_id), out_dir / f"{source_id}.kp.jsonl")
+    except OSError as exc:
+        return exc
+
+
 def write_corpus(
     out_dir,
     counts: dict[GaitLabel, int] | None = None,
@@ -192,16 +207,24 @@ def write_corpus(
 
     Every sequence's parameters are drawn first, so refused counts or frame
     counts leave out_dir as it was; then each sequence is generated, written
-    and dropped in turn, so no more than one is held at a time."""
+    and dropped in turn, in worker processes where parallel.ordered_map uses
+    them, so no more than one is held at a time per process. Each manifest row
+    is written, in item order, once its file is. A file that cannot be written
+    raises after the rows of the files before it; in workers, files after it
+    (its chunk's and other workers' chunks') may have been written too."""
     items = _corpus_params(counts, seed, n_frames)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source_id", "label", "seed"])
-        for source_id, label, params in items:
-            save_keypoint_file(generate(params, source_id), out_dir / f"{source_id}.kp.jsonl")
-            writer.writerow([source_id, label.value, params.seed])
+        fh.flush()  # the header leaves the buffer before any worker forks
+        job = functools.partial(_write_sequence, out_dir)
+        with contextlib.closing(parallel.ordered_map(job, items, parallel.FILE_CHUNK)) as done:
+            for (source_id, label, params), error in zip(items, done):
+                if error is not None:
+                    raise error
+                writer.writerow([source_id, label.value, params.seed])
     return [(source_id, label) for source_id, label, _ in items]
 
 

@@ -1,5 +1,6 @@
 """Shared builders and independent geometry oracles for the test suite."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -25,6 +26,15 @@ def sequence_from_coords(coords, frame_index=None, confidence=1.0, source_id="")
     """A PoseSequence of (T, 14, 2) coordinates with one confidence for every joint."""
     xy = np.asarray(coords, dtype=float)
     return PoseSequence(xy, np.full(xy.shape[:2], confidence), frame_index, source_id=source_id)
+
+
+def corpus_digest(out_dir) -> str:
+    """sha256 over each written file's name and bytes, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def random_frame(rng, lo=0.0, hi=320.0):
@@ -106,7 +116,7 @@ def parse_keypoint_file_oracle(data, source_id=""):
         if type(idx) is not int or not 0 <= idx <= 2**63 - 1:
             raise MalformedLine(f"bad frame index {idx!r}", line=line_no)
         if idx in indices:
-            raise DuplicateFrame(idx)
+            raise DuplicateFrame(idx, line=line_no)
         t_ms = obj.get("t_ms")
         if not (t_ms is None or type(t_ms) is int
                 or (type(t_ms) is float and math.isfinite(t_ms))):

@@ -371,7 +371,9 @@ def test_a_tree_whose_nodes_share_children_is_refused(tmp_path, capsys):
     rc = main(["predict", "--model", str(path), "--features", str(tmp_path / "none.csv"),
                "--out", str(tmp_path / "p.csv")])
     assert rc == 2
-    assert f"model file {path}: tree node 1 is linked 2 times" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: tree node 1 is linked 2 times; every node must be a root or a child of "
+        "one parent, once"]
 
 
 @pytest.mark.parametrize("algorithm, links, node, times", [

@@ -19,6 +19,8 @@ from gaitlab.pose import GaitLabel
 from gaitlab.synth import write_corpus
 from gaitlab.video_features import FeatureTable, read_features_csv
 
+from helpers import corpus_digest
+
 SMALL_COUNTS = "Choreiform=6,Diplegia=6,Hemiplegia=6,Normal=6,Parkinson=6"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -168,7 +170,8 @@ def _edit_line(data, index, old, new):
     (lambda data: b"".join(data.splitlines(keepends=True)[:4]), [], 3,
      ": only 4 valid frames, need at least 10"),
     (lambda data: b"\xff" + data, [], 2, ": keypoint data is not UTF-8: "),
-    (lambda data: data.splitlines(keepends=True)[0] + data, [], 2, ": duplicate frame index 0"),
+    (lambda data: data.splitlines(keepends=True)[0] + data, [], 2,
+     " line 2: duplicate frame index 0"),
     (lambda data: data.splitlines(keepends=True)[0], ["--min-frames", "1"], 3,
      ": need at least 2 frames to aggregate, got 1"),
 ], ids=["no-frame-field", "too-few-valid-frames", "not-utf8", "duplicate-frame",
@@ -771,8 +774,12 @@ def test_predict_refuses_a_deeply_nested_model(pipeline_dir, tmp_path, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe", None], ids=["not-utf8", "features-csv"])
-def test_predict_names_an_unreadable_model_file(pipeline_dir, tmp_path, capsys, content):
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (None, "Expecting value: line 1 column 1 (char 0)"),
+], ids=["not-utf8", "features-csv"])
+def test_predict_names_an_unreadable_model_file(pipeline_dir, tmp_path, capsys, content,
+                                                message):
     features = pipeline_dir / "features.csv"
     model_path = tmp_path / "model.gaitmodel.json"
     model_path.write_bytes(features.read_bytes() if content is None else content)
@@ -780,7 +787,7 @@ def test_predict_names_an_unreadable_model_file(pipeline_dir, tmp_path, capsys, 
     rc = main(["predict", "--model", str(model_path), "--features", str(features),
                "--out", str(tmp_path / "p.csv")])
     assert rc == 2
-    assert f"model file {model_path}:" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"error: {model_path}: {message}"]
     assert not (tmp_path / "p.csv").exists()
 
 
@@ -1082,6 +1089,40 @@ def test_eval_gives_the_same_bytes_in_one_process_and_in_workers(pipeline_dir, t
                                    else ["knn: k=5 exceeds the 4 training rows"])
 
 
+@pytest.mark.parametrize("refused", [False, True], ids=["written", "refused"])
+def test_synth_gives_the_same_bytes_in_one_process_and_in_workers(tmp_path, capsys, monkeypatch,
+                                                                  refused):
+    """Every file, both streams and the exit code are the same on the serial
+    and the pool path. A directory named as normal_010's file, in the middle
+    of the second chunk of 8, is refused in one line after the manifest rows
+    of the files before it, also those of its own chunk."""
+    corpus = tmp_path / "corpus"
+    counts = ("Normal=12,Parkinson=12" if refused
+              else "Choreiform=3,Diplegia=4,Hemiplegia=5,Normal=6,Parkinson=7")
+    squat = corpus / "normal_010.kp.jsonl"
+    argv = ["synth", "--counts", counts, "--seed", "3", "--frames", "12", "--out", corpus]
+
+    def run(cpus):
+        shutil.rmtree(corpus, ignore_errors=True)
+        if refused:
+            squat.mkdir(parents=True)
+        result = _run_on(cpus, monkeypatch, capsys, argv, corpus / "manifest.csv")
+        return result, None if refused else corpus_digest(corpus)
+
+    serial = run(1)
+    assert run(2) == serial
+    (code, stdout, stderr, manifest), _ = serial
+    rows = manifest.decode("utf-8").splitlines()
+    if refused:
+        assert code == 2 and stdout == ""
+        assert stderr.splitlines() == [f"error: [Errno 21] Is a directory: '{squat}'"]
+        assert [row.split(",")[0] for row in rows] == ["source_id"] + [
+            f"normal_{i:03d}" for i in range(10)]
+    else:
+        assert code == 0 and stderr == "" and stdout == f"wrote 25 sequences to {corpus}\n"
+        assert len(rows) == 26 and len(list(corpus.iterdir())) == 26
+
+
 def _huge_coordinates(data):
     """Every keypoint's x and y times 1e160: finite, but the features overflow."""
     frames = [json.loads(line) for line in data.splitlines()]
@@ -1111,7 +1152,7 @@ _KEYPOINT_REFUSALS = {
     "malformed-line": (lambda data: _edit_line(data, 2, b'"frame"', b'"frames"'), [], 2,
                        "{path} line 3: missing 'frame' field"),
     "duplicate-frame": (lambda data: data.splitlines(keepends=True)[0] + data, [], 2,
-                        "{path}: duplicate frame index 0"),
+                        "{path} line 2: duplicate frame index 0"),
     "not-utf8": (lambda data: b"\xff" + data, [], 2,
                  "{path}: keypoint data is not UTF-8: 'utf-8' codec can't decode byte 0xff "
                  "in position 0: invalid start byte"),
@@ -1120,7 +1161,7 @@ _KEYPOINT_REFUSALS = {
     "one-frame": (lambda data: data.splitlines(keepends=True)[0], ["--min-frames", "1"], 3,
                   "{path}: need at least 2 frames to aggregate, got 1"),
     "features-overflow": (_huge_coordinates, [], 2,
-                          "{path}: '{sid}' frame 0 has non-finite features; are its "
+                          "{path} ('{sid}'): frame 0 has non-finite features; are its "
                           "coordinates too large?"),
 }
 _MANIFEST_REFUSALS = {
@@ -1167,6 +1208,8 @@ _PLACED_REFUSALS = (
                     "{path} ('{sid}'): feature row 0 gives non-finite {what}; is a value far "
                     "outside the model's training range?", id=f"predict-overflow-{algo}")
        for algo in ("knn", "gnb", "logreg")]
+    + [pytest.param("predict-model", b"[]", [], 2, "{path}: not a recognized gaitmodel document",
+                    id="predict-bad-model")]
 )
 
 
@@ -1193,6 +1236,11 @@ def test_each_refusal_with_a_place_is_one_pinned_line(pipeline_dir, huge_value_f
         path.write_bytes(edit.format(sid=sid).encode("utf-8", "surrogateescape"))
         fields["position"] = path.read_bytes().find(b"\xe9")
         argv = ["extract", "--in", corpus, "--out", out]
+    elif command == "predict-model":
+        path = model
+        path.write_bytes(edit)
+        argv = ["predict", "--model", path, "--features", pipeline_dir / "features.csv",
+                "--out", out]
     else:
         features = pipeline_dir / "features.csv"
         if command == "predict-overflow":

@@ -97,8 +97,10 @@ def test_overflowing_coordinates_raise_parse_error_naming_source_and_frame():
     xy[5:] *= 1e160
     seq = sequence_from_coords(xy, frame_index=np.arange(len(xy)) + 10, source_id="big")
     for norm_scope in NORM_SCOPES:
-        with pytest.raises(ParseError, match="'big' frame 15 has non-finite features"):
+        with pytest.raises(ParseError) as exc:
             extract_sequence(seq, norm_scope=norm_scope)
+        assert exc.value.args[0].startswith("frame 15 has non-finite features")
+        assert exc.value.source_id == "big"
     with pytest.raises(ParseError, match="frame 0 has non-finite features"):
         extract_frame_features(base.xy[0] * 1e160)
     assert np.isfinite(extract_sequence(sequence_from_coords(xy[:5]))[0]).all()

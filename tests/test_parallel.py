@@ -124,6 +124,9 @@ PICKLED_ERRORS = {
     "MalformedLine": lambda: errors.MalformedLine("x", line=3),
     "MalformedLine-no-reason": lambda: errors.MalformedLine(line=7),
     "DuplicateFrame": lambda: errors.DuplicateFrame(2),
+    "DuplicateFrame-placed": lambda: errors.DuplicateFrame(2, line=3),
+    "ParseError-of-a-video": lambda: errors.ParseError("frame 0 has non-finite features",
+                                                       source_id="normal_000"),
     "DegenerateLine": lambda: errors.DegenerateLine("left-leg", 4),
     "DegeneratePose": lambda: errors.DegeneratePose(5),
     "TooFewValidFrames": lambda: errors.TooFewValidFrames(3, 10),

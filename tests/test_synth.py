@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ from gaitlab.synth import (
 )
 from gaitlab.video_features import featurize_sequence
 
-from helpers import BS, CD, HL, LS, MD, US
+from helpers import BS, CD, HL, LS, MD, US, corpus_digest
 
 TORSO_PX = 100.0
 
@@ -190,15 +188,6 @@ def test_write_corpus_roundtrip(tmp_path):
         seq = load_keypoint_file(tmp_path / f"{source_id}.kp.jsonl")
         assert labels[source_id] is label
         assert seq == regenerated[source_id]
-
-
-def corpus_digest(out_dir) -> str:
-    """sha256 over each written file's name and bytes, in name order."""
-    digest = hashlib.sha256()
-    for path in sorted(out_dir.iterdir()):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
 
 
 def test_write_corpus_bytes_pinned(tmp_path):
