@@ -18,8 +18,8 @@ from . import classify, evaluate, ingest, parallel, synth
 from .errors import GaitLabError, ParseError
 from .pose import GaitLabel
 from .frame_features import NORM_SCOPES
-from .video_features import (STD_MODES, FeatureTable, featurize_sequence, read_features_csv,
-                             schema_config, write_features_csv)
+from .video_features import (STD_MODES, FeatureTable, csv_line, featurize_sequence,
+                             read_features_csv, schema_config, schema_fingerprint, write_csv_lines)
 
 
 def _parse_counts(text: str) -> dict:
@@ -62,17 +62,14 @@ def _keypoint_files(in_path: Path) -> list[Path]:
     return [in_path]
 
 
-def _featurize_file(path: Path, min_conf: float, min_frames: int, norm_scope: str, std: str):
-    """cmd_extract's job for one file: (VideoFeatures, IngestReport), or the
-    error that refused the file, returned so that the files before it are
-    reported first; a gaitlab error gets the file as its path."""
-    try:
-        seq, report = ingest.filter_valid(ingest.load_keypoint_file(path), min_conf, min_frames)
-        return featurize_sequence(seq, norm_scope=norm_scope, std_mode=std), report
-    except Exception as exc:
-        if isinstance(exc, GaitLabError):
-            exc.path = path
-        return exc
+def _featurize_file(path: Path, labels, min_conf: float, min_frames: int, norm_scope: str,
+                    std: str):
+    """cmd_extract's job for one file: its features CSV line, its
+    IngestReport and its label (None without a manifest row)."""
+    seq, report = ingest.filter_valid(ingest.load_keypoint_file(path), min_conf, min_frames)
+    label = None if labels is None else labels.get(seq.source_id)
+    x = featurize_sequence(seq, norm_scope=norm_scope, std_mode=std).x
+    return csv_line(seq.source_id, label, x), report, label
 
 
 def cmd_extract(args) -> int:
@@ -80,29 +77,32 @@ def cmd_extract(args) -> int:
     files = _keypoint_files(in_path)
     manifest = in_path / "manifest.csv" if in_path.is_dir() else None
     labels = synth.read_manifest(manifest) if manifest and manifest.exists() else None
-    job = functools.partial(_featurize_file, min_conf=args.min_conf, min_frames=args.min_frames,
-                            norm_scope=args.norm_scope, std=args.std)
-    rows = []
+    job = functools.partial(_featurize_file, labels=labels, min_conf=args.min_conf,
+                            min_frames=args.min_frames, norm_scope=args.norm_scope, std=args.std)
+    lines, rows = [], []
     # closing the map on a refusal cancels the files not yet started
-    with contextlib.closing(parallel.ordered_map(job, files, parallel.FILE_CHUNK)) as results:
-        for result in results:
-            if isinstance(result, Exception):
-                raise result
-            vf, report = result
-            rows.append((vf, None if labels is None else labels.get(vf.source_id)))
+    with contextlib.closing(parallel.ordered_map(job, files, parallel.FILE_CHUNK)) as outcomes:
+        for path, outcome in zip(files, outcomes):
+            if isinstance(outcome, Exception):
+                if isinstance(outcome, GaitLabError):
+                    outcome.path = path
+                raise outcome
+            line, report, label = outcome
+            lines.append(line)
+            rows.append((report.source_id, label))
             if report.dropped_frames:
-                print(f"{vf.source_id}: dropped {report.dropped_frames}/"
+                print(f"{report.source_id}: dropped {report.dropped_frames}/"
                       f"{report.total_frames} frames", file=sys.stderr)
     if labels is not None:  # a manifest and the files should name the same videos
-        found = {vf.source_id for vf, _ in rows}
+        found = {source_id for source_id, _ in rows}
         for source_id in labels:
             if source_id not in found:
                 print(f"{source_id}: in manifest.csv but has no keypoint file", file=sys.stderr)
-        for vf, label in rows:
+        for source_id, label in rows:
             if label is None:
-                print(f"{vf.source_id}: no manifest.csv row, written unlabeled", file=sys.stderr)
-    write_features_csv(FeatureTable.from_rows(rows), args.out)
-    print(f"wrote {len(rows)} video feature rows to {args.out}")
+                print(f"{source_id}: no manifest.csv row, written unlabeled", file=sys.stderr)
+    write_csv_lines(args.out, schema_fingerprint(args.norm_scope, args.std), lines)
+    print(f"wrote {len(lines)} video feature rows to {args.out}")
     return 0
 
 

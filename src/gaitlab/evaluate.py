@@ -168,16 +168,12 @@ def run_task(task: str, algorithms, table: FeatureTable, folds: int = DEFAULT_FO
 
 def _evaluate(algorithm: str, task: str, train: FeatureTable, test: FeatureTable, folds: int,
               seed: int):
-    """run_task's job for one algorithm: its EvalReport, or the exception that
-    stopped it, returned so that the other algorithms go on."""
-    try:
-        accuracies, model = cross_validate(algorithm, train, folds=folds, seed=seed)
-        confusion = confusion_matrix(model, test)
-        return EvalReport(task=task, algorithm=algorithm, cv_accuracy=float(np.mean(accuracies)),
-                          test_accuracy=_accuracy(confusion), confusion=confusion,
-                          classes=model.class_set, fold_count=folds, seed=seed)
-    except Exception as exc:
-        return exc
+    """run_task's job for one algorithm: its EvalReport."""
+    accuracies, model = cross_validate(algorithm, train, folds=folds, seed=seed)
+    confusion = confusion_matrix(model, test)
+    return EvalReport(task=task, algorithm=algorithm, cv_accuracy=float(np.mean(accuracies)),
+                      test_accuracy=_accuracy(confusion), confusion=confusion,
+                      classes=model.class_set, fold_count=folds, seed=seed)
 
 
 def best_report(reports) -> EvalReport:

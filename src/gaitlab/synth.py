@@ -187,14 +187,9 @@ def generate_corpus(
 
 def _write_sequence(out_dir: Path, item):
     """write_corpus's job for one (source_id, label, params) item: generate
-    its sequence and save it as ``<source_id>.kp.jsonl``. Returns None, or the
-    OSError that refused the file, returned so that the files before it in its
-    chunk still get their manifest rows."""
+    its sequence and save it as ``<source_id>.kp.jsonl``."""
     source_id, _, params = item
-    try:
-        save_keypoint_file(generate(params, source_id), out_dir / f"{source_id}.kp.jsonl")
-    except OSError as exc:
-        return exc
+    save_keypoint_file(generate(params, source_id), out_dir / f"{source_id}.kp.jsonl")
 
 
 def write_corpus(
@@ -221,9 +216,9 @@ def write_corpus(
         fh.flush()  # the header leaves the buffer before any worker forks
         job = functools.partial(_write_sequence, out_dir)
         with contextlib.closing(parallel.ordered_map(job, items, parallel.FILE_CHUNK)) as done:
-            for (source_id, label, params), error in zip(items, done):
-                if error is not None:
-                    raise error
+            for (source_id, label, params), outcome in zip(items, done):
+                if isinstance(outcome, Exception):
+                    raise outcome
                 writer.writerow([source_id, label.value, params.seed])
     return [(source_id, label) for source_id, label, _ in items]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -149,16 +150,29 @@ _CSV_HEADER = (
 )
 
 
+def csv_line(source_id: str, label: Optional[GaitLabel], x: np.ndarray) -> str:
+    """One video's features CSV row, byte for byte as csv.writer writes it.
+    csv.writer writes the two leading cells, with its default terminator,
+    whose characters also decide what it quotes; the numbers never need
+    quotes and are joined as their reprs."""
+    lead = io.StringIO()
+    csv.writer(lead).writerow([source_id, "" if label is None else label.value, ""])
+    return lead.getvalue()[:-2] + ",".join(map(repr, x.tolist())) + "\r\n"
+
+
+def write_csv_lines(path, fingerprint: str, lines) -> None:
+    """Write the header naming ``fingerprint`` and then the ``csv_line`` rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(_CSV_HEADER + [f"schema={fingerprint}"])
+        fh.writelines(lines)
+
+
 def write_features_csv(table: FeatureTable, path) -> None:
     """Write one row per video; the header's last cell names the table's fingerprint."""
     if not len(table):
         raise ValueError("no feature rows to write")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER + [f"schema={table.fingerprint}"])
-        for source_id, label, x in zip(table.source_ids, table.labels, table.X):
-            writer.writerow([source_id, label.value if label is not None else ""]
-                            + [repr(v) for v in x.tolist()])
+    write_csv_lines(path, table.fingerprint,
+                    map(csv_line, table.source_ids, table.labels, table.X))
 
 
 def read_features_csv(path) -> list[tuple[VideoFeatures, Optional[GaitLabel]]]:

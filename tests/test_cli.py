@@ -1041,8 +1041,10 @@ def _run_on(cpus, monkeypatch, capsys, argv, out):
 def test_extract_gives_the_same_bytes_in_one_process_and_in_workers(pipeline_dir, tmp_path,
                                                                     capsys, monkeypatch, refused):
     """Dropped-frame lines of two files in one worker's chunk, a manifest row
-    without a file, and a refused file after them in that chunk: the CSV, both
-    streams and the exit code are the same on the serial and the pool path."""
+    without a file, a file without a manifest row whose name holds a comma and
+    a double quote, and a refused file after them in that chunk: the CSV, both
+    streams and the exit code are the same on the serial and the pool path,
+    and the quoted source_id reads back as it was."""
     corpus = tmp_path / "corpus"
     shutil.copytree(pipeline_dir / "corpus", corpus)
     files = sorted(corpus.glob("*.kp.jsonl"))
@@ -1051,10 +1053,12 @@ def test_extract_gives_the_same_bytes_in_one_process_and_in_workers(pipeline_dir
     if refused:
         files[6].write_bytes(_edit_line(files[6].read_bytes(), 2, b'"frame"', b'"frames"'))
     files[9].unlink()
+    shutil.copyfile(files[0], corpus / 'a,"b".kp.jsonl')  # sorts first, in the same chunk
     out = tmp_path / "o.csv"
     argv = ["extract", "--in", corpus, "--out", out]
     serial = _run_on(1, monkeypatch, capsys, argv, out)
-    assert _run_on(2, monkeypatch, capsys, argv, out) == serial
+    pooled = _run_on(2, monkeypatch, capsys, argv, out)
+    assert pooled == serial
     code, _, stderr, written = serial
     dropped = [f"{path.name.split('.')[0]}: dropped 1/24 frames" for path in (files[1], files[5])]
     if refused:
@@ -1062,9 +1066,15 @@ def test_extract_gives_the_same_bytes_in_one_process_and_in_workers(pipeline_dir
         assert stderr.splitlines() == dropped + [
             f"error: {files[6]} line 3: missing 'frame' field"]
     else:
-        assert code == 0 and len(written.splitlines()) == 30
+        assert code == 0 and len(written.splitlines()) == 31
         assert stderr.splitlines() == dropped + [
-            f"{files[9].name.split('.')[0]}: in manifest.csv but has no keypoint file"]
+            f"{files[9].name.split('.')[0]}: in manifest.csv but has no keypoint file",
+            'a,"b": no manifest.csv row, written unlabeled']
+        for cpus, run in (1, serial), (2, pooled):
+            back = tmp_path / f"back-{cpus}.csv"
+            back.write_bytes(run[3])
+            vf, label = read_features_csv(back)[0]
+            assert (vf.source_id, label) == ('a,"b"', None)
 
 
 @pytest.mark.parametrize("case", ["five-algorithms", "knn-fails"])

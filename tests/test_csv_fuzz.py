@@ -1,14 +1,19 @@
-"""Fuzz tests: any file given to read_features_csv either reads or raises ParseError."""
+"""Fuzz tests: any file given to read_features_csv either reads or raises
+ParseError, and csv_line writes the bytes csv.writer writes."""
+
+import csv
+import io
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitlab.errors import ParseError
 from gaitlab.pose import GaitLabel
-from gaitlab.video_features import (FeatureTable, read_features_csv, schema_config,
-                                    write_features_csv)
+from gaitlab.video_features import (N_VIDEO_FEATURES, FeatureTable, csv_line,
+                                    read_features_csv, schema_config, write_features_csv)
 
 from helpers import vf_from_vector
 
@@ -77,3 +82,30 @@ def test_valid_file_with_cell_edits(work, edits):
         cells[int(cell_share * len(cells))] = text
         lines[i] = ",".join(cells)
     reads_or_raises_parse_error(path, "\r\n".join(lines).encode())
+
+
+# the floats whose reprs take each of their forms: a sign on zero, the least
+# subnormal, exponent notation above and below, the largest float
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-05, sys.float_info.max]
+source_ids = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters(codec="utf-8")),
+                     max_size=12)
+# a few drawn values repeated to a row's length: drawing all 226 is ten times slower
+finite_rows = st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
+                                 st.floats(allow_nan=False, allow_infinity=False)),
+                       min_size=1, max_size=12).map(lambda v: np.resize(v, N_VIDEO_FEATURES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(source_ids, st.sampled_from([None, *GaitLabel]), finite_rows)
+@example('a,"b"\r\n', None, np.resize(EDGE_FLOATS, N_VIDEO_FEATURES))
+@example("", GaitLabel.NORMAL, np.full(N_VIDEO_FEATURES, -0.0))
+def test_csv_line_writes_the_csv_writer_row(source_id, label, x):
+    """The one row formatter gives csv.writer's bytes for the same cells, and
+    the row reads back with its source_id and label cells."""
+    expected = io.StringIO()
+    csv.writer(expected).writerow([source_id, "" if label is None else label.value]
+                                  + [repr(v) for v in x.tolist()])
+    line = csv_line(source_id, label, x)
+    assert line == expected.getvalue()
+    cells = next(csv.reader(io.StringIO(line, newline="")))
+    assert cells[:2] == [source_id, "" if label is None else label.value]

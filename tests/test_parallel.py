@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import multiprocessing
 import os
 import pickle
@@ -33,6 +35,20 @@ def _mark_and_refuse_first(item):
     return i
 
 
+class _Halt(BaseException):
+    pass
+
+
+def _halt_at_three(x):
+    if x == 3:
+        raise _Halt(x)
+    return x
+
+
+def _collector_is_on(_):
+    return gc.isenabled()
+
+
 @pytest.fixture
 def cpus(monkeypatch):
     """Set the usable CPU count that ordered_map sees."""
@@ -60,26 +76,63 @@ def test_ordered_map_runs_one_item_in_this_process(cpus):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_ordered_map_raises_a_job_error_in_item_order(cpus, n):
-    """The items before the failing one are yielded first, and the error keeps
-    its type and message across the process boundary."""
+def test_ordered_map_yields_a_job_error_in_item_order(cpus, n):
+    """The items before the failing one are yielded first, the error comes in
+    its item's place, keeping its type, message and attributes across the
+    process boundary, and the items after it still run."""
     cpus(n)
-    results = parallel.ordered_map(_refuse_three, range(8))
-    assert [next(results) for _ in range(3)] == [0, 1, 2]
-    with pytest.raises(errors.MalformedLine) as info:
-        next(results)
-    assert str(info.value) == "line 3: refused" and info.value.line == 3
+    outcomes = parallel.ordered_map(_refuse_three, range(8))
+    assert [next(outcomes) for _ in range(3)] == [0, 1, 2]
+    error = next(outcomes)
+    assert type(error) is errors.MalformedLine
+    assert str(error) == "line 3: refused" and error.line == 3
+    assert list(outcomes) == [4, 5, 6, 7]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ordered_map_lets_a_base_exception_propagate(cpus, n):
+    """A BaseException that is not an Exception is no outcome: it leaves the
+    map in its item's turn, and every worker is joined first."""
+    cpus(n)
+    outcomes = parallel.ordered_map(_halt_at_three, range(8))
+    assert [next(outcomes) for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(_Halt):
+        next(outcomes)
     assert multiprocessing.active_children() == []
 
 
 def test_ordered_map_cancels_pending_items_after_an_error(cpus, tmp_path):
-    """An error cancels the items not yet started, and every worker is joined
-    before the error reaches the caller."""
+    """A caller that raises the first error and closes the map, as extract
+    and synth do, cancels the items not yet started, and every worker is
+    joined before the error reaches the caller's caller."""
     cpus(2)
     with pytest.raises(ValueError, match="first item refused"):
-        list(parallel.ordered_map(_mark_and_refuse_first, [(tmp_path, i) for i in range(40)]))
+        items = [(tmp_path, i) for i in range(40)]
+        with contextlib.closing(parallel.ordered_map(_mark_and_refuse_first, items)) as outcomes:
+            for outcome in outcomes:
+                if isinstance(outcome, Exception):
+                    raise outcome
     assert multiprocessing.active_children() == []
     assert len(list(tmp_path.iterdir())) < 39
+
+
+@pytest.mark.parametrize("caller_collects", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_workers_run_without_the_collector_and_the_caller_keeps_its_own(cpus, n,
+                                                                        caller_collects):
+    """Forked workers run with the cyclic collector off; the serial path runs
+    in the caller's own state, and the caller's state is the same afterwards."""
+    cpus(n)
+    was = gc.isenabled()
+    (gc.enable if caller_collects else gc.disable)()
+    try:
+        outcomes = list(parallel.ordered_map(_collector_is_on, range(2)))
+        assert gc.isenabled() is caller_collects
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert outcomes == ([False, False] if n == 2 else [caller_collects] * 2)
+    assert multiprocessing.active_children() == []
 
 
 def test_ordered_map_joins_its_workers_when_the_caller_stops_early(cpus):
