@@ -1141,6 +1141,14 @@ def _huge_coordinates(data):
     return "".join(json.dumps(frame) + "\n" for frame in frames).encode("utf-8")
 
 
+def _collapsed_frames(data):
+    """Every frame's 14 keypoints on one point: each frame is degenerate and dropped."""
+    frames = [json.loads(line) for line in data.splitlines()]
+    for frame in frames:
+        frame["kp"] = {name: [100.0, 100.0, c] for name, (x, y, c) in frame["kp"].items()}
+    return "".join(json.dumps(frame) + "\n" for frame in frames).encode("utf-8")
+
+
 def _with_cell(index, value):
     """A features CSV edit that sets one cell of the first data row."""
     def edit(rows):
@@ -1173,6 +1181,8 @@ _KEYPOINT_REFUSALS = {
     "features-overflow": (_huge_coordinates, [], 2,
                           "{path} ('{sid}'): frame 0 has non-finite features; are its "
                           "coordinates too large?"),
+    "every-frame-degenerate": (_collapsed_frames, [], 3,
+                               "{path}: need at least 2 frames to aggregate, got 0"),
 }
 _MANIFEST_REFUSALS = {
     "no-source_id-column": ("id,label\n{sid},Normal\n",
