@@ -7,10 +7,12 @@ code the CLI gives it:
   InsufficientDataError.exit_code = 3  -- too little data
   SchemaMismatch.exit_code = 4         -- feature schema disagreement
 
-A subclass exists only for the attributes its callers read. Any error may
-also carry the place of the input it refused, set by the raiser or by a caller
-that knows it: ``path``, ``line`` (1-based) and ``source_id``. ``str()`` writes
-the known parts before the message: ``<path> line <line> ('<source_id>'): <message>``.
+A subclass exists only for the attributes its callers read: TooFewValidFrames
+(exit 3) carries ``valid`` and ``required``, and classify.UnscorableRow (exit 2)
+its ``row``. Any error may also carry the place of the input it refused, set
+by the raiser or by a caller that knows it: ``path``, ``line`` (1-based) and
+``source_id``. ``str()`` writes the known parts before the message:
+``<path> line <line> ('<source_id>'): <message>``.
 """
 
 import copyreg
@@ -38,29 +40,6 @@ class GaitLabError(Exception):
 class ParseError(GaitLabError):
     """Malformed or unusable input."""
     exit_code = 2
-
-
-class MalformedLine(ParseError):
-    """A keypoint line that does not parse; ``line`` is its number."""
-
-
-class DuplicateFrame(ParseError):
-    def __init__(self, frame_index, line=None):
-        self.frame_index = frame_index
-        super().__init__(f"duplicate frame index {frame_index}", line=line)
-
-
-class DegenerateLine(ParseError):
-    def __init__(self, what, frame_index):
-        self.what = what
-        self.frame_index = frame_index
-        super().__init__(f"degenerate line: coincident endpoints for {what} (frame {frame_index})")
-
-
-class DegeneratePose(ParseError):
-    def __init__(self, frame_index):
-        self.frame_index = frame_index
-        super().__init__(f"degenerate pose: all keypoints coincide (frame {frame_index})")
 
 
 class InsufficientDataError(GaitLabError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateLine, DegeneratePose, ParseError
+from .errors import ParseError
 from .pose import KeypointId, PoseSequence
 
 EPS = 1e-9  # pixels; below this two defining points are considered coincident
@@ -35,16 +35,16 @@ _MIDPOINTS = (
 )
 _EAR, _SHOULDER, _HIP, _ANKLE = range(15, 19)
 
-# (line name, point, line end, line end) per straightness value, which is the
-# point's distance from the line through the two ends; order ls1-ls4, us, bs.
-# The limbs' end-to-end lines are also the hand and leg lines of hl1 and hl2.
+# (point, line end, line end) per straightness value, which is the point's
+# distance from the line through the two ends; order ls1-ls4, us, bs. The
+# limbs' end-to-end lines are also the hand and leg lines of hl1 and hl2.
 _LINES = (
-    ("left-hand", K.LEFT_ELBOW, K.LEFT_SHOULDER, K.LEFT_WRIST),
-    ("right-hand", K.RIGHT_ELBOW, K.RIGHT_SHOULDER, K.RIGHT_WRIST),
-    ("left-leg", K.LEFT_KNEE, K.LEFT_HIP, K.LEFT_ANKLE),
-    ("right-leg", K.RIGHT_KNEE, K.RIGHT_HIP, K.RIGHT_ANKLE),
-    ("upper-body axis", _SHOULDER, _EAR, _HIP),
-    ("body axis", _HIP, _SHOULDER, _ANKLE),
+    (K.LEFT_ELBOW, K.LEFT_SHOULDER, K.LEFT_WRIST),
+    (K.RIGHT_ELBOW, K.RIGHT_SHOULDER, K.RIGHT_WRIST),
+    (K.LEFT_KNEE, K.LEFT_HIP, K.LEFT_ANKLE),
+    (K.RIGHT_KNEE, K.RIGHT_HIP, K.RIGHT_ANKLE),
+    (_SHOULDER, _EAR, _HIP),
+    (_HIP, _SHOULDER, _ANKLE),
 )
 
 
@@ -54,7 +54,7 @@ def _points(table, column):
 
 
 _MID_A, _MID_B = (_points(_MIDPOINTS, c) for c in (0, 1))
-_POINT, _END_A, _END_B = (_points(_LINES, c) for c in (1, 2, 3))
+_POINT, _END_A, _END_B = (_points(_LINES, c) for c in (0, 1, 2))
 _PAIR_I, _PAIR_J = np.triu_indices(14, k=1)  # lexicographic (i, j), i < j
 
 # every difference of two points that the features use, as _PLUS - _MINUS
@@ -62,9 +62,6 @@ _PAIR_I, _PAIR_J = np.triu_indices(14, k=1)  # lexicographic (i, j), i < j
 # straightness offsets (end to point) and the 91 pairs
 _PLUS = np.concatenate([_END_B, _POINT, _PAIR_I])
 _MINUS = np.concatenate([_END_A, _END_A, _PAIR_J])
-
-# every defining line, in the order the first degeneracy of a frame is reported
-_LINE_NAMES = tuple(row[0] for row in _LINES)
 
 FEATURE_NAMES: tuple[str, ...] = (
     tuple(f"ls{i}" for i in range(1, 5))
@@ -78,9 +75,9 @@ NORM_SCOPES = ("frame", "video")
 
 def _geometry(xy):
     """Every unnormalized measurement of (..., 14, 2) poses in one pass:
-    (8 line values in feature order, 6 defining-line lengths in _LINE_NAMES
-    order, 14 centroid distances, 91 pairwise distances)."""
-    # extract_sequence refuses what overflows and reports short lines by their length
+    (8 line values in feature order, 6 defining-line lengths in _LINES order,
+    14 centroid distances, 91 pairwise distances)."""
+    # extract_sequence refuses what overflows and drops frames by their short lines
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mid = (np.take(xy, _MID_A, axis=-2) + np.take(xy, _MID_B, axis=-2)) / 2.0
         planes = np.moveaxis(np.concatenate([xy, mid], axis=-2), -1, 0)  # x and y, (2, ..., 18)
@@ -102,21 +99,16 @@ def _geometry(xy):
     return lines, lengths, central, mutual
 
 
-def extract_sequence(
-    seq: PoseSequence,
-    norm_scope: str = "frame",
-    skip_degenerate: bool = True,
-) -> tuple[np.ndarray, int]:
+def extract_sequence(seq: PoseSequence, norm_scope: str = "frame") -> tuple[np.ndarray, int]:
     """Per-frame features of a whole sequence: ((n, 113) array, n_degenerate).
 
     Every frame must have all 14 keypoints (run ingest.filter_valid first).
     A frame is degenerate when one of its defining lines is shorter than EPS
-    or all its keypoints coincide. Degenerate frames are dropped (n rows
-    remain) and counted; with skip_degenerate=False the first one raises
-    instead, naming its first short line. norm_scope "frame" divides each
-    frame's central/mutual distances by that frame's maximum; "video"
-    divides by the maximum over all kept frames (one max per block). A kept
-    frame whose features overflow raises ParseError naming the source and frame.
+    or all its keypoints coincide; degenerate frames are dropped (n rows
+    remain) and counted. norm_scope "frame" divides each frame's
+    central/mutual distances by that frame's maximum; "video" divides by the
+    maximum over all kept frames (one max per block). A kept frame whose
+    features overflow raises ParseError naming the source and frame.
     """
     if norm_scope not in NORM_SCOPES:
         raise ValueError(f"norm_scope must be 'frame' or 'video', got {norm_scope!r}")
@@ -125,17 +117,8 @@ def extract_sequence(
     if incomplete.size:
         raise ValueError(f"frame {seq.frame_index[incomplete[0]]} is missing keypoints")
     lines, lengths, cd, md = _geometry(xy)
-    short = lengths < EPS  # (T, 6)
     cd_top, md_top = cd.max(axis=1, keepdims=True), md.max(axis=1, keepdims=True)
-    degenerate = short.any(axis=1) | (cd_top[:, 0] < EPS) | (md_top[:, 0] < EPS)
-
-    if degenerate.any() and not skip_degenerate:
-        t = int(np.argmax(degenerate))
-        frame_index = int(seq.frame_index[t])
-        if short[t].any():
-            raise DegenerateLine(_LINE_NAMES[int(np.argmax(short[t]))], frame_index=frame_index)
-        raise DegeneratePose(frame_index=frame_index)
-
+    degenerate = (lengths < EPS).any(axis=1) | (cd_top[:, 0] < EPS) | (md_top[:, 0] < EPS)
     keep = ~degenerate
     if norm_scope == "video" and keep.any():
         cd_top, md_top = cd_top[keep].max(), md_top[keep].max()
@@ -145,5 +128,5 @@ def extract_sequence(
     if not np.isfinite(features).all():
         t = np.argmin(np.isfinite(features).all(axis=1))
         raise ParseError(f"frame {seq.frame_index[keep][t]} has non-finite features; are its "
-                         "coordinates too large?", source_id=seq.source_id)
+                         "coordinates too large?", source_id=seq.source_id or None)
     return features, int(degenerate.sum())

@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DuplicateFrame, MalformedLine, ParseError, TooFewValidFrames
+from .errors import ParseError, TooFewValidFrames
 from .pose import KEYPOINT_ORDER, PoseSequence
 
 DEFAULT_MIN_CONFIDENCE = 0.05
@@ -119,7 +119,7 @@ def _raise_first_refusal(lines: list, source_id: str) -> None:
             if type(idx) is not int or not 0 <= idx <= _MAX_FRAME_INDEX:
                 raise ValueError(f"bad frame index {idx!r}")
             if idx in seen:
-                raise DuplicateFrame(idx, line=line_no)
+                raise ParseError(f"duplicate frame index {idx}", line=line_no)
             seen.add(idx)
             t_ms = obj.get("t_ms")
             if not _valid_stamp(t_ms):
@@ -140,7 +140,7 @@ def _raise_first_refusal(lines: list, source_id: str) -> None:
             except OverflowError:
                 raise ValueError("keypoint value beyond the float range") from None
         except (ValueError, RecursionError) as exc:  # also bad JSON, overlong integer, deep nesting
-            raise MalformedLine(str(exc), line=line_no) from None
+            raise ParseError(str(exc), line=line_no) from None
     if not seen:
         raise ParseError(f"no frames parsed from input {source_id!r}")
     raise AssertionError("the column checks refused lines that every line check passes")
@@ -169,8 +169,8 @@ def parse_keypoint_file(data: Union[bytes, str], source_id: str = "") -> PoseSeq
     bad = _first_bad_joint(xy, conf, named)
     if bad:
         line_nos = list(compress(count(1), map(str.strip, lines)))
-        raise MalformedLine(f"keypoint {_NAMES[bad[1]]!r}: non-finite coordinates or "
-                            "confidence outside [0, 1]", line=line_nos[bad[0]])
+        raise ParseError(f"keypoint {_NAMES[bad[1]]!r}: non-finite coordinates or "
+                         "confidence outside [0, 1]", line=line_nos[bad[0]])
     return PoseSequence(xy[order], conf[order], frame_index[order],
                         tuple(stamps[i] for i in order), source_id)
 

@@ -136,7 +136,7 @@ def featurize_sequence(
 ) -> VideoFeatures:
     """Extract + aggregate in one step, skipping geometrically degenerate frames;
     the one place a computed row is stamped with the schema it was computed by."""
-    feats, _ = extract_sequence(seq, norm_scope=norm_scope, skip_degenerate=True)
+    feats, _ = extract_sequence(seq, norm_scope=norm_scope)
     return VideoFeatures(aggregate(feats, std_mode), seq.source_id,
                          schema_fingerprint(norm_scope, std_mode))
 

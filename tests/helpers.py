@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from gaitlab import frame_features as ff
-from gaitlab.errors import DuplicateFrame, InsufficientDataError, MalformedLine, ParseError
+from gaitlab.errors import InsufficientDataError, ParseError
 from gaitlab.pose import GaitLabel, KeypointId, PoseSequence
 from gaitlab.classify import UnscorableRow, scores, softmax
 from gaitlab.video_features import FeatureTable, VideoFeatures, schema_fingerprint
@@ -43,9 +43,10 @@ def random_frame(rng, lo=0.0, hi=320.0):
 
 
 def extract_frame_features(xy):
-    """The 113 features of one complete (14, 2) pose, as extract_sequence
-    computes them for a one-frame sequence; raises its first degeneracy."""
-    features, _ = ff.extract_sequence(sequence_from_coords([xy]), skip_degenerate=False)
+    """The 113 features of one complete (14, 2) pose that is not degenerate,
+    as extract_sequence computes them for a one-frame sequence."""
+    features, n_degenerate = ff.extract_sequence(sequence_from_coords([xy]))
+    assert n_degenerate == 0, "a degenerate pose has no features"
     return features[0]
 
 
@@ -109,34 +110,34 @@ def parse_keypoint_file_oracle(data, source_id=""):
         try:
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:
-            raise MalformedLine(str(exc), line=line_no) from None
+            raise ParseError(str(exc), line=line_no) from None
         if not isinstance(obj, dict) or "frame" not in obj:
-            raise MalformedLine("missing 'frame' field", line=line_no)
+            raise ParseError("missing 'frame' field", line=line_no)
         idx = obj["frame"]
         if type(idx) is not int or not 0 <= idx <= 2**63 - 1:
-            raise MalformedLine(f"bad frame index {idx!r}", line=line_no)
+            raise ParseError(f"bad frame index {idx!r}", line=line_no)
         if idx in indices:
-            raise DuplicateFrame(idx, line=line_no)
+            raise ParseError(f"duplicate frame index {idx}", line=line_no)
         t_ms = obj.get("t_ms")
         if not (t_ms is None or type(t_ms) is int
                 or (type(t_ms) is float and math.isfinite(t_ms))):
-            raise MalformedLine(f"bad t_ms {t_ms!r}", line=line_no)
+            raise ParseError(f"bad t_ms {t_ms!r}", line=line_no)
         kp = obj.get("kp", {})
         if not isinstance(kp, dict):
-            raise MalformedLine("'kp' must be an object", line=line_no)
+            raise ParseError("'kp' must be an object", line=line_no)
         row = []
         for name in names:
             value = kp.get(name, absent)
             if type(value) is not list or len(value) != 3:
-                raise MalformedLine(f"keypoint {name!r} is not an [x, y, conf] triple",
-                                    line=line_no)
+                raise ParseError(f"keypoint {name!r} is not an [x, y, conf] triple",
+                                 line=line_no)
             row += value
         if any(type(v) not in (int, float) for v in row):
-            raise MalformedLine("keypoint values must be numbers", line=line_no)
+            raise ParseError("keypoint values must be numbers", line=line_no)
         try:
             rows.append([float(v) for v in row])
         except OverflowError:
-            raise MalformedLine("keypoint value beyond the float range", line=line_no) from None
+            raise ParseError("keypoint value beyond the float range", line=line_no) from None
         line_nos.append(line_no)
         indices.append(idx)
         stamps.append(t_ms)
@@ -147,8 +148,8 @@ def parse_keypoint_file_oracle(data, source_id=""):
         for j, name in enumerate(names):
             x, y, c = row[3 * j:3 * j + 3]
             if row_named[j] and not (math.isfinite(x) and math.isfinite(y) and 0.0 <= c <= 1.0):
-                raise MalformedLine(f"keypoint {name!r}: non-finite coordinates or "
-                                    "confidence outside [0, 1]", line=line_nos[t])
+                raise ParseError(f"keypoint {name!r}: non-finite coordinates or "
+                                 "confidence outside [0, 1]", line=line_nos[t])
     order = sorted(range(len(indices)), key=indices.__getitem__)
     values = np.array([rows[i] for i in order]).reshape(-1, 14, 3)
     return PoseSequence(values[..., :2], values[..., 2], np.array(sorted(indices), dtype=np.int64),

@@ -87,7 +87,7 @@ def test_criterion_2_geometry_oracles():
         if abs(xy[2, 0] + xy[3, 0] - xy[12, 0] - xy[13, 0]) < 0.05:
             continue
         frames.append(xy)
-    feats, _ = ffmod.extract_sequence(sequence_from_coords(frames), skip_degenerate=False)
+    feats, n_degenerate = ffmod.extract_sequence(sequence_from_coords(frames))
     worst = 0.0
     for xy, ff in zip(frames, feats):
         sl, wl, el = (xy[k - 1] for k in (KeypointId.LEFT_SHOULDER, KeypointId.LEFT_WRIST,
@@ -101,10 +101,10 @@ def test_criterion_2_geometry_oracles():
             worst = max(worst, abs(got - expected) / max(abs(expected), 1e-9))
     # vertical lines: slope form undefined, analytic distance known
     vertical = [left_arm_pose((5, 3), (2, 0), (2, 10)), left_arm_pose((-4, 7), (1, -5), (1, 9))]
-    ls1, _ = ffmod.extract_sequence(sequence_from_coords(vertical), skip_degenerate=False)
-    vertical_ok = ls1[:, 0].tolist() == pytest.approx([3.0, 5.0])
+    ls1, _ = ffmod.extract_sequence(sequence_from_coords(vertical))
+    vertical_ok = ls1[:, 0].tolist() == pytest.approx([3.0, 5.0])  # also no pose dropped
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-6 and vertical_ok and elapsed < 5.0
+    ok = n_degenerate == 0 and worst < 1e-6 and vertical_ok and elapsed < 5.0
     _report(2, ok, f"(1000 frames, worst rel err {worst:.2e}, {elapsed:.2f}s)")
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from gaitlab import frame_features as ff
-from gaitlab.errors import DegenerateLine, DegeneratePose, ParseError
+from gaitlab.errors import ParseError
 from gaitlab.frame_features import EPS, FEATURE_NAMES, NORM_SCOPES, extract_sequence
 from gaitlab.pose import KeypointId
 from gaitlab.synth import default_params, generate
@@ -41,9 +41,18 @@ K = KeypointId
 
 
 def ls1(*poses):
-    """ls1 of each pose, as extract_sequence computes it."""
-    feats, _ = extract_sequence(sequence_from_coords(poses), skip_degenerate=False)
+    """ls1 of each pose, as extract_sequence computes it; no pose may be degenerate."""
+    feats, n_degenerate = extract_sequence(sequence_from_coords(poses))
+    assert n_degenerate == 0
     return feats[:, 0]
+
+
+def assert_dropped(xy):
+    """A one-pose sequence of xy is counted as degenerate and gives no rows,
+    in either norm scope."""
+    for norm_scope in NORM_SCOPES:
+        feats, n_degenerate = extract_sequence(sequence_from_coords([xy]), norm_scope)
+        assert n_degenerate == 1 and feats.shape == (0, 113)
 
 
 def test_point_line_distance_horizontal():
@@ -60,9 +69,7 @@ def test_point_line_distance_vertical_line():
 
 
 def test_point_line_distance_degenerate():
-    with pytest.raises(DegenerateLine) as exc:
-        ls1(left_arm_pose((1, 1), (3, 3), (3, 3)))
-    assert exc.value.what == "left-hand"
+    assert_dropped(left_arm_pose((1, 1), (3, 3), (3, 3)))
 
 
 def test_point_line_distance_matches_slope_oracle():
@@ -106,6 +113,15 @@ def test_overflowing_coordinates_raise_parse_error_naming_source_and_frame():
     assert np.isfinite(extract_sequence(sequence_from_coords(xy[:5]))[0]).all()
 
 
+def test_an_unnamed_sequence_is_refused_naming_no_source():
+    """A sequence without a source_id gives a refusal with no ('') before it."""
+    xy = left_arm_pose((1e160, 3e160), (0, 0), (4e160, 1e160))
+    with pytest.raises(ParseError) as exc:
+        extract_sequence(sequence_from_coords([xy]))
+    assert exc.value.source_id is None
+    assert str(exc.value) == "frame 0 has non-finite features; are its coordinates too large?"
+
+
 def test_extract_sequence_refuses_an_unknown_norm_scope():
     seq = generate(default_params(GaitLabel.NORMAL, seed=1), "clip")
     with pytest.raises(ValueError, match="norm_scope must be 'frame' or 'video', got 'clip'"):
@@ -127,11 +143,8 @@ def test_limb_straightness_bent_arm():
     assert expected == pytest.approx(1.0)
 
 
-def test_limb_straightness_degenerate_names_limb():
-    xy = coords_with({K.LEFT_SHOULDER: (3, 3), K.LEFT_WRIST: (3, 3)})
-    with pytest.raises(DegenerateLine) as exc:
-        extract_frame_features(xy)
-    assert exc.value.what == "left-hand"
+def test_limb_straightness_degenerate_limb_drops_the_pose():
+    assert_dropped(coords_with({K.LEFT_SHOULDER: (3, 3), K.LEFT_WRIST: (3, 3)}))
 
 
 def test_limb_straightness_order():
@@ -177,10 +190,7 @@ def test_hand_leg_forty_five():
 
 
 def test_hand_leg_degenerate():
-    xy = coords_with({K.RIGHT_HIP: (9, 9), K.RIGHT_ANKLE: (9, 9)})
-    with pytest.raises(DegenerateLine) as exc:
-        extract_frame_features(xy)
-    assert exc.value.what == "right-leg"
+    assert_dropped(coords_with({K.RIGHT_HIP: (9, 9), K.RIGHT_ANKLE: (9, 9)}))
 
 
 def test_hand_leg_endpoint_swap_symmetry():
@@ -224,9 +234,7 @@ def test_upper_body_degenerate():
         K.LEFT_SHOULDER: (5, 5), K.RIGHT_SHOULDER: (5, 5),
         K.LEFT_HIP: (5, 5), K.RIGHT_HIP: (5, 5),
     })
-    with pytest.raises(DegenerateLine) as exc:
-        extract_frame_features(xy)
-    assert exc.value.what == "upper-body axis"
+    assert_dropped(xy)
 
 
 def test_body_straightness_cases():
@@ -246,9 +254,7 @@ def test_body_straightness_cases():
         K.LEFT_SHOULDER: (1, 1), K.RIGHT_SHOULDER: (1, 1),
         K.LEFT_ANKLE: (1, 1), K.RIGHT_ANKLE: (1, 1),
     })
-    with pytest.raises(DegenerateLine) as exc:
-        extract_frame_features(degenerate)
-    assert exc.value.what == "body axis"
+    assert_dropped(degenerate)
 
 
 def test_us_bs_match_direct_formula():
@@ -295,15 +301,13 @@ def test_central_distances_constructed():
 
 def test_central_distances_degenerate():
     collapsed = np.full((14, 2), 3.0)
-    with pytest.raises(DegenerateLine) as exc:  # its lines are short before its distances
-        extract_frame_features(collapsed)
-    assert exc.value.what == "left-hand"
+    assert_dropped(collapsed)
     good = generate(default_params(GaitLabel.NORMAL, seed=1), "g").xy[0]
     feats, failed = extract_sequence(sequence_from_coords([collapsed, good]))
     assert failed == 1 and feats == pytest.approx(extract_frame_features(good)[None])
 
 
-def test_collapsed_pose_with_long_lines_raises_degenerate_pose():
+def test_collapsed_pose_with_long_lines_is_dropped():
     """Every defining line is at least 1.13e-9 px long, but no joint is 1e-9 px
     from the centroid (9.1e-10 px at most): a collapsed pose, not a short line."""
     r = 0.8e-9
@@ -315,16 +319,12 @@ def test_collapsed_pose_with_long_lines_raises_degenerate_pose():
         for k in joints:
             xy[k - 1] = point
     pose = xy.tolist()
-    assert degeneracy_oracle(pose) == (DegeneratePose, None)
+    assert min(distance_maxima_oracle(pose)) < EPS
     assert min(length for family in LINE_FAMILIES
                for _, length in line_lengths_oracle(pose, family)) > 1.1e-9
-    with pytest.raises(DegeneratePose):
-        extract_frame_features(xy)
+    assert_dropped(xy)
     good = generate(default_params(GaitLabel.NORMAL, seed=1), "g").xy[0]
     seq = sequence_from_coords([good, xy], frame_index=[2, 7])
-    with pytest.raises(DegeneratePose) as exc:
-        extract_sequence(seq, skip_degenerate=False)
-    assert exc.value.frame_index == 7
     feats, failed = extract_sequence(seq)
     assert failed == 1 and feats == pytest.approx(extract_frame_features(good)[None])
 
@@ -353,9 +353,7 @@ def test_mutual_distances_two_clusters():
 
 def test_mutual_distances_degenerate():
     collapsed = np.zeros((14, 2))
-    with pytest.raises(DegenerateLine) as exc:  # its lines are short before its distances
-        extract_frame_features(collapsed)
-    assert exc.value.what == "left-hand"
+    assert_dropped(collapsed)
     feats, failed = extract_sequence(sequence_from_coords([collapsed]))
     assert feats.shape == (0, 113) and failed == 1
 
@@ -383,13 +381,6 @@ def test_upright_pose_is_straight():
     assert ff[LS] == pytest.approx(np.zeros(4), abs=1e-9)
     assert ff[US] == pytest.approx(0.0, abs=1e-9)
     assert ff[BS] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_degenerate_error_carries_frame_index():
-    seq = sequence_from_coords(np.zeros((1, 14, 2)), frame_index=[17])
-    with pytest.raises((DegenerateLine, DegeneratePose)) as exc:
-        extract_sequence(seq, skip_degenerate=False)
-    assert exc.value.frame_index == 17
 
 
 def test_translation_invariance():
@@ -463,8 +454,7 @@ def test_extract_sequence_skips_degenerate_frames():
     seq = sequence_from_coords([good, np.zeros((14, 2))], source_id="mix")
     feats, failed = extract_sequence(seq)
     assert len(feats) == 1 and failed == 1
-    with pytest.raises((DegenerateLine, DegeneratePose)):
-        extract_sequence(seq, skip_degenerate=False)
+    assert feats.tobytes() == extract_frame_features(good).tobytes()
 
 
 def test_kernel_rows_match_single_pose_features():
@@ -523,23 +513,21 @@ def hand_leg_cosines_oracle(pose):
     return cosines
 
 
-def test_kernel_reports_first_degeneracy_in_precedence_order():
+def test_kernel_drops_a_pose_whose_axis_or_limb_line_is_short():
     base = coords_with({})
     cases = [
-        # both the right leg and the body axis collapse: the limb comes first
-        ({K.RIGHT_HIP: (9, 9), K.RIGHT_ANKLE: (9, 9), K.LEFT_ANKLE: (9, 9),
-          K.LEFT_SHOULDER: (1, 1), K.RIGHT_SHOULDER: (17, 17)}, "right-leg"),
-        ({K.LEFT_EAR: (5, 5), K.RIGHT_EAR: (5, 5), K.LEFT_HIP: (6, 4),
-          K.RIGHT_HIP: (4, 6)}, "upper-body axis"),
-        ({K.LEFT_SHOULDER: (1, 1), K.RIGHT_SHOULDER: (3, 3),
-          K.LEFT_ANKLE: (2, 3), K.RIGHT_ANKLE: (2, 1)}, "body axis"),
+        # both the right leg and the body axis collapse
+        {K.RIGHT_HIP: (9, 9), K.RIGHT_ANKLE: (9, 9), K.LEFT_ANKLE: (9, 9),
+         K.LEFT_SHOULDER: (1, 1), K.RIGHT_SHOULDER: (17, 17)},
+        # the midpoint axes collapse while no two joints meet
+        {K.LEFT_EAR: (5, 5), K.RIGHT_EAR: (5, 5), K.LEFT_HIP: (6, 4), K.RIGHT_HIP: (4, 6)},
+        {K.LEFT_SHOULDER: (1, 1), K.RIGHT_SHOULDER: (3, 3),
+         K.LEFT_ANKLE: (2, 3), K.RIGHT_ANKLE: (2, 1)},
     ]
-    for overrides, what in cases:
+    for overrides in cases:
+        assert_dropped(coords_with(overrides))
         xy = np.stack([base, coords_with(overrides)])
         seq = sequence_from_coords(xy, frame_index=[4, 9])
-        with pytest.raises(DegenerateLine) as exc:
-            extract_sequence(seq, skip_degenerate=False)
-        assert (exc.value.what, exc.value.frame_index) == (what, 9)
         feats, failed = extract_sequence(seq)
         assert failed == 1 and feats == pytest.approx(extract_frame_features(base)[None])
 
@@ -565,8 +553,8 @@ def test_extract_sequence_refuses_missing_keypoints():
 
 # --- the kernel against a plain-Python degeneracy oracle ---------------------------
 
-# the kernel's defining lines in the order it reports them; the hand-leg lines
-# are the limbs' lines again, so a short one always has its limb named first
+# the families of the kernel's defining lines; the hand-leg lines are the
+# limbs' lines again
 LINE_FAMILIES = ("limb", "hand-leg", "upper-body", "body")
 
 # joints on a small integer grid whose size each frame draws, so that joints
@@ -578,41 +566,29 @@ grid_stacks = st.lists(grid_frames, min_size=1, max_size=4)
 
 
 def degeneracy_oracle(pose):
-    """(DegenerateLine, line name) for a pose's first line shorter than EPS,
-    else (DegeneratePose, None) when its centroid or pairwise distances all
-    stay under EPS, else None."""
-    for family in LINE_FAMILIES:
-        for name, length in line_lengths_oracle(pose, family):
-            if length < EPS:
-                return DegenerateLine, name
-    if min(distance_maxima_oracle(pose)) < EPS:
-        return DegeneratePose, None
-    return None
+    """Whether a pose is degenerate: one of its defining lines is shorter than
+    EPS, or its centroid or pairwise distances all stay under EPS."""
+    return (any(length < EPS for family in LINE_FAMILIES
+                for _, length in line_lengths_oracle(pose, family))
+            or min(distance_maxima_oracle(pose)) < EPS)
 
 
 @settings(max_examples=200, deadline=None)
 @given(frames=grid_stacks)
-def test_kernel_raises_and_drops_what_the_oracle_predicts(frames):
+def test_kernel_drops_what_the_oracle_predicts(frames):
+    """The kernel keeps exactly the frames the oracle finds not degenerate:
+    its rows are, bit for bit, those of a sequence of those frames alone."""
     xy = np.array(frames, dtype=float)
-    frame_index = [3 * t + 5 for t in range(len(frames))]
+    frame_index = np.array([3 * t + 5 for t in range(len(frames))])
     seq = sequence_from_coords(xy, frame_index=frame_index)
-    verdicts = [degeneracy_oracle(pose) for pose in frames]
-    first = next(((t, v) for t, v in enumerate(verdicts) if v is not None), None)
-    for norm_scope in ("frame", "video"):
-        if first is None:
-            feats, failed = extract_sequence(seq, norm_scope, skip_degenerate=False)
-            assert feats.shape == (len(frames), 113) and failed == 0
-        else:
-            t, (error, what) = first
-            with pytest.raises(error) as exc:
-                extract_sequence(seq, norm_scope, skip_degenerate=False)
-            assert type(exc.value) is error
-            assert exc.value.frame_index == frame_index[t]
-            if what is not None:
-                assert exc.value.what == what
+    kept = np.array([not degeneracy_oracle(pose) for pose in frames])
+    for norm_scope in NORM_SCOPES:
         feats, failed = extract_sequence(seq, norm_scope)
-        expected = sum(v is not None for v in verdicts)
-        assert failed == expected and feats.shape == (len(frames) - expected, 113)
+        assert failed == len(frames) - kept.sum() and feats.shape == (kept.sum(), 113)
+        if kept.any():
+            alone, none = extract_sequence(
+                sequence_from_coords(xy[kept], frame_index=frame_index[kept]), norm_scope)
+            assert none == 0 and feats.tobytes() == alone.tobytes()
 
 
 def test_grid_stacks_hold_both_kinds_of_degeneracy():
@@ -624,10 +600,9 @@ def test_grid_stacks_hold_both_kinds_of_degeneracy():
     @settings(max_examples=200, database=None, deadline=None)
     @given(frames=grid_stacks)
     def record(frames):
-        verdicts = [degeneracy_oracle(pose) for pose in frames]
         if any(min(distance_maxima_oracle(pose)) < EPS for pose in frames):
             seen.add("collapsed pose")
-        elif any(v is not None for v in verdicts):
+        elif any(map(degeneracy_oracle, frames)):
             seen.add("short line")
         else:
             seen.add("none")

@@ -22,7 +22,7 @@ def _square_and_pid(x):
 
 def _refuse_three(x):
     if x == 3:
-        raise errors.MalformedLine("refused", line=x)
+        raise errors.ParseError("refused", line=x)
     return x
 
 
@@ -84,7 +84,7 @@ def test_ordered_map_yields_a_job_error_in_item_order(cpus, n):
     outcomes = parallel.ordered_map(_refuse_three, range(8))
     assert [next(outcomes) for _ in range(3)] == [0, 1, 2]
     error = next(outcomes)
-    assert type(error) is errors.MalformedLine
+    assert type(error) is errors.ParseError
     assert str(error) == "line 3: refused" and error.line == 3
     assert list(outcomes) == [4, 5, 6, 7]
     assert multiprocessing.active_children() == []
@@ -174,14 +174,10 @@ PICKLED_ERRORS = {
     "InsufficientDataError": lambda: errors.InsufficientDataError("too few rows"),
     "ParseError-placed": lambda: errors.ParseError("227 cells, expected 228", path="f.csv",
                                                     line=4),
-    "MalformedLine": lambda: errors.MalformedLine("x", line=3),
-    "MalformedLine-no-reason": lambda: errors.MalformedLine(line=7),
-    "DuplicateFrame": lambda: errors.DuplicateFrame(2),
-    "DuplicateFrame-placed": lambda: errors.DuplicateFrame(2, line=3),
+    "ParseError-no-reason": lambda: errors.ParseError(line=7),
+    "ParseError-duplicate-frame": lambda: errors.ParseError("duplicate frame index 2", line=3),
     "ParseError-of-a-video": lambda: errors.ParseError("frame 0 has non-finite features",
                                                        source_id="normal_000"),
-    "DegenerateLine": lambda: errors.DegenerateLine("left-leg", 4),
-    "DegeneratePose": lambda: errors.DegeneratePose(5),
     "TooFewValidFrames": lambda: errors.TooFewValidFrames(3, 10),
     "SchemaMismatch": lambda: errors.SchemaMismatch("abc", "def"),
     "UnscorableRow": lambda: classify.UnscorableRow(2, "class scores"),

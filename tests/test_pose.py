@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gaitlab.errors import MalformedLine, TooFewValidFrames
+from gaitlab.errors import ParseError, TooFewValidFrames
 from gaitlab.ingest import filter_valid, parse_keypoint_file
 from gaitlab.pose import KEYPOINT_ORDER, GaitLabel, KeypointId, PoseSequence
 
@@ -45,8 +45,9 @@ def test_gait_labels():
 def test_keypoint_validation():
     for triple in ([float("nan"), 0.0, 1.0], [0.0, float("inf"), 1.0], [0.0, 0.0, 1.5]):
         line = json.dumps({"frame": 0, "kp": {"LeftEar": triple}})
-        with pytest.raises(MalformedLine):
+        with pytest.raises(ParseError, match="line 1: keypoint 'LeftEar': non-finite") as exc:
             parse_keypoint_file(line)
+        assert exc.value.line == 1
 
 
 def test_sequence_ordering_enforced():
