@@ -365,3 +365,35 @@ def test_criterion_7_cli_determinism(tmp_path):
         and elapsed < 300.0
     )
     _report(7, ok, f"(byte-identical eval reports, {elapsed:.1f}s)")
+
+
+# Test accuracy of models trained on the seed-42 corpus (60 frames a video) on the
+# seed-43 corpus cut to fewer frames, in classify.ALGORITHMS order, and the count of
+# wrong test rows scored exactly 1.0 at 10 frames: a short clip is scored wrong, and
+# by gnb and tree always at full confidence.
+_CLIP_ACCURACY = {
+    60: (1.000, 1.000, 1.000, 1.000, 1.000),
+    30: (1.000, 0.988, 1.000, 1.000, 1.000),
+    20: (0.907, 0.911, 0.988, 0.849, 0.938),
+    15: (0.888, 0.795, 0.977, 0.686, 0.853),
+    10: (0.775, 0.643, 0.934, 0.481, 0.733),
+}
+_SURE_AND_WRONG_AT_10 = (10, 92, 0, 134, 0)
+
+
+def test_accuracy_per_clip_length(corpus_table):
+    """Each cell is pinned to within one test video (1/258)."""
+    models = [classify.train(algorithm, corpus_table, seed=SPLIT_SEED)
+              for algorithm in classify.ALGORITHMS]
+    for n_frames, pinned in _CLIP_ACCURACY.items():
+        test = FeatureTable.from_rows([(featurize_sequence(seq), label) for seq, label
+                                       in generate_corpus(seed=CORPUS_SEED + 1, n_frames=n_frames)])
+        accuracy, sure_and_wrong = [], []
+        for model in models:
+            scores = classify.scores(model, test.X, test.fingerprint)
+            wrong = scores.argmax(axis=1) != test.class_indices(model.class_set)
+            accuracy.append(1.0 - wrong.mean())
+            sure_and_wrong.append(int((wrong & (scores.max(axis=1) == 1.0)).sum()))
+        assert np.abs(np.subtract(accuracy, pinned)).max() <= 1 / len(test), (n_frames, accuracy)
+        if n_frames == 10:
+            assert np.abs(np.subtract(sure_and_wrong, _SURE_AND_WRONG_AT_10)).max() <= 1
