@@ -1,19 +1,18 @@
 """One ordered map over independent jobs, spread over the usable CPUs.
 
-Workers are forked, so they start with the caller's modules and state; a
-job and its item are pickled to a worker and its result back. A job does
-all of its item's work in the worker, down to the text the parent writes,
-so the parent only collects and writes. Workers run without the cyclic
-garbage collector: gaitlab starts them, runs only its own jobs in them and
-ends them, so what few reference cycles those jobs leave go with the worker,
-and the collector's passes over the many small objects of parsing buy
-nothing there. The caller's collector is never touched. Run
-``taskset -c 0 gaitlab ...`` for one process.
+Workers are forked and take the job and the item list through the fork,
+unpickled, so a job may be any callable; only item indices go to a worker
+and only outcomes come back. A job does all of its item's work in the
+worker, down to the text the parent writes, so the parent only collects and
+writes. Workers run without the cyclic garbage collector: gaitlab starts
+them, runs only its own jobs in them and ends them, so what few reference
+cycles those jobs leave go with the worker, and the collector's passes over
+the many small objects of parsing buy nothing there. The caller's collector
+is never touched. Run ``taskset -c 0 gaitlab ...`` for one process.
 """
 
 from __future__ import annotations
 
-import functools
 import gc
 import os
 import threading
@@ -38,6 +37,22 @@ def _outcome(fn, item):
         return exc
 
 
+_job = _items = None  # set in a worker only, by _start_worker
+
+
+def _start_worker(fn, items):
+    """A worker's initializer: the fork start method hands a child its
+    Process arguments in memory, so fn and items reach it unpickled."""
+    global _job, _items
+    gc.disable()
+    _job, _items = fn, items
+
+
+def _run(i):
+    """A worker's outcome for item i."""
+    return _outcome(_job, _items[i])
+
+
 def ordered_map(fn, items, chunksize: int = 1):
     """Yield each item's outcome in item order: fn(item), or the Exception it
     raised, which the caller decides what to do with; a BaseException that is
@@ -56,8 +71,8 @@ def ordered_map(fn, items, chunksize: int = 1):
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=gc.disable)
+                               initializer=_start_worker, initargs=(fn, items))
     try:
-        yield from pool.map(functools.partial(_outcome, fn), items, chunksize=chunksize)
+        yield from pool.map(_run, range(len(items)), chunksize=chunksize)
     finally:
         pool.shutdown(cancel_futures=True)

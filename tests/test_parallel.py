@@ -9,9 +9,13 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gaitlab import classify, errors, parallel
+from gaitlab import classify, errors, evaluate, parallel
+from gaitlab.video_features import FeatureTable
+
+from helpers import make_separable_items
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -47,6 +51,25 @@ def _halt_at_three(x):
 
 def _collector_is_on(_):
     return gc.isenabled()
+
+
+PICKLED = []  # the values of the _Recorded objects pickled in this process
+
+
+class _Recorded:
+    """An object that records its value in PICKLED whenever it is pickled."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        PICKLED.append(self.value)
+        return type(self), (self.value,)
+
+
+class _RecordedJob(_Recorded):
+    def __call__(self, item):
+        return self.value * item.value
 
 
 @pytest.fixture
@@ -133,6 +156,50 @@ def test_workers_run_without_the_collector_and_the_caller_keeps_its_own(cpus, n,
         (gc.enable if was else gc.disable)()
     assert outcomes == ([False, False] if n == 2 else [caller_collects] * 2)
     assert multiprocessing.active_children() == []
+
+
+def test_workers_are_never_sent_the_job_or_an_item(cpus):
+    """Workers take the job and the items through the fork: neither is
+    pickled in the caller, only the outcomes cross back, and the caller's
+    parallel module holds neither afterwards."""
+    job, items = _RecordedJob(10), [_Recorded(i) for i in range(6)]
+    cpus(1)
+    serial = list(parallel.ordered_map(job, items, 2))
+    cpus(2)
+    PICKLED.clear()
+    assert list(parallel.ordered_map(job, items, 2)) == serial == [0, 10, 20, 30, 40, 50]
+    assert PICKLED == []
+    assert parallel._job is None and parallel._items is None
+    assert multiprocessing.active_children() == []
+
+
+def test_a_job_that_cannot_be_pickled_runs_in_workers(cpus):
+    """A lambda closing over a local is a job like any other."""
+    offset = 7
+    outcomes = {}
+    for n in (1, 2):
+        cpus(n)
+        outcomes[n] = list(parallel.ordered_map(lambda x: (x + offset, os.getpid()), range(6), 2))
+    assert [x for x, _ in outcomes[2]] == [x for x, _ in outcomes[1]] == list(range(7, 13))
+    assert os.getpid() not in {pid for _, pid in outcomes[2]}
+
+
+def test_run_task_sends_its_workers_no_feature_table(cpus, monkeypatch):
+    """eval's workers read the training and test tables they forked with;
+    only the algorithm's index goes down the pipe."""
+    table = FeatureTable.from_rows(make_separable_items(np.random.default_rng(0), 8))
+    cpus(1)
+    serial = evaluate.run_task("multi", ["gnb", "tree"], table, folds=2)
+    pickled = []
+
+    def reduce_ex(self, protocol):
+        pickled.append(len(self))
+        return object.__reduce_ex__(self, protocol)
+
+    monkeypatch.setattr(FeatureTable, "__reduce_ex__", reduce_ex)
+    cpus(2)
+    assert evaluate.run_task("multi", ["gnb", "tree"], table, folds=2) == serial
+    assert pickled == []
 
 
 def test_ordered_map_joins_its_workers_when_the_caller_stops_early(cpus):
