@@ -57,9 +57,10 @@ def ordered_map(fn, items, chunksize: int = 1):
     """Yield each item's outcome in item order: fn(item), or the Exception it
     raised, which the caller decides what to do with; a BaseException that is
     not an Exception propagates. With 2 or more items and CPUs, forked worker
-    processes run the items, ``chunksize`` at a time; when the caller stops
-    early, or an error propagates, pending chunks are cancelled and every
-    worker is joined before the generator closes."""
+    processes run the items, ``chunksize`` at a time, and an outcome that
+    does not pickle raises there; when the caller stops early, or an error
+    propagates, pending chunks are cancelled and every worker is joined
+    before the generator closes."""
     items = list(items)
     workers = min(len(items), usable_cpus())
     if workers < 2:

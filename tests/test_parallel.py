@@ -184,6 +184,13 @@ def test_a_job_that_cannot_be_pickled_runs_in_workers(cpus):
     assert os.getpid() not in {pid for _, pid in outcomes[2]}
 
 
+def test_an_outcome_that_does_not_pickle_raises_in_workers(cpus):
+    cpus(2)
+    with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
+        list(parallel.ordered_map(lambda x: lambda: x, range(2)))
+    assert multiprocessing.active_children() == []
+
+
 def test_run_task_sends_its_workers_no_feature_table(cpus, monkeypatch):
     """eval's workers read the training and test tables they forked with;
     only the algorithm's index goes down the pipe."""
