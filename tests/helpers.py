@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,16 @@ US = 6
 BS = 7
 CD = slice(8, 22)
 MD = slice(22, 113)
+
+
+def assert_no_child_left():
+    """Assert that this process has no child process left, running or
+    unreaped: waitpid finds none to wait for."""
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError(f"a child process is left (waitpid gave pid {pid}, status {status})")
 
 
 def sequence_from_coords(coords, frame_index=None, confidence=1.0, source_id=""):

@@ -2,7 +2,6 @@ import csv
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -19,7 +18,7 @@ from gaitlab.pose import GaitLabel
 from gaitlab.synth import write_corpus
 from gaitlab.video_features import FeatureTable, read_features_csv
 
-from helpers import corpus_digest
+from helpers import assert_no_child_left, corpus_digest
 
 SMALL_COUNTS = "Choreiform=6,Diplegia=6,Hemiplegia=6,Normal=6,Parkinson=6"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -1033,7 +1032,7 @@ def _run_on(cpus, monkeypatch, capsys, argv, out):
     capsys.readouterr()
     code = main([str(a) for a in argv])
     stdout, stderr = capsys.readouterr()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     return code, stdout, stderr, out.read_bytes() if out.exists() else None
 
 

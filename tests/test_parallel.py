@@ -1,6 +1,5 @@
 import contextlib
 import gc
-import multiprocessing
 import os
 import pickle
 import subprocess
@@ -15,7 +14,7 @@ import pytest
 from gaitlab import classify, errors, evaluate, parallel
 from gaitlab.video_features import FeatureTable
 
-from helpers import make_separable_items
+from helpers import assert_no_child_left, make_separable_items
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -90,7 +89,7 @@ def test_ordered_map_keeps_item_order(cpus, n, chunksize):
     assert [square for square, _ in results] == [x * x for x in range(10)]
     pids = {pid for _, pid in results}
     assert (os.getpid() in pids) == (n == 1)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_ordered_map_runs_one_item_in_this_process(cpus):
@@ -110,7 +109,7 @@ def test_ordered_map_yields_a_job_error_in_item_order(cpus, n):
     assert type(error) is errors.ParseError
     assert str(error) == "line 3: refused" and error.line == 3
     assert list(outcomes) == [4, 5, 6, 7]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -122,7 +121,7 @@ def test_ordered_map_lets_a_base_exception_propagate(cpus, n):
     assert [next(outcomes) for _ in range(3)] == [0, 1, 2]
     with pytest.raises(_Halt):
         next(outcomes)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_ordered_map_cancels_pending_items_after_an_error(cpus, tmp_path):
@@ -136,7 +135,7 @@ def test_ordered_map_cancels_pending_items_after_an_error(cpus, tmp_path):
             for outcome in outcomes:
                 if isinstance(outcome, Exception):
                     raise outcome
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert len(list(tmp_path.iterdir())) < 39
 
 
@@ -155,7 +154,7 @@ def test_workers_run_without_the_collector_and_the_caller_keeps_its_own(cpus, n,
     finally:
         (gc.enable if was else gc.disable)()
     assert outcomes == ([False, False] if n == 2 else [caller_collects] * 2)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_workers_are_never_sent_the_job_or_an_item(cpus):
@@ -170,7 +169,7 @@ def test_workers_are_never_sent_the_job_or_an_item(cpus):
     assert list(parallel.ordered_map(job, items, 2)) == serial == [0, 10, 20, 30, 40, 50]
     assert PICKLED == []
     assert parallel._job is None and parallel._items is None
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_a_job_that_cannot_be_pickled_runs_in_workers(cpus):
@@ -188,7 +187,7 @@ def test_an_outcome_that_does_not_pickle_raises_in_workers(cpus):
     cpus(2)
     with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
         list(parallel.ordered_map(lambda x: lambda: x, range(2)))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_run_task_sends_its_workers_no_feature_table(cpus, monkeypatch):
@@ -214,7 +213,60 @@ def test_ordered_map_joins_its_workers_when_the_caller_stops_early(cpus):
     results = parallel.ordered_map(_square_and_pid, range(20))
     assert next(results)[0] == 0
     results.close()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def _exit_at_three(x):
+    if x == 3:
+        os._exit(3)
+    time.sleep(0.05)
+    return x
+
+
+def test_a_dead_worker_makes_the_map_raise(cpus):
+    """A worker that dies in the middle of a chunk makes the map raise a
+    RuntimeError within seconds instead of hanging, and every other worker is
+    reaped."""
+    cpus(2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError):
+        list(parallel.ordered_map(_exit_at_three, range(12)))
+    assert time.monotonic() - start < 5
+    assert_no_child_left()
+
+
+BIG = 5_000_000  # bytes of an outcome, far beyond a 64 KiB pipe buffer
+
+
+def _big(x):
+    return bytes([x]) * BIG
+
+
+def test_an_outcome_larger_than_a_pipe_buffer_comes_back_intact(cpus):
+    cpus(2)
+    assert list(parallel.ordered_map(_big, range(3))) == [bytes([x]) * BIG for x in range(3)]
+    assert_no_child_left()
+
+
+def _small_then_big(x):
+    if x == 0:
+        return 0
+    time.sleep(0.2)
+    return _big(x)
+
+
+def test_closing_the_map_while_a_worker_writes_a_large_outcome(cpus):
+    """The caller closes the map while a worker is still writing an outcome
+    that nothing reads any more: the close returns promptly and leaves no
+    child."""
+    cpus(2)
+    outcomes = parallel.ordered_map(_small_then_big, range(2))
+    assert next(outcomes) == 0
+    time.sleep(0.5)  # the second worker is writing its outcome by now
+    start = time.monotonic()
+    outcomes.close()
+    assert time.monotonic() - start < 2
+    assert_no_child_left()
 
 
 def test_usable_cpus_is_one_without_affinity_or_beside_another_thread(monkeypatch):
