@@ -1,20 +1,34 @@
 """One ordered map over independent jobs, spread over the usable CPUs.
 
-Workers are forked and take the job and the item list through the fork,
-unpickled, so a job may be any callable; only item indices go to a worker
-and only outcomes come back. A job does all of its item's work in the
-worker, down to the text the parent writes, so the parent only collects and
-writes. Workers run without the cyclic garbage collector: gaitlab starts
-them, runs only its own jobs in them and ends them, so what few reference
-cycles those jobs leave go with the worker, and the collector's passes over
-the many small objects of parsing buy nothing there. The caller's collector
-is never touched. Run ``taskset -c 0 gaitlab ...`` for one process.
+The map forks its workers itself, and a worker takes the job and the item
+list through the fork, unpickled, so a job may be any callable. Each worker
+has two pipes. Its task pipe carries chunk numbers down, 4 bytes each.
+While at least as many chunks are left as there are workers, a worker's
+next chunk already waits there while it runs the current one; the last
+chunks go to whichever worker is idle, so none waits behind a long one. The
+parent closes the task pipe when no chunk is left, which ends the worker.
+Its result pipe carries each chunk's outcomes back up as one pickle after
+an 8-byte length, or the exception the parent is to raise in their place.
+The parent waits on the result pipes with ``selectors`` and holds chunks
+that finish early until their turn; it starts no thread. A worker closes
+the parent's ends of every pipe, its own and those of the workers forked
+before it, so a worker whose parent dies sees its task pipe end, or its
+result pipe break, and exits; a worker that dies makes the parent raise
+instead of wait. A job does all of its item's work in the worker, down to
+the text the parent writes, so the parent only collects and writes. Workers
+run without the cyclic garbage collector: gaitlab starts them, runs only
+its own jobs in them and ends them, so what few reference cycles those jobs
+leave go with the worker, and the collector's passes over the many small
+objects of parsing buy nothing there. The caller's collector is never
+touched. Run ``taskset -c 0 gaitlab ...`` for one process.
 """
 
 from __future__ import annotations
 
 import gc
 import os
+import pickle
+import selectors
 import threading
 
 FILE_CHUNK = 8  # files a worker process takes at a time in extract and synth
@@ -37,43 +51,157 @@ def _outcome(fn, item):
         return exc
 
 
-_job = _items = None  # set in a worker only, by _start_worker
-
-
-def _start_worker(fn, items):
-    """A worker's initializer: the fork start method hands a child its
-    Process arguments in memory, so fn and items reach it unpickled."""
-    global _job, _items
+def _serve(fn, items, chunksize, tasks, results):
+    """A worker's loop: run each chunk whose number comes down ``tasks`` and
+    write its outcomes to ``results``, until ``tasks`` ends."""
     gc.disable()
-    _job, _items = fn, items
+    while number := os.read(tasks, 4):
+        start = int.from_bytes(number, "little") * chunksize
+        try:
+            outcomes = [_outcome(fn, item) for item in items[start:start + chunksize]]
+        except BaseException as exc:  # raised by the parent in this chunk's turn
+            outcomes = exc
+        try:
+            data = pickle.dumps(outcomes)
+        except Exception as exc:  # an outcome that does not pickle
+            data = pickle.dumps(exc)
+        for part in (len(data).to_bytes(8, "little"), data):
+            view = memoryview(part)
+            while view:
+                view = view[os.write(results, view):]
 
 
-def _run(i):
-    """A worker's outcome for item i."""
-    return _outcome(_job, _items[i])
+def _read(fd, n):
+    """n bytes from fd, or None if it ends first."""
+    data = bytearray(n)
+    view, got = memoryview(data), 0
+    while got < n:
+        read = os.readv(fd, [view[got:]])
+        if not read:
+            return None
+        got += read
+    return data
+
+
+class _Worker:
+    """A forked worker, seen from the parent: its pid, the parent's ends of
+    its task and result pipes, and the chunks it was sent and has not yet
+    returned, in order."""
+
+    def __init__(self, fn, items, chunksize, forked):
+        """Fork a worker; ``forked`` are the workers forked before it."""
+        task_r, self.task = os.pipe()
+        self.result, result_w = os.pipe()
+        self.owed = []
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (task_r, self.task, self.result, result_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                for worker in (*forked, self):
+                    os.close(worker.task)
+                    os.close(worker.result)
+                _serve(fn, items, chunksize, task_r, result_w)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(task_r)
+        os.close(result_w)
+
+    def send(self, chunk):
+        """Queue chunk number ``chunk``; None closes the task pipe, which
+        ends the worker once it has returned what it owes."""
+        if chunk is not None:
+            self.owed.append(chunk)
+            try:
+                os.write(self.task, chunk.to_bytes(4, "little"))
+            except BrokenPipeError:  # it died: receive says how
+                pass
+        elif self.task is not None:
+            os.close(self.task)
+            self.task = None
+
+    def receive(self):
+        """(chunk number, its outcomes or the exception to raise) of the
+        oldest chunk owed; a RuntimeError if the worker died first."""
+        head = _read(self.result, 8)
+        data = head and _read(self.result, int.from_bytes(head, "little"))
+        if data is None:
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            raise RuntimeError(f"a worker process ended with exit status "
+                               f"{os.waitstatus_to_exitcode(status)} before returning its items")
+        return self.owed.pop(0), pickle.loads(data)
+
+    def close(self):
+        """Close the parent's ends: the worker stops after its current chunk."""
+        self.send(None)
+        os.close(self.result)
+
+    def reap(self):
+        if self.pid is not None:
+            os.waitpid(self.pid, 0)
 
 
 def ordered_map(fn, items, chunksize: int = 1):
     """Yield each item's outcome in item order: fn(item), or the Exception it
     raised, which the caller decides what to do with; a BaseException that is
-    not an Exception propagates. With 2 or more items and CPUs, forked worker
-    processes run the items, ``chunksize`` at a time, and an outcome that
-    does not pickle raises there; when the caller stops early, or an error
-    propagates, pending chunks are cancelled and every worker is joined
-    before the generator closes."""
+    not an Exception is raised in its chunk's turn. With 2 or more items and
+    CPUs, forked worker processes run the items, ``chunksize`` at a time; an
+    outcome that does not pickle raises, and so does a worker that dies.
+    When the caller stops early, or an error propagates, the chunks not yet
+    started are cancelled and every worker is reaped before the generator
+    closes."""
     items = list(items)
-    workers = min(len(items), usable_cpus())
-    if workers < 2:
+    n_workers = min(len(items), usable_cpus())
+    if n_workers < 2:
         for item in items:
             yield _outcome(fn, item)
         return
-    chunksize = min(chunksize, -(-len(items) // workers))  # a chunk for every worker
-    import multiprocessing  # 12 ms and 2 MB that a serial run does not pay
-    from concurrent.futures import ProcessPoolExecutor
+    chunksize = min(chunksize, -(-len(items) // n_workers))  # a chunk for every worker
+    n_chunks = -(-len(items) // chunksize)
+    sent = 0  # chunks sent, in chunk order
+    ready = {}  # chunk number -> what it returned, until its turn
+    workers = []
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(fn, items))
+    def feed(worker):
+        """Send a worker the next chunk if it is idle, or queue it behind the
+        one it runs while every worker can still have one queued, so that no
+        chunk waits behind a long one while another worker has none; close
+        its task pipe once no chunk is left."""
+        nonlocal sent
+        if sent == n_chunks:
+            worker.send(None)
+        elif not worker.owed or n_chunks - sent >= n_workers:
+            worker.send(sent)
+            sent += 1
+
     try:
-        yield from pool.map(_run, range(len(items)), chunksize=chunksize)
+        for _ in range(n_workers):
+            workers.append(_Worker(fn, items, chunksize, workers))
+        with selectors.DefaultSelector() as selector:
+            for worker in workers:
+                selector.register(worker.result, selectors.EVENT_READ, worker)
+            for worker in workers + workers:
+                feed(worker)
+            for turn in range(n_chunks):
+                while turn not in ready:
+                    for key, _ in selector.select():
+                        worker = key.data
+                        chunk, ready[chunk] = worker.receive()
+                        feed(worker)
+                        if not worker.owed:
+                            selector.unregister(worker.result)
+                outcomes = ready.pop(turn)
+                if isinstance(outcomes, BaseException):
+                    raise outcomes
+                yield from outcomes
     finally:
-        pool.shutdown(cancel_futures=True)
+        for worker in workers:
+            worker.close()
+        for worker in workers:
+            worker.reap()

@@ -2,10 +2,12 @@ import contextlib
 import gc
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -159,8 +161,8 @@ def test_workers_run_without_the_collector_and_the_caller_keeps_its_own(cpus, n,
 
 def test_workers_are_never_sent_the_job_or_an_item(cpus):
     """Workers take the job and the items through the fork: neither is
-    pickled in the caller, only the outcomes cross back, and the caller's
-    parallel module holds neither afterwards."""
+    pickled in the caller, only the outcomes cross back, and the caller keeps
+    no reference to either afterwards."""
     job, items = _RecordedJob(10), [_Recorded(i) for i in range(6)]
     cpus(1)
     serial = list(parallel.ordered_map(job, items, 2))
@@ -168,7 +170,9 @@ def test_workers_are_never_sent_the_job_or_an_item(cpus):
     PICKLED.clear()
     assert list(parallel.ordered_map(job, items, 2)) == serial == [0, 10, 20, 30, 40, 50]
     assert PICKLED == []
-    assert parallel._job is None and parallel._items is None
+    refs = [weakref.ref(x) for x in (job, *items)]
+    del job, items
+    assert [ref() for ref in refs] == [None] * 7
     assert_no_child_left()
 
 
@@ -229,7 +233,7 @@ def test_a_dead_worker_makes_the_map_raise(cpus):
     reaped."""
     cpus(2)
     start = time.monotonic()
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="exit status 3"):
         list(parallel.ordered_map(_exit_at_three, range(12)))
     assert time.monotonic() - start < 5
     assert_no_child_left()
@@ -286,12 +290,95 @@ def test_usable_cpus_is_one_without_affinity_or_beside_another_thread(monkeypatc
     assert parallel.usable_cpus() == 1
 
 
-def test_import_gaitlab_does_not_import_multiprocessing():
-    """A serial run, and the import itself, pay nothing for the pool."""
-    code = "import sys, gaitlab; print('multiprocessing' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
-                         capture_output=True, encoding="utf-8", check=True).stdout
-    assert out == "False\n"
+def _running(pid):
+    """Whether process pid exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
+def _pipes_held(_=None):
+    """The pipes this process holds open, by inode."""
+    pipes = set()
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(FileNotFoundError):  # the listing's own descriptor
+            pipes.add(os.readlink(f"/proc/self/fd/{fd}"))
+    return {link for link in pipes if link.startswith("pipe:")}
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="reads /proc")
+def test_each_worker_holds_only_its_own_pipes(cpus):
+    """Besides what the caller holds, a worker holds one end of its task pipe
+    and one of its result pipe, and no end of another worker's."""
+    cpus(2)
+    callers = _pipes_held()
+    held = [pipes - callers for pipes in parallel.ordered_map(_pipes_held, range(2))]
+    assert [len(pipes) for pipes in held] == [2, 2] and not held[0] & held[1]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+@pytest.mark.parametrize("slow", ["items", "caller"])
+def test_a_killed_caller_leaves_no_worker(tmp_path, slow):
+    """A caller killed in the middle of a map leaves no worker running. With
+    slow items the workers are busy when it dies, and each ends on writing
+    its chunk's outcomes; with a slow caller they wait for their next chunk,
+    and each ends on its task pipe's end of file, which comes only if no
+    other worker holds that pipe open."""
+    code = f"""
+import os, sys, time
+from pathlib import Path
+from gaitlab import parallel
+parallel.usable_cpus = lambda: 2
+
+def job(x):
+    Path(sys.argv[1], str(os.getpid())).touch()
+    time.sleep({0.5 if slow == "items" else 0})
+    return x
+
+for x in parallel.ordered_map(job, range(40)):
+    time.sleep({0 if slow == "items" else 30})
+"""
+    caller = subprocess.Popen([sys.executable, "-c", code, str(tmp_path)],
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+    try:
+        deadline = time.monotonic() + 10
+        while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(0.2)
+    finally:
+        caller.kill()
+        caller.wait()
+    pids = [int(path.name) for path in tmp_path.iterdir()]
+    deadline = time.monotonic() + 5
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if _running(pid)]
+    for pid in left:  # so that a failure leaves no stray process behind
+        os.kill(pid, signal.SIGKILL)
+    assert len(pids) == 2 and left == []
+
+
+def test_import_gaitlab_does_not_import_multiprocessing(tmp_path):
+    """A serial run, and the import itself, pay nothing for a pool; synth,
+    extract and eval on 2 CPUs load no pool machinery and start no thread."""
+    code = """
+import sys, threading, gaitlab
+print('multiprocessing' in sys.modules)
+from gaitlab import cli, parallel
+parallel.usable_cpus = lambda: 2
+out = sys.argv[1]
+for argv in (["synth", "--counts", "Normal=6,Parkinson=6", "--frames", "12", "--out", out + "/c"],
+             ["extract", "--in", out + "/c", "--out", out + "/f.csv"],
+             ["eval", "--features", out + "/f.csv", "--folds", "2", "--report", out + "/r.json"]):
+    assert cli.main(argv) == 0, argv
+print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)), threading.active_count())
+"""
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, encoding="utf-8", check=True).stdout.splitlines()
+    assert (out[0], out[-1]) == ("False", "[] 1")
 
 
 # every gaitlab error a worker can hand back, with its attributes
