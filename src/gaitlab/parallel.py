@@ -2,25 +2,25 @@
 
 The map forks its workers itself, and a worker takes the job and the item
 list through the fork, unpickled, so a job may be any callable. Each worker
-has two pipes. Its task pipe carries chunk numbers down, 4 bytes each.
-While at least as many chunks are left as there are workers, a worker's
-next chunk already waits there while it runs the current one; the last
-chunks go to whichever worker is idle, so none waits behind a long one. The
+has two pipes. Its task pipe carries chunk numbers down, 4 bytes each: the
+parent hands a worker its next chunk as it returns the last one, so a chunk
+goes to whichever worker is idle and none waits behind a long one. The
 parent closes the task pipe when no chunk is left, which ends the worker.
 Its result pipe carries each chunk's outcomes back up as one pickle after
 an 8-byte length, or the exception the parent is to raise in their place.
 The parent waits on the result pipes with ``selectors`` and holds chunks
-that finish early until their turn; it starts no thread. A worker closes
-the parent's ends of every pipe, its own and those of the workers forked
-before it, so a worker whose parent dies sees its task pipe end, or its
-result pipe break, and exits; a worker that dies makes the parent raise
-instead of wait. A job does all of its item's work in the worker, down to
-the text the parent writes, so the parent only collects and writes. Workers
-run without the cyclic garbage collector: gaitlab starts them, runs only
-its own jobs in them and ends them, so what few reference cycles those jobs
-leave go with the worker, and the collector's passes over the many small
-objects of parsing buy nothing there. The caller's collector is never
-touched. Run ``taskset -c 0 gaitlab ...`` for one process.
+that finish early until their turn; it starts no thread. A new worker
+closes the parent's ends of the pipes of every live worker, its own and
+those of every other map, so a worker whose parent closes its task pipe or
+dies sees that pipe end, or its result pipe break, and exits; a worker that
+dies makes the parent raise instead of wait. A job does all of its item's
+work in the worker, down to the text the parent writes, so the parent only
+collects and writes. Workers run without the cyclic garbage collector:
+gaitlab starts them, runs only its own jobs in them and ends them, so what
+few reference cycles those jobs leave go with the worker, and the
+collector's passes over the many small objects of parsing buy nothing
+there. The caller's collector is never touched. Run
+``taskset -c 0 gaitlab ...`` for one process.
 """
 
 from __future__ import annotations
@@ -83,28 +83,32 @@ def _read(fd, n):
     return data
 
 
+_parent_ends = set()  # the parent's pipe ends of every live worker, of every map
+
+
 class _Worker:
     """A forked worker, seen from the parent: its pid, the parent's ends of
-    its task and result pipes, and the chunks it was sent and has not yet
-    returned, in order."""
+    its task and result pipes, and the number of the chunk it runs, or None
+    while it is idle."""
 
-    def __init__(self, fn, items, chunksize, forked):
-        """Fork a worker; ``forked`` are the workers forked before it."""
+    def __init__(self, fn, items, chunksize):
         task_r, self.task = os.pipe()
         self.result, result_w = os.pipe()
-        self.owed = []
+        self.chunk = None
+        _parent_ends.update((self.task, self.result))
         try:
             self.pid = os.fork()
         except BaseException:
+            _parent_ends.difference_update((self.task, self.result))
             for fd in (task_r, self.task, self.result, result_w):
                 os.close(fd)
             raise
         if self.pid == 0:
             status = 1
             try:
-                for worker in (*forked, self):
-                    os.close(worker.task)
-                    os.close(worker.result)
+                for fd in _parent_ends:
+                    os.close(fd)
+                _parent_ends.clear()
                 _serve(fn, items, chunksize, task_r, result_w)
                 status = 0
             finally:
@@ -113,21 +117,22 @@ class _Worker:
         os.close(result_w)
 
     def send(self, chunk):
-        """Queue chunk number ``chunk``; None closes the task pipe, which
-        ends the worker once it has returned what it owes."""
+        """Hand the idle worker chunk number ``chunk``; None closes its task
+        pipe, which ends it."""
         if chunk is not None:
-            self.owed.append(chunk)
+            self.chunk = chunk
             try:
                 os.write(self.task, chunk.to_bytes(4, "little"))
             except BrokenPipeError:  # it died: receive says how
                 pass
         elif self.task is not None:
+            _parent_ends.discard(self.task)
             os.close(self.task)
             self.task = None
 
     def receive(self):
         """(chunk number, its outcomes or the exception to raise) of the
-        oldest chunk owed; a RuntimeError if the worker died first."""
+        chunk it ran, which leaves it idle; a RuntimeError if it died first."""
         head = _read(self.result, 8)
         data = head and _read(self.result, int.from_bytes(head, "little"))
         if data is None:
@@ -135,11 +140,13 @@ class _Worker:
             self.pid = None
             raise RuntimeError(f"a worker process ended with exit status "
                                f"{os.waitstatus_to_exitcode(status)} before returning its items")
-        return self.owed.pop(0), pickle.loads(data)
+        chunk, self.chunk = self.chunk, None
+        return chunk, pickle.loads(data)
 
     def close(self):
         """Close the parent's ends: the worker stops after its current chunk."""
         self.send(None)
+        _parent_ends.discard(self.result)
         os.close(self.result)
 
     def reap(self):
@@ -169,24 +176,21 @@ def ordered_map(fn, items, chunksize: int = 1):
     workers = []
 
     def feed(worker):
-        """Send a worker the next chunk if it is idle, or queue it behind the
-        one it runs while every worker can still have one queued, so that no
-        chunk waits behind a long one while another worker has none; close
-        its task pipe once no chunk is left."""
+        """Hand an idle worker the next chunk, or close its task pipe once no
+        chunk is left."""
         nonlocal sent
         if sent == n_chunks:
             worker.send(None)
-        elif not worker.owed or n_chunks - sent >= n_workers:
+        else:
             worker.send(sent)
             sent += 1
 
     try:
         for _ in range(n_workers):
-            workers.append(_Worker(fn, items, chunksize, workers))
+            workers.append(_Worker(fn, items, chunksize))
         with selectors.DefaultSelector() as selector:
             for worker in workers:
                 selector.register(worker.result, selectors.EVENT_READ, worker)
-            for worker in workers + workers:
                 feed(worker)
             for turn in range(n_chunks):
                 while turn not in ready:
@@ -194,7 +198,7 @@ def ordered_map(fn, items, chunksize: int = 1):
                         worker = key.data
                         chunk, ready[chunk] = worker.receive()
                         feed(worker)
-                        if not worker.owed:
+                        if worker.chunk is None:
                             selector.unregister(worker.result)
                 outcomes = ready.pop(turn)
                 if isinstance(outcomes, BaseException):

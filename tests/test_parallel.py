@@ -360,6 +360,30 @@ for x in parallel.ordered_map(job, range(40)):
     assert len(pids) == 2 and left == []
 
 
+def test_two_live_maps_end_apart(tmp_path):
+    """A map's workers end when it is closed, also while another map whose
+    workers were forked after them is still live: those workers hold none of
+    the first map's pipes open."""
+    code = """
+import os
+from gaitlab import parallel
+parallel.usable_cpus = lambda: 2
+first = parallel.ordered_map(abs, range(20))
+second = parallel.ordered_map(abs, range(20))
+assert next(first) == 0 and next(second) == 0
+first.close()
+assert next(second) == 1
+second.close()
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, encoding="utf-8", check=True, timeout=30).stdout
+    assert out == "no child left\n"
+
+
 def test_import_gaitlab_does_not_import_multiprocessing(tmp_path):
     """A serial run, and the import itself, pay nothing for a pool; synth,
     extract and eval on 2 CPUs load no pool machinery and start no thread."""
